@@ -5,6 +5,10 @@ their ideal-clock limits, Lamb shifts, Kossakowski assembly, finite
 dimensional GKLS evolution with CPTP certificates, mode-level Langevin
 moments, stochastic unravelings, discretized foliation-integrability tests,
 and hybrid classical-quantum clock dynamics.
+
+Importing the package loads numpy only.  scipy submodules are imported by the
+functions that call them, bound once per outer call or once per process, never
+once per integrand evaluation.
 """
 
 from ._accel import HAS_NUMBA, backend_name

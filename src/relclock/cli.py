@@ -31,8 +31,7 @@ from .hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, tradeoff_
 from .integrability import MomentumGridModel, SliceLattice, boost_interchange_residual, functional_curl_residual
 from .kernels import CoherentReadoutKernel, GaussianKernel
 from .langevin import ModeMoments, ModeParams, ccr_defect, stationary_fdr_check, write_moment_trajectory_csv
-from .rates import RateQuery, delta_kappa_memory, kappa_markov, kappa_markov_kms, kappa_tcl, lamb_shift_coefficient
-from .specfun import bose_occupation
+from .rates import RateQuery, kappa_markov, kappa_markov_kms, kappa_tcl, lamb_shift_coefficient
 from .trajectories import ensemble_compare, sample_colored_noise, unravel_linear, write_ensemble_csv
 
 SCENARIOS = (
@@ -87,7 +86,7 @@ def _parse_matrix(section, key, raw):
         raise ConfigError(f"[{section}] {key}: expected 'a b; c d' matrix, got {raw!r}")
 
 
-_TYPES = {"float": _parse_float, "int": None, "str": None, "list": _parse_list, "matrix": _parse_matrix}
+_TYPES = {"float": _parse_float, "list": _parse_list, "matrix": _parse_matrix}
 
 # (type, required, default); defaults marked None are filled contextually
 _ENV_KEYS = {

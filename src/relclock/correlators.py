@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .kernels import ClockKernel, GaussianKernel, CoherentReadoutKernel
 from .specfun import bose_occupation
@@ -102,6 +101,7 @@ def _spectral_ft(env: EnvironmentSpec, s: float, cutoff: float) -> complex:
     Equals int j(E) (1+2n_B) cos(sE) dE - i int j(E) sin(sE) dE, so each
     piece is a Fourier-weight quadrature (exactly Hermitian in s).
     """
+    from scipy import integrate
     m = env.mass_E
 
     def j_sym(E):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .rates import KossakowskiBlock
 
@@ -83,6 +82,7 @@ class DensityMatrix:
             eigvals, eigvecs = np.linalg.eigh(H)
             ground = eigvecs[:, 0]
             return cls.pure(ground)
+        from scipy.linalg import expm
         w = expm(-beta * H)
         return cls(w / np.trace(w))
 
@@ -234,6 +234,7 @@ def cp_choi_check(s: Superoperator, dt: float, tol: float = 1e-10) -> ChoiVerdic
         raise ValueError("dt must be >= 0")
     if dt * np.linalg.norm(M, 2) > 1.0 + 1e-9:
         raise ValueError("dt too large: require dt * ||L|| <= 1")
+    from scipy.linalg import expm
     E = expm(dt * M)
     choi = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
@@ -251,6 +252,7 @@ def evolve(m: GKLSModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Propagate rho0 by exp(t L) using a dense matrix exponential."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
+    from scipy.linalg import expm
     gen = build_generator(m)
     rho = unvec(expm(t * gen.matrix) @ vec(rho0.matrix), m.dim)
     rho = 0.5 * (rho + rho.conj().T)

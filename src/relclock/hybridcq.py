@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._accel import fv_drift_diffusion_step
 from .gkls import DensityMatrix, vec, unvec
@@ -267,6 +266,7 @@ def cq_evolve_grid(
     def rotate(M):
         return Q.conj().T @ M @ Q
 
+    from scipy.linalg import expm
     props = []
     gen_norm = 0.0
     if model.z_dependent:
@@ -347,6 +347,7 @@ def cq_unravel(
     lind0 = model.lindblads(z0)
     B = _drift_operator(k, lind0) if np.abs(k.d1).max() > 0 else np.zeros((d, d), complex)
 
+    from scipy.linalg import expm
     if model.z_dependent:
         span = 6.0 * math.sqrt(max(2.0 * D * t, 1e-12)) + 1.0
         z_cache = np.linspace(z0 - span, z0 + span, 257)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .specfun import gaussian_ft, integrate_adaptive
 
@@ -202,6 +201,7 @@ class TabulatedKernel(ClockKernel):
     """
 
     def __init__(self, samples: Sequence[tuple] | np.ndarray):
+        from scipy.interpolate import PchipInterpolator
         pts = np.asarray(samples, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("samples must be an (n, 2) array with n >= 2")

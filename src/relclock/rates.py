@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .correlators import EnvironmentSpec, vacuum_spectral_density
 from .kernels import (
@@ -149,6 +148,7 @@ def _kappa_gaussian_vacuum(env: EnvironmentSpec, sigma: float, omega: float) -> 
     t_hi = eta + u_max
     if t_hi <= t_lo:
         return 0.0
+    from scipy.special import erf
     rt2 = math.sqrt(2.0)
 
     def f(theta):

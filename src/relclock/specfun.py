@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
 
 __all__ = [
     "QuadratureResult",
@@ -28,6 +27,9 @@ DAMPING_FLOOR = 1e-18
 
 #: Maximum number of QUADPACK subdivisions before giving up.
 MAX_SUBDIVISIONS = 200
+
+#: scipy.special.dawsn, bound by the first call to :func:`dawson`.
+_dawsn = None
 
 
 class AccuracyError(ArithmeticError):
@@ -61,9 +63,12 @@ def dawson(z: float) -> float:
     Faddeeva evaluation in scipy, which is accurate to better than 1e-13
     relative over the real line.
     """
+    global _dawsn
     if not math.isfinite(z):
         raise ValueError(f"dawson requires finite input, got {z!r}")
-    return float(special.dawsn(z))
+    if _dawsn is None:
+        from scipy.special import dawsn as _dawsn
+    return float(_dawsn(z))
 
 
 def bose_occupation(E: float, beta: float) -> float:
@@ -101,6 +106,7 @@ def gaussian_ft(sigma: float, Omega: float) -> float:
 
 
 def _quad(f, a, b, epsabs, epsrel):
+    from scipy import integrate
     out = integrate.quad(
         f, a, b, epsabs=epsabs, epsrel=epsrel, limit=MAX_SUBDIVISIONS, full_output=True
     )

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._accel import step_trajectory_chunk
 from .correlators import EnvironmentSpec, wightman_timelike
@@ -188,6 +187,7 @@ def unravel_linear(
     if n_out < 2 or n_steps % (n_out - 1) != 0:
         raise ValueError("(n_out - 1) must divide the number of steps")
     stride = n_steps // (n_out - 1)
+    from scipy.linalg import expm
     u_step = np.ascontiguousarray(expm(-1j * dt * H_eff))
     ls_scaled = np.ascontiguousarray(
         np.array([math.sqrt(max(g, 0.0)) * L for g, L in zip(gammas, ls)])

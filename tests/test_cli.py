@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relclock
 from relclock.cli import ConfigError, main, parse_config, run_scenario
+
+SRC = Path(relclock.__file__).resolve().parents[1]
 
 MINIMAL_RATES = """
 [run]
@@ -156,3 +163,42 @@ class TestMain:
         assert rc in (0, 2)  # statistics check may fail at tiny n_real
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 3
+
+
+def _fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports relclock from SRC."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestFreshProcess:
+    def test_import_loads_no_scipy(self):
+        # the test session has scipy loaded already, so only a new
+        # interpreter can see what importing the package pulls in
+        done = _fresh_python("-c", "import sys, relclock, relclock.cli; "
+                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("scenario, csv_name, text", [
+        ("tradeoff", "tradeoff.csv", "[run]\nscenario = tradeoff\n\n[tradeoff]\nd0 = 1\nd1 = 1\nd2 = 1\n"),
+        ("gkls", "gkls.csv", "[run]\nscenario = gkls\n"),
+        ("lamb_shift", "lamb_shift.csv", "[run]\nscenario = lamb_shift\n"),
+        ("noise", "noise_covariance.csv",
+         "[run]\nscenario = noise\nseed = 4\n\n[noise]\nn_real = 500\ngrid_points = 8\n"),
+    ])
+    def test_csv_bytes_match_in_process_run(self, tmp_path, scenario, csv_name, text):
+        # a new process imports scipy at the call sites; the in-process run
+        # below finds scipy loaded before relclock calls it
+        import scipy.integrate, scipy.linalg, scipy.special  # noqa: F401, E401
+
+        config = tmp_path / "cfg.ini"
+        config.write_text(text)
+        fresh, warm = tmp_path / "fresh", tmp_path / "warm"
+        done = _fresh_python("-m", "relclock.cli", scenario, "--config", str(config),
+                             "--output", str(fresh), "--quiet")
+        rc = main([scenario, "--config", str(config), "--output", str(warm), "--quiet"])
+        assert done.returncode == rc, done.stderr
+        assert rc == 0 or scenario == "noise"  # noise statistics may fail at tiny n_real
+        assert (fresh / csv_name).read_bytes() == (warm / csv_name).read_bytes()
