@@ -11,7 +11,6 @@ functions that call them, bound once per outer call or once per process, never
 once per integrand evaluation.
 """
 
-from ._accel import HAS_NUMBA, backend_name
 from .correlators import EnvironmentSpec, kms_rate_weights, vacuum_spectral_density, wightman_timelike
 from .gkls import (
     DensityMatrix,

@@ -1,49 +1,22 @@
-"""Hot numeric kernels: numba-compiled with a pure-numpy fallback.
+"""Hot numeric kernels, vectorized in numpy.
 
-Set ``RELCLOCK_NUMBA=0`` to force the numpy path (useful on machines without
-a working compiler toolchain, and for benchmarking the two backends against
-each other).  ``RELCLOCK_THREADS`` caps the numba threading layer.  Both
-backends draw the identical per-trajectory noise streams, so results agree to
-floating-point roundoff; within one backend results are independent of the
-parallel schedule because every trajectory writes only its own slots.
+``step_trajectory_chunk`` steps the linear unraveling and
+``fv_drift_diffusion_step`` the classical sector of the hybrid evolver.  The
+stepper draws no random numbers: each trajectory consumes only its own rows
+of the noise array it is handed and writes only its own output slots, so
+seeded results do not depend on how the trajectories are split into chunks.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-_FLAG = os.environ.get("RELCLOCK_NUMBA", "").strip()
-
-try:
-    if _FLAG == "0":
-        raise ImportError("numba disabled via RELCLOCK_NUMBA=0")
-    import numba
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-    _threads = os.environ.get("RELCLOCK_THREADS", "").strip()
-    if _threads:
-        numba.set_num_threads(
-            max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS))
-        )
-
-
-def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
 # linear-unraveling stepper
 # ---------------------------------------------------------------------------
 
-def _step_chunk_numpy(psi0, u_step, ls_scaled, noise, save_stride, out):
+def step_trajectory_chunk(psi0, u_step, ls_scaled, noise, save_stride, out):
     """Stochastic steps for a chunk of unnormalized trajectories.
 
     The deterministic contraction exp(-i H_eff dt) is applied exactly via
@@ -71,69 +44,17 @@ def _step_chunk_numpy(psi0, u_step, ls_scaled, noise, save_stride, out):
     return out
 
 
-if HAS_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _step_chunk_numba(psi0, u_step, ls_scaled, noise, save_stride, out):
-        n_chunk, n_steps, n_jump = noise.shape
-        d = psi0.size
-        # explicit per-trajectory workspaces: disjoint slices keep the prange
-        # body free of allocations that the parallel transform might alias
-        work = np.empty((n_chunk, 2, d), dtype=np.complex128)
-        for r in prange(n_chunk):
-            psi = work[r, 0]
-            new = work[r, 1]
-            for i in range(d):
-                psi[i] = psi0[i]
-                out[r, 0, i] = psi0[i]
-            isave = 1
-            for s in range(n_steps):
-                for i in range(d):
-                    acc = 0.0 + 0.0j
-                    for j in range(d):
-                        acc += u_step[i, j] * psi[j]
-                    new[i] = acc
-                for k in range(n_jump):
-                    xi = noise[r, s, k]
-                    for i in range(d):
-                        acc = 0.0 + 0.0j
-                        for j in range(d):
-                            acc += ls_scaled[k, i, j] * psi[j]
-                        new[i] += xi * acc
-                for i in range(d):
-                    psi[i] = new[i]
-                if (s + 1) % save_stride == 0:
-                    for i in range(d):
-                        out[r, isave, i] = psi[i]
-                    isave += 1
-        return out
-
-
-def step_trajectory_chunk(psi0, u_step, ls_scaled, noise, save_stride, out):
-    if HAS_NUMBA:
-        return _step_chunk_numba(psi0, u_step, ls_scaled, noise, save_stride, out)
-    return _step_chunk_numpy(psi0, u_step, ls_scaled, noise, save_stride, out)
-
-
 # ---------------------------------------------------------------------------
 # finite-volume drift-diffusion step (classical sector of the hybrid evolver)
 # ---------------------------------------------------------------------------
 
-def _bernoulli(x):
-    # x / (exp(x) - 1), stable near 0
-    if abs(x) < 1e-5:
-        return 1.0 - 0.5 * x + x * x / 12.0
-    return x / math.expm1(x)
-
-
-def _fv_step_numpy(blocks, V, D, dz, dt):
+def fv_drift_diffusion_step(blocks, V, D, dz, dt):
     """One explicit Scharfetter-Gummel step with reflecting boundaries.
 
     blocks: (n_cells, d, d) complex cell weights, updated out of place
     V: (d, d) real entrywise drift velocities (drift-operator eigenbasis)
     D: scalar diffusion constant (>= 0)
     """
-    n = blocks.shape[0]
     if D > 0.0:
         p = V * dz / D
         with np.errstate(over="ignore"):
@@ -152,53 +73,3 @@ def _fv_step_numpy(blocks, V, D, dz, dt):
     out[:-1] -= (dt / dz) * flux
     out[1:] += (dt / dz) * flux
     return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _fv_step_numba(blocks, V, D, dz, dt):
-        n, d, _ = blocks.shape
-        out = blocks.copy()
-        if D <= 0.0:
-            has_v = False
-            for i in range(d):
-                for j in range(d):
-                    if V[i, j] != 0.0:
-                        has_v = True
-            if not has_v:
-                return out
-        for c in range(n - 1):
-            for i in range(d):
-                for j in range(d):
-                    v = V[i, j]
-                    if D > 0.0:
-                        p = v * dz / D
-                        if abs(p) < 1e-5:
-                            bp = 1.0 - 0.5 * p + p * p / 12.0
-                            bm = 1.0 + 0.5 * p + p * p / 12.0
-                        else:
-                            bp = p / math.expm1(p)
-                            bm = -p / math.expm1(-p)
-                        f = (D / dz) * (bm * blocks[c, i, j] - bp * blocks[c + 1, i, j])
-                    else:
-                        if v > 0.0:
-                            f = v * blocks[c, i, j]
-                        else:
-                            f = v * blocks[c + 1, i, j]
-                    out[c, i, j] -= (dt / dz) * f
-                    out[c + 1, i, j] += (dt / dz) * f
-        return out
-
-
-def fv_drift_diffusion_step(blocks, V, D, dz, dt):
-    if HAS_NUMBA:
-        return _fv_step_numba(blocks, V, D, dz, dt)
-    return _fv_step_numpy(blocks, V, D, dz, dt)
-
-
-# explicit handles for the backend benchmark
-step_chunk_numpy = _step_chunk_numpy
-fv_step_numpy = _fv_step_numpy
-step_chunk_numba = _step_chunk_numba if HAS_NUMBA else None
-fv_step_numba = _fv_step_numba if HAS_NUMBA else None

@@ -4,8 +4,7 @@ Every run writes one or more CSV artifacts (full 17-significant-digit
 precision, byte-stable for a fixed config and seed) and a ``summary.json``
 echoing the inputs, the config hash, key outputs, and pass/fail checks.
 Exit status: 0 on success, 2 when a declared invariant check fails, 1 on
-errors.  ``RELCLOCK_THREADS`` caps the numba threading layer and
-``RELCLOCK_NUMBA=0`` forces the pure-numpy kernels.
+errors.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._accel import backend_name
 from .correlators import EnvironmentSpec
 from .gkls import DensityMatrix, build_generator, cp_choi_check, evolve, qubit_decay_model
 from .hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, tradeoff_check, write_hybrid_csv
@@ -616,7 +614,6 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
         "checks": checks,
         "wall_time_s": wall,
         "version": __version__,
-        "backend": backend_name(),
         "artifacts": files,
     }
     with open(cfg.output_path / "summary.json", "w") as fh:

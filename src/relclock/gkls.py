@@ -12,10 +12,11 @@ are the classic source of false CP violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import psd_margin
 from .rates import KossakowskiBlock
 
 __all__ = [
@@ -176,11 +177,7 @@ class GKLSModel:
             raise ValueError(
                 f"kossakowski block ({K.shape}) misaligned with {n} jump operators"
             )
-        if _hermitian_defect(K) > 1e-12 * max(np.abs(K).max(), 1.0):
-            raise ValueError("kossakowski block must be Hermitian")
-        margin = float(np.linalg.eigvalsh(K).min())
-        if margin < -1e-10 * max(np.real(np.trace(K)), 1.0):
-            raise ValueError(f"kossakowski block is not PSD (min eig {margin:.3e})")
+        psd_margin(K, "kossakowski block")
         # cross-frequency couplings must vanish
         omegas = [om for _, om in self.jump_operators]
         om_scale = max((abs(o) for o in omegas), default=1.0)
@@ -205,15 +202,17 @@ class GKLSModel:
                 )
 
 
-def build_generator(m: GKLSModel) -> Superoperator:
-    """Vectorized GKLS generator -i[H, .] + sum kappa_ab (A_a . A_b^+ - ...)."""
-    d = m.dim
+def generator_matrix(H, ops, K) -> np.ndarray:
+    """Vectorized GKLS generator -i[H, .] + sum K_ij (L_i . L_j^+ - ...).
+
+    ``ops`` are the operators L_i and ``K`` their rate matrix; entries of K
+    that are exactly zero are skipped.  No check is made here.
+    """
+    d = H.shape[0]
     I = np.eye(d)
-    H = m.hamiltonian
     M = -1j * (np.kron(I, H) - np.kron(H.T, I))
-    K = m.kossakowski
-    for i, (Li, _) in enumerate(m.jump_operators):
-        for j, (Lj, _) in enumerate(m.jump_operators):
+    for i, Li in enumerate(ops):
+        for j, Lj in enumerate(ops):
             k = K[i, j]
             if k == 0.0:
                 continue
@@ -223,7 +222,13 @@ def build_generator(m: GKLSModel) -> Superoperator:
                 - 0.5 * np.kron(I, LjLi)
                 - 0.5 * np.kron(LjLi.T, I)
             )
-    return Superoperator(matrix=M)
+    return M
+
+
+def build_generator(m: GKLSModel) -> Superoperator:
+    """Trace-preserving GKLS generator of a validated model."""
+    ops = [L for L, _ in m.jump_operators]
+    return Superoperator(matrix=generator_matrix(m.hamiltonian, ops, m.kossakowski))
 
 
 def cp_choi_check(s: Superoperator, dt: float, tol: float = 1e-10) -> ChoiVerdict:
@@ -246,6 +251,14 @@ def cp_choi_check(s: Superoperator, dt: float, tol: float = 1e-10) -> ChoiVerdic
         # (kron ordering fixed by the column-stacking convention above)
     min_eig = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
     return ChoiVerdict(is_cp=min_eig >= -tol, min_choi_eigenvalue=min_eig)
+
+
+def step_count(t: float, dt: float) -> int:
+    """Number of steps of size dt that make up t; t must be a multiple of dt."""
+    n_steps = int(round(t / dt))
+    if n_steps < 1 or abs(n_steps * dt - t) > 1e-9 * max(t, 1.0):
+        raise ValueError("t must be a positive integer multiple of dt")
+    return n_steps
 
 
 def evolve(m: GKLSModel, rho0: DensityMatrix, t: float) -> DensityMatrix:

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from ._accel import fv_drift_diffusion_step
-from .gkls import DensityMatrix, vec, unvec
+from .gkls import DensityMatrix, generator_matrix, step_count
+from .kernels import psd_margin
 
 __all__ = [
     "CQKernels",
@@ -62,10 +62,7 @@ class CQKernels:
         for name, M in (("d0", d0), ("d2", d2)):
             if M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be square")
-            if np.abs(M - M.conj().T).max() > 1e-12 * max(np.abs(M).max(), 1.0):
-                raise ValueError(f"{name} must be Hermitian")
-            if np.linalg.eigvalsh(M).min() < -1e-10 * max(np.real(np.trace(M)), 1.0):
-                raise ValueError(f"{name} must be PSD")
+            psd_margin(M, name)
         if d1.shape != (d2.shape[0], d0.shape[0]):
             raise ValueError(
                 f"d1 must be (n_classical, n_lindblad) = {(d2.shape[0], d0.shape[0])}, "
@@ -206,24 +203,6 @@ def _drift_operator(k: CQKernels, lindblads) -> np.ndarray:
     return B
 
 
-def _quantum_generator(k: CQKernels, H, lindblads) -> np.ndarray:
-    d = H.shape[0]
-    I = np.eye(d)
-    M = -1j * (np.kron(I, H) - np.kron(H.T, I))
-    for mu, Lm in enumerate(lindblads):
-        for nu, Ln in enumerate(lindblads):
-            c = k.d0[mu, nu]
-            if c == 0.0:
-                continue
-            LnLm = Ln.conj().T @ Lm
-            M = M + c * (
-                np.kron(Ln.conj(), Lm)
-                - 0.5 * np.kron(I, LnLm)
-                - 0.5 * np.kron(LnLm.T, I)
-            )
-    return M
-
-
 def cq_evolve_grid(
     k: CQKernels, model: CQModel, st: HybridState, t: float, dt: float
 ) -> HybridState:
@@ -240,9 +219,7 @@ def cq_evolve_grid(
         raise ValueError("grid evolution supports one classical direction")
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    n_steps = int(round(t / dt))
-    if n_steps < 1 or abs(n_steps * dt - t) > 1e-9 * max(t, 1.0):
-        raise ValueError("t must be a positive integer multiple of dt")
+    n_steps = step_count(t, dt)
     D = float(np.real(k.d2[0, 0]))
     dz = st.dz
     z = st.z_grid
@@ -271,14 +248,14 @@ def cq_evolve_grid(
     gen_norm = 0.0
     if model.z_dependent:
         for zc in z:
-            G = _quantum_generator(
-                k, rotate(model.hamiltonian(float(zc))), [rotate(L) for L in model.lindblads(float(zc))]
+            G = generator_matrix(
+                rotate(model.hamiltonian(float(zc))), [rotate(L) for L in model.lindblads(float(zc))], k.d0
             )
             gen_norm = max(gen_norm, np.linalg.norm(G, 2))
             props.append(expm(dt * G))
         props = np.array(props)
     else:
-        G = _quantum_generator(k, rotate(model.hamiltonian(0.0)), [rotate(L) for L in lind0])
+        G = generator_matrix(rotate(model.hamiltonian(0.0)), [rotate(L) for L in lind0], k.d0)
         gen_norm = np.linalg.norm(G, 2)
         props = None
         prop_single = expm(dt * G)
@@ -336,9 +313,7 @@ def cq_unravel(
         )
     if k.d2.shape != (1, 1):
         raise ValueError("unraveling supports one classical direction")
-    n_steps = int(round(t / dt))
-    if n_steps < 1 or abs(n_steps * dt - t) > 1e-9 * max(t, 1.0):
-        raise ValueError("t must be a positive integer multiple of dt")
+    n_steps = step_count(t, dt)
     rho_start = np.asarray(
         rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex
     )
@@ -353,7 +328,7 @@ def cq_unravel(
         z_cache = np.linspace(z0 - span, z0 + span, 257)
         cache = np.array(
             [
-                expm(dt * _quantum_generator(k, model.hamiltonian(zc), model.lindblads(zc)))
+                expm(dt * generator_matrix(model.hamiltonian(zc), model.lindblads(zc), k.d0))
                 for zc in z_cache
             ]
         )
@@ -366,7 +341,7 @@ def cq_unravel(
             )
             return cache[idx]
     else:
-        P0 = expm(dt * _quantum_generator(k, model.hamiltonian(0.0), lind0))
+        P0 = expm(dt * generator_matrix(model.hamiltonian(0.0), lind0, k.d0))
 
         def propagator(zv):
             return np.broadcast_to(P0, (zv.size, d * d, d * d))

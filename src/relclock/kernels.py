@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,6 +41,20 @@ SERIES_TAIL = 1e-12
 
 class PositivityError(ValueError):
     """A kernel, spectrum, or covariance failed its positivity certificate."""
+
+
+def psd_margin(M: np.ndarray, name: str) -> float:
+    """Minimum eigenvalue of the Hermitian matrix ``M``.
+
+    Raises ValueError unless M is Hermitian to 1e-12 * max(|M|, 1), and
+    PositivityError when the margin is below -1e-10 * max(tr M, 1).
+    """
+    if np.abs(M - M.conj().T).max() > 1e-12 * max(np.abs(M).max(), 1.0):
+        raise ValueError(f"{name} must be Hermitian")
+    margin = float(np.linalg.eigvalsh(M).min())
+    if margin < -1e-10 * max(float(np.real(np.trace(M))), 1.0):
+        raise PositivityError(f"{name} is not PSD (min eigenvalue {margin:.3e})")
+    return margin
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .kernels import (
     PositivityError,
     kernel_spectrum,
     positivity_gram_check,
+    psd_margin,
 )
 from .specfun import DAMPING_FLOOR, bose_occupation, dawson, gaussian_ft, integrate_adaptive
 
@@ -90,15 +91,7 @@ class KossakowskiBlock:
     @classmethod
     def build(cls, labels, matrix) -> "KossakowskiBlock":
         matrix = np.asarray(matrix, dtype=complex)
-        scale = max(np.abs(matrix).max(), 1.0)
-        if np.abs(matrix - matrix.conj().T).max() > 1e-12 * scale:
-            raise ValueError("Kossakowski matrix must be Hermitian")
-        margin = float(np.linalg.eigvalsh(matrix).min())
-        trace = float(np.real(np.trace(matrix)))
-        if margin < -1e-10 * max(trace, 1.0):
-            raise PositivityError(
-                f"Kossakowski block is not PSD (min eigenvalue {margin:.3e})"
-            )
+        margin = psd_margin(matrix, "Kossakowski block")
         return cls(labels=tuple(labels), matrix=matrix, psd_margin=margin)
 
 
@@ -364,14 +357,7 @@ def assemble_kossakowski(queries, cross_phases) -> KossakowskiBlock:
     phases = np.asarray(cross_phases, dtype=complex)
     if phases.ndim != 2 or phases.shape[0] != phases.shape[1]:
         raise ValueError("cross_phases must be square")
-    scale = max(np.abs(phases).max(), 1.0)
-    if np.abs(phases - phases.conj().T).max() > 1e-12 * scale:
-        raise ValueError("cross_phases must be Hermitian")
-    eig_min = np.linalg.eigvalsh(phases).min()
-    if eig_min < -1e-10 * max(np.real(np.trace(phases)), 1.0):
-        raise PositivityError(
-            f"cross_phases is not PSD (min eigenvalue {eig_min:.3e})"
-        )
+    psd_margin(phases, "cross_phases")
     n = phases.shape[0]
     blocks, labels = [], []
     for q in queries:

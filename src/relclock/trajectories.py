@@ -25,7 +25,7 @@ import numpy as np
 
 from ._accel import step_trajectory_chunk
 from .correlators import EnvironmentSpec, wightman_timelike
-from .gkls import DensityMatrix, GKLSModel, evolve
+from .gkls import DensityMatrix, GKLSModel, evolve, step_count
 from .kernels import ClockKernel, PositivityError
 
 __all__ = [
@@ -181,9 +181,7 @@ def unravel_linear(
     )
     if dt * np.linalg.norm(H_eff, 2) > 0.05 + 1e-12:
         raise ValueError("dt too large: require dt * ||H_eff|| <= 0.05")
-    n_steps = int(round(t / dt))
-    if abs(n_steps * dt - t) > 1e-9 * max(t, 1.0) or n_steps < 1:
-        raise ValueError("t must be a positive integer multiple of dt")
+    n_steps = step_count(t, dt)
     if n_out < 2 or n_steps % (n_out - 1) != 0:
         raise ValueError("(n_out - 1) must divide the number of steps")
     stride = n_steps // (n_out - 1)

@@ -135,35 +135,63 @@ class TestUnravelLinear:
         assert cross <= 4.0 / math.sqrt(n_traj)
 
 
-class TestBackends:
-    def test_step_kernels_agree(self):
-        if _accel.step_chunk_numba is None:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(0)
-        d, steps, chunk = 2, 50, 8
-        psi0 = np.array([1.0, 0.0], dtype=complex)
-        heff_dt = -1j * 1e-2 * (0.5 * SZ - 0.25j * (SM.conj().T @ SM))
-        ls = np.array([SM], dtype=complex)
-        noise = (rng.normal(size=(chunk, steps, 1)) + 1j * rng.normal(size=(chunk, steps, 1))) * 0.07
-        out_a = np.empty((chunk, 6, d), dtype=complex)
-        out_b = np.empty((chunk, 6, d), dtype=complex)
-        _accel.step_chunk_numpy(psi0, heff_dt, ls, noise, 10, out_a)
-        _accel.step_chunk_numba(psi0, heff_dt, ls, noise, 10, out_b)
-        assert np.abs(out_a - out_b).max() <= 1e-12
+def _bernoulli(x):
+    return 1.0 if x == 0.0 else x / math.expm1(x)
 
-    def test_fv_kernels_agree(self):
-        if _accel.fv_step_numba is None:
-            pytest.skip("numba unavailable")
+
+class TestKernelOracles:
+    """The vectorized kernels against explicit per-trajectory / per-cell loops."""
+
+    def test_step_chunk_matches_loop(self):
+        rng = np.random.default_rng(0)
+        d, steps, chunk, stride = 2, 60, 5, 10
+        psi0 = np.array([0.6, 0.8j], dtype=complex)
+        u_step = np.eye(d) - 1j * 1e-2 * (0.5 * SZ - 0.25j * (SM.conj().T @ SM))
+        ls = np.array([0.7 * SM, 0.4 * SZ], dtype=complex)
+        noise = 0.07 * (rng.normal(size=(chunk, steps, 2)) + 1j * rng.normal(size=(chunk, steps, 2)))
+        out = np.empty((chunk, steps // stride + 1, d), dtype=complex)
+        _accel.step_trajectory_chunk(psi0, u_step, ls, noise, stride, out)
+        for r in range(chunk):
+            psi = psi0.copy()
+            expected = [psi]
+            for s in range(steps):
+                psi = u_step @ psi + sum(noise[r, s, k] * (ls[k] @ psi) for k in range(2))
+                if (s + 1) % stride == 0:
+                    expected.append(psi)
+            assert np.abs(out[r] - np.array(expected)).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "D, V",
+        [
+            (1.0, [[2.0, 0.5], [3e-5, -2.0]]),  # 3e-5 takes the small-p series
+            (0.0, [[2.0, 0.0], [0.0, -2.0]]),
+            (1.0, [[0.0, 0.0], [0.0, 0.0]]),
+            (0.0, [[0.0, 0.0], [0.0, 0.0]]),
+        ],
+        ids=["diffusion_drift", "drift_only", "diffusion_only", "frozen"],
+    )
+    def test_fv_step_matches_loop(self, D, V):
         rng = np.random.default_rng(1)
-        blocks = rng.normal(size=(32, 2, 2)) + 1j * rng.normal(size=(32, 2, 2))
-        V = np.array([[2.0, 0.0], [0.0, -2.0]])
-        a = _accel.fv_step_numpy(blocks, V, 1.0, 0.25, 1e-3)
-        b = _accel.fv_step_numba(blocks, V, 1.0, 0.25, 1e-3)
-        assert np.abs(a - b).max() <= 1e-13
-        # advection-only branch
-        a0 = _accel.fv_step_numpy(blocks, V, 0.0, 0.25, 1e-3)
-        b0 = _accel.fv_step_numba(blocks, V, 0.0, 0.25, 1e-3)
-        assert np.abs(a0 - b0).max() <= 1e-13
+        n, d, dz, dt = 12, 2, 0.25, 1e-3
+        V = np.array(V)
+        blocks = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        before = blocks.copy()
+        got = _accel.fv_drift_diffusion_step(blocks, V, D, dz, dt)
+        expected = blocks.copy()
+        for c in range(n - 1):  # flux through the face between cells c and c + 1
+            for i in range(d):
+                for j in range(d):
+                    v = V[i, j]
+                    if D > 0.0:
+                        p = v * dz / D
+                        f = (D / dz) * (_bernoulli(-p) * blocks[c, i, j] - _bernoulli(p) * blocks[c + 1, i, j])
+                    else:
+                        f = v * (blocks[c, i, j] if v > 0.0 else blocks[c + 1, i, j])
+                    expected[c, i, j] -= (dt / dz) * f
+                    expected[c + 1, i, j] += (dt / dz) * f
+        assert np.array_equal(blocks, before)
+        assert np.abs(got - expected).max() <= 1e-13
+        assert abs(got.sum() - blocks.sum()) <= 1e-13 * n
 
 
 class TestArtifacts:
