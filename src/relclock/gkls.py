@@ -255,6 +255,8 @@ def cp_choi_check(s: Superoperator, dt: float, tol: float = 1e-10) -> ChoiVerdic
 
 def step_count(t: float, dt: float) -> int:
     """Number of steps of size dt that make up t; t must be a multiple of dt."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite (got {dt!r})")
     n_steps = int(round(t / dt))
     if n_steps < 1 or abs(n_steps * dt - t) > 1e-9 * max(t, 1.0):
         raise ValueError("t must be a positive integer multiple of dt")

@@ -8,7 +8,9 @@ frame (``normal_sampled``), where the site Bohr frequency is time dilated to
 omega0 * cosh(eta_i); the scalar vacuum rate itself is boost invariant, so
 this dilation is precisely where the normal dependence of the generator
 lives.  The functional curvature combines the generator commutator with
-finite-difference shape variations of the heights.
+finite-difference shape variations of the heights; each of its operators is
+permutation equivalent to A kron I, so its norms are those of A on the two
+sites {x, y}, and [L_x, L_y] is structurally zero for x != y.
 
 Boost test.  Independent field modes on a grid uniform in the rapidity
 variable theta (p = m sinh theta) evolve diagonally; an infinitesimal boost
@@ -123,11 +125,36 @@ class CurlResidual:
     shape_part_yx: float
 
 
-def _embed(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
+def _embed(op: np.ndarray, site: int, sites) -> np.ndarray:
     full = np.array([[1.0]], dtype=complex)
-    for i in range(n_sites):
+    for i in sites:
         full = np.kron(full, op if i == site else np.eye(2, dtype=complex))
     return full
+
+
+def _site_generator(
+    l: SliceLattice, site: int, sites, env: EnvironmentSpec, kernel: ClockKernel
+) -> Superoperator:
+    """Generator of ``site`` on the qubits ``sites``, with rates from all of ``l``."""
+    if not (0 <= site < l.n_sites):
+        raise ValueError("site out of range")
+    omega0 = l.site_energy
+    if l.rate_mode == "normal_sampled":
+        nu = omega0 * math.cosh(l.discrete_rapidity(site))
+    else:
+        nu = omega0
+    env0 = replace(env, rapidity=0.0)
+    gamma_down = kappa_tcl(RateQuery(omega=-nu, kernel=kernel, env=env0))
+    gamma_up = kappa_tcl(RateQuery(omega=+nu, kernel=kernel, env=env0))
+    H = 0.5 * omega0 * _embed(_SZ, site, sites)
+    sm = _embed(_SM, site, sites)
+    model = GKLSModel(
+        dim=2 ** len(sites),
+        hamiltonian=H,
+        jump_operators=[(sm, -omega0), (sm.conj().T, omega0)],
+        kossakowski=np.diag([gamma_down, gamma_up]).astype(complex),
+    )
+    return build_generator(model)
 
 
 def build_slice_generator(
@@ -139,25 +166,7 @@ def build_slice_generator(
     site frequency; ``normal_sampled`` at the clock-frame (time-dilated)
     frequency omega0 * cosh(eta_site).
     """
-    if not (0 <= site < l.n_sites):
-        raise ValueError("site out of range")
-    omega0 = l.site_energy
-    if l.rate_mode == "normal_sampled":
-        nu = omega0 * math.cosh(l.discrete_rapidity(site))
-    else:
-        nu = omega0
-    env0 = replace(env, rapidity=0.0)
-    gamma_down = kappa_tcl(RateQuery(omega=-nu, kernel=kernel, env=env0))
-    gamma_up = kappa_tcl(RateQuery(omega=+nu, kernel=kernel, env=env0))
-    H = 0.5 * omega0 * _embed(_SZ, site, l.n_sites)
-    sm = _embed(_SM, site, l.n_sites)
-    model = GKLSModel(
-        dim=2**l.n_sites,
-        hamiltonian=H,
-        jump_operators=[(sm, -omega0), (sm.conj().T, omega0)],
-        kossakowski=np.diag([gamma_down, gamma_up]).astype(complex),
-    )
-    return build_generator(model)
+    return _site_generator(l, site, range(l.n_sites), env, kernel)
 
 
 def _deformed(l: SliceLattice, site: int, eps: float) -> SliceLattice:
@@ -181,23 +190,20 @@ def functional_curl_residual(
     and rates are normal sampled).  Central differences are used: the clock
     frame rates are even in the site rapidity, so a one-sided difference
     would leave a spurious O(eps) residual on flat slices where the exact
-    shape derivative vanishes.  Spectral norms throughout.
+    shape derivative vanishes.  Spectral norms throughout, exact on the 16 x 16
+    superoperators of sites {x, y} (rates still read the whole lattice): each
+    operator is A kron I up to a fixed permutation of the vec index, and
+    ||A kron I||_2 = ||A||_2.  The commutator is structurally zero for x != y.
     """
     if x == y:
         raise ValueError("x and y must differ")
     if eps is None:
         eps = 1e-4 * l.spacing
-    Lx = build_slice_generator(l, x, env, kernel).matrix
-    Ly = build_slice_generator(l, y, env, kernel).matrix
+    gen = lambda lat, site: _site_generator(lat, site, (x, y), env, kernel).matrix
+    Lx, Ly = gen(l, x), gen(l, y)
     comm = Lx @ Ly - Ly @ Lx
-    d_xy = (
-        build_slice_generator(_deformed(l, x, +eps), y, env, kernel).matrix
-        - build_slice_generator(_deformed(l, x, -eps), y, env, kernel).matrix
-    ) / (2.0 * eps)
-    d_yx = (
-        build_slice_generator(_deformed(l, y, +eps), x, env, kernel).matrix
-        - build_slice_generator(_deformed(l, y, -eps), x, env, kernel).matrix
-    ) / (2.0 * eps)
+    d_xy = (gen(_deformed(l, x, +eps), y) - gen(_deformed(l, x, -eps), y)) / (2.0 * eps)
+    d_yx = (gen(_deformed(l, y, +eps), x) - gen(_deformed(l, y, -eps), x)) / (2.0 * eps)
     total = comm + d_xy - d_yx
     norm = lambda M: float(np.linalg.norm(M, 2)) if np.any(M) else 0.0
     return CurlResidual(

@@ -47,8 +47,11 @@ def psd_margin(M: np.ndarray, name: str) -> float:
     """Minimum eigenvalue of the Hermitian matrix ``M``.
 
     Raises ValueError unless M is Hermitian to 1e-12 * max(|M|, 1), and
-    PositivityError when the margin is below -1e-10 * max(tr M, 1).
+    PositivityError when the margin is below -1e-10 * max(tr M, 1).  An empty
+    block is trivially PSD, with margin +inf.
     """
+    if M.size == 0:
+        return math.inf
     if np.abs(M - M.conj().T).max() > 1e-12 * max(np.abs(M).max(), 1.0):
         raise ValueError(f"{name} must be Hermitian")
     margin = float(np.linalg.eigvalsh(M).min())

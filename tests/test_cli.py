@@ -152,6 +152,15 @@ class TestMain:
         assert rc == 1
         assert "omega_min" in capsys.readouterr().err
 
+    def test_zero_dt_named(self, tmp_path, capsys):
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = unravel\nseed = 1\n\n[unravel]\ndt = 0\n")
+        rc = main(["unravel", "--config", str(config), "--output", str(tmp_path / "out"),
+                   "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "dt must be positive" in err and "division" not in err
+
     def test_seed_override(self, tmp_path):
         config = tmp_path / "cfg.ini"
         config.write_text(

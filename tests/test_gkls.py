@@ -17,6 +17,7 @@ from relclock.gkls import (
     qubit_decay_model,
     save_model,
     stationarity_check,
+    step_count,
     vec,
 )
 from relclock.rates import kappa_markov_kms
@@ -66,6 +67,19 @@ class TestBuildGenerator:
     def test_bohr_label_validated(self):
         with pytest.raises(ValueError):
             GKLSModel(2, 0.5 * SZ, [(SM, 1.0)], np.eye(1))  # wrong sign label
+
+    def test_closed_system(self):
+        # no jump operators and a 0 x 0 Kossakowski block: pure -i[H, .]
+        H = np.diag([0.5, -0.5]).astype(complex)
+        m = GKLSModel(2, H, [], np.zeros((0, 0)))
+        I = np.eye(2)
+        ref = -1j * (np.kron(I, H) - np.kron(H.T, I))
+        assert np.array_equal(build_generator(m).matrix, ref)
+        rho0 = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+        rho1 = evolve(m, rho0, 1.3)
+        assert np.trace(rho1.matrix).real == pytest.approx(1.0, abs=1e-12)
+        purity0 = np.trace(rho0.matrix @ rho0.matrix).real
+        assert np.trace(rho1.matrix @ rho1.matrix).real == pytest.approx(purity0, abs=1e-12)
 
 
 class TestChoi:
@@ -149,6 +163,17 @@ class TestEvolve:
             m = random_model(rng, d)
             eig = np.linalg.eigvals(build_generator(m).matrix)
             assert eig.real.max() <= 1e-10
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.inf, math.nan])
+    def test_bad_dt_named(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            step_count(1.0, dt)
+
+    def test_not_a_multiple(self):
+        with pytest.raises(ValueError, match="multiple"):
+            step_count(1.0, 0.3)
 
 
 class TestStationarity:

@@ -130,6 +130,71 @@ class TestCurl:
             functional_curl_residual(lat, 1, 1, ENV, KER2)
 
 
+def _dense_curl(lat, x, y, kernel):
+    """Reference curl on the full chain: 4^n x 4^n generators, dense SVD norms."""
+    eps = 1e-4 * lat.spacing  # the default of functional_curl_residual
+
+    def gen(l, site):
+        return build_slice_generator(l, site, ENV, kernel).matrix
+
+    def deformed(site, h):
+        heights = list(lat.heights)
+        heights[site] += h
+        return SliceLattice(lat.n_sites, tuple(heights), lat.spacing,
+                            rate_mode=lat.rate_mode, site_energy=lat.site_energy)
+
+    Lx, Ly = gen(lat, x), gen(lat, y)
+    comm = Lx @ Ly - Ly @ Lx
+    d_xy = (gen(deformed(x, eps), y) - gen(deformed(x, -eps), y)) / (2.0 * eps)
+    d_yx = (gen(deformed(y, eps), x) - gen(deformed(y, -eps), x)) / (2.0 * eps)
+    parts = (comm + d_xy - d_yx, comm, d_xy, d_yx)
+    return [float(np.linalg.norm(M, 2)) if np.any(M) else 0.0 for M in parts]
+
+
+class TestCurlDenseOracle:
+    """The two-site curl equals the full-chain curl on random timelike slices."""
+
+    @staticmethod
+    def _agree(r, ref):
+        got = [r.value, r.commutator_part, r.shape_part_xy, r.shape_part_yx]
+        for a, b in zip(got, ref):
+            assert (a == 0.0 and b == 0.0) or abs(a - b) <= 1e-12 * abs(b), (got, ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mode", ["normal_independent", "normal_sampled"])
+    def test_random_slices(self, n, mode):
+        rng = np.random.default_rng(100 * n + len(mode))
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        for sigma in (1.0, 2.0, 5.0):
+            heights = np.cumsum(rng.uniform(-0.8, 0.8, size=n))
+            lat = SliceLattice(n_sites=n, heights=tuple(heights - heights[0]),
+                               spacing=1.0, rate_mode=mode)
+            ker = GaussianKernel(sigma)
+            for x, y in pairs:
+                self._agree(functional_curl_residual(lat, x, y, ENV, ker),
+                            _dense_curl(lat, x, y, ker))
+
+    def test_stencil_reaches_outside_pair(self):
+        # sites 1 and 2 of a 4-site chain read heights at 0 and 3: the
+        # rates need the full lattice even though the operators live on {1, 2}
+        lat = SliceLattice(n_sites=4, heights=(0.0, 0.3, -0.2, 0.5), spacing=1.0,
+                           rate_mode="normal_sampled")
+        assert set(lat.normal_stencil(1) + lat.normal_stencil(2)) - {1, 2}
+        sub = SliceLattice(n_sites=2, heights=lat.heights[1:3], spacing=1.0,
+                           rate_mode="normal_sampled")
+        for x, y in ((1, 2), (2, 1)):
+            r = functional_curl_residual(lat, x, y, ENV, KER2)
+            self._agree(r, _dense_curl(lat, x, y, KER2))
+            assert abs(r.value - functional_curl_residual(sub, 0, 1, ENV, KER2).value) > 1e-3
+            assert r.commutator_part == 0.0
+
+    def test_site_out_of_range(self):
+        lat = SliceLattice(n_sites=3, heights=(0, 0, 0), spacing=1.0)
+        for x, y in ((0, 3), (-1, 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                functional_curl_residual(lat, x, y, ENV, KER2)
+
+
 class TestBoost:
     def test_covariant_refines_geometric_plateaus(self):
         cov = boost_interchange_residual(
