@@ -36,7 +36,6 @@ from .kernels import (
     CoherentReadoutKernel,
     GaussianKernel,
     TabulatedKernel,
-    eval_kernel,
     kernel_spectrum,
     positivity_gram_check,
 )

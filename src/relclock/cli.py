@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import math
@@ -23,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csv import write_csv as _write_csv
 from .correlators import EnvironmentSpec
 from .gkls import DensityMatrix, build_generator, cp_choi_check, evolve, qubit_decay_model
 from .hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, tradeoff_check, write_hybrid_csv
@@ -53,14 +53,8 @@ class ScenarioConfig:
     config_hash: str
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _parse_float(section, key, raw):
     try:
-        if raw.strip().lower() in ("inf", "+inf", "infinity"):
-            return math.inf
         return float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}")
@@ -292,13 +286,6 @@ def _kernel_from(params):
     return GaussianKernel(sigma=params["kernel.sigma"])
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 # ---------------------------------------------------------------------------
 # scenario runners: return (outputs, checks, csv file names)
 # ---------------------------------------------------------------------------
@@ -313,8 +300,7 @@ def _run_rates(cfg):
         kt = kappa_tcl(RateQuery(omega=float(om), kernel=kernel, env=env))
         km = kappa_markov(env, float(om))
         nonneg &= kt >= 0.0 and km >= 0.0
-        rows.append([_fmt(om), _fmt(kernel.width), _fmt(env.beta) if env.beta != math.inf else "inf",
-                     _fmt(env.rapidity), _fmt(kt), _fmt(km), _fmt(kt - km)])
+        rows.append([om, kernel.width, env.beta, env.rapidity, kt, km, kt - km])
     out = cfg.output_path / "rates.csv"
     _write_csv(out, ["omega", "sigma", "beta", "rapidity", "kappa_tcl", "kappa_markov", "delta_kappa"], rows)
     return {"n_points": len(rows)}, {"nonnegative": bool(nonneg)}, [out.name]
@@ -330,7 +316,7 @@ def _run_markov_limit(cfg):
         kt = kappa_tcl(RateQuery(omega=om, kernel=GaussianKernel(sigma=s / env.mass_E), env=env))
         rel = abs(kt - km) / km if km > 0 else math.inf
         rels.append(rel)
-        rows.append([_fmt(s), _fmt(kt), _fmt(km), _fmt(rel)])
+        rows.append([s, kt, km, rel])
     out = cfg.output_path / "markov_limit.csv"
     _write_csv(out, ["sigma", "kappa_tcl", "kappa_markov", "rel_error"], rows)
     order = float("nan")
@@ -354,7 +340,7 @@ def _run_lamb_shift(cfg):
     rows = []
     for L in grid:
         c = lamb_shift_coefficient(env, kernel, float(L)) if L >= 10 * env.mass_E else None
-        rows.append([_fmt(L), _fmt(c.raw_value if c else math.nan), _fmt(c.subtracted_value if c else math.nan)])
+        rows.append([L, c.raw_value if c else math.nan, c.subtracted_value if c else math.nan])
     out = cfg.output_path / "lamb_shift.csv"
     _write_csv(out, ["cutoff", "raw_value", "subtracted_value"], rows)
     expected_slope = env.coupling_g**2 / (2.0 * math.pi**2)
@@ -381,7 +367,7 @@ def _run_kms(cfg):
         kmn = kappa_tcl(RateQuery(omega=-om, kernel=ker, env=env))
         dev = abs(kp * math.exp(env.beta * om) / kmn - 1.0) if kmn > 0 else math.inf
         devs.append(dev)
-        rows.append([_fmt(s), _fmt(kp), _fmt(kmn), _fmt(dev)])
+        rows.append([s, kp, kmn, dev])
     out = cfg.output_path / "kms.csv"
     _write_csv(out, ["sigma", "kappa_plus", "kappa_minus", "db_deviation"], rows)
     monotone = all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
@@ -407,8 +393,7 @@ def _run_gkls(cfg):
     for t in times:
         r = evolve(model, rho, float(t))
         trace_ok &= abs(np.trace(r.matrix).real - 1.0) <= 1e-10
-        rows.append([_fmt(t)] + [_fmt(v) for v in
-                    (r.matrix[0, 0].real, r.matrix[0, 1].real, r.matrix[0, 1].imag, r.matrix[1, 1].real)])
+        rows.append([t, r.matrix[0, 0].real, r.matrix[0, 1].real, r.matrix[0, 1].imag, r.matrix[1, 1].real])
     out = cfg.output_path / "gkls.csv"
     _write_csv(out, ["t", "rho_ee", "re_rho_eg", "im_rho_eg", "rho_gg"], rows)
     choi = cp_choi_check(build_generator(model), 0.01 / max(gdown + gup, om0))
@@ -478,9 +463,8 @@ def _run_noise(cfg):
     rows = []
     for i in range(grid.size):
         for j in range(grid.size):
-            rows.append([str(i), str(j),
-                         _fmt(field.target_covariance[i, j].real), _fmt(field.target_covariance[i, j].imag),
-                         _fmt(sample[i, j].real), _fmt(sample[i, j].imag)])
+            target = field.target_covariance[i, j]
+            rows.append([i, j, target.real, target.imag, sample[i, j].real, sample[i, j].imag])
     out = cfg.output_path / "noise_covariance.csv"
     _write_csv(out, ["i", "j", "re_target", "im_target", "re_sample", "im_sample"], rows)
     err = float(np.linalg.norm(sample - field.target_covariance) / np.linalg.norm(field.target_covariance))
@@ -504,8 +488,7 @@ def _run_curl(cfg):
         )
         r = functional_curl_residual(lat, p["curl.x"], p["curl.y"], env, kernel)
         last = r
-        rows.append([_fmt(s), _fmt(p["curl.tilt"]), _fmt(r.value),
-                     _fmt(r.commutator_part), _fmt(r.shape_part_xy), _fmt(r.shape_part_yx)])
+        rows.append([s, p["curl.tilt"], r.value, r.commutator_part, r.shape_part_xy, r.shape_part_yx])
     out = cfg.output_path / "curl.csv"
     _write_csv(out, ["sigma", "tilt_rapidity", "curl_residual", "commutator_part",
                      "shape_part_xy", "shape_part_yx"], rows)
@@ -528,7 +511,7 @@ def _run_boost(cfg):
         res = boost_interchange_residual(model, p["boost.d_rapidity"])
         results[source] = res
         for n, r in zip(res.grid_sizes, res.residuals):
-            rows.append([str(n), source, _fmt(r)])
+            rows.append([n, source, r])
         outputs[source] = {"residuals": list(res.residuals), "order": res.refinement_order,
                            "baselines": list(res.baselines)}
     out = cfg.output_path / "boost.csv"
@@ -580,7 +563,7 @@ def _run_tradeoff(cfg):
     verdict = tradeoff_check(kern)
     out = cfg.output_path / "tradeoff.csv"
     _write_csv(out, ["margin", "range_ok", "verdict"],
-               [[_fmt(verdict.margin), str(verdict.range_ok), verdict.status]])
+               [[verdict.margin, str(verdict.range_ok), verdict.status]])
     return verdict.to_json_dict(), {}, [out.name]
 
 

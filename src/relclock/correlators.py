@@ -14,18 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernels import ClockKernel, GaussianKernel, CoherentReadoutKernel
 from .specfun import bose_occupation
 
 __all__ = [
     "EnvironmentSpec",
-    "SpectralSlice",
     "vacuum_spectral_density",
     "kms_rate_weights",
     "wightman_timelike",
-    "spectral_slice",
 ]
 
 #: Default energy cutoff for time-domain correlator values, in units of m_E.
@@ -60,14 +56,6 @@ class EnvironmentSpec:
         return self.beta == math.inf
 
 
-@dataclass(frozen=True)
-class SpectralSlice:
-    """Sampled on-shell density j(E) over an energy grid."""
-
-    energies: np.ndarray
-    j_values: np.ndarray
-
-
 def vacuum_spectral_density(env: EnvironmentSpec, E: float) -> float:
     """On-shell density j(E) = g^2 sqrt(E^2 - m^2)/(4 pi^2) for E >= m, else 0."""
     if E < 0.0:
@@ -76,12 +64,6 @@ def vacuum_spectral_density(env: EnvironmentSpec, E: float) -> float:
     if E <= m:
         return 0.0
     return env.coupling_g**2 * math.sqrt(E * E - m * m) / (4.0 * math.pi**2)
-
-
-def spectral_slice(env: EnvironmentSpec, energies) -> SpectralSlice:
-    E = np.asarray(energies, dtype=float)
-    j = np.array([vacuum_spectral_density(env, e) for e in E])
-    return SpectralSlice(energies=E, j_values=j)
 
 
 def kms_rate_weights(env: EnvironmentSpec, E: float) -> tuple[float, float]:

@@ -30,8 +30,6 @@ __all__ = [
     "stationarity_check",
     "bohr_decompose",
     "qubit_decay_model",
-    "save_model",
-    "load_model",
 ]
 
 
@@ -346,61 +344,3 @@ def qubit_decay_model(
         kossakowski=np.diag(rates).astype(complex),
         system_hamiltonian=H_S,
     )
-
-
-def _fmt_matrix(M: np.ndarray) -> list[str]:
-    lines = []
-    for row in np.atleast_2d(M):
-        lines.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row))
-    return lines
-
-
-def _parse_matrix(lines, d, width=None):
-    width = d if width is None else width
-    rows = []
-    for line in lines:
-        rows.append([complex(*map(float, tok.split(","))) for tok in line.split()])
-    M = np.array(rows, dtype=complex)
-    if M.shape != (d, width):
-        raise ValueError(f"matrix block has shape {M.shape}, expected {(d, width)}")
-    return M
-
-
-def save_model(m: GKLSModel, path) -> None:
-    """Structured-text export: dimension, H (row-major re,im), jumps, rates."""
-    lines = [f"dim {m.dim}", "hamiltonian"]
-    lines += _fmt_matrix(m.hamiltonian)
-    lines.append(f"jumps {len(m.jump_operators)}")
-    for L, om in m.jump_operators:
-        lines.append(f"omega {om:.17g}")
-        lines += _fmt_matrix(L)
-    lines.append("kossakowski")
-    lines += _fmt_matrix(m.kossakowski)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> GKLSModel:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    it = iter(lines)
-    head = next(it).split()
-    if head[0] != "dim":
-        raise ValueError("model file must start with 'dim <d>'")
-    d = int(head[1])
-    if next(it) != "hamiltonian":
-        raise ValueError("expected 'hamiltonian' section")
-    H = _parse_matrix([next(it) for _ in range(d)], d)
-    head = next(it).split()
-    if head[0] != "jumps":
-        raise ValueError("expected 'jumps <n>' section")
-    n = int(head[1])
-    jumps = []
-    for _ in range(n):
-        om = float(next(it).split()[1])
-        L = _parse_matrix([next(it) for _ in range(d)], d)
-        jumps.append((L, om))
-    if next(it) != "kossakowski":
-        raise ValueError("expected 'kossakowski' section")
-    K = _parse_matrix([next(it) for _ in range(n)], n, width=n)
-    return GKLSModel(dim=d, hamiltonian=H, jump_operators=jumps, kossakowski=K)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import fv_drift_diffusion_step
+from ._csv import write_csv
 from .gkls import DensityMatrix, generator_matrix, step_count
 from .kernels import psd_margin
 
@@ -370,20 +371,12 @@ def cq_unravel(
 
 def write_hybrid_csv(st: HybridState, path) -> None:
     """Emit z, Tr(block), block entries (re/im) per cell."""
-    import csv
-
     d = st.dim
     header = ["z", "tr_block"]
     for i in range(d):
         for j in range(d):
             header += [f"re_b_{i}{j}", f"im_b_{i}{j}"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for c, zc in enumerate(st.z_grid):
-            row = [f"{zc:.17g}", f"{np.real(np.trace(st.blocks[c])):.17g}"]
-            for i in range(d):
-                for j in range(d):
-                    z = st.blocks[c][i, j]
-                    row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-            writer.writerow(row)
+    rows = []
+    for zc, block in zip(st.z_grid, st.blocks):
+        rows.append([zc, np.real(np.trace(block)), *(x for z in block.ravel() for x in (z.real, z.imag))])
+    write_csv(path, header, rows)

@@ -26,7 +26,6 @@ __all__ = [
     "SpectralMeasure",
     "PositiveTypeVerdict",
     "PositivityError",
-    "eval_kernel",
     "kernel_spectrum",
     "positivity_gram_check",
 ]
@@ -300,11 +299,6 @@ class TabulatedKernel(ClockKernel):
     def sample_halfspan(self) -> float:
         # Gram lags reach twice the grid half-width; keep them in range
         return self._range / 2.0
-
-
-def eval_kernel(k: ClockKernel, s: float) -> float:
-    """Evaluate w(s); values lie in [-1, 1] for valid kernels."""
-    return k.evaluate(s)
 
 
 def kernel_spectrum(k: ClockKernel) -> SpectralMeasure:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._csv import write_csv
 from .correlators import EnvironmentSpec
 from .kernels import ClockKernel
 from .rates import RateQuery, kappa_tcl
@@ -149,21 +150,9 @@ def smeared_noise_spectrum(
 
 def write_moment_trajectory_csv(path, p: ModeParams, m0: ModeMoments, taus) -> None:
     """Emit tau, re_mean, im_mean, n, re_m, im_m, ccr_defect rows."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "re_mean", "im_mean", "n", "re_m", "im_m", "ccr_defect"])
-        for tau in taus:
-            m = mode_evolve_moments(p, m0, float(tau))
-            writer.writerow(
-                [
-                    f"{tau:.17g}",
-                    f"{m.mean_a.real:.17g}",
-                    f"{m.mean_a.imag:.17g}",
-                    f"{m.occupation_n:.17g}",
-                    f"{m.anomalous_m.real:.17g}",
-                    f"{m.anomalous_m.imag:.17g}",
-                    f"{ccr_defect(p, float(tau)):.17g}",
-                ]
-            )
+    rows = []
+    for tau in taus:
+        m = mode_evolve_moments(p, m0, float(tau))
+        rows.append([tau, m.mean_a.real, m.mean_a.imag, m.occupation_n,
+                     m.anomalous_m.real, m.anomalous_m.imag, ccr_defect(p, float(tau))])
+    write_csv(path, ["tau", "re_mean", "im_mean", "n", "re_m", "im_m", "ccr_defect"], rows)

@@ -19,6 +19,7 @@ samples it along tilted normals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,14 +67,24 @@ class RateQuery:
     env: EnvironmentSpec
 
     def __post_init__(self):
-        a = self.kernel.sample_halfspan
-        grid = np.linspace(-a, a, 17)
-        verdict = positivity_gram_check(self.kernel, grid)
-        if not verdict:
-            raise PositivityError(
-                f"kernel fails the positive-type Gram check "
-                f"(min eigenvalue {verdict.min_eigenvalue:.3e})"
-            )
+        _certify_kernel(self.kernel)
+
+
+@functools.cache
+def _certify_kernel(kernel: ClockKernel) -> None:
+    """17-point Gram certificate of positive type, run once per kernel.
+
+    Positive type is a property of the kernel alone, so a passing verdict is
+    cached: frozen kernels hash by value, a ``TabulatedKernel`` by identity.
+    A failure raises and is not cached, so it raises on every query.
+    """
+    a = kernel.sample_halfspan
+    verdict = positivity_gram_check(kernel, np.linspace(-a, a, 17))
+    if not verdict:
+        raise PositivityError(
+            f"kernel fails the positive-type Gram check "
+            f"(min eigenvalue {verdict.min_eigenvalue:.3e})"
+        )
 
 
 @dataclass(frozen=True)

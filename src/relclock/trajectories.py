@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import step_trajectory_chunk
+from ._csv import write_csv
 from .correlators import EnvironmentSpec, wightman_timelike
 from .gkls import DensityMatrix, GKLSModel, evolve, step_count
 from .kernels import ClockKernel, PositivityError
@@ -34,7 +35,6 @@ __all__ = [
     "sample_colored_noise",
     "unravel_linear",
     "ensemble_compare",
-    "dump_trajectories",
     "write_ensemble_csv",
 ]
 
@@ -170,7 +170,7 @@ def unravel_linear(
     psi0 = np.ascontiguousarray(eigvecs[:, -1])
     K = m.kossakowski
     off = K - np.diag(np.diag(K))
-    if np.abs(off).max() > 1e-12 * max(np.abs(K).max(), 1.0):
+    if K.size and np.abs(off).max() > 1e-12 * max(np.abs(K).max(), 1.0):
         raise ValueError(
             "kossakowski block must be diagonal: rotate to eigenjumps first"
         )
@@ -224,33 +224,15 @@ def ensemble_compare(e: TrajectoryEnsemble, m: GKLSModel, rho0: DensityMatrix):
     return (max_dev, max_sigma)
 
 
-def dump_trajectories(e: TrajectoryEnsemble, path) -> None:
-    """Raw binary dump: little-endian complex64, one row per recorded step.
-
-    Layout: trajectories in order, each contributing ``len(grid)`` rows of
-    ``dim`` amplitudes; total shape (n_traj, n_grid, dim).
-    """
-    e.states.astype("<c8").tofile(path)
-
-
 def write_ensemble_csv(e: TrajectoryEnsemble, path) -> None:
     """Emit t, mean-state entries (re/im), stat_error per grid time."""
-    import csv
-
     d = e.states.shape[2]
     header = ["t"]
     for i in range(d):
         for j in range(d):
             header += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
     header.append("stat_error")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for idx, t in enumerate(e.grid):
-            row = [f"{t:.17g}"]
-            for i in range(d):
-                for j in range(d):
-                    z = e.mean_state[idx][i, j]
-                    row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
-            row.append(f"{e.stat_error[idx]:.17g}")
-            writer.writerow(row)
+    rows = []
+    for t, mean, err in zip(e.grid, e.mean_state, e.stat_error):
+        rows.append([t, *(x for z in mean.ravel() for x in (z.real, z.imag)), err])
+    write_csv(path, header, rows)

@@ -211,3 +211,33 @@ class TestFreshProcess:
         assert done.returncode == rc, done.stderr
         assert rc == 0 or scenario == "noise"  # noise statistics may fail at tiny n_real
         assert (fresh / csv_name).read_bytes() == (warm / csv_name).read_bytes()
+
+    def test_benchmark_tracer_installs(self, tmp_path):
+        # the traced benchmark pass wraps relclock functions by name; install()
+        # raises AttributeError when one of those names is deleted or renamed
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = rates\n\n[kernel]\nkind = coherent\nr = 3\n\n"
+                          "[rates]\nomega_min = -4\nomega_max = 1\nomega_points = 8\n")
+        trace = tmp_path / "trace.json"
+        done = _fresh_python(str(SRC.parent / "relbench" / "tracer.py"),
+                             "rates", str(config), str(tmp_path / "out"), str(trace))
+        assert done.returncode == 0, done.stderr
+        names = [span[0] for span in json.loads(trace.read_text())["spans"]]
+        assert names.count("rates.query_init") == 8
+        assert names.count("kernels.gram_check") == 1
+
+
+class TestWriteCsv:
+    def test_cells(self, tmp_path):
+        from relclock._csv import write_csv
+
+        values = [0.1, -1e308, 1e308, 5e-324, 2.2250738585072014e-308 / 3, 1 / 3, -0.0]
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b"], [values, [3, np.int64(7), math.inf, -math.inf, math.nan],
+                                     ["verbatim text", "1.0", np.float64(0.1), 2.5]])
+        lines = path.read_text().splitlines()
+        assert lines[0] == "a,b"
+        assert [float(c) for c in lines[1].split(",")] == values
+        assert [str(float(c)) for c in lines[1].split(",")] == [str(v) for v in values]
+        assert lines[2] == "3,7,inf,-inf,nan"
+        assert lines[3] == "verbatim text,1.0,0.10000000000000001,2.5"

@@ -6,7 +6,6 @@ import pytest
 from relclock.correlators import (
     EnvironmentSpec,
     kms_rate_weights,
-    spectral_slice,
     vacuum_spectral_density,
     wightman_timelike,
 )
@@ -70,12 +69,6 @@ class TestSpectralDensity:
         j = np.array([vacuum_spectral_density(env, e) for e in E_grid])
         exact = np.trapezoid(j * f(E_grid), E_grid)
         assert mc == pytest.approx(exact, rel=0.01)
-
-    def test_spectral_slice(self):
-        env = EnvironmentSpec()
-        sl = spectral_slice(env, np.linspace(0.5, 5.0, 20))
-        assert np.all(sl.j_values >= 0.0)
-        assert sl.j_values[0] == 0.0
 
 
 class TestKMSWeights:

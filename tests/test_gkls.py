@@ -13,9 +13,7 @@ from relclock.gkls import (
     build_generator,
     cp_choi_check,
     evolve,
-    load_model,
     qubit_decay_model,
-    save_model,
     stationarity_check,
     step_count,
     vec,
@@ -236,24 +234,3 @@ class TestSuperoperator:
         gen = build_generator(m)
         rho = np.array([[0.3, 0.1j], [-0.1j, 0.7]])
         assert np.allclose(vec(gen.apply(rho)), gen.matrix @ vec(rho))
-
-
-class TestModelIO:
-    def test_roundtrip(self, tmp_path):
-        env = EnvironmentSpec(beta=1.0)
-        m = qubit_decay_model(2.0, kappa_markov_kms(env, -2.0), kappa_markov_kms(env, 2.0))
-        path = tmp_path / "model.txt"
-        save_model(m, path)
-        m2 = load_model(path)
-        assert m2.dim == m.dim
-        assert np.allclose(m2.hamiltonian, m.hamiltonian, atol=1e-16)
-        assert np.allclose(m2.kossakowski, m.kossakowski, atol=1e-16)
-        assert np.allclose(
-            build_generator(m2).matrix, build_generator(m).matrix, atol=1e-15
-        )
-
-    def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("hamiltonian\n1,0 0,0\n")
-        with pytest.raises(ValueError):
-            load_model(path)

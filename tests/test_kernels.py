@@ -9,7 +9,6 @@ from relclock.kernels import (
     GaussianKernel,
     PositivityError,
     TabulatedKernel,
-    eval_kernel,
     kernel_spectrum,
     positivity_gram_check,
 )
@@ -17,26 +16,26 @@ from relclock.kernels import (
 
 class TestEval:
     def test_gaussian_at_zero(self):
-        assert eval_kernel(GaussianKernel(1.0), 0.0) == 1.0
+        assert GaussianKernel(1.0).evaluate(0.0) == 1.0
 
     def test_gaussian_value(self):
-        assert eval_kernel(GaussianKernel(2.0), 2.0) == pytest.approx(
+        assert GaussianKernel(2.0).evaluate(2.0) == pytest.approx(
             math.exp(-0.5), rel=1e-14
         )
 
     def test_coherent_at_zero(self):
         k = CoherentReadoutKernel(R=1.0, omega_C=1.0)
-        assert eval_kernel(k, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert k.evaluate(0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_evenness(self):
         for k in (GaussianKernel(1.3), CoherentReadoutKernel(R=2.0, omega_C=0.7)):
             for s in (0.3, 1.1, 4.0):
-                assert eval_kernel(k, s) == pytest.approx(eval_kernel(k, -s), abs=1e-12)
+                assert k.evaluate(s) == pytest.approx(k.evaluate(-s), abs=1e-12)
 
     def test_range(self):
         k = CoherentReadoutKernel(R=3.0, omega_C=1.0)
         for s in np.linspace(-10, 10, 101):
-            assert -1.0 - 1e-12 <= eval_kernel(k, s) <= 1.0 + 1e-12
+            assert -1.0 - 1e-12 <= k.evaluate(s) <= 1.0 + 1e-12
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -66,7 +65,7 @@ class TestSpectrum:
     def test_total_mass_is_2pi_w0(self):
         for k in (GaussianKernel(0.7), CoherentReadoutKernel(R=1.5, omega_C=2.0)):
             assert kernel_spectrum(k).total_mass() == pytest.approx(
-                2 * math.pi * eval_kernel(k, 0.0), abs=1e-6
+                2 * math.pi * k.evaluate(0.0), abs=1e-6
             )
 
     def test_nonnegative_weights(self):
@@ -79,7 +78,7 @@ class TestSpectrum:
         ghat = lambda O: math.sqrt(2 * math.pi) * s0 * math.exp(-0.5 * (s0 * O) ** 2)
         for k in (GaussianKernel(1.0), CoherentReadoutKernel(R=1.0, omega_C=1.3)):
             time_side = integrate.quad(
-                lambda s: eval_kernel(k, s) * math.exp(-0.5 * (s / s0) ** 2),
+                lambda s: k.evaluate(s) * math.exp(-0.5 * (s / s0) ** 2),
                 -40,
                 40,
                 limit=400,
@@ -102,7 +101,7 @@ class TestCoherentGaussianLimit:
             k = CoherentReadoutKernel(R=R, omega_C=1.0)
             for s in np.linspace(0, 0.04 / R**2, 9):
                 gauss = math.exp(-0.5 * R**2 * s**2)
-                assert abs(eval_kernel(k, s) - gauss) <= 1e-3
+                assert abs(k.evaluate(s) - gauss) <= 1e-3
 
     def test_curvature_is_poisson_second_moment(self):
         # -w''(0) = wc^2 * E[n^2] = wc^2 (R^2 + R^4) for Poisson weights; the
@@ -111,7 +110,7 @@ class TestCoherentGaussianLimit:
         R, wc = 6.0, 1.4
         k = CoherentReadoutKernel(R=R, omega_C=wc)
         h = 1e-5
-        second = (eval_kernel(k, h) - 2.0 + eval_kernel(k, -h)) / h**2
+        second = (k.evaluate(h) - 2.0 + k.evaluate(-h)) / h**2
         assert -second == pytest.approx(wc**2 * (R**2 + R**4), rel=1e-4)
 
 
@@ -164,23 +163,23 @@ class TestTabulated:
     def test_out_of_range(self):
         k = TabulatedKernel([(-1.0, 0.5), (0.0, 1.0), (1.0, 0.5)])
         with pytest.raises(ValueError):
-            eval_kernel(k, 2.0)
+            k.evaluate(2.0)
 
     def test_symmetrization(self):
         # asymmetric noise in the table is averaged out
         k = TabulatedKernel([(-1.0, 0.4), (-0.5, 0.8), (0.0, 1.0), (0.5, 0.9), (1.0, 0.6)])
-        assert eval_kernel(k, 0.7) == pytest.approx(eval_kernel(k, -0.7), abs=1e-12)
+        assert k.evaluate(0.7) == pytest.approx(k.evaluate(-0.7), abs=1e-12)
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "kernel.csv"
         path.write_text("s,w\n-2.0,0.0\n-1.0,0.5\n0.0,1.0\n1.0,0.5\n2.0,0.0\n")
         k = TabulatedKernel.from_csv(path)
-        assert eval_kernel(k, 0.0) == pytest.approx(1.0)
-        assert eval_kernel(k, 1.0) == pytest.approx(0.5)
+        assert k.evaluate(0.0) == pytest.approx(1.0)
+        assert k.evaluate(1.0) == pytest.approx(0.5)
         path2 = tmp_path / "noheader.csv"
         path2.write_text("-2.0,0.0\n-1.0,0.5\n0.0,1.0\n1.0,0.5\n2.0,0.0\n")
         k2 = TabulatedKernel.from_csv(path2)
-        assert eval_kernel(k2, 0.5) == pytest.approx(eval_kernel(k, 0.5))
+        assert k2.evaluate(0.5) == pytest.approx(k.evaluate(0.5))
 
     def test_triangle_spectrum_nonnegative(self):
         s = np.linspace(-2, 2, 81)

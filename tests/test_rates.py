@@ -306,3 +306,36 @@ class TestProperties:
         bad = TabulatedKernel(np.column_stack([s, 1 - s**2]))
         with pytest.raises(PositivityError):
             RateQuery(omega=-2.0, kernel=bad, env=VAC)
+
+
+class TestKernelCertificate:
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        from relclock import rates
+
+        calls = []
+        real = rates.positivity_gram_check
+
+        def counting(kernel, times, *args, **kwargs):
+            calls.append(kernel)
+            return real(kernel, times, *args, **kwargs)
+
+        monkeypatch.setattr(rates, "positivity_gram_check", counting)
+        return calls
+
+    def test_certified_once_per_kernel(self, gram_calls):
+        # an explicit truncation no other test uses, so this kernel is new here
+        kernel = CoherentReadoutKernel(R=3.0, omega_C=1.0, series_truncation=61)
+        for om in np.linspace(-4.0, 1.0, 50):
+            RateQuery(omega=float(om), kernel=kernel, env=VAC)
+        twin = CoherentReadoutKernel(R=3.0, omega_C=1.0, series_truncation=61)
+        RateQuery(omega=-2.0, kernel=twin, env=VAC)
+        assert gram_calls == [kernel]
+
+    def test_failure_raises_on_every_query(self, gram_calls):
+        s = np.linspace(-1, 1, 201)
+        bad = TabulatedKernel(np.column_stack([s, 1 - s**2]))
+        for _ in range(2):
+            with pytest.raises(PositivityError):
+                RateQuery(omega=-2.0, kernel=bad, env=VAC)
+        assert gram_calls == [bad, bad]

@@ -8,7 +8,6 @@ from relclock.correlators import EnvironmentSpec
 from relclock.gkls import DensityMatrix, GKLSModel, qubit_decay_model
 from relclock.kernels import GaussianKernel
 from relclock.trajectories import (
-    dump_trajectories,
     ensemble_compare,
     sample_colored_noise,
     unravel_linear,
@@ -82,6 +81,15 @@ class TestUnravelLinear:
         assert spread <= 1e-12
         max_dev, _ = ensemble_compare(ens, m, rho0)
         assert max_dev <= 1e-5  # euler phase error only
+
+    def test_closed_system(self):
+        # no jump operators: every trajectory is the unitary orbit, exactly
+        m = GKLSModel(2, 0.5 * SZ, [], np.zeros((0, 0)))
+        rho0 = DensityMatrix.pure(np.array([1.0, 1.0]) / math.sqrt(2.0))
+        ens = unravel_linear(m, rho0, 0.1, 1e-3, 4, seed=1)
+        max_dev, _ = ensemble_compare(ens, m, rho0)
+        assert max_dev <= 1e-12
+        assert ens.stat_error.max() == 0.0
 
     def test_single_trajectory_norm_drifts(self):
         m = qubit_decay_model(1.0, 1.0)
@@ -195,14 +203,6 @@ class TestKernelOracles:
 
 
 class TestArtifacts:
-    def test_binary_dump_roundtrip(self, tmp_path):
-        m = qubit_decay_model(1.0, 1.0)
-        ens = unravel_linear(m, DensityMatrix.pure([1, 0]), 0.1, 1e-3, 7, seed=3, n_out=6)
-        path = tmp_path / "traj.bin"
-        dump_trajectories(ens, path)
-        back = np.fromfile(path, dtype="<c8").reshape(7, 6, 2)
-        assert np.abs(back - ens.states).max() <= 1e-6  # complex64 rounding
-
     def test_csv_columns(self, tmp_path):
         m = qubit_decay_model(1.0, 1.0)
         ens = unravel_linear(m, DensityMatrix.pure([1, 0]), 0.1, 1e-3, 7, seed=3, n_out=6)
