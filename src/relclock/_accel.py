@@ -5,6 +5,10 @@
 stepper draws no random numbers: each trajectory consumes only its own rows
 of the noise array it is handed and writes only its own output slots, so
 seeded results do not depend on how the trajectories are split into chunks.
+It also takes the steps in blocks: the caller hands it one block of noise at
+a time together with the states reached so far, so the noise it holds is
+O(chunk * block) whatever the number of steps, and a run split into blocks
+takes exactly the arithmetic of one unsplit call.
 """
 
 from __future__ import annotations
@@ -16,31 +20,35 @@ import numpy as np
 # linear-unraveling stepper
 # ---------------------------------------------------------------------------
 
-def step_trajectory_chunk(psi0, u_step, ls_scaled, noise, save_stride, out):
-    """Stochastic steps for a chunk of unnormalized trajectories.
+def step_trajectory_chunk(psi, u_step, ls_scaled, noise, save_stride, out, step0=0):
+    """Stochastic steps step0 + 1 .. step0 + n_block for a chunk of
+    unnormalized trajectories.
 
     The deterministic contraction exp(-i H_eff dt) is applied exactly via
     the precomputed one-step matrix ``u_step``; the noise coupling is Ito-
     Euler: psi <- u_step psi + sum_k sqrt(gamma_k) L_k dxi_k psi.
 
-    psi0: (d,) start state shared by the chunk
+    psi: (n_chunk, d) states after global step ``step0``, advanced in place
     u_step: (d, d) one-step propagator of the effective Hamiltonian
     ls_scaled: (n_jump, d, d), sqrt(gamma_k) * L_k
-    noise: (n_chunk, n_steps, n_jump) complex increments, E|dxi|^2 = dt
-    out: (n_chunk, n_save, d) filled with states at every save_stride steps
+    noise: (n_chunk, n_block, n_jump) complex increments, E|dxi|^2 = dt
+    out: (n_chunk, n_save, d); the state after global step s is written to
+        ``out[:, s // save_stride]`` whenever s is a multiple of save_stride
+        (s = 0 included, when step0 is 0)
     """
-    n_chunk, n_steps, n_jump = noise.shape
-    psi = np.broadcast_to(psi0, (n_chunk, psi0.size)).copy()
-    out[:, 0, :] = psi
-    isave = 1
-    for s in range(n_steps):
-        new = psi @ u_step.T
+    n_chunk, n_block, n_jump = noise.shape
+    state = psi
+    if step0 == 0:
+        out[:, 0, :] = state
+    for i in range(n_block):
+        new = state @ u_step.T
         for k in range(n_jump):
-            new += noise[:, s, k, None] * (psi @ ls_scaled[k].T)
-        psi = new
-        if (s + 1) % save_stride == 0:
-            out[:, isave, :] = psi
-            isave += 1
+            new += noise[:, i, k, None] * (state @ ls_scaled[k].T)
+        state = new
+        s = step0 + i + 1
+        if s % save_stride == 0:
+            out[:, s // save_stride, :] = state
+    psi[...] = state
     return out
 
 

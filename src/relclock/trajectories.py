@@ -11,9 +11,18 @@ with complex increments E[dxi dxi*] = dt, E[dxi dxi] = 0, read in the Ito
 sense (deterministic contraction applied exactly, noise at weak order one); the elementary Ito identity then makes the ensemble mean of
 |psi><psi| obey the GKLS equation, which is what ``ensemble_compare`` checks.
 
-Reproducibility: trajectory r draws from a counter-based Philox stream keyed
-by (seed, r), so a fixed seed gives bit-identical ensembles regardless of how
-trajectories are scheduled or chunked.
+Reproducibility: trajectory r (and noise realization r) draws from a
+counter-based Philox stream keyed by (seed, r), so a fixed seed gives
+bit-identical results regardless of how the work is scheduled or chunked
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A
+keyed stream is a pure function of its key and position: it can be drawn in
+blocks, and one generator can be re-keyed to (seed, r) at counter 0, without
+changing a single draw.
+
+Memory: ``unravel_linear`` steps at most ``_CHUNK`` trajectories at a time,
+through noise blocks of at most ``_NOISE_BYTES`` (or of one step, should one
+step of a chunk need more), so its working memory is O(chunk * block) plus
+the saved states, whatever the number of steps.
 """
 
 from __future__ import annotations
@@ -38,11 +47,31 @@ __all__ = [
     "write_ensemble_csv",
 ]
 
-_CHUNK = 256
+#: trajectories stepped together
+_CHUNK = 1024
+#: bytes of the complex noise block a chunk is stepped through
+_NOISE_BYTES = 2 * 2**20
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def _rekey(gen: np.random.Generator, seed: int, index: int) -> None:
+    """Reset a ``_stream`` generator to the start of ``_stream(seed, index)``:
+    key (seed, index), counter 0, empty buffer.
+
+    This is over ten times cheaper than a new Philox, whose constructor seeds
+    a SeedSequence from OS entropy that the key then discards.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 @dataclass(frozen=True)
@@ -75,30 +104,32 @@ def sample_colored_noise(
 ) -> NoiseField:
     """Draw Gaussian noise with covariance C(t_j - t_k) from the smeared bath.
 
-    The target covariance is Hermitian Toeplitz for uniform grids; repeated
-    time differences are evaluated once.  Factorization is the Hermitian
+    ``grid`` must be uniform: one point, or distinct evenly spaced points.
+    The target covariance is then Hermitian Toeplitz, so C is evaluated once
+    per lag, at t_0 - t_k rounded to 12 decimals, and C(-s) = conj(C(s))
+    fills the other triangle.  Factorization is the Hermitian
     eigen-square-root with negative eigenvalues clipped at zero (the clipped
     mass is reported); a significantly negative spectrum signals a bad kernel
-    and raises instead.
+    and raises instead.  Realization r is ``root @ xi`` with xi drawn from
+    the stream keyed (seed, r).
     """
     t = np.asarray(grid, dtype=float)
+    if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
+        raise ValueError("noise grid must be a non-empty 1-D array of finite times")
     if t.size > 256:
         raise ValueError("noise grid larger than 256 points")
+    steps = np.diff(t)
+    if np.any(steps == 0.0) or not np.allclose(steps, steps[:1], rtol=1e-9,
+                                               atol=1e-12 * np.abs(t).max()):
+        raise ValueError("noise grid must be uniform: distinct, evenly spaced times")
     if n_real < 1:
         raise ValueError("need at least one realization")
     n = t.size
-    diffs = t[:, None] - t[None, :]
-    cache: dict[float, complex] = {}
-    M = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            key = round(diffs[j, k], 12)
-            if key not in cache:
-                if -key in cache:
-                    cache[key] = np.conj(cache[-key])
-                else:
-                    cache[key] = wightman_timelike(env, kernel, key, cutoff=cutoff)
-            M[j, k] = cache[key]
+    row = np.array([wightman_timelike(env, kernel, round(t[0] - tk, 12), cutoff=cutoff)
+                    for tk in t], dtype=complex)
+    # M[j, k] is row[k - j] on and above the diagonal, conj(row[j - k]) below
+    full = np.concatenate((row[:0:-1].conj(), row))
+    M = np.lib.stride_tricks.sliding_window_view(full, n)[::-1]
     M = 0.5 * (M + M.conj().T)
     eigvals, V = np.linalg.eigh(M)
     max_diag = max(np.real(np.diag(M)).max(), 0.0)
@@ -110,10 +141,15 @@ def sample_colored_noise(
     clipped = float(-np.clip(eigvals, None, 0.0).sum())
     root = V * np.sqrt(np.clip(eigvals, 0.0, None))
     samples = np.empty((n_real, n), dtype=complex)
+    gen = _stream(seed, 0)
+    xi = np.empty(n, dtype=complex)
     for r in range(n_real):
-        g = _stream(seed, r).standard_normal((n, 2))
-        xi = (g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0)
-        samples[r] = root @ xi
+        _rekey(gen, seed, r)
+        gen.standard_normal(out=xi.view(np.float64))
+        # a complex divide and one matvec per realization: dividing the real
+        # view, or one GEMM per block, changes the samples in the last bits
+        xi /= math.sqrt(2.0)
+        np.matmul(root, xi, out=samples[r])
     return NoiseField(grid=t, samples=samples, target_covariance=M, clipped_mass=clipped)
 
 
@@ -163,7 +199,13 @@ def unravel_linear(
     eigenjumps first), and dt small against the effective Hamiltonian.
     States are recorded at ``n_out`` evenly spaced grid times including both
     endpoints, so (n_out - 1) must divide the step count.
+
+    Trajectory r draws its increments from the stream keyed (seed, r); each
+    chunk keeps one generator per trajectory and draws the noise one step
+    block at a time, so no buffer grows with n_traj * n_steps.
     """
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be at least 1, got {n_traj}")
     eigvals, eigvecs = np.linalg.eigh(rho0.matrix)
     if eigvals[-1] < 1.0 - 1e-10:
         raise ValueError("unravel_linear requires a pure (rank-1) initial state")
@@ -190,18 +232,22 @@ def unravel_linear(
     ls_scaled = np.ascontiguousarray(
         np.array([math.sqrt(max(g, 0.0)) * L for g, L in zip(gammas, ls)])
     )
-    d = m.dim
-    states = np.empty((n_traj, n_out, d), dtype=complex)
-    for start in range(0, n_traj, _CHUNK):
-        stop = min(start + _CHUNK, n_traj)
-        c = stop - start
-        noise = np.empty((c, n_steps, len(gammas)), dtype=complex)
-        for r in range(start, stop):
-            g = _stream(seed, r).standard_normal((n_steps, len(gammas), 2))
-            noise[r - start] = math.sqrt(dt / 2.0) * (g[..., 0] + 1j * g[..., 1])
-        out = np.empty((c, n_out, d), dtype=complex)
-        step_trajectory_chunk(psi0, u_step, ls_scaled, noise, stride, out)
-        states[start:stop] = out
+    chunk = min(_CHUNK, n_traj)
+    block = max(1, min(n_steps, _NOISE_BYTES // (16 * chunk * max(len(gammas), 1))))
+    noise = np.empty((chunk, block, len(gammas)), dtype=complex)
+    states = np.empty((n_traj, n_out, m.dim), dtype=complex)
+    streams = [_stream(seed, 0) for _ in range(chunk)]
+    for start in range(0, n_traj, chunk):
+        stop = min(start + chunk, n_traj)
+        for r, gen in zip(range(start, stop), streams):
+            _rekey(gen, seed, r)
+        psi = np.tile(psi0, (stop - start, 1))
+        for step0 in range(0, n_steps, block):
+            buf = noise[: stop - start, : min(block, n_steps - step0)]
+            for gen, rows in zip(streams, buf):
+                gen.standard_normal(out=rows.view(np.float64))
+            buf *= math.sqrt(dt / 2.0)
+            step_trajectory_chunk(psi, u_step, ls_scaled, buf, stride, states[start:stop], step0)
     grid = dt * stride * np.arange(n_out)
     mean, err = _ensemble_summaries(states)
     return TrajectoryEnsemble(
@@ -212,7 +258,10 @@ def unravel_linear(
 
 def ensemble_compare(e: TrajectoryEnsemble, m: GKLSModel, rho0: DensityMatrix):
     """Max Frobenius deviation of the ensemble mean from evolve(), absolute
-    and in units of the per-time statistical error."""
+    and in units of the per-time statistical error; both NaN when the mean
+    holds a NaN, so no check can pass on it."""
+    if np.isnan(e.mean_state).any():
+        return (math.nan, math.nan)
     max_dev = 0.0
     max_sigma = 0.0
     for i, t in enumerate(e.grid):

@@ -161,6 +161,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert "dt must be positive" in err and "division" not in err
 
+    @pytest.mark.parametrize("scenario, setting, named, numpy_message", [
+        ("unravel", "n_traj = 0", "n_traj", "negative dimensions"),
+        ("unravel", "n_traj = -3", "n_traj", "negative dimensions"),
+        ("noise", "grid_points = 0", "grid", "zero-size array"),
+    ])
+    def test_empty_sample_named(self, tmp_path, capsys, scenario, setting, named, numpy_message):
+        # an empty ensemble or grid is refused by name, before any artifact
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = {scenario}\nseed = 1\n\n[{scenario}]\n{setting}\n")
+        out = tmp_path / "out"
+        rc = main([scenario, "--config", str(config), "--output", str(out), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert named in err and numpy_message not in err
+        assert not list(out.glob("*.csv"))
+
     def test_seed_override(self, tmp_path):
         config = tmp_path / "cfg.ini"
         config.write_text(
@@ -225,6 +241,26 @@ class TestFreshProcess:
         names = [span[0] for span in json.loads(trace.read_text())["spans"]]
         assert names.count("rates.query_init") == 8
         assert names.count("kernels.gram_check") == 1
+
+    def test_benchmark_tracer_sees_noise_blocks(self, tmp_path):
+        # the tracer counts the stepper's work and noise buffer from its 4th
+        # argument: 1100 trajectories x 200 steps take two chunks and two
+        # noise blocks, every step is counted once and no block passes the cap
+        from relclock import trajectories
+
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = unravel\nseed = 3\n\n"
+                          "[unravel]\nn_traj = 1100\nt = 0.2\ndt = 0.001\n")
+        trace = tmp_path / "trace.json"
+        done = _fresh_python(str(SRC.parent / "relbench" / "tracer.py"),
+                             "unravel", str(config), str(tmp_path / "out"), str(trace))
+        assert done.returncode == 0, done.stderr
+        record = json.loads(trace.read_text())
+        counts = record["counts"]
+        assert sum(counts["accel.chunk_steps"]) == 1100 * 200
+        assert len(counts["accel.chunk_steps"]) == 4
+        assert max(counts["trajectories.noise_buffer_mb"]) <= trajectories._NOISE_BYTES / 2**20
+        assert [span[0] for span in record["spans"]].count("accel.step_chunk") == 4
 
 
 class TestWriteCsv:

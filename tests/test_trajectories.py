@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from relclock import _accel
+from relclock import _accel, trajectories
 from relclock.correlators import EnvironmentSpec
 from relclock.gkls import DensityMatrix, GKLSModel, qubit_decay_model
 from relclock.kernels import GaussianKernel
 from relclock.trajectories import (
+    _rekey,
+    _stream,
     ensemble_compare,
     sample_colored_noise,
     unravel_linear,
@@ -16,6 +19,59 @@ from relclock.trajectories import (
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SM = np.array([[0, 0], [1, 0]], dtype=complex)
+
+
+def _philox(seed, r):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
+
+
+def _reference_noise(evaluate, grid, root, n_real, seed):
+    """The per-pair dict covariance and the per-realization sampler, written
+    out: one fresh Philox per realization, one matvec each."""
+    t = np.asarray(grid, dtype=float)
+    n = t.size
+    diffs = t[:, None] - t[None, :]
+    cache = {}
+    M = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            key = round(diffs[j, k], 12)
+            if key not in cache:
+                cache[key] = np.conj(cache[-key]) if -key in cache else evaluate(key)
+            M[j, k] = cache[key]
+    samples = np.empty((n_real, n), dtype=complex)
+    for r in range(n_real):
+        g = _philox(seed, r).standard_normal((n, 2))
+        samples[r] = root @ ((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0))
+    return 0.5 * (M + M.conj().T), samples
+
+
+def _reference_unravel(m, psi0, t, dt, n_traj, seed, n_out):
+    """The whole-stream unraveling, written out: each trajectory draws all of
+    its increments in one call, then every trajectory takes every step."""
+    from scipy.linalg import expm
+
+    gammas = np.real(np.diag(m.kossakowski))
+    n_jump, n_steps = len(gammas), int(round(t / dt))
+    stride = n_steps // (n_out - 1)
+    H_eff = m.hamiltonian - 0.5j * sum(
+        g * (L.conj().T @ L) for g, (L, _) in zip(gammas, m.jump_operators))
+    u_step = np.ascontiguousarray(expm(-1j * dt * H_eff))
+    ls = [math.sqrt(g) * L for g, (L, _) in zip(gammas, m.jump_operators)]
+    noise = np.empty((n_traj, n_steps, n_jump), dtype=complex)
+    for r in range(n_traj):
+        g = _philox(seed, r).standard_normal((n_steps, n_jump, 2))
+        noise[r] = math.sqrt(dt / 2.0) * (g[..., 0] + 1j * g[..., 1])
+    psi = np.broadcast_to(psi0, (n_traj, psi0.size)).copy()
+    out = [psi]
+    for s in range(n_steps):
+        new = psi @ u_step.T
+        for k in range(n_jump):
+            new += noise[:, s, k, None] * (psi @ ls[k].T)
+        psi = new
+        if (s + 1) % stride == 0:
+            out.append(psi)
+    return np.stack(out, axis=1)
 
 
 class TestColoredNoise:
@@ -54,6 +110,54 @@ class TestColoredNoise:
     def test_grid_size_limit(self):
         with pytest.raises(ValueError):
             sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), np.zeros(300), 2, seed=1)
+
+    @pytest.mark.parametrize("grid", [[], [0.0, math.nan], [0.0, math.inf, 2.0],
+                                      [0.0, 1.0, 3.0], [1.0, 1.0], [[0.0, 1.0]]],
+                             ids=["empty", "nan", "inf", "uneven", "repeated", "2d"])
+    def test_bad_grid_named(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, 2, seed=1)
+
+    @pytest.mark.parametrize("n_points", [1, 8, 32, 256])
+    def test_matches_reference_construction(self, monkeypatch, n_points):
+        # one evaluation per lag, at the rounded keys the pairwise dict loop
+        # evaluates, and bit-identical samples
+        calls, values = [], {}
+        original = trajectories.wightman_timelike
+
+        def recording(env, kernel, s, cutoff=None):
+            calls.append(s)
+            if s not in values:
+                values[s] = original(env, kernel, s, cutoff=cutoff)
+            return values[s]
+
+        monkeypatch.setattr(trajectories, "wightman_timelike", recording)
+        env, kernel = EnvironmentSpec(), GaussianKernel(1.0)
+        grid = [0.0] if n_points == 1 else np.linspace(0.0, 4.0, n_points)
+        n_real = 200
+        field = sample_colored_noise(env, kernel, grid, n_real, seed=17)
+        ours = list(calls)
+        calls.clear()
+        eigvals, V = np.linalg.eigh(field.target_covariance)
+        root = V * np.sqrt(np.clip(eigvals, 0.0, None))
+        M, samples = _reference_noise(lambda s: recording(env, kernel, s), grid, root, n_real, 17)
+        assert ours == calls
+        assert len(ours) == n_points
+        assert np.array_equal(field.target_covariance, M)
+        assert np.array_equal(field.samples, samples)
+
+    def test_rekey_matches_fresh_stream(self):
+        gen = _stream(3, 0)
+        for r in (5, 0, 2**40, 5):
+            # leave the generator mid-buffer, with a cached 32-bit half
+            gen.standard_normal(7)
+            gen.integers(0, 2**31, size=3, dtype=np.uint32)
+            _rekey(gen, 3, r)
+            fresh = _philox(3, r)
+            assert np.array_equal(gen.standard_normal(64), fresh.standard_normal(64))
+            assert np.array_equal(gen.integers(0, 2**31, size=5, dtype=np.uint32),
+                                  fresh.integers(0, 2**31, size=5, dtype=np.uint32))
+            assert np.array_equal(gen.random(9), fresh.random(9))
 
 
 class TestUnravelLinear:
@@ -98,14 +202,56 @@ class TestUnravelLinear:
         norm_final = np.linalg.norm(ens.states[0, -1])
         assert norm_final != pytest.approx(1.0, abs=1e-3)
 
-    def test_chunk_schedule_independence(self):
+    def test_chunk_schedule_independence(self, monkeypatch):
         # trajectory r depends only on (seed, r): a run with more
-        # trajectories reproduces the small run bit for bit
+        # trajectories, split into 64-trajectory chunks and 7-step noise
+        # blocks, reproduces the one-chunk, one-block runs bit for bit
         m = qubit_decay_model(1.0, 1.0)
         rho0 = DensityMatrix.pure([1, 0])
         small = unravel_linear(m, rho0, 0.2, 1e-3, 5, seed=13, n_out=5)
+        whole = unravel_linear(m, rho0, 0.2, 1e-3, 300, seed=13, n_out=5)
+        monkeypatch.setattr(trajectories, "_CHUNK", 64)
+        monkeypatch.setattr(trajectories, "_NOISE_BYTES", 16 * 64 * 7)
         large = unravel_linear(m, rho0, 0.2, 1e-3, 300, seed=13, n_out=5)
         assert np.array_equal(small.states, large.states[:5])
+        assert np.array_equal(whole.states, large.states)
+
+    @pytest.mark.parametrize("model, n_traj, chunk, block", [
+        (qubit_decay_model(1.0, 1.0), 20, 8, 7),
+        (GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5])), 20, 8, 7),
+        (GKLSModel(2, 0.5 * SZ, [], np.zeros((0, 0))), 20, 8, 7),
+        (qubit_decay_model(1.0, 1.0), 1100, None, None),
+    ], ids=["one_jump", "two_jumps", "closed", "default_sizes"])
+    def test_matches_whole_stream_reference(self, monkeypatch, model, n_traj, chunk, block):
+        # blocks of 7 steps straddle the saves every 10 steps; the default
+        # sizes take two chunks (1024 + 76) and two noise blocks (128 + 72)
+        if chunk is not None:
+            monkeypatch.setattr(trajectories, "_CHUNK", chunk)
+            monkeypatch.setattr(trajectories, "_NOISE_BYTES", 16 * chunk * max(
+                len(model.jump_operators), 1) * block)
+        n_steps = 60 if chunk is not None else 200
+        psi0 = np.array([0.6, 0.8j])
+        ens = unravel_linear(model, DensityMatrix.pure(psi0), n_steps * 1e-3, 1e-3,
+                             n_traj, seed=29, n_out=7 if chunk is not None else 11)
+        # start from the state as unravel_linear phases it
+        expected = _reference_unravel(model, ens.states[0, 0], n_steps * 1e-3, 1e-3,
+                                      n_traj, 29, ens.grid.size)
+        assert np.array_equal(ens.states, expected)
+
+    @pytest.mark.parametrize("n_traj", [0, -3])
+    def test_n_traj_named(self, n_traj):
+        with pytest.raises(ValueError, match="n_traj"):
+            unravel_linear(qubit_decay_model(1.0, 1.0), DensityMatrix.pure([1, 0]),
+                           0.1, 1e-3, n_traj, seed=1)
+
+    def test_compare_nan_mean_fails(self):
+        m = qubit_decay_model(1.0, 1.0)
+        rho0 = DensityMatrix.pure([1, 0])
+        ens = unravel_linear(m, rho0, 0.1, 1e-3, 4, seed=1)
+        mean = ens.mean_state.copy()
+        mean[3, 0, 1] = complex(math.nan, 0.0)
+        max_dev, max_sigma = ensemble_compare(dataclasses.replace(ens, mean_state=mean), m, rho0)
+        assert math.isnan(max_dev) and math.isnan(max_sigma)
 
     def test_mc_scaling(self):
         m = qubit_decay_model(1.0, 1.0)
@@ -151,6 +297,8 @@ class TestKernelOracles:
     """The vectorized kernels against explicit per-trajectory / per-cell loops."""
 
     def test_step_chunk_matches_loop(self):
+        # two calls, 25 steps then 35, carry the states across the block
+        # boundary and save by global step index
         rng = np.random.default_rng(0)
         d, steps, chunk, stride = 2, 60, 5, 10
         psi0 = np.array([0.6, 0.8j], dtype=complex)
@@ -158,15 +306,18 @@ class TestKernelOracles:
         ls = np.array([0.7 * SM, 0.4 * SZ], dtype=complex)
         noise = 0.07 * (rng.normal(size=(chunk, steps, 2)) + 1j * rng.normal(size=(chunk, steps, 2)))
         out = np.empty((chunk, steps // stride + 1, d), dtype=complex)
-        _accel.step_trajectory_chunk(psi0, u_step, ls, noise, stride, out)
+        psi = np.tile(psi0, (chunk, 1))
+        _accel.step_trajectory_chunk(psi, u_step, ls, noise[:, :25], stride, out)
+        _accel.step_trajectory_chunk(psi, u_step, ls, noise[:, 25:], stride, out, 25)
         for r in range(chunk):
-            psi = psi0.copy()
-            expected = [psi]
+            state = psi0.copy()
+            expected = [state]
             for s in range(steps):
-                psi = u_step @ psi + sum(noise[r, s, k] * (ls[k] @ psi) for k in range(2))
+                state = u_step @ state + sum(noise[r, s, k] * (ls[k] @ state) for k in range(2))
                 if (s + 1) % stride == 0:
-                    expected.append(psi)
+                    expected.append(state)
             assert np.abs(out[r] - np.array(expected)).max() <= 1e-13
+        assert np.array_equal(psi, out[:, -1])
 
     @pytest.mark.parametrize(
         "D, V",
