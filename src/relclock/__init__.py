@@ -6,9 +6,12 @@ dimensional GKLS evolution with CPTP certificates, mode-level Langevin
 moments, stochastic unravelings, discretized foliation-integrability tests,
 and hybrid classical-quantum clock dynamics.
 
-Importing the package loads numpy only.  scipy submodules are imported by the
-functions that call them, bound once per outer call or once per process, never
-once per integrand evaluation.
+Importing the package loads numpy only.  Quadrature and special functions
+are numpy (:mod:`relclock.specfun`).  scipy is imported only where a matrix
+exponential (``scipy.linalg.expm`` in gkls, hybridcq and trajectories) or a
+PCHIP interpolant (``TabulatedKernel``) is needed, at the call site.  Of the
+twelve CLI scenarios, gkls, unravel and cq load ``scipy.linalg``; the other
+nine load no scipy module.
 """
 
 from .correlators import EnvironmentSpec, kms_rate_weights, vacuum_spectral_density, wightman_timelike

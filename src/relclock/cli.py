@@ -170,6 +170,15 @@ SCHEMA = {
     }},
 }
 
+#: grid sizes and the least value each may take
+_GRID_SIZES = {
+    "rates.omega_points": 1,
+    "gkls.n_times": 1,
+    "langevin.n_times": 1,
+    "noise.grid_points": 1,
+    "cq.cells": 2,
+}
+
 _USES_ENV_KERNEL = {
     "rates", "markov_limit", "lamb_shift", "kms", "gkls", "langevin",
     "noise", "curl", "boost",
@@ -246,6 +255,11 @@ def parse_config(
                 raise ConfigError(f"missing required key {key!r} in [{sec}]")
             else:
                 params[f"{sec}.{key}"] = default
+
+    for name, least in _GRID_SIZES.items():
+        if name in params and params[name] < least:
+            sec, key = name.split(".")
+            raise ConfigError(f"[{sec}] {key} must be >= {least}, got {params[name]}")
 
     # contextual defaults and unit-level validation
     if scenario in _USES_ENV_KERNEL:

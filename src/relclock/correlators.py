@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .kernels import ClockKernel, GaussianKernel, CoherentReadoutKernel
-from .specfun import bose_occupation
+from .specfun import _gauss_kronrod, bose_occupation
 
 __all__ = [
     "EnvironmentSpec",
@@ -26,6 +28,11 @@ __all__ = [
 
 #: Default energy cutoff for time-domain correlator values, in units of m_E.
 DEFAULT_CUTOFF_SCALE = 40.0
+
+#: Most periods of e^{-isE} the spectral transform starts panels on (|s| up
+#: to about 660 / m_E at the default cutoff); this bounds its node arrays to
+#: a few megabytes.
+_MAX_PERIODS = 2**12
 
 
 @dataclass(frozen=True)
@@ -56,14 +63,16 @@ class EnvironmentSpec:
         return self.beta == math.inf
 
 
-def vacuum_spectral_density(env: EnvironmentSpec, E: float) -> float:
-    """On-shell density j(E) = g^2 sqrt(E^2 - m^2)/(4 pi^2) for E >= m, else 0."""
-    if E < 0.0:
+def vacuum_spectral_density(env: EnvironmentSpec, E):
+    """On-shell density j(E) = g^2 sqrt(E^2 - m^2)/(4 pi^2) for E >= m, else 0.
+
+    Takes a float or an array of energies.
+    """
+    x = np.asarray(E, dtype=float)
+    if (x < 0.0).any():
         raise ValueError(f"E must be >= 0, got {E!r}")
     m = env.mass_E
-    if E <= m:
-        return 0.0
-    return env.coupling_g**2 * math.sqrt(E * E - m * m) / (4.0 * math.pi**2)
+    return (env.coupling_g**2 * np.sqrt(np.maximum(x * x - m * m, 0.0)) / (4.0 * math.pi**2))[()]
 
 
 def kms_rate_weights(env: EnvironmentSpec, E: float) -> tuple[float, float]:
@@ -80,28 +89,32 @@ def kms_rate_weights(env: EnvironmentSpec, E: float) -> tuple[float, float]:
 def _spectral_ft(env: EnvironmentSpec, s: float, cutoff: float) -> complex:
     """int_m^cutoff j(E) [(1+n_B) e^{-isE} + n_B e^{+isE}] dE.
 
-    Equals int j(E) (1+2n_B) cos(sE) dE - i int j(E) sin(sE) dE, so each
-    piece is a Fourier-weight quadrature (exactly Hermitian in s).
+    Equals int j(E) [(1+2n_B) cos(sE) - i sin(sE)] dE.  The adaptive
+    Gauss-Kronrod rule starts on panels one period 2 pi/|s| wide and runs
+    in the rapidity E = m cosh(theta), which removes the square-root edge of
+    j at E = m.  Panels and decisions depend on |s| only, so C(-s) is
+    exactly conj(C(s)).
     """
-    from scipy import integrate
     m = env.mass_E
+    periods = abs(s) * (cutoff - m) / (2.0 * math.pi)
+    if periods > _MAX_PERIODS:
+        raise ValueError(
+            f"|s| * (cutoff - mass_E) = {2.0 * math.pi * periods:.3e} spans more than "
+            f"{_MAX_PERIODS} periods of the transform"
+        )
+    if s:
+        E_edges = np.append(m + 2.0 * math.pi / abs(s) * np.arange(math.ceil(periods)), cutoff)
+    else:
+        E_edges = np.array([m, cutoff])
 
-    def j_sym(E):
-        j = vacuum_spectral_density(env, E)
-        if env.is_vacuum:
-            return j
-        return j * (1.0 + 2.0 * bose_occupation(E, env.beta))
+    def f(theta):
+        E = m * np.cosh(theta)
+        j = vacuum_spectral_density(env, E) * (m * np.sinh(theta))
+        even = j if env.is_vacuum else j * (1.0 + 2.0 * bose_occupation(E, env.beta))
+        return even * np.cos(s * E) - 1j * (j * np.sin(s * E))
 
-    def j_plain(E):
-        return vacuum_spectral_density(env, E)
-
-    kw = dict(epsabs=1e-12, epsrel=1e-10, limit=400)
-    if s == 0.0:
-        re = integrate.quad(j_sym, m, cutoff, **kw)[0]
-        return complex(re, 0.0)
-    re = integrate.quad(j_sym, m, cutoff, weight="cos", wvar=s, **kw)[0]
-    im = -integrate.quad(j_plain, m, cutoff, weight="sin", wvar=s, **kw)[0]
-    return complex(re, im)
+    value, _, _ = _gauss_kronrod(f, np.arccosh(E_edges / m), 1e-12, 1e-10)
+    return complex(value)
 
 
 def wightman_timelike(

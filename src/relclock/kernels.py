@@ -79,7 +79,8 @@ class SpectralMeasure:
     """
 
     atoms: np.ndarray
-    density: Optional[Callable[[float], float]] = None
+    #: array in, array out, as :func:`relclock.specfun.integrate_adaptive` calls it
+    density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     density_halfwidth: float = 0.0
 
     def total_mass(self, tol: float = 1e-9) -> float:

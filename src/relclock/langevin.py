@@ -102,7 +102,7 @@ def ccr_defect(p: ModeParams, tau: float) -> float:
     if tau == 0.0 or G == 0.0:
         return 0.0
     noise = integrate_adaptive(
-        lambda u: G * math.exp(-G * (tau - u)), 0.0, tau, 1e-13
+        lambda u: G * np.exp(-G * (tau - u)), 0.0, tau, 1e-13
     ).value
     return abs(math.exp(-G * tau) + noise - 1.0)
 

@@ -90,8 +90,19 @@ class NoiseField:
     clipped_mass: float
 
     def sample_covariance(self) -> np.ndarray:
+        """(1/N) sum_r z_r z_r^H, accumulated over blocks of realizations.
+
+        Each block holds at most ``_NOISE_BYTES`` of samples, so the
+        conjugate copy the product needs never spans all N realizations.
+        """
         z = self.samples
-        return (z.conj().T @ z).T / z.shape[0]
+        n_real, n = z.shape
+        rows = max(1, _NOISE_BYTES // (z.itemsize * n))
+        total = np.zeros((n, n), dtype=complex)
+        for start in range(0, n_real, rows):
+            block = z[start:start + rows]
+            total += block.conj().T @ block
+        return total.T / n_real
 
 
 def sample_colored_noise(

@@ -177,6 +177,29 @@ class TestMain:
         assert named in err and numpy_message not in err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize("scenario, section, key, extra", [
+        ("rates", "rates", "omega_points", "omega_min = -4\nomega_max = 1\n"),
+        ("gkls", "gkls", "n_times", ""),
+        ("langevin", "langevin", "n_times", ""),
+        ("noise", "noise", "grid_points", ""),
+        ("cq", "cq", "cells", ""),
+    ])
+    def test_grid_size_named(self, tmp_path, capsys, scenario, section, key, extra, value):
+        # refused when the config is parsed, before numpy's linspace sees it
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = {scenario}\nseed = 1\n\n[{section}]\n{extra}{key} = {value}\n")
+        out = tmp_path / "out"
+        rc = main([scenario, "--config", str(config), "--output", str(out), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}" in err and "Number of samples" not in err
+        assert not list(out.glob("*.csv"))
+
+    def test_one_cq_cell_refused(self):
+        with pytest.raises(ConfigError, match=r"\[cq\] cells must be >= 2"):
+            parse_config("[run]\nscenario = cq\n\n[cq]\ncells = 1\n")
+
     def test_seed_override(self, tmp_path):
         config = tmp_path / "cfg.ini"
         config.write_text(
@@ -188,6 +211,32 @@ class TestMain:
         assert rc in (0, 2)  # statistics check may fail at tiny n_real
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 3
+
+
+#: every scenario on a config that runs in well under a second
+SMALL_CONFIGS = {
+    "rates": MINIMAL_RATES,
+    "lamb_shift": "[run]\nscenario = lamb_shift\n",
+    "markov_limit": "[run]\nscenario = markov_limit\n",
+    "kms": "[run]\nscenario = kms\n\n[env]\nbeta = 1\n",
+    "gkls": "[run]\nscenario = gkls\n",
+    "langevin": "[run]\nscenario = langevin\n",
+    "unravel": "[run]\nscenario = unravel\nseed = 2\n\n[unravel]\nn_traj = 200\nt = 0.2\n",
+    "noise": "[run]\nscenario = noise\nseed = 2\n\n[noise]\ngrid_points = 8\n",
+    "curl": "[run]\nscenario = curl\n",
+    "boost": "[run]\nscenario = boost\n",
+    "cq": "[run]\nscenario = cq\n\n[cq]\ncells = 32\n",
+    "tradeoff": "[run]\nscenario = tradeoff\n\n[tradeoff]\nd0 = 1\nd1 = 1\nd2 = 1\n",
+}
+
+#: runs one scenario as the CLI does, then prints the scipy modules it loaded
+SCIPY_PROBE = (
+    "import json, sys\n"
+    "from relclock.cli import main\n"
+    "rc = main([sys.argv[1], '--config', sys.argv[2], '--output', sys.argv[3], '--quiet'])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    "sys.exit(rc)\n"
+)
 
 
 def _fresh_python(*args):
@@ -206,6 +255,21 @@ class TestFreshProcess:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("scenario, text", SMALL_CONFIGS.items(), ids=list(SMALL_CONFIGS))
+    def test_scenario_scipy_modules(self, tmp_path, scenario, text):
+        # only expm (gkls, unravel, cq) still reaches scipy, through
+        # scipy.linalg; quadrature and special functions are numpy
+        config = tmp_path / "cfg.ini"
+        config.write_text(text)
+        done = _fresh_python("-c", SCIPY_PROBE, scenario, str(config), str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout.strip().splitlines()[-1])
+        if scenario in ("gkls", "unravel", "cq"):
+            assert not {"scipy.integrate", "scipy.special", "scipy.optimize",
+                        "scipy.interpolate"} & set(loaded)
+        else:
+            assert loaded == []
+
     @pytest.mark.parametrize("scenario, csv_name, text", [
         ("tradeoff", "tradeoff.csv", "[run]\nscenario = tradeoff\n\n[tradeoff]\nd0 = 1\nd1 = 1\nd2 = 1\n"),
         ("gkls", "gkls.csv", "[run]\nscenario = gkls\n"),
@@ -214,9 +278,9 @@ class TestFreshProcess:
          "[run]\nscenario = noise\nseed = 4\n\n[noise]\nn_real = 500\ngrid_points = 8\n"),
     ])
     def test_csv_bytes_match_in_process_run(self, tmp_path, scenario, csv_name, text):
-        # a new process imports scipy at the call sites; the in-process run
-        # below finds scipy loaded before relclock calls it
-        import scipy.integrate, scipy.linalg, scipy.special  # noqa: F401, E401
+        # a new process imports scipy.linalg at the expm call sites (gkls);
+        # the in-process run below finds it loaded before relclock calls it
+        import scipy.linalg  # noqa: F401
 
         config = tmp_path / "cfg.ini"
         config.write_text(text)
@@ -241,6 +305,26 @@ class TestFreshProcess:
         names = [span[0] for span in json.loads(trace.read_text())["spans"]]
         assert names.count("rates.query_init") == 8
         assert names.count("kernels.gram_check") == 1
+
+    @pytest.mark.parametrize("scenario, text, n_quad", [
+        ("rates", "[run]\nscenario = rates\n\n[env]\nbeta = 1\n\n[kernel]\nsigma = 1\n\n"
+                  "[rates]\nomega_min = -4\nomega_max = 4\nomega_points = 8\n", 16),
+        ("lamb_shift", "[run]\nscenario = lamb_shift\n", 100),
+    ])
+    def test_benchmark_tracer_sees_every_quadrature(self, tmp_path, scenario, text, n_quad):
+        # the per-layer specfun metrics wrap integrate_adaptive by name, so
+        # every rate and Lamb-shift quadrature must go through it: two per
+        # thermal frequency, ten fits of ten integrals for the Lamb shift
+        config = tmp_path / "cfg.ini"
+        config.write_text(text)
+        trace = tmp_path / "trace.json"
+        done = _fresh_python(str(SRC.parent / "relbench" / "tracer.py"),
+                             scenario, str(config), str(tmp_path / "out"), str(trace))
+        assert done.returncode == 0, done.stderr
+        record = json.loads(trace.read_text())
+        assert [span[0] for span in record["spans"]].count("specfun.quad") == n_quad
+        evals = record["counts"]["specfun.quad_evals"]
+        assert len(evals) == n_quad and min(evals) > 0
 
     def test_benchmark_tracer_sees_noise_blocks(self, tmp_path):
         # the tracer counts the stepper's work and noise buffer from its 4th

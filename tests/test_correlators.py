@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from relclock.correlators import (
     EnvironmentSpec,
+    _spectral_ft,
     kms_rate_weights,
     vacuum_spectral_density,
     wightman_timelike,
@@ -66,7 +68,7 @@ class TestSpectralDensity:
         vol = (2 * K) ** 3
         mc = vol / n * np.sum(f(E) / (2 * E)) / (2 * math.pi) ** 3
         E_grid = np.linspace(1.0, 12.0, 200_001)
-        j = np.array([vacuum_spectral_density(env, e) for e in E_grid])
+        j = vacuum_spectral_density(env, E_grid)
         exact = np.trapezoid(j * f(E_grid), E_grid)
         assert mc == pytest.approx(exact, rel=0.01)
 
@@ -139,6 +141,57 @@ class TestWightman:
         cold = wightman_timelike(EnvironmentSpec(beta=200.0), k, 0.7)
         vac = wightman_timelike(EnvironmentSpec(), k, 0.7)
         assert abs(cold - vac) <= 1e-6 * abs(vac)
+
+
+def _qawo(env, s, cutoff):
+    # QUADPACK's Fourier-weight rule in the energy, run far tighter than the
+    # 1e-12 absolute / 1e-10 relative contract
+    def j(E):
+        return vacuum_spectral_density(env, E)
+
+    def j_sym(E):
+        return j(E) * (1.0 if env.is_vacuum else 1.0 + 2.0 / math.expm1(env.beta * E))
+
+    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=2000)
+    if s == 0.0:
+        return complex(integrate.quad(j_sym, 1.0, cutoff, **kw)[0], 0.0)
+    re = integrate.quad(j_sym, 1.0, cutoff, weight="cos", wvar=s, **kw)[0]
+    im = -integrate.quad(j, 1.0, cutoff, weight="sin", wvar=s, **kw)[0]
+    return complex(re, im)
+
+
+class TestSpectralTransform:
+    @pytest.mark.parametrize("env", [EnvironmentSpec(), EnvironmentSpec(beta=1.0)], ids=["vacuum", "beta1"])
+    def test_against_qawo(self, env):
+        for s in np.linspace(0.0, 10.0, 21):
+            got, ref = _spectral_ft(env, float(s), 40.0), _qawo(env, float(s), 40.0)
+            assert abs(got.real - ref.real) <= max(1e-12, 1e-10 * abs(ref.real))
+            assert abs(got.imag - ref.imag) <= max(1e-12, 1e-10 * abs(ref.imag))
+
+    def test_exactly_hermitian(self):
+        for env in (EnvironmentSpec(), EnvironmentSpec(beta=2.0)):
+            for s in (0.05, 0.7, 1.3, 4.0, 9.5):
+                assert _spectral_ft(env, -s, 40.0) == _spectral_ft(env, s, 40.0).conjugate()
+
+    @pytest.mark.parametrize("s", [100.0, 600.0])
+    def test_many_periods(self, s):
+        # hundreds of starting panels, each split about once
+        for env in (EnvironmentSpec(), EnvironmentSpec(beta=1.0)):
+            got, ref = _spectral_ft(env, s, 40.0), _qawo(env, s, 40.0)
+            assert abs(got.real - ref.real) <= max(1e-12, 1e-10 * abs(ref.real))
+            assert abs(got.imag - ref.imag) <= max(1e-12, 1e-10 * abs(ref.imag))
+
+    def test_period_limit_named(self):
+        with pytest.raises(ValueError, match="periods"):
+            _spectral_ft(EnvironmentSpec(), 700.0, 40.0)
+
+
+def test_spectral_density_array_form():
+    env = EnvironmentSpec(coupling_g=1.3, mass_E=0.7)
+    E = np.linspace(0.0, 9.0, 301)
+    assert np.array_equal(vacuum_spectral_density(env, E), [vacuum_spectral_density(env, float(e)) for e in E])
+    with pytest.raises(ValueError):
+        vacuum_spectral_density(env, np.array([1.0, -0.5]))
 
 
 def test_markov_rate_is_2pi_j():

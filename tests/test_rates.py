@@ -339,3 +339,109 @@ class TestKernelCertificate:
             with pytest.raises(PositivityError):
                 RateQuery(omega=-2.0, kernel=bad, env=VAC)
         assert gram_calls == [bad, bad]
+
+
+class TestAtomicSum:
+    def test_equals_atom_by_atom_loop(self):
+        # the vectorized terms are added in the order of the former loop, so
+        # the rate is bit-identical to it
+        ker = CoherentReadoutKernel(R=3.0, omega_C=1.0)
+        spec = ker.spectrum()
+        for env in (VAC, EnvironmentSpec(beta=0.7)):
+            for om in np.linspace(-6.0, 6.0, 25):
+                total = 0.0
+                for f, w in spec.atoms:
+                    E = f - om
+                    if E >= 1.0:
+                        n = 0.0 if env.is_vacuum else bose_occupation(E, env.beta)
+                        total += w * (1.0 + n) * vacuum_spectral_density(env, E)
+                    if not env.is_vacuum and om - f >= 1.0:
+                        total += w * bose_occupation(om - f, env.beta) * vacuum_spectral_density(env, om - f)
+                assert kappa_tcl(RateQuery(omega=float(om), kernel=ker, env=env)) == total
+
+
+class TestQuadratureOracle:
+    """Every rate integrand, as the rates module hands it to the adaptive
+    rule, against QUADPACK run far tighter than the shared 1e-10 tolerance."""
+
+    @pytest.fixture
+    def quadratures(self, monkeypatch):
+        from relclock import rates
+
+        seen = []
+        real = rates.integrate_adaptive
+
+        def recording(f, a, b, tol):
+            res = real(f, a, b, tol)
+            seen.append((f, a, b, res))
+            return res
+
+        monkeypatch.setattr(rates, "integrate_adaptive", recording)
+        return seen
+
+    @staticmethod
+    def _check(seen, n_expected):
+        assert len(seen) == n_expected
+        for f, a, b, res in seen:
+            ref = integrate.quad(lambda x: float(f(np.array([x]))[0]), a, b,
+                                 epsabs=1e-13, epsrel=1e-13, limit=500)[0]
+            assert abs(res.value - ref) <= max(1e-10, 1e-10 * abs(ref))
+
+    @pytest.mark.parametrize("sigma", [1.0, 5.0, 20.0])
+    def test_vacuum(self, quadratures, sigma):
+        for om in (-8.0, -3.0, -1.2, -1.0, -0.7):
+            kappa_tcl(q(om, sigma=sigma))
+        self._check(quadratures, 5)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 4.0])
+    def test_thermal_both_halves(self, quadratures, beta):
+        env = EnvironmentSpec(beta=beta)
+        for om in (-4.0, -1.5, 0.0, 1.5, 4.0):
+            kappa_tcl(q(om, sigma=1.0, env=env))
+        self._check(quadratures, 10)
+
+    @pytest.mark.parametrize("eta", [0.3, 1.0])
+    def test_tilted(self, quadratures, eta):
+        env = replace(VAC, rapidity=eta)
+        for sigma in (1.0, 5.0):
+            for om in (-4.0, -1.5, 0.0):
+                kappa_tcl(q(om, sigma=sigma, env=env))
+        self._check(quadratures, 6)
+
+    def test_lamb(self, quadratures):
+        from relclock import rates
+
+        for sigma in (1.0, 5.0):
+            for cutoff in (20.0, 40.0):
+                rates._lamb_raw(VAC, sigma, cutoff)
+        self._check(quadratures, 4)
+
+    def test_rate_against_energy_form(self):
+        # the rapidity substitution E = m cosh(theta) leaves the rate as the
+        # energy integral of the rate formula, evaluated with QUADPACK
+        W = lambda s: math.sqrt(-2.0 * math.log(1e-18)) / s
+        for env in (VAC, EnvironmentSpec(beta=0.3), EnvironmentSpec(beta=1.0)):
+            nb = (lambda E: 0.0) if env.is_vacuum else (lambda E: 1.0 / math.expm1(env.beta * E))
+            for sigma in (1.0, 5.0, 20.0):
+                w = lambda O: math.sqrt(2 * math.pi) * sigma * math.exp(-0.5 * (sigma * O) ** 2)
+                j = lambda E: math.sqrt(max(E * E - 1.0, 0.0)) / (4 * math.pi**2)
+                for om in np.linspace(-6.0, 3.0, 7):
+                    ref = 0.0
+                    lo, hi = max(1.0, -om - W(sigma)), -om + W(sigma)
+                    if hi > lo:
+                        ref += integrate.quad(lambda E: j(E) * (1 + nb(E)) * w(om + E), lo, hi,
+                                              epsabs=1e-14, epsrel=1e-13, limit=1000)[0]
+                    lo, hi = max(1.0, om - W(sigma)), om + W(sigma)
+                    if not env.is_vacuum and hi > lo:
+                        ref += integrate.quad(lambda E: j(E) * nb(E) * w(om - E), lo, hi,
+                                              epsabs=1e-14, epsrel=1e-13, limit=1000)[0]
+                    got = kappa_tcl(q(float(om), sigma=sigma, env=env))
+                    assert abs(got - ref) <= max(1e-10, 1e-10 * abs(ref))
+
+    def test_math_erf_matches_scipy(self):
+        from scipy import special
+
+        from relclock.rates import _erf
+
+        x = np.linspace(-6.0, 6.0, 20_001)
+        assert np.all(np.abs(_erf(x) - special.erf(x)) <= 4e-16 * np.maximum(np.abs(special.erf(x)), 1e-300))

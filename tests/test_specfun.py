@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from relclock.specfun import (
     AccuracyError,
@@ -111,7 +111,7 @@ class TestGaussianFT:
 
 class TestIntegrateAdaptive:
     def test_exponential(self):
-        res = integrate_adaptive(lambda x: math.exp(-x), 0.0, math.inf, 1e-12)
+        res = integrate_adaptive(lambda x: np.exp(-x), 0.0, math.inf, 1e-12)
         assert res.value == pytest.approx(1.0, abs=1e-10)
         assert res.error_estimate >= 0.0
         assert res.evaluations >= 1
@@ -126,9 +126,7 @@ class TestIntegrateAdaptive:
         E = np.linspace(1.0, 15.0, 2_000_001)
         oracle = np.trapezoid(np.sqrt(E**2 - 1) * np.exp(-0.5 * (E - 2) ** 2), E)
         res = integrate_adaptive(
-            lambda x: math.sqrt(x * x - 1) * math.exp(-0.5 * (x - 2) ** 2)
-            if x > 1
-            else 0.0,
+            lambda x: np.sqrt(np.maximum(x * x - 1, 0.0)) * np.exp(-0.5 * (x - 2) ** 2),
             1.0,
             math.inf,
             1e-12,
@@ -144,5 +142,104 @@ class TestIntegrateAdaptive:
     def test_nonconvergence_carries_estimate(self):
         with pytest.raises(AccuracyError) as exc:
             # highly oscillatory integrand defeats the subdivision budget
-            integrate_adaptive(lambda x: math.cos(1e6 * x * x), 0.0, 10.0, 1e-13)
+            integrate_adaptive(lambda x: np.cos(1e6 * x * x), 0.0, 10.0, 1e-13)
         assert exc.value.best_estimate is not None
+
+
+class TestDawsonOracle:
+    # scipy's Faddeeva-based dawsn is the oracle
+    @pytest.mark.parametrize("z", [np.linspace(-30.0, 30.0, 60_001), np.geomspace(1e-8, 1e3, 60_001)])
+    def test_against_dawsn(self, z):
+        ref = special.dawsn(z)
+        assert np.all(np.abs(dawson(z) - ref) <= 1e-12 * np.abs(ref))
+
+    def test_zero(self):
+        assert dawson(0.0) == 0.0
+        assert np.array_equal(dawson(np.zeros(3)), np.zeros(3))
+
+    def test_exactly_odd_on_arrays(self):
+        z = np.concatenate((np.geomspace(1e-8, 1e3, 10_001), np.linspace(0.0, 30.0, 10_001)))
+        assert np.array_equal(dawson(-z), -dawson(z))
+
+    def test_array_matches_scalar_calls(self):
+        z = np.random.default_rng(11).uniform(-20.0, 20.0, 200)
+        assert np.array_equal(dawson(z), [dawson(float(x)) for x in z])
+
+    def test_nonfinite_element_rejected(self):
+        with pytest.raises(ValueError):
+            dawson(np.array([0.5, math.nan]))
+
+
+class TestArrayForms:
+    # one formula serves a float and an array: elementwise identical
+    def test_bose_occupation(self):
+        E = np.concatenate((np.geomspace(1e-3, 800.0, 300), [36.0, 36.0000001]))
+        for beta in (0.5, 1.0, math.inf):
+            assert np.array_equal(bose_occupation(E, beta), [bose_occupation(float(e), beta) for e in E])
+        with pytest.raises(ValueError):
+            bose_occupation(np.array([1.0, 0.0]), 1.0)
+
+    def test_gaussian_ft(self):
+        O = np.linspace(-50.0, 50.0, 401)
+        assert np.array_equal(gaussian_ft(1.7, O), [gaussian_ft(1.7, float(o)) for o in O])
+
+    def test_scalar_in_scalar_out(self):
+        for value in (dawson(0.3), bose_occupation(1.0, 1.0), bose_occupation(1.0, math.inf),
+                      gaussian_ft(1.0, 0.5)):
+            assert np.ndim(value) == 0 and isinstance(value, float)
+
+
+class TestQuadratureContract:
+    def test_integrand_sees_1d_node_arrays(self):
+        shapes = []
+
+        def f(x):
+            shapes.append(np.shape(x))
+            return np.exp(-x)
+
+        res = integrate_adaptive(f, 0.0, 3.0, 1e-10)
+        assert shapes and all(len(sh) == 1 and sh[0] % 15 == 0 for sh in shapes)
+        assert res.evaluations == sum(sh[0] for sh in shapes)
+
+    def test_reversed_limits(self):
+        res = integrate_adaptive(lambda x: np.exp(-x), 2.0, 0.0, 1e-12)
+        assert res.value == pytest.approx(-(1.0 - math.exp(-2.0)), rel=1e-12)
+        assert res.value == pytest.approx(integrate.quad(lambda x: math.exp(-x), 2.0, 0.0)[0], rel=1e-12)
+
+    def test_empty_range(self):
+        res = integrate_adaptive(lambda x: np.exp(-x), 1.5, 1.5, 1e-10)
+        assert res.value == 0.0 and res.error_estimate == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            integrate_adaptive(lambda x: x, 0.0, 1.0, tol)
+
+    def test_nonconvergence_is_bounded(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.cos(1e6 * x * x)
+
+        with pytest.raises(AccuracyError) as exc:
+            integrate_adaptive(f, 0.0, 10.0, 1e-13)
+        assert math.isfinite(exc.value.best_estimate) and exc.value.error_estimate > 1e-13
+        # never more than the 4 starting panels and 2 * 4 + 200 splits
+        assert sum(calls) <= 15 * (4 + 2 * (8 + 200))
+
+    def test_against_quadpack(self):
+        # smooth, peaked, oscillatory and endpoint-singular integrands
+        cases = [
+            (lambda x: np.exp(-0.5 * (x - 2.0) ** 2 / 0.01), 0.0, 5.0),
+            (lambda x: np.cos(30.0 * x) * np.exp(-x), 0.0, 4.0),
+            (lambda x: np.sqrt(x), 0.0, 1.0),
+            (lambda x: np.log(x), 0.0, 1.0),
+            (lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf),
+        ]
+        for f, a, b in cases:
+            res = integrate_adaptive(f, a, b, 1e-10)
+            ref = integrate.quad(lambda x: float(f(np.array([x]))[0]), a, b,
+                                 epsabs=1e-13, epsrel=1e-13, limit=500)[0]
+            assert abs(res.value - ref) <= max(1e-10, 1e-10 * abs(ref))
+            assert res.error_estimate <= max(1e-10, 1e-10 * abs(res.value))

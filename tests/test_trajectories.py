@@ -146,6 +146,25 @@ class TestColoredNoise:
         assert np.array_equal(field.target_covariance, M)
         assert np.array_equal(field.samples, samples)
 
+    @pytest.mark.parametrize("n_real, n_points, block_bytes", [
+        (20_000, 256, trajectories._NOISE_BYTES),  # the noise cap: 40 blocks of 512
+        (1001, 32, 3 * 32 * 16),                   # 3-row blocks, a short last one
+        (5, 8, 1),                                  # one row per block
+    ])
+    def test_sample_covariance_in_blocks(self, monkeypatch, n_real, n_points, block_bytes):
+        # accumulated over realization blocks: Hermitian, and the one-shot
+        # product z^H z / N to 1e-13 relative
+        monkeypatch.setattr(trajectories, "_NOISE_BYTES", block_bytes)
+        rng = np.random.default_rng(23)
+        z = rng.standard_normal((n_real, n_points)) + 1j * rng.standard_normal((n_real, n_points))
+        field = trajectories.NoiseField(grid=np.arange(n_points, dtype=float), samples=z,
+                                        target_covariance=np.eye(n_points), clipped_mass=0.0)
+        got = field.sample_covariance()
+        ref = (z.conj().T @ z).T / n_real
+        scale = np.abs(ref).max()
+        assert np.abs(got - got.conj().T).max() <= 1e-13 * scale
+        assert np.abs(got - ref).max() <= 1e-13 * scale
+
     def test_rekey_matches_fresh_stream(self):
         gen = _stream(3, 0)
         for r in (5, 0, 2**40, 5):
