@@ -7,11 +7,12 @@ moments, stochastic unravelings, discretized foliation-integrability tests,
 and hybrid classical-quantum clock dynamics.
 
 Importing the package loads numpy only.  Quadrature and special functions
-are numpy (:mod:`relclock.specfun`).  scipy is imported only where a matrix
-exponential (``scipy.linalg.expm`` in gkls, hybridcq and trajectories) or a
-PCHIP interpolant (``TabulatedKernel``) is needed, at the call site.  Of the
-twelve CLI scenarios, gkls, unravel and cq load ``scipy.linalg``; the other
-nine load no scipy module.
+are numpy (:mod:`relclock.specfun`), and Gibbs states come from ``eigh``.
+scipy is imported only where a matrix exponential or a PCHIP interpolant
+(``TabulatedKernel``) is needed, at the call site.  ``scipy.linalg.expm`` is
+used by ``gkls.evolve``, ``gkls.cp_choi_check``, ``hybridcq.cq_evolve_grid``
+and ``trajectories.unravel_linear``.  Of the twelve CLI scenarios, gkls,
+unravel and cq load ``scipy.linalg``; the other nine load no scipy module.
 """
 
 from .correlators import EnvironmentSpec, kms_rate_weights, vacuum_spectral_density, wightman_timelike
@@ -26,7 +27,7 @@ from .gkls import (
     qubit_decay_model,
     stationarity_check,
 )
-from .hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, cq_unravel, tradeoff_check
+from .hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, tradeoff_check
 from .integrability import (
     MomentumGridModel,
     SliceLattice,

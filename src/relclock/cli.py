@@ -28,7 +28,7 @@ from .gkls import DensityMatrix, build_generator, cp_choi_check, evolve, qubit_d
 from .hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, tradeoff_check, write_hybrid_csv
 from .integrability import MomentumGridModel, SliceLattice, boost_interchange_residual, functional_curl_residual
 from .kernels import CoherentReadoutKernel, GaussianKernel
-from .langevin import ModeMoments, ModeParams, ccr_defect, stationary_fdr_check, write_moment_trajectory_csv
+from .langevin import ModeMoments, ModeParams, stationary_fdr_check, write_moment_trajectory_csv
 from .rates import RateQuery, kappa_markov, kappa_markov_kms, kappa_tcl, lamb_shift_coefficient
 from .trajectories import ensemble_compare, sample_colored_noise, unravel_linear, write_ensemble_csv
 
@@ -170,13 +170,16 @@ SCHEMA = {
     }},
 }
 
-#: grid sizes and the least value each may take
+#: grid sizes, and the least value each may take; a list's size is its length
 _GRID_SIZES = {
     "rates.omega_points": 1,
     "gkls.n_times": 1,
     "langevin.n_times": 1,
     "noise.grid_points": 1,
     "cq.cells": 2,
+    "markov_limit.sigmas": 1,
+    "kms.sigmas": 1,
+    "curl.sigmas": 1,
 }
 
 _USES_ENV_KERNEL = {
@@ -257,9 +260,12 @@ def parse_config(
                 params[f"{sec}.{key}"] = default
 
     for name, least in _GRID_SIZES.items():
-        if name in params and params[name] < least:
+        value = params.get(name)
+        size = len(value) if isinstance(value, list) else value
+        if size is not None and size < least:
             sec, key = name.split(".")
-            raise ConfigError(f"[{sec}] {key} must be >= {least}, got {params[name]}")
+            verb = "list" if isinstance(value, list) else "be"
+            raise ConfigError(f"[{sec}] {key} must {verb} >= {least}, got {size}")
 
     # contextual defaults and unit-level validation
     if scenario in _USES_ENV_KERNEL:
@@ -351,10 +357,11 @@ def _run_lamb_shift(cfg):
     cutoff = p["lamb_shift.cutoff"]
     coeff = lamb_shift_coefficient(env, kernel, cutoff)
     grid = np.linspace(0.5 * cutoff, cutoff, 9)
-    rows = []
-    for L in grid:
-        c = lamb_shift_coefficient(env, kernel, float(L)) if L >= 10 * env.mass_E else None
-        rows.append([L, c.raw_value if c else math.nan, c.subtracted_value if c else math.nan])
+    # linspace ends exactly at the cutoff, so the last row reuses coeff
+    fits = [lamb_shift_coefficient(env, kernel, float(L)) if L >= 10 * env.mass_E else None
+            for L in grid[:-1]] + [coeff]
+    rows = [[L, c.raw_value if c else math.nan, c.subtracted_value if c else math.nan]
+            for L, c in zip(grid, fits)]
     out = cfg.output_path / "lamb_shift.csv"
     _write_csv(out, ["cutoff", "raw_value", "subtracted_value"], rows)
     expected_slope = env.coupling_g**2 / (2.0 * math.pi**2)
@@ -435,8 +442,9 @@ def _run_langevin(cfg):
     params = ModeParams(energy_E=E, gamma=gamma, nbar=nbar)
     taus = np.linspace(0.0, p["langevin.tau_max"], p["langevin.n_times"])
     out = cfg.output_path / "langevin.csv"
-    write_moment_trajectory_csv(out, params, ModeMoments(mean_a=1.0, occupation_n=p["langevin.n0"]), taus)
-    ccr_ok = all(ccr_defect(params, float(t)) <= 1e-12 for t in taus)
+    defects = write_moment_trajectory_csv(
+        out, params, ModeMoments(mean_a=1.0, occupation_n=p["langevin.n0"]), taus)
+    ccr_ok = all(d <= 1e-12 for d in defects)
     outputs = {"gamma": gamma, "nbar": nbar}
     checks = {"ccr_preserved": bool(ccr_ok)}
     if env.beta != math.inf and gamma > 0:

@@ -53,6 +53,8 @@ class DensityMatrix:
         M = np.asarray(matrix, dtype=complex)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("density matrix must be square")
+        if not np.isfinite(M).all():
+            raise ValueError("density matrix has a non-finite entry")
         scale = max(np.abs(M).max(), 1.0)
         if _hermitian_defect(M) > 1e-12 * scale:
             raise ValueError("density matrix must be Hermitian")
@@ -76,14 +78,16 @@ class DensityMatrix:
 
     @classmethod
     def gibbs(cls, hamiltonian, beta: float) -> "DensityMatrix":
-        H = np.asarray(hamiltonian, dtype=complex)
+        """exp(-beta H) / Z from the spectrum of the Hermitian H.
+
+        Weights are taken relative to the ground energy, so no exponent is
+        positive and none can overflow.
+        """
+        eigvals, eigvecs = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
         if beta == math.inf:
-            eigvals, eigvecs = np.linalg.eigh(H)
-            ground = eigvecs[:, 0]
-            return cls.pure(ground)
-        from scipy.linalg import expm
-        w = expm(-beta * H)
-        return cls(w / np.trace(w))
+            return cls.pure(eigvecs[:, 0])
+        w = np.exp(-beta * (eigvals - eigvals[0]))
+        return cls((eigvecs * (w / w.sum())) @ eigvecs.conj().T)
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityMatrix":

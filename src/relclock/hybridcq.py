@@ -1,5 +1,4 @@
-"""Hybrid classical-quantum clock dynamics: trade-off checks, grid evolution,
-and a mean-field unraveling.
+"""Hybrid classical-quantum clock dynamics: trade-off checks and grid evolution.
 
 The hybrid state is an operator-valued density over a classical clock value
 z, stored as one Hermitian block per finite-volume cell.  A step couples
@@ -20,14 +19,13 @@ a small extra diffusion, which errs on the positive-definite side.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._accel import fv_drift_diffusion_step
 from ._csv import write_csv
-from .gkls import DensityMatrix, generator_matrix, step_count
+from .gkls import generator_matrix, step_count
 from .kernels import psd_margin
 
 __all__ = [
@@ -35,10 +33,8 @@ __all__ = [
     "HybridState",
     "CQModel",
     "TradeoffVerdict",
-    "CQUnravelResult",
     "tradeoff_check",
     "cq_evolve_grid",
-    "cq_unravel",
     "write_hybrid_csv",
 ]
 
@@ -195,15 +191,6 @@ class HybridState:
         return cls(z, w[:, None, None] * rho[None, :, :])
 
 
-def _drift_operator(k: CQKernels, lindblads) -> np.ndarray:
-    d = lindblads[0].shape[0]
-    B = np.zeros((d, d), dtype=complex)
-    for mu, L in enumerate(lindblads):
-        B += 0.5 * k.d1[0, mu] * (L + L.conj().T)
-    B = 0.5 * (B + B.conj().T)
-    return B
-
-
 def cq_evolve_grid(
     k: CQKernels, model: CQModel, st: HybridState, t: float, dt: float
 ) -> HybridState:
@@ -232,7 +219,11 @@ def cq_evolve_grid(
             "backaction drift with z-dependent Lindblad operators is not supported"
         )
     lind0 = model.lindblads(float(z[0]))
-    B = _drift_operator(k, lind0) if has_drift else np.zeros((d, d), dtype=complex)
+    B = np.zeros((d, d), dtype=complex)  # backaction drift operator
+    if has_drift:
+        for mu, L in enumerate(lind0):
+            B += 0.5 * k.d1[0, mu] * (L + L.conj().T)
+        B = 0.5 * (B + B.conj().T)
     lam, Q = np.linalg.eigh(B)
     V = np.real(lam[:, None] + lam[None, :])  # entrywise drift velocities
 
@@ -277,96 +268,6 @@ def cq_evolve_grid(
     blocks = np.einsum("ia,cab,jb->cij", Q, blocks, Q.conj())  # rotate out
     blocks = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
     return HybridState(z, blocks, trace_tol=1e-8)
-
-
-@dataclass(frozen=True)
-class CQUnravelResult:
-    marginal_quantum: DensityMatrix
-    z_samples: np.ndarray
-    z_histogram: tuple
-
-
-def cq_unravel(
-    k: CQKernels,
-    model: CQModel,
-    rho0,
-    z0: float,
-    t: float,
-    dt: float,
-    n_traj: int,
-    seed: int,
-    n_bins: int = 50,
-) -> CQUnravelResult:
-    """Mean-field trajectory unraveling of the hybrid dynamics.
-
-    Each trajectory carries (z, rho): z follows Euler-Maruyama with drift
-    2 <B>_rho and diffusion sqrt(2 d2); rho follows the GKLS propagator at
-    the current z.  Exists only under a satisfied trade-off.  Backaction
-    correlations beyond the conditional mean are not resolved by this scheme;
-    marginals match the grid evolver in the regimes exercised here
-    (z-independent rates, or zero backaction).
-    """
-    verdict = tradeoff_check(k)
-    if not verdict:
-        raise ValueError(
-            f"no CP unraveling: trade-off verdict is {verdict.status} "
-            f"(margin {verdict.margin:.3e})"
-        )
-    if k.d2.shape != (1, 1):
-        raise ValueError("unraveling supports one classical direction")
-    n_steps = step_count(t, dt)
-    rho_start = np.asarray(
-        rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex
-    )
-    d = rho_start.shape[0]
-    D = float(np.real(k.d2[0, 0]))
-    lind0 = model.lindblads(z0)
-    B = _drift_operator(k, lind0) if np.abs(k.d1).max() > 0 else np.zeros((d, d), complex)
-
-    from scipy.linalg import expm
-    if model.z_dependent:
-        span = 6.0 * math.sqrt(max(2.0 * D * t, 1e-12)) + 1.0
-        z_cache = np.linspace(z0 - span, z0 + span, 257)
-        cache = np.array(
-            [
-                expm(dt * generator_matrix(model.hamiltonian(zc), model.lindblads(zc), k.d0))
-                for zc in z_cache
-            ]
-        )
-
-        def propagator(zv):
-            idx = np.clip(
-                np.rint((zv - z_cache[0]) / (z_cache[1] - z_cache[0])).astype(int),
-                0,
-                z_cache.size - 1,
-            )
-            return cache[idx]
-    else:
-        P0 = expm(dt * generator_matrix(model.hamiltonian(0.0), lind0, k.d0))
-
-        def propagator(zv):
-            return np.broadcast_to(P0, (zv.size, d * d, d * d))
-
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    zs = np.full(n_traj, float(z0))
-    rhos = np.broadcast_to(rho_start, (n_traj, d, d)).copy()
-    noise = rng.standard_normal((n_steps, n_traj))
-    sq = math.sqrt(2.0 * D * dt)
-    for s in range(n_steps):
-        drift = 2.0 * np.real(np.einsum("rij,ji->r", rhos, B))
-        zs = zs + drift * dt + sq * noise[s]
-        P = propagator(zs)
-        vb = rhos.transpose(0, 2, 1).reshape(n_traj, d * d)
-        vb = np.einsum("rij,rj->ri", P, vb)
-        rhos = vb.reshape(n_traj, d, d).transpose(0, 2, 1)
-    marg = rhos.mean(axis=0)
-    marg = 0.5 * (marg + marg.conj().T)
-    hist = np.histogram(zs, bins=n_bins)
-    return CQUnravelResult(
-        marginal_quantum=DensityMatrix(marg, trace_tol=1e-8, eig_floor=-1e-8),
-        z_samples=zs,
-        z_histogram=hist,
-    )
 
 
 def write_hybrid_csv(st: HybridState, path) -> None:

@@ -64,8 +64,8 @@ class SliceLattice:
     site_energy: float = 3.0
 
     def __post_init__(self):
-        if not (1 <= self.n_sites <= 6):
-            raise ValueError("n_sites must be in 1..6")
+        if self.n_sites < 1:
+            raise ValueError("n_sites must be >= 1")
         if self.site_dim != 2:
             raise ValueError("only qubit sites are supported")
         if self.rate_mode not in ("normal_independent", "normal_sampled"):
@@ -164,8 +164,11 @@ def build_slice_generator(
 
     ``normal_independent`` evaluates the decay/excitation rates at the bare
     site frequency; ``normal_sampled`` at the clock-frame (time-dilated)
-    frequency omega0 * cosh(eta_site).
+    frequency omega0 * cosh(eta_site).  The chain superoperator is
+    4^n_sites x 4^n_sites, so at most 6 sites are accepted.
     """
+    if l.n_sites > 6:
+        raise ValueError(f"full-chain generator needs n_sites <= 6, got {l.n_sites}")
     return _site_generator(l, site, range(l.n_sites), env, kernel)
 
 

@@ -148,11 +148,12 @@ def smeared_noise_spectrum(
     return 0.5 * (up + down)
 
 
-def write_moment_trajectory_csv(path, p: ModeParams, m0: ModeMoments, taus) -> None:
-    """Emit tau, re_mean, im_mean, n, re_m, im_m, ccr_defect rows."""
+def write_moment_trajectory_csv(path, p: ModeParams, m0: ModeMoments, taus) -> list[float]:
+    """Emit tau, re_mean, im_mean, n, re_m, im_m, ccr_defect rows; return the defects."""
     rows = []
     for tau in taus:
         m = mode_evolve_moments(p, m0, float(tau))
         rows.append([tau, m.mean_a.real, m.mean_a.imag, m.occupation_n,
                      m.anomalous_m.real, m.anomalous_m.imag, ccr_defect(p, float(tau))])
     write_csv(path, ["tau", "re_mean", "im_mean", "n", "re_m", "im_m", "ccr_defect"], rows)
+    return [row[-1] for row in rows]

@@ -130,6 +130,25 @@ class TestRunScenario:
         sa.pop("wall_time_s"), sb.pop("wall_time_s")
         assert sa == sb
 
+    def test_langevin_computes_each_ccr_defect_once(self, tmp_path, monkeypatch):
+        # one quadrature per nonzero tau: the check reads the defects the
+        # CSV writer computed
+        from relclock import langevin
+
+        calls = []
+        quad = langevin.integrate_adaptive
+
+        def spy(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(langevin, "integrate_adaptive", spy)
+        cfg = parse_config("[run]\nscenario = langevin\n")
+        cfg.output_path = tmp_path
+        assert run_scenario(cfg, quiet=True) == 0
+        assert len(calls) == 20
+        assert json.loads((tmp_path / "summary.json").read_text())["checks"]["ccr_preserved"]
+
     def test_kms_requires_thermal_env(self, tmp_path):
         cfg = parse_config("[run]\nscenario = kms\n")
         cfg.output_path = tmp_path
@@ -194,6 +213,18 @@ class TestMain:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"[{section}] {key}" in err and "Number of samples" not in err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("scenario", ["markov_limit", "kms", "curl"])
+    def test_empty_sigmas_named(self, tmp_path, capsys, scenario):
+        # an empty list would index past its end, pass vacuously, or leave a
+        # header-only CSV, so it is refused when the config is parsed
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = {scenario}\n\n[env]\nbeta = 1\n\n[{scenario}]\nsigmas =\n")
+        out = tmp_path / "out"
+        rc = main([scenario, "--config", str(config), "--output", str(out), "--quiet"])
+        assert rc == 1
+        assert f"[{scenario}] sigmas" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
     def test_one_cq_cell_refused(self):
@@ -309,12 +340,13 @@ class TestFreshProcess:
     @pytest.mark.parametrize("scenario, text, n_quad", [
         ("rates", "[run]\nscenario = rates\n\n[env]\nbeta = 1\n\n[kernel]\nsigma = 1\n\n"
                   "[rates]\nomega_min = -4\nomega_max = 4\nomega_points = 8\n", 16),
-        ("lamb_shift", "[run]\nscenario = lamb_shift\n", 100),
+        ("lamb_shift", "[run]\nscenario = lamb_shift\n", 90),
     ])
     def test_benchmark_tracer_sees_every_quadrature(self, tmp_path, scenario, text, n_quad):
         # the per-layer specfun metrics wrap integrate_adaptive by name, so
         # every rate and Lamb-shift quadrature must go through it: two per
-        # thermal frequency, ten fits of ten integrals for the Lamb shift
+        # thermal frequency, nine fits of ten integrals for the Lamb shift
+        # (the cutoff's fit serves both the summary and the last CSV row)
         config = tmp_path / "cfg.ini"
         config.write_text(text)
         trace = tmp_path / "trace.json"

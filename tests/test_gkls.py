@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,25 @@ class TestDensityMatrix:
     def test_gibbs_normalized(self):
         g = DensityMatrix.gibbs(0.5 * SZ, 2.0)
         assert np.trace(g.matrix).real == pytest.approx(1.0, abs=1e-14)
+
+    def test_gibbs_deep_cold_no_overflow(self):
+        # exp(800) overflows: the weights must be taken relative to the ground energy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = DensityMatrix.gibbs(np.diag([-1.0, 1.0]), 800.0)
+        assert np.abs(g.matrix - np.diag([1.0, 0.0])).max() <= 1e-15
+
+    def test_gibbs_matches_expm(self):
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        H = 0.5 * (A + A.conj().T)
+        w = expm(-1.3 * H)
+        g = DensityMatrix.gibbs(H, 1.3)
+        assert np.abs(g.matrix - w / np.trace(w)).max() <= 1e-14
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.array([[1.0, math.nan], [math.nan, 0.0]]))
 
 
 class TestSuperoperator:

@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from relclock.gkls import DensityMatrix
 from relclock.hybridcq import (
     CQKernels,
     CQModel,
     HybridState,
     cq_evolve_grid,
-    cq_unravel,
     tradeoff_check,
     write_hybrid_csv,
 )
@@ -150,6 +147,18 @@ class TestGridEvolver:
         out = cq_evolve_grid(k, model, st, 0.4, 1e-3)
         assert abs(out.total_trace() - 1.0) <= 1e-8
 
+    def test_branch_splitting_variance(self):
+        # at the saturated trade-off the packet splits into the two sigma_z
+        # branches, drifting at +-2 d1 with weights p, 1 - p, so
+        # Var z = w^2 + 2 d2 t + 4 p (1 - p) (2 d1 t)^2 = 0.25 + 2 + 16
+        d1, d2, t, w, p = 2.0, 1.0, 1.0, 0.5, PLUS_MIXED[0, 0].real
+        z = np.linspace(-8, 8, 64)
+        st = HybridState.gaussian_packet(z, 0.0, w, PLUS_MIXED)
+        out, _ = evolve_tracking(CQKernels(2.0, d1, d2), dephasing_model(), st, t)
+        expected = w**2 + 2 * d2 * t + 4 * p * (1 - p) * (2 * d1 * t) ** 2
+        assert expected == 18.25
+        assert out.z_variance() == pytest.approx(expected, rel=0.01)
+
     def test_csv_snapshot(self, tmp_path):
         z = np.linspace(-2, 2, 8)
         st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
@@ -158,37 +167,6 @@ class TestGridEvolver:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("z,tr_block,re_b_00")
         assert len(lines) == 9
-
-
-class TestUnravel:
-    def test_marginal_matches_grid(self):
-        k = CQKernels(2.0, 2.0, 1.0)
-        z = np.linspace(-8, 8, 64)
-        st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
-        grid_out, _ = evolve_tracking(k, dephasing_model(), st, 1.0)
-        res = cq_unravel(k, dephasing_model(), DensityMatrix(PLUS_MIXED), 0.0, 1.0, 1e-3,
-                         n_traj=4000, seed=17)
-        diff = res.marginal_quantum.matrix - grid_out.quantum_marginal()
-        trace_dist = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
-        assert trace_dist <= 0.03
-
-    def test_diffusion_histogram(self):
-        k = CQKernels(1.0, 0.0, 2.0)
-        res = cq_unravel(k, dephasing_model(), DensityMatrix(PLUS_MIXED), 0.0, 1.0, 1e-3,
-                         n_traj=10_000, seed=23)
-        ks = stats.kstest(res.z_samples, "norm", args=(0.0, math.sqrt(2 * 2.0 * 1.0)))
-        assert ks.statistic <= 1.6 / math.sqrt(10_000)
-
-    def test_deterministic_limit(self):
-        k = CQKernels(1.0, 0.0, 0.0)
-        res = cq_unravel(k, dephasing_model(), DensityMatrix(PLUS_MIXED), 0.3, 0.5, 1e-3,
-                         n_traj=64, seed=31)
-        assert np.abs(res.z_samples - 0.3).max() <= 1e-12
-
-    def test_violated_tradeoff_refused(self):
-        with pytest.raises(ValueError):
-            cq_unravel(CQKernels(1.0, 2.0, 1.0), dephasing_model(),
-                       DensityMatrix(PLUS_MIXED), 0.0, 1.0, 1e-3, 10, seed=1)
 
 
 class TestHybridState:

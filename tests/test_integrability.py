@@ -36,8 +36,12 @@ class TestLattice:
         assert lat.normal_stencil(3) == (2, 3)
 
     def test_size_limit(self):
-        with pytest.raises(ValueError):
-            SliceLattice(n_sites=7, heights=(0,) * 7, spacing=1.0)
+        # only the full-chain generator is 4^n x 4^n; the lattice itself is not capped
+        lat = SliceLattice(n_sites=7, heights=(0,) * 7, spacing=1.0)
+        with pytest.raises(ValueError, match="n_sites <= 6"):
+            build_slice_generator(lat, 0, ENV, KER2)
+        with pytest.raises(ValueError, match="n_sites"):
+            SliceLattice(n_sites=0, heights=(), spacing=1.0)
 
 
 class TestSliceGenerator:
@@ -110,6 +114,15 @@ class TestCurl:
         r = functional_curl_residual(lat, 1, 2, ENV, KER2)
         assert r.value >= 1e-3
         assert r.value <= r.commutator_part + r.shape_part_xy + r.shape_part_yx + 1e-12
+
+    def test_long_tilted_chain_matches_short(self):
+        # the curl works on sites {x, y} alone, so a 1000-site chain costs
+        # what a 4-site one does; interior sites 1 and 2 see the same slice
+        vals = [functional_curl_residual(
+                    SliceLattice.tilted(n, 1.0, 0.3, rate_mode="normal_sampled"), 1, 2, ENV, KER2
+                ).value for n in (4, 5, 6, 1000)]
+        assert vals[0] >= 1e-3
+        assert max(vals) - min(vals) <= 1e-12 * vals[0]
 
     def test_non_adjacent_sampled_exact_zero(self):
         lat = SliceLattice.tilted(4, 1.0, 0.3, rate_mode="normal_sampled")
