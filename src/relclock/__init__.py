@@ -6,13 +6,12 @@ dimensional GKLS evolution with CPTP certificates, mode-level Langevin
 moments, stochastic unravelings, discretized foliation-integrability tests,
 and hybrid classical-quantum clock dynamics.
 
-Importing the package loads numpy only.  Quadrature and special functions
-are numpy (:mod:`relclock.specfun`), and Gibbs states come from ``eigh``.
-scipy is imported only where a matrix exponential or a PCHIP interpolant
-(``TabulatedKernel``) is needed, at the call site.  ``scipy.linalg.expm`` is
-used by ``gkls.evolve``, ``gkls.cp_choi_check``, ``hybridcq.cq_evolve_grid``
-and ``trajectories.unravel_linear``.  Of the twelve CLI scenarios, gkls,
-unravel and cq load ``scipy.linalg``; the other nine load no scipy module.
+Importing the package loads numpy only, and so does every CLI scenario:
+no relclock module imports scipy.  Quadrature and special functions are
+numpy (:mod:`relclock.specfun`), Gibbs states come from ``eigh``, the matrix
+exponential is Padé scaling and squaring (``gkls.expm``), and
+``TabulatedKernel`` interpolates with a numpy PCHIP.  scipy is a test-only
+dependency, the oracle these routines are checked against.
 """
 
 from .correlators import EnvironmentSpec, kms_rate_weights, vacuum_spectral_density, wightman_timelike

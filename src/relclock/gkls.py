@@ -227,6 +227,66 @@ def generator_matrix(H, ops, K) -> np.ndarray:
     return M
 
 
+#: [m/m] Padé coefficients b_0..b_m of exp (Higham 2005, eqs. 2.5 and 2.7)
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+#: largest 1-norm at which the [m/m] approximant is exact to double
+#: precision in backward error (Higham 2005, Table 2.3)
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152e0
+
+
+def expm(A) -> np.ndarray:
+    """Matrix exponential by Padé scaling and squaring (Higham 2005).
+
+    The 1-norm picks the lowest of the orders 3, 5, 7, 9 whose theta_m bounds
+    it; above theta_9, A is scaled by 2^-s into the order-13 range and the
+    approximant squared s times.  Non-finite entries raise.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("expm needs a square matrix")
+    A = A.astype(np.result_type(A.dtype, np.float64))
+    if not np.isfinite(A).all():
+        raise ValueError("expm input has a non-finite entry")
+    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+    ident = np.eye(A.shape[0], dtype=A.dtype)
+    A2 = A @ A
+    for m, theta in _THETA:
+        if norm <= theta:
+            b = _PADE[m]
+            powers = [ident, A2]
+            for _ in range(m // 2 - 1):
+                powers.append(powers[-1] @ A2)
+            U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
+            V = sum(b[2 * k] * P for k, P in enumerate(powers))
+            return np.linalg.solve(V - U, V + U)
+    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    A = A / 2.0**s
+    A2 = A2 / 4.0**s
+    A4 = A2 @ A2
+    A6 = A2 @ A4
+    b = _PADE[13]
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    X = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        X = X @ X
+    return X
+
+
 def build_generator(m: GKLSModel) -> Superoperator:
     """Trace-preserving GKLS generator of a validated model."""
     ops = [L for L, _ in m.jump_operators]
@@ -241,7 +301,6 @@ def cp_choi_check(s: Superoperator, dt: float, tol: float = 1e-10) -> ChoiVerdic
         raise ValueError("dt must be >= 0")
     if dt * np.linalg.norm(M, 2) > 1.0 + 1e-9:
         raise ValueError("dt too large: require dt * ||L|| <= 1")
-    from scipy.linalg import expm
     E = expm(dt * M)
     choi = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
@@ -269,7 +328,6 @@ def evolve(m: GKLSModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
     """Propagate rho0 by exp(t L) using a dense matrix exponential."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    from scipy.linalg import expm
     gen = build_generator(m)
     rho = unvec(expm(t * gen.matrix) @ vec(rho0.matrix), m.dim)
     rho = 0.5 * (rho + rho.conj().T)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._accel import fv_drift_diffusion_step
 from ._csv import write_csv
-from .gkls import generator_matrix, step_count
+from .gkls import expm, generator_matrix, step_count
 from .kernels import psd_margin
 
 __all__ = [
@@ -235,7 +235,6 @@ def cq_evolve_grid(
     def rotate(M):
         return Q.conj().T @ M @ Q
 
-    from scipy.linalg import expm
     props = []
     gen_norm = 0.0
     if model.z_dependent:

@@ -349,9 +349,9 @@ def lamb_shift_coefficient(
     if cutoff < 10.0 * env.mass_E:
         raise ValueError("cutoff must be >= 10 * mass_E for a reliable tail fit")
     sigma = kernel.sigma
-    raw = _lamb_raw(env, sigma, cutoff)
-    grid = np.linspace(0.5 * cutoff, cutoff, 9)
+    grid = np.linspace(0.5 * cutoff, cutoff, 9)  # ends exactly at the cutoff
     vals = np.array([_lamb_raw(env, sigma, L) for L in grid])
+    raw = float(vals[-1])
     slope, _intercept = np.polyfit(grid, vals, 1)
     return LambShiftCoefficient(
         raw_value=raw,

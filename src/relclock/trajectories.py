@@ -35,7 +35,7 @@ import numpy as np
 from ._accel import step_trajectory_chunk
 from ._csv import write_csv
 from .correlators import EnvironmentSpec, wightman_timelike
-from .gkls import DensityMatrix, GKLSModel, evolve, step_count
+from .gkls import DensityMatrix, GKLSModel, evolve, expm, step_count
 from .kernels import ClockKernel, PositivityError
 
 __all__ = [
@@ -238,7 +238,6 @@ def unravel_linear(
     if n_out < 2 or n_steps % (n_out - 1) != 0:
         raise ValueError("(n_out - 1) must divide the number of steps")
     stride = n_steps // (n_out - 1)
-    from scipy.linalg import expm
     u_step = np.ascontiguousarray(expm(-1j * dt * H_eff))
     ls_scaled = np.ascontiguousarray(
         np.array([math.sqrt(max(g, 0.0)) * L for g, L in zip(gammas, ls)])

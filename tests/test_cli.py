@@ -269,6 +269,16 @@ SCIPY_PROBE = (
     "sys.exit(rc)\n"
 )
 
+#: a meta-path finder, put first, that makes every import of scipy fail
+NO_SCIPY = (
+    "import sys\n"
+    "class _NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] == 'scipy':\n"
+    "            raise ImportError('scipy refused: ' + name)\n"
+    "sys.meta_path.insert(0, _NoScipy())\n"
+)
+
 
 def _fresh_python(*args):
     """Run ``python *args`` in a new interpreter that imports relclock from SRC."""
@@ -288,18 +298,38 @@ class TestFreshProcess:
 
     @pytest.mark.parametrize("scenario, text", SMALL_CONFIGS.items(), ids=list(SMALL_CONFIGS))
     def test_scenario_scipy_modules(self, tmp_path, scenario, text):
-        # only expm (gkls, unravel, cq) still reaches scipy, through
-        # scipy.linalg; quadrature and special functions are numpy
+        # quadrature, special functions, expm and PCHIP are all numpy
         config = tmp_path / "cfg.ini"
         config.write_text(text)
         done = _fresh_python("-c", SCIPY_PROBE, scenario, str(config), str(tmp_path / "out"))
         assert done.returncode == 0, done.stderr
         loaded = json.loads(done.stdout.strip().splitlines()[-1])
-        if scenario in ("gkls", "unravel", "cq"):
-            assert not {"scipy.integrate", "scipy.special", "scipy.optimize",
-                        "scipy.interpolate"} & set(loaded)
-        else:
-            assert loaded == []
+        assert loaded == []
+
+    def test_runs_with_scipy_refused(self, tmp_path):
+        # an interpreter whose imports of scipy fail still runs the expm
+        # scenarios and builds a tabulated kernel
+        for scenario in ("gkls", "unravel", "cq"):
+            config = tmp_path / f"{scenario}.ini"
+            config.write_text(SMALL_CONFIGS[scenario])
+            done = _fresh_python("-c", NO_SCIPY + SCIPY_PROBE, scenario, str(config),
+                                 str(tmp_path / scenario))
+            assert done.returncode == 0, done.stderr
+        done = _fresh_python("-c", NO_SCIPY + (
+            "try:\n"
+            "    import scipy.interpolate\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "else:\n"
+            "    sys.exit('scipy was not refused')\n"
+            "import numpy as np\n"
+            "from relclock.kernels import TabulatedKernel\n"
+            "s = np.linspace(-4, 4, 41)\n"
+            "k = TabulatedKernel(np.column_stack([s, np.exp(-s * s / 2)]))\n"
+            "print(k.evaluate(0.0), k.evaluate(1.3))\n"))
+        assert done.returncode == 0, done.stderr
+        w0, w1 = map(float, done.stdout.split())
+        assert w0 == 1.0 and w1 == pytest.approx(math.exp(-1.3**2 / 2), rel=1e-3)
 
     @pytest.mark.parametrize("scenario, csv_name, text", [
         ("tradeoff", "tradeoff.csv", "[run]\nscenario = tradeoff\n\n[tradeoff]\nd0 = 1\nd1 = 1\nd2 = 1\n"),
@@ -309,10 +339,6 @@ class TestFreshProcess:
          "[run]\nscenario = noise\nseed = 4\n\n[noise]\nn_real = 500\ngrid_points = 8\n"),
     ])
     def test_csv_bytes_match_in_process_run(self, tmp_path, scenario, csv_name, text):
-        # a new process imports scipy.linalg at the expm call sites (gkls);
-        # the in-process run below finds it loaded before relclock calls it
-        import scipy.linalg  # noqa: F401
-
         config = tmp_path / "cfg.ini"
         config.write_text(text)
         fresh, warm = tmp_path / "fresh", tmp_path / "warm"
@@ -340,13 +366,14 @@ class TestFreshProcess:
     @pytest.mark.parametrize("scenario, text, n_quad", [
         ("rates", "[run]\nscenario = rates\n\n[env]\nbeta = 1\n\n[kernel]\nsigma = 1\n\n"
                   "[rates]\nomega_min = -4\nomega_max = 4\nomega_points = 8\n", 16),
-        ("lamb_shift", "[run]\nscenario = lamb_shift\n", 90),
+        ("lamb_shift", "[run]\nscenario = lamb_shift\n", 81),
     ])
     def test_benchmark_tracer_sees_every_quadrature(self, tmp_path, scenario, text, n_quad):
         # the per-layer specfun metrics wrap integrate_adaptive by name, so
         # every rate and Lamb-shift quadrature must go through it: two per
-        # thermal frequency, nine fits of ten integrals for the Lamb shift
-        # (the cutoff's fit serves both the summary and the last CSV row)
+        # thermal frequency, nine cutoffs of nine integrals for the Lamb
+        # shift (each fit's last integral is its raw value, and the cutoff's
+        # fit serves both the summary and the last CSV row)
         config = tmp_path / "cfg.ini"
         config.write_text(text)
         trace = tmp_path / "trace.json"

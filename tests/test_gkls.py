@@ -14,6 +14,7 @@ from relclock.gkls import (
     build_generator,
     cp_choi_check,
     evolve,
+    expm as pade_expm,
     qubit_decay_model,
     stationarity_check,
     step_count,
@@ -254,3 +255,64 @@ class TestSuperoperator:
         gen = build_generator(m)
         rho = np.array([[0.3, 0.1j], [-0.1j, 0.7]])
         assert np.allclose(vec(gen.apply(rho)), gen.matrix @ vec(rho))
+
+
+def _norm1(X):
+    return np.abs(X).sum(axis=0).max(initial=0.0)
+
+
+class TestExpm:
+    #: the Padé thresholds theta_3 .. theta_13 of Higham (2005), Table 2.3
+    THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+              2.097847961257068, 5.371920351148152)
+
+    @pytest.mark.parametrize("n", range(17))
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_matches_scipy_on_both_sides_of_every_theta(self, n, is_complex):
+        rng = np.random.default_rng(100 + n)
+        for theta in self.THETAS:
+            for side in (0.99, 1.01):
+                A = rng.normal(size=(n, n))
+                if is_complex:
+                    A = A + 1j * rng.normal(size=(n, n))
+                if n:
+                    A *= side * theta / _norm1(A)
+                E = expm(A)
+                got = pade_expm(A)
+                assert got.shape == E.shape and got.dtype == E.dtype
+                err = _norm1(got - E) / max(_norm1(E), 1.0)
+                # around theta_13 (order 13, one squaring above it) the two
+                # algorithms part by the conditioning of a random non-normal A
+                assert err <= (1e-14 if side * theta <= 2.1 else 1e-12), (theta, side, err)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 16])
+    @pytest.mark.parametrize("norm", [6.0, 30.0, 200.0, 1e3])
+    def test_squaring_branch_against_eigh(self, n, norm):
+        # A = V diag(lam) V^+ with V unitary: anti-Hermitian, and Hermitian
+        # with top eigenvalue 0 as in a decaying semigroup (exp(1e3) would
+        # overflow; a lower top eigenvalue would underflow every entry)
+        rng = np.random.default_rng(int(norm) + n)
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        decay = -rng.uniform(0.0, 1.0, n)
+        for lam in (decay - decay.max(), 1j * rng.uniform(-1.0, 1.0, n)):
+            A = (V * lam) @ V.conj().T
+            scale = norm / _norm1(A)
+            exact = (V * np.exp(scale * lam)) @ V.conj().T
+            assert _norm1(pade_expm(scale * A) - exact) <= 1e-12 * _norm1(exact)
+
+    def test_exact_cases(self):
+        assert np.array_equal(pade_expm(np.zeros((3, 3))), np.eye(3))
+        assert np.array_equal(pade_expm(np.zeros((3, 3), dtype=complex)), np.eye(3))
+        empty = pade_expm(np.zeros((0, 0)))
+        assert empty.shape == (0, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        A = np.eye(2)
+        A[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pade_expm(A)
+
+    def test_not_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            pade_expm(np.zeros((2, 3)))

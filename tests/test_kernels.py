@@ -9,6 +9,7 @@ from relclock.kernels import (
     GaussianKernel,
     PositivityError,
     TabulatedKernel,
+    _Pchip,
     kernel_spectrum,
     positivity_gram_check,
 )
@@ -194,3 +195,45 @@ class TestTabulated:
         k = TabulatedKernel(np.column_stack([s, 1 - s**2]))
         with pytest.raises(PositivityError):
             kernel_spectrum(k)
+
+
+_UNEVEN = np.cumsum(np.random.default_rng(3).uniform(0.01, 1.0, 20))
+
+
+class TestPchip:
+    @pytest.mark.parametrize("x, y", [
+        (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9) ** 3),
+        (np.linspace(-3.0, 3.0, 13), np.sin(2.0 * np.linspace(-3.0, 3.0, 13))),
+        (np.arange(8.0), np.array([0.0, 1.0, 1.0, 1.0, 2.0, 0.0, 0.0, 3.0])),
+        (np.array([0.0, 2.0]), np.array([1.0, -3.0])),
+        (np.array([-1.0, 0.5, 4.0]), np.array([2.0, -1.0, 5.0])),
+        (_UNEVEN, np.random.default_rng(4).normal(size=20)),
+    ], ids=["monotone", "non-monotone", "flat-segments", "two-point", "three-point", "uneven"])
+    def test_matches_scipy(self, x, y):
+        from scipy.interpolate import PchipInterpolator
+
+        q = np.linspace(x[0], x[-1], 1001)
+        expected = PchipInterpolator(x, y)(q)
+        got = _Pchip(x, y)(q)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.array_equal(_Pchip(x, y)(x), y)
+
+    def test_monotone_data_stay_monotone(self):
+        x = np.array([0.0, 0.1, 0.15, 1.0, 3.0, 3.2])
+        y = np.array([0.0, 0.0, 0.5, 0.6, 3.0, 3.0])
+        assert (np.diff(_Pchip(x, y)(np.linspace(0.0, 3.2, 2001))) >= 0.0).all()
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0], [1.0]),
+        ([0.0, 0.0, 1.0], [1.0, 2.0, 3.0]),
+        ([1.0, 0.0], [1.0, 2.0]),
+        ([0.0, 1.0], [1.0, math.nan]),
+    ])
+    def test_bad_nodes_rejected(self, x, y):
+        with pytest.raises(ValueError):
+            _Pchip(x, y)
+
+    def test_outside_nodes_rejected(self):
+        p = _Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="outside"):
+            p(2.5)

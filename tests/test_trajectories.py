@@ -48,8 +48,10 @@ def _reference_noise(evaluate, grid, root, n_real, seed):
 
 def _reference_unravel(m, psi0, t, dt, n_traj, seed, n_out):
     """The whole-stream unraveling, written out: each trajectory draws all of
-    its increments in one call, then every trajectory takes every step."""
-    from scipy.linalg import expm
+    its increments in one call, then every trajectory takes every step.  The
+    step propagator is the package's own expm, so a bit-exact match tests the
+    keyed streams and the chunking, not the exponential."""
+    from relclock.gkls import expm
 
     gammas = np.real(np.diag(m.kossakowski))
     n_jump, n_steps = len(gammas), int(round(t / dt))
