@@ -9,6 +9,26 @@ It also takes the steps in blocks: the caller hands it one block of noise at
 a time together with the states reached so far, so the noise it holds is
 O(chunk * block) whatever the number of steps, and a run split into blocks
 takes exactly the arithmetic of one unsplit call.
+
+Row layout.  The stepper holds a chunk as d contiguous rows of length
+n_chunk, row j being component j of every trajectory, and builds each new
+row with elementwise ufuncs: the products ``row_j * coef`` over the exactly
+nonzero entries of a row of ``u_step`` (or of ``ls_scaled[k]``), summed in
+column order, then for a jump the product with the noise column
+``noise[:, i, k]`` (a strided view, not a copy), added in k order.  A zero
+entry may be skipped because its term is an exact zero for a finite state,
+and adding an exact zero leaves a nonzero sum unchanged.  Every element of a
+row goes through the same ufunc arithmetic, so a trajectory's bits depend
+neither on its position in the row nor on the chunk size.
+
+Where every row of ``u_step`` and of each ``L_k`` has at most one nonzero
+entry (a diagonal H_eff with ladder or diagonal jumps, as in every model the
+CLI unravels), each term is a single complex product with no sum to round.
+BLAS forms that product the same way, so the rows equal ``state @
+u_step.T`` plus ``noise[:, i, k, None] * (state @ L_k.T)`` bit for bit, up
+to the sign of a component that is exactly zero.  A dense d-level model is
+as correct, at d * d products per matrix and step, with its sums rounded in
+column order rather than in BLAS's order.
 """
 
 from __future__ import annotations
@@ -19,6 +39,11 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # linear-unraveling stepper
 # ---------------------------------------------------------------------------
+
+def _nonzero_terms(matrix):
+    """Per row a, the (j, matrix[a, j]) pairs with a nonzero entry, in column order."""
+    return [[(j, complex(c)) for j, c in enumerate(row) if c != 0] for row in matrix]
+
 
 def step_trajectory_chunk(psi, u_step, ls_scaled, noise, save_stride, out, step0=0):
     """Stochastic steps step0 + 1 .. step0 + n_block for a chunk of
@@ -36,20 +61,43 @@ def step_trajectory_chunk(psi, u_step, ls_scaled, noise, save_stride, out, step0
         ``out[:, s // save_stride]`` whenever s is a multiple of save_stride
         (s = 0 included, when step0 is 0)
     """
-    n_chunk, n_block, n_jump = noise.shape
-    state = psi
+    n_chunk, n_block, _ = noise.shape
+    u_terms = _nonzero_terms(u_step)
+    l_terms = [_nonzero_terms(L) for L in ls_scaled]
+    state = np.ascontiguousarray(psi.T)
+    new = np.empty_like(state)
+    term = np.empty(n_chunk, dtype=complex)
+    acc = np.empty(n_chunk, dtype=complex)
     if step0 == 0:
-        out[:, 0, :] = state
+        out[:, 0, :] = psi
     for i in range(n_block):
-        new = state @ u_step.T
-        for k in range(n_jump):
-            new += noise[:, i, k, None] * (state @ ls_scaled[k].T)
-        state = new
+        for row, terms in zip(new, u_terms):
+            _combine(state, terms, row, term)
+        for k, rows_k in enumerate(l_terms):
+            xi = noise[:, i, k]
+            for row, terms in zip(new, rows_k):
+                if terms:
+                    _combine(state, terms, acc, term)
+                    np.multiply(xi, acc, out=acc)
+                    row += acc
+        state, new = new, state
         s = step0 + i + 1
         if s % save_stride == 0:
-            out[:, s // save_stride, :] = state
-    psi[...] = state
+            out[:, s // save_stride, :] = state.T
+    psi[...] = state.T
     return out
+
+
+def _combine(state, terms, dest, scratch):
+    """dest <- sum over (j, c) in ``terms`` of state[j] * c, in that order."""
+    if not terms:
+        dest[...] = 0.0
+        return
+    (j, c), *rest = terms
+    np.multiply(state[j], c, out=dest)
+    for j, c in rest:
+        np.multiply(state[j], c, out=scratch)
+        dest += scratch
 
 
 # ---------------------------------------------------------------------------

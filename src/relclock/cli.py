@@ -482,11 +482,9 @@ def _run_noise(cfg):
     grid = np.linspace(0.0, p["noise.t_span"], p["noise.grid_points"])
     field = sample_colored_noise(env, kernel, grid, p["noise.n_real"], cfg.seed)
     sample = field.sample_covariance()
-    rows = []
-    for i in range(grid.size):
-        for j in range(grid.size):
-            target = field.target_covariance[i, j]
-            rows.append([i, j, target.real, target.imag, sample[i, j].real, sample[i, j].imag])
+    planes = (field.target_covariance.real, field.target_covariance.imag, sample.real, sample.imag)
+    rows = ((i, j, *cells) for i in range(grid.size)
+            for j, cells in enumerate(zip(*(plane[i].tolist() for plane in planes))))
     out = cfg.output_path / "noise_covariance.csv"
     _write_csv(out, ["i", "j", "re_target", "im_target", "re_sample", "im_sample"], rows)
     err = float(np.linalg.norm(sample - field.target_covariance) / np.linalg.norm(field.target_covariance))

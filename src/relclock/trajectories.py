@@ -51,6 +51,8 @@ __all__ = [
 _CHUNK = 1024
 #: bytes of the complex noise block a chunk is stepped through
 _NOISE_BYTES = 2 * 2**20
+#: bytes of the block of normal draws the colored-noise sampler multiplies at once
+_SAMPLE_BYTES = 256 * 2**10
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -123,6 +125,14 @@ def sample_colored_noise(
     mass is reported); a significantly negative spectrum signals a bad kernel
     and raises instead.  Realization r is ``root @ xi`` with xi drawn from
     the stream keyed (seed, r).
+
+    The realizations are formed in fixed blocks of R = ``_SAMPLE_BYTES`` //
+    (16 n) rows (at least one), realization r sitting in row r mod R of
+    block r // R: the draws of a block are scaled by 1/sqrt(2) together and
+    multiplied by ``root.T`` in one GEMM, the rows past ``n_real`` of the
+    last block zero-filled, so every block is the same (R, n) @ (n, n)
+    product.  R depends on n alone, so the bits of realization r depend on
+    (seed, r, grid) only, never on ``n_real``.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
@@ -151,16 +161,21 @@ def sample_colored_noise(
         )
     clipped = float(-np.clip(eigvals, None, 0.0).sum())
     root = V * np.sqrt(np.clip(eigvals, 0.0, None))
+    rows = max(1, _SAMPLE_BYTES // (16 * n))
     samples = np.empty((n_real, n), dtype=complex)
+    xi = np.empty((rows, n), dtype=complex)
     gen = _stream(seed, 0)
-    xi = np.empty(n, dtype=complex)
-    for r in range(n_real):
-        _rekey(gen, seed, r)
-        gen.standard_normal(out=xi.view(np.float64))
-        # a complex divide and one matvec per realization: dividing the real
-        # view, or one GEMM per block, changes the samples in the last bits
+    for start in range(0, n_real, rows):
+        stop = min(start + rows, n_real)
+        for r, draw in zip(range(start, stop), xi):
+            _rekey(gen, seed, r)
+            gen.standard_normal(out=draw.view(np.float64))
+        xi[stop - start:] = 0.0
         xi /= math.sqrt(2.0)
-        np.matmul(root, xi, out=samples[r])
+        if stop - start == rows:
+            np.matmul(xi, root.T, out=samples[start:stop])
+        else:
+            samples[start:stop] = (xi @ root.T)[: stop - start]
     return NoiseField(grid=t, samples=samples, target_covariance=M, clipped_mass=clipped)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from relclock import _accel, trajectories
 from relclock.correlators import EnvironmentSpec
-from relclock.gkls import DensityMatrix, GKLSModel, qubit_decay_model
+from relclock.gkls import DensityMatrix, GKLSModel, expm, qubit_decay_model
 from relclock.kernels import GaussianKernel
 from relclock.trajectories import (
     _rekey,
@@ -26,8 +26,9 @@ def _philox(seed, r):
 
 
 def _reference_noise(evaluate, grid, root, n_real, seed):
-    """The per-pair dict covariance and the per-realization sampler, written
-    out: one fresh Philox per realization, one matvec each."""
+    """The per-pair dict covariance and the block sampler, written out: one
+    fresh Philox per realization, zero-padded blocks of R rows, one GEMM per
+    block."""
     t = np.asarray(grid, dtype=float)
     n = t.size
     diffs = t[:, None] - t[None, :]
@@ -39,11 +40,24 @@ def _reference_noise(evaluate, grid, root, n_real, seed):
             if key not in cache:
                 cache[key] = np.conj(cache[-key]) if -key in cache else evaluate(key)
             M[j, k] = cache[key]
-    samples = np.empty((n_real, n), dtype=complex)
+    R = max(1, trajectories._SAMPLE_BYTES // (16 * n))
+    n_blocks = -(-n_real // R)
+    xi = np.zeros((n_blocks * R, n), dtype=complex)
     for r in range(n_real):
         g = _philox(seed, r).standard_normal((n, 2))
+        xi[r] = g[:, 0] + 1j * g[:, 1]
+    samples = np.concatenate([(block / math.sqrt(2.0)) @ root.T
+                              for block in np.split(xi, n_blocks)])
+    return 0.5 * (M + M.conj().T), samples[:n_real]
+
+
+def _matvec_noise(root, n_real, seed):
+    """The per-realization sampler: one matvec per realization."""
+    samples = np.empty((n_real, root.shape[0]), dtype=complex)
+    for r in range(n_real):
+        g = _philox(seed, r).standard_normal((root.shape[0], 2))
         samples[r] = root @ ((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0))
-    return 0.5 * (M + M.conj().T), samples
+    return samples
 
 
 def _reference_unravel(m, psi0, t, dt, n_traj, seed, n_out):
@@ -51,8 +65,6 @@ def _reference_unravel(m, psi0, t, dt, n_traj, seed, n_out):
     its increments in one call, then every trajectory takes every step.  The
     step propagator is the package's own expm, so a bit-exact match tests the
     keyed streams and the chunking, not the exponential."""
-    from relclock.gkls import expm
-
     gammas = np.real(np.diag(m.kossakowski))
     n_jump, n_steps = len(gammas), int(round(t / dt))
     stride = n_steps // (n_out - 1)
@@ -147,6 +159,32 @@ class TestColoredNoise:
         assert len(ours) == n_points
         assert np.array_equal(field.target_covariance, M)
         assert np.array_equal(field.samples, samples)
+        # the block product rounds differently from one matvec per realization
+        matvec = _matvec_noise(root, n_real, 17)
+        assert np.abs(field.samples - matvec).max() <= 1e-13 * np.abs(matvec).max()
+
+    @pytest.mark.parametrize("n_points", [1, 8, 32, 256])
+    def test_realization_independent_of_count(self, monkeypatch, n_points):
+        # realization r has the same bits whether it sits in a full block, a
+        # zero-padded last block or the only block
+        values = {}
+        original = trajectories.wightman_timelike
+
+        def cached(env, kernel, s, cutoff=None):
+            if s not in values:
+                values[s] = original(env, kernel, s, cutoff=cutoff)
+            return values[s]
+
+        monkeypatch.setattr(trajectories, "wightman_timelike", cached)
+        env, kernel = EnvironmentSpec(), GaussianKernel(1.0)
+        grid = [0.0] if n_points == 1 else np.linspace(0.0, 4.0, n_points)
+        R = max(1, trajectories._SAMPLE_BYTES // (16 * n_points))
+        counts = [1, R - 1, R, R + 1, 3 * R + 2]
+        runs = [sample_colored_noise(env, kernel, grid, c, seed=31).samples for c in counts]
+        longest = runs[-1]
+        for c, samples in zip(counts, runs):
+            assert samples.shape == (c, n_points)
+            assert np.array_equal(samples, longest[:c])
 
     @pytest.mark.parametrize("n_real, n_points, block_bytes", [
         (20_000, 256, trajectories._NOISE_BYTES),  # the noise cap: 40 blocks of 512
@@ -237,6 +275,20 @@ class TestUnravelLinear:
         assert np.array_equal(small.states, large.states[:5])
         assert np.array_equal(whole.states, large.states)
 
+    def test_dense_model_chunk_schedule_independence(self, monkeypatch):
+        # the same bit-exact schedule contract for a model whose products
+        # are sums of three terms
+        m = _dense_three_level()
+        rho0 = DensityMatrix.pure(np.array([0.6, 0.48j, 0.64]))
+        small = unravel_linear(m, rho0, 0.05, 1e-3, 5, seed=19, n_out=6)
+        whole = unravel_linear(m, rho0, 0.05, 1e-3, 300, seed=19, n_out=6)
+        monkeypatch.setattr(trajectories, "_CHUNK", 64)
+        monkeypatch.setattr(trajectories, "_NOISE_BYTES", 16 * 64 * 2 * 7)
+        large = unravel_linear(m, rho0, 0.05, 1e-3, 300, seed=19, n_out=6)
+        assert np.all(np.isfinite(whole.states))
+        assert np.array_equal(small.states, large.states[:5])
+        assert np.array_equal(whole.states, large.states)
+
     @pytest.mark.parametrize("model, n_traj, chunk, block", [
         (qubit_decay_model(1.0, 1.0), 20, 8, 7),
         (GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5])), 20, 8, 7),
@@ -310,6 +362,18 @@ class TestUnravelLinear:
         assert cross <= 4.0 / math.sqrt(n_traj)
 
 
+def _dense_three_level():
+    """A 3-level model with two jumps in which every entry of H, of both L_k
+    and so of the step propagator is nonzero.  The jumps are eigenoperators
+    of a degenerate system Hamiltonian, with H a coherent shift on top."""
+    rng = np.random.default_rng(41)
+    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    H = 2.0 * (A + A.conj().T)
+    ls = [0.6 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) for _ in range(2)]
+    return GKLSModel(3, H, [(L, 0.0) for L in ls], np.diag([0.8, 0.5]),
+                     system_hamiltonian=np.zeros((3, 3)))
+
+
 def _bernoulli(x):
     return 1.0 if x == 0.0 else x / math.expm1(x)
 
@@ -330,6 +394,34 @@ class TestKernelOracles:
         psi = np.tile(psi0, (chunk, 1))
         _accel.step_trajectory_chunk(psi, u_step, ls, noise[:, :25], stride, out)
         _accel.step_trajectory_chunk(psi, u_step, ls, noise[:, 25:], stride, out, 25)
+        for r in range(chunk):
+            state = psi0.copy()
+            expected = [state]
+            for s in range(steps):
+                state = u_step @ state + sum(noise[r, s, k] * (ls[k] @ state) for k in range(2))
+                if (s + 1) % stride == 0:
+                    expected.append(state)
+            assert np.abs(out[r] - np.array(expected)).max() <= 1e-13
+        assert np.array_equal(psi, out[:, -1])
+
+    @pytest.mark.parametrize("zero_row", [False, True], ids=["dense", "zero_row"])
+    def test_step_chunk_dense_matches_loop(self, zero_row):
+        # d = 3, two jumps, every entry of u_step and of both L_k nonzero (or
+        # one all-zero row of L_1): the row-layout sums against a matvec loop
+        rng = np.random.default_rng(2)
+        d, steps, chunk, stride = 3, 40, 9, 8
+        m = _dense_three_level()
+        u_step = expm(-1j * 1e-2 * m.hamiltonian)
+        ls = np.array([L for L, _ in m.jump_operators])
+        if zero_row:
+            ls[1, 1] = 0.0
+        assert np.all(u_step != 0) and np.count_nonzero(ls) == ls.size - 3 * zero_row
+        psi0 = np.array([0.6, 0.48j, 0.64], dtype=complex)
+        noise = 0.07 * (rng.normal(size=(chunk, steps, 2)) + 1j * rng.normal(size=(chunk, steps, 2)))
+        out = np.empty((chunk, steps // stride + 1, d), dtype=complex)
+        psi = np.tile(psi0, (chunk, 1))
+        _accel.step_trajectory_chunk(psi, u_step, ls, noise[:, :13], stride, out)
+        _accel.step_trajectory_chunk(psi, u_step, ls, noise[:, 13:], stride, out, 13)
         for r in range(chunk):
             state = psi0.copy()
             expected = [state]
