@@ -22,11 +22,16 @@ changing a single draw.
 Memory: ``unravel_linear`` steps at most ``_CHUNK`` trajectories at a time,
 through noise blocks of at most ``_NOISE_BYTES`` (or of one step, should one
 step of a chunk need more), so its working memory is O(chunk * block) plus
-the saved states, whatever the number of steps.
+the saved states, whatever the number of steps.  ``sample_colored_noise``
+draws R = ``_SAMPLE_BYTES`` // (16 n) realizations at a time and keeps only
+their n x n sum of outer products, so its working memory is O(R * n + n^2)
+on an n-point grid: no O(n_real * n) buffer exists unless a caller reads
+``NoiseField.samples``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,16 +60,31 @@ _NOISE_BYTES = 2 * 2**20
 _SAMPLE_BYTES = 256 * 2**10
 
 
+@functools.cache
+def _seed_sequence() -> np.random.SeedSequence:
+    """The one fixed seed sequence every ``_stream`` Philox is built from
+    before its key is set; made on first use, so that importing the package
+    does not import ``numpy.random``."""
+    return np.random.SeedSequence(0)
+
+
 def _stream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    """The Philox stream keyed (seed, index), at counter 0.
+
+    ``Philox(key=...)`` would first seed a SeedSequence from OS entropy that
+    the key then discards; building from one fixed sequence and re-keying
+    gives the same draws for less.
+    """
+    gen = np.random.Generator(np.random.Philox(_seed_sequence()))
+    _rekey(gen, seed, index)
+    return gen
 
 
 def _rekey(gen: np.random.Generator, seed: int, index: int) -> None:
     """Reset a ``_stream`` generator to the start of ``_stream(seed, index)``:
     key (seed, index), counter 0, empty buffer.
 
-    This is over ten times cheaper than a new Philox, whose constructor seeds
-    a SeedSequence from OS entropy that the key then discards.
+    This is about eight times cheaper than building a new Philox.
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
@@ -76,35 +96,65 @@ def _rekey(gen: np.random.Generator, seed: int, index: int) -> None:
     }
 
 
+def _draw_blocks(seed: int, n: int, n_real: int):
+    """Yield ``(start, stop, xi)`` for each fixed block of R = ``_SAMPLE_BYTES``
+    // (16 n) realizations (at least one).
+
+    Row r - start of the (R, n) array ``xi`` holds the n complex normals of
+    the stream keyed (seed, r), scaled by 1/sqrt(2) so E[xi xi*] = 1; the
+    rows past ``n_real`` of the last block are zero.  One buffer is refilled
+    for every block.
+    """
+    rows = max(1, _SAMPLE_BYTES // (16 * n))
+    xi = np.empty((rows, n), dtype=complex)
+    gen = _stream(seed, 0)
+    for start in range(0, n_real, rows):
+        stop = min(start + rows, n_real)
+        for r, draw in zip(range(start, stop), xi):
+            _rekey(gen, seed, r)
+            gen.standard_normal(out=draw.view(np.float64))
+        xi[stop - start:] = 0.0
+        xi /= math.sqrt(2.0)
+        yield start, stop, xi
+
+
 @dataclass(frozen=True)
 class NoiseField:
-    """Realizations of a complex Gaussian field with a prescribed covariance.
+    """A complex Gaussian field with a prescribed covariance, and the sample
+    covariance of ``n_real`` of its realizations.
 
-    ``samples[r, j]`` is realization r at grid point j;
-    E[z_j z_k*] converges to ``target_covariance[j, k]``.  ``clipped_mass``
-    reports how much negative eigenvalue weight was clipped during the
-    Hermitian square-root factorization.
+    Realization r is z_r = ``root`` @ xi_r, with xi_r drawn from the stream
+    keyed (``seed``, r); E[z_j z_k*] converges to ``target_covariance[j, k]``.
+    ``covariance`` is (1/N) sum_r z_r z_r^H, built while the draws were made.
+    ``clipped_mass`` reports how much negative eigenvalue weight was clipped
+    during the Hermitian square-root factorization.
     """
 
     grid: np.ndarray
-    samples: np.ndarray
     target_covariance: np.ndarray
     clipped_mass: float
+    root: np.ndarray
+    seed: int
+    n_real: int
+    covariance: np.ndarray
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The (n_real, n) realizations, ``samples[r, j]`` being realization r
+        at grid point j, regenerated from their keyed streams on every read.
+
+        Each block of draws is multiplied by ``root.T`` in one GEMM, so the
+        bits of realization r depend on (seed, r, grid) only, never on
+        ``n_real``.
+        """
+        z = np.empty((self.n_real, self.grid.size), dtype=complex)
+        for start, stop, xi in _draw_blocks(self.seed, self.grid.size, self.n_real):
+            z[start:stop] = (xi @ self.root.T)[: stop - start]
+        return z
 
     def sample_covariance(self) -> np.ndarray:
-        """(1/N) sum_r z_r z_r^H, accumulated over blocks of realizations.
-
-        Each block holds at most ``_NOISE_BYTES`` of samples, so the
-        conjugate copy the product needs never spans all N realizations.
-        """
-        z = self.samples
-        n_real, n = z.shape
-        rows = max(1, _NOISE_BYTES // (z.itemsize * n))
-        total = np.zeros((n, n), dtype=complex)
-        for start in range(0, n_real, rows):
-            block = z[start:start + rows]
-            total += block.conj().T @ block
-        return total.T / n_real
+        """(1/N) sum_r z_r z_r^H over the N = ``n_real`` realizations."""
+        return self.covariance
 
 
 def sample_colored_noise(
@@ -126,13 +176,12 @@ def sample_colored_noise(
     and raises instead.  Realization r is ``root @ xi`` with xi drawn from
     the stream keyed (seed, r).
 
-    The realizations are formed in fixed blocks of R = ``_SAMPLE_BYTES`` //
-    (16 n) rows (at least one), realization r sitting in row r mod R of
-    block r // R: the draws of a block are scaled by 1/sqrt(2) together and
-    multiplied by ``root.T`` in one GEMM, the rows past ``n_real`` of the
-    last block zero-filled, so every block is the same (R, n) @ (n, n)
-    product.  R depends on n alone, so the bits of realization r depend on
-    (seed, r, grid) only, never on ``n_real``.
+    The sample covariance is streamed: the draws come in fixed blocks of
+    R = ``_SAMPLE_BYTES`` // (16 n) rows (at least one), and S = sum_r
+    xi_r xi_r^H grows by ``xi.T @ conj(xi)`` per block, so the stored
+    ``root @ (S / n_real) @ root^H`` equals (1/N) sum_r z_r z_r^H without
+    any realization being formed.  ``NoiseField.samples`` regenerates them
+    on demand; realization r still depends on (seed, r, grid) only.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
@@ -161,22 +210,10 @@ def sample_colored_noise(
         )
     clipped = float(-np.clip(eigvals, None, 0.0).sum())
     root = V * np.sqrt(np.clip(eigvals, 0.0, None))
-    rows = max(1, _SAMPLE_BYTES // (16 * n))
-    samples = np.empty((n_real, n), dtype=complex)
-    xi = np.empty((rows, n), dtype=complex)
-    gen = _stream(seed, 0)
-    for start in range(0, n_real, rows):
-        stop = min(start + rows, n_real)
-        for r, draw in zip(range(start, stop), xi):
-            _rekey(gen, seed, r)
-            gen.standard_normal(out=draw.view(np.float64))
-        xi[stop - start:] = 0.0
-        xi /= math.sqrt(2.0)
-        if stop - start == rows:
-            np.matmul(xi, root.T, out=samples[start:stop])
-        else:
-            samples[start:stop] = (xi @ root.T)[: stop - start]
-    return NoiseField(grid=t, samples=samples, target_covariance=M, clipped_mass=clipped)
+    S = np.zeros((n, n), dtype=complex)
+    for _, _, xi in _draw_blocks(seed, n, n_real):
+        S += xi.T @ xi.conj()
+    return NoiseField(t, M, clipped, root, seed, n_real, root @ (S / n_real) @ root.conj().T)
 
 
 @dataclass(frozen=True)

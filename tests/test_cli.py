@@ -117,6 +117,18 @@ class TestRunScenario:
         assert summary["checks"]["null_residual"] is True
         assert summary["outputs"]["residual"] <= 1e-12
 
+    def test_noise_never_forms_samples(self, tmp_path, monkeypatch):
+        from relclock import trajectories
+
+        def refuse(field):
+            raise AssertionError("the noise scenario read NoiseField.samples")
+
+        monkeypatch.setattr(trajectories.NoiseField, "samples", property(refuse))
+        cfg = parse_config(SMALL_CONFIGS["noise"])
+        cfg.output_path = tmp_path
+        assert run_scenario(cfg, quiet=True) == 0
+        assert (tmp_path / "noise_covariance.csv").exists()
+
     def test_csv_determinism(self, tmp_path):
         text = "[run]\nscenario = unravel\nseed = 9\n\n[unravel]\nn_traj = 200\nt = 0.2\ndt = 0.001\nn_out = 5\n"
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,24 +187,43 @@ class TestColoredNoise:
             assert samples.shape == (c, n_points)
             assert np.array_equal(samples, longest[:c])
 
-    @pytest.mark.parametrize("n_real, n_points, block_bytes", [
-        (20_000, 256, trajectories._NOISE_BYTES),  # the noise cap: 40 blocks of 512
-        (1001, 32, 3 * 32 * 16),                   # 3-row blocks, a short last one
-        (5, 8, 1),                                  # one row per block
+    @pytest.mark.parametrize("n_real, n_points", [
+        (20_000, 256),  # the noise cap: full blocks of 64 draws
+        (1001, 32),     # short last blocks
+        (5, 8),
+        (7, 1),
     ])
-    def test_sample_covariance_in_blocks(self, monkeypatch, n_real, n_points, block_bytes):
-        # accumulated over realization blocks: Hermitian, and the one-shot
-        # product z^H z / N to 1e-13 relative
-        monkeypatch.setattr(trajectories, "_NOISE_BYTES", block_bytes)
-        rng = np.random.default_rng(23)
-        z = rng.standard_normal((n_real, n_points)) + 1j * rng.standard_normal((n_real, n_points))
-        field = trajectories.NoiseField(grid=np.arange(n_points, dtype=float), samples=z,
-                                        target_covariance=np.eye(n_points), clipped_mass=0.0)
+    def test_sample_covariance_matches_samples(self, n_real, n_points):
+        # streamed from the draws: Hermitian, and the one-shot product z^H z / N
+        # of the regenerated realizations to 1e-13 relative
+        grid = [0.0] if n_points == 1 else np.linspace(0.0, 4.0, n_points)
+        field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, n_real, seed=23)
         got = field.sample_covariance()
+        z = field.samples
         ref = (z.conj().T @ z).T / n_real
         scale = np.abs(ref).max()
         assert np.abs(got - got.conj().T).max() <= 1e-13 * scale
         assert np.abs(got - ref).max() <= 1e-13 * scale
+
+    def test_sample_covariance_memory(self):
+        # no (n_real, n) buffer: 20 000 x 256 realizations would take 78 MiB
+        grid = np.linspace(0.0, 4.0, 256)
+        tracemalloc.start()
+        try:
+            field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, 20_000, seed=29)
+            field.sample_covariance()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("seed, r", [(0, 0), (3, 5), (3, 2**40), (2**63 + 7, 1), (41, 2**64 - 1)])
+    def test_stream_matches_keyed_philox(self, seed, r):
+        gen, fresh = _stream(seed, r), _philox(seed, r)
+        assert np.array_equal(gen.standard_normal(64), fresh.standard_normal(64))
+        assert np.array_equal(gen.integers(0, 2**31, size=5, dtype=np.uint32),
+                              fresh.integers(0, 2**31, size=5, dtype=np.uint32))
+        assert np.array_equal(gen.random(9), fresh.random(9))
 
     def test_rekey_matches_fresh_stream(self):
         gen = _stream(3, 0)
