@@ -66,7 +66,9 @@ from .rates import (
 from .specfun import bose_occupation, dawson, gaussian_ft, integrate_adaptive
 from .trajectories import (
     NoiseField,
+    EnsembleCheck,
     TrajectoryEnsemble,
+    ensemble_check,
     ensemble_compare,
     sample_colored_noise,
     unravel_linear,

@@ -56,7 +56,10 @@ def step_trajectory_chunk(psi, u_step, ls_scaled, noise, save_stride, out, step0
     psi: (n_chunk, d) states after global step ``step0``, advanced in place
     u_step: (d, d) one-step propagator of the effective Hamiltonian
     ls_scaled: (n_jump, d, d), sqrt(gamma_k) * L_k
-    noise: (n_chunk, n_block, n_jump) complex increments, E|dxi|^2 = dt
+    noise: (n_chunk, n_block, n_jump) complex increments with E dxi = 0 and
+        E dxi_k dxi_l* = delta_kl dt, any array of that shape (a strided view
+        included); ``unravel_linear`` hands it the phases sqrt(dt) * {1, i,
+        -1, -i}, and the mean of the projectors needs no other moment
     out: (n_chunk, n_save, d); the state after global step s is written to
         ``out[:, s // save_stride]`` whenever s is a multiple of save_stride
         (s = 0 included, when step0 is 0)

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .integrability import MomentumGridModel, SliceLattice, boost_interchange_re
 from .kernels import CoherentReadoutKernel, GaussianKernel
 from .langevin import ModeMoments, ModeParams, stationary_fdr_check, write_moment_trajectory_csv
 from .rates import RateQuery, kappa_markov, kappa_markov_kms, kappa_tcl, lamb_shift_coefficient
-from .trajectories import ensemble_compare, sample_colored_noise, unravel_linear, write_ensemble_csv
+from .trajectories import ensemble_check, sample_colored_noise, unravel_linear, write_ensemble_csv
 
 SCENARIOS = (
     "rates", "lamb_shift", "markov_limit", "kms", "gkls", "langevin",
@@ -462,16 +462,11 @@ def _run_unravel(cfg):
                          p["unravel.n_traj"], cfg.seed, n_out=p["unravel.n_out"])
     out = cfg.output_path / "unravel.csv"
     write_ensemble_csv(ens, out)
-    max_dev, max_sigma = ensemble_compare(ens, model, rho0)
-    stat = float(ens.stat_error.max())
-    trace_ok = all(
-        abs(np.trace(ms).real - 1.0) <= max(3.0 * se, 1e-12)
-        for ms, se in zip(ens.mean_state, ens.stat_error)
-    )
+    check = ensemble_check(ens, model, rho0, p["unravel.dt"])
     return (
-        {"max_deviation": max_dev, "max_sigma_units": max_sigma, "stat_error": stat},
-        {"mean_matches_master_equation": bool(max_dev <= max(0.02, 5.0 * stat)),
-         "mean_trace_within_errors": bool(trace_ok)},
+        {"stat_error": float(ens.stat_error.max()), **asdict(check)},
+        {"mean_matches_master_equation": check.mean_ok,
+         "mean_trace_within_errors": check.trace_ok},
         [out.name],
     )
 

@@ -5,11 +5,18 @@ noise sampler draws Gaussian fields whose two-point function reproduces the
 smeared environment correlator.  The linear (unnormalized) unraveling evolves
 pure states by
 
-    |psi> <- exp(-i H_eff dt) |psi> + sum_k sqrt(gamma_k) L_k dxi_k |psi>,
+    |psi> <- U |psi> + sum_k dxi_k Lt_k |psi>,   U = exp(-i H_eff dt),
+    Lt_k = sqrt(gamma_k) L_k,
 
-with complex increments E[dxi dxi*] = dt, E[dxi dxi] = 0, read in the Ito
-sense (deterministic contraction applied exactly, noise at weak order one); the elementary Ito identity then makes the ensemble mean of
-|psi><psi| obey the GKLS equation, which is what ``ensemble_compare`` checks.
+with complex increments E[dxi_k] = 0, E[dxi_k dxi_l*] = delta_kl dt and
+E[dxi dxi] = 0.  The step is linear in dxi and |psi><psi| quadratic in psi,
+so the ensemble mean of the projector obeys rho <- Phi(rho) = U rho U^H +
+dt sum_k Lt_k rho Lt_k^H exactly, whatever else the increments' law is;
+Phi^n rho0 differs from exp(n dt L) rho0 by the scheme's O(dt) bias, which
+``ensemble_check`` bounds apart from the Monte-Carlo error.  The increments
+are uniform phases sqrt(dt) * {1, i, -1, -i}, two random bits each: the
+simplified weak Euler scheme with discrete increments (Kloeden & Platen
+1992, ch. 14).
 
 Reproducibility: trajectory r (and noise realization r) draws from a
 counter-based Philox stream keyed by (seed, r), so a fixed seed gives
@@ -17,15 +24,18 @@ bit-identical results regardless of how the work is scheduled or chunked
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A
 keyed stream is a pure function of its key and position: it can be drawn in
 blocks, and one generator can be re-keyed to (seed, r) at counter 0, without
-changing a single draw.
+changing a single draw.  Increment (r, s, k) of the unraveling is the 2-bit
+field f = s * n_jump + k of stream r's raw 64-bit words: word f // 32, bits
+2 (f mod 32) and 2 (f mod 32) + 1.
 
 Memory: ``unravel_linear`` steps at most ``_CHUNK`` trajectories at a time,
 through noise blocks of at most ``_NOISE_BYTES`` (or of one step, should one
-step of a chunk need more), so its working memory is O(chunk * block) plus
-the saved states, whatever the number of steps.  ``sample_colored_noise``
-draws R = ``_SAMPLE_BYTES`` // (16 n) realizations at a time and keeps only
-their n x n sum of outer products, so its working memory is O(R * n + n^2)
-on an n-point grid: no O(n_real * n) buffer exists unless a caller reads
+step of a chunk need more), decoded from a word buffer of ``_WORDS`` words
+per trajectory, so its working memory is O(chunk * block) plus the saved
+states, whatever the number of steps.  ``sample_colored_noise`` draws R =
+``_SAMPLE_BYTES`` // (16 n) realizations at a time and keeps only their n x n
+sum of outer products, so its working memory is O(R * n + n^2) on an n-point
+grid: no O(n_real * n) buffer exists unless a caller reads
 ``NoiseField.samples``.
 """
 
@@ -40,7 +50,7 @@ import numpy as np
 from ._accel import step_trajectory_chunk
 from ._csv import write_csv
 from .correlators import EnvironmentSpec, wightman_timelike
-from .gkls import DensityMatrix, GKLSModel, evolve, expm, step_count
+from .gkls import DensityMatrix, GKLSModel, build_generator, evolve, expm, step_count, unvec, vec
 from .kernels import ClockKernel, PositivityError
 
 __all__ = [
@@ -49,6 +59,9 @@ __all__ = [
     "sample_colored_noise",
     "unravel_linear",
     "ensemble_compare",
+    "EnsembleCheck",
+    "ensemble_check",
+    "one_step_means",
     "write_ensemble_csv",
 ]
 
@@ -56,8 +69,14 @@ __all__ = [
 _CHUNK = 1024
 #: bytes of the complex noise block a chunk is stepped through
 _NOISE_BYTES = 2 * 2**20
+#: raw 64-bit words a trajectory draws at a time, 32 two-bit increments each
+_WORDS = 32
 #: bytes of the block of normal draws the colored-noise sampler multiplies at once
 _SAMPLE_BYTES = 256 * 2**10
+#: deviations of a mean within this are rounding, not Monte-Carlo error
+_ROUNDING = 1e-12
+#: family-wise false-alarm rate of each ``ensemble_check`` test
+_FALSE_ALARM = 1e-3
 
 
 @functools.cache
@@ -94,6 +113,35 @@ def _rekey(gen: np.random.Generator, seed: int, index: int) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _phase_table(dt: float) -> np.ndarray:
+    """The increment each two-bit field value selects: sqrt(dt) * (1, i, -1, -i).
+
+    Uniform over the four, so E xi = 0, E |xi|^2 = dt and E xi^2 = 0.
+    """
+    return math.sqrt(dt) * np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _decode(packed: np.ndarray, first: int, out: np.ndarray, table: np.ndarray) -> None:
+    """out[:, j] <- table[field first + j] of the same row of ``packed``.
+
+    ``packed`` holds a row's fields four to a byte, field f at bits 2 (f mod
+    4) and above of byte f // 4: the little-endian bytes of its drawn words.
+    Rows are decoded 2**15 fields at a time, so the intp copy of the fields
+    that ``np.take`` makes stays at 256 KiB.
+    """
+    rows, n = out.shape
+    b0, b1 = first // 4, (first + n + 3) // 4
+    skip = first - 4 * b0
+    step = max(1, 2**15 // n)
+    for r in range(0, rows, step):
+        fields = np.empty((min(step, rows - r), b1 - b0, 4), dtype=np.uint8)
+        for q in range(4):
+            np.right_shift(packed[r:r + step, b0:b1], 2 * q, out=fields[..., q])
+        fields &= 3
+        np.take(table, fields.reshape(len(fields), -1)[:, skip:skip + n],
+                out=out[r:r + step], mode="wrap")
 
 
 def _draw_blocks(seed: int, n: int, n_real: int):
@@ -247,6 +295,29 @@ def _ensemble_summaries(states):
     return means, errs
 
 
+def _step_operators(m: GKLSModel, dt: float):
+    """(u_step, ls_scaled): exp(-i H_eff dt) and the sqrt(gamma_k) L_k of a
+    model with a diagonal Kossakowski block, for a dt small against H_eff."""
+    K = m.kossakowski
+    off = K - np.diag(np.diag(K))
+    if K.size and np.abs(off).max() > 1e-12 * max(np.abs(K).max(), 1.0):
+        raise ValueError(
+            "kossakowski block must be diagonal: rotate to eigenjumps first"
+        )
+    gammas = np.real(np.diag(K))
+    H_eff = m.hamiltonian - 0.5j * sum(
+        g * (L.conj().T @ L) for g, (L, _) in zip(gammas, m.jump_operators)
+    )
+    if dt * np.linalg.norm(H_eff, 2) > 0.05 + 1e-12:
+        raise ValueError("dt too large: require dt * ||H_eff|| <= 0.05")
+    u_step = np.ascontiguousarray(expm(-1j * dt * H_eff))
+    ls_scaled = np.ascontiguousarray(np.array(
+        [math.sqrt(max(g, 0.0)) * L for g, (L, _) in zip(gammas, m.jump_operators)],
+        dtype=complex,
+    ).reshape(len(gammas), m.dim, m.dim))
+    return u_step, ls_scaled
+
+
 def unravel_linear(
     m: GKLSModel,
     rho0: DensityMatrix,
@@ -263,9 +334,15 @@ def unravel_linear(
     States are recorded at ``n_out`` evenly spaced grid times including both
     endpoints, so (n_out - 1) must divide the step count.
 
-    Trajectory r draws its increments from the stream keyed (seed, r); each
-    chunk keeps one generator per trajectory and draws the noise one step
-    block at a time, so no buffer grows with n_traj * n_steps.
+    The increments are sqrt(dt) * {1, i, -1, -i}, picked by 2-bit fields of
+    trajectory r's stream keyed (seed, r): increment (s, k) is field s *
+    n_jump + k, in word (s * n_jump + k) // 32.  Each chunk keeps one
+    generator per trajectory, draws ``_WORDS`` raw words per trajectory for
+    each 32 * ``_WORDS`` fields, and decodes them through the 4-entry
+    ``_phase_table`` one step block at a time, so no buffer grows with
+    n_traj * n_steps.  The ensemble mean of the projectors has exactly the
+    expectation Phi^n rho0 it would have with Gaussian increments; only the
+    fluctuations differ.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
@@ -273,43 +350,42 @@ def unravel_linear(
     if eigvals[-1] < 1.0 - 1e-10:
         raise ValueError("unravel_linear requires a pure (rank-1) initial state")
     psi0 = np.ascontiguousarray(eigvecs[:, -1])
-    K = m.kossakowski
-    off = K - np.diag(np.diag(K))
-    if K.size and np.abs(off).max() > 1e-12 * max(np.abs(K).max(), 1.0):
-        raise ValueError(
-            "kossakowski block must be diagonal: rotate to eigenjumps first"
-        )
-    gammas = np.real(np.diag(K))
-    ls = np.array([L for L, _ in m.jump_operators])
-    H_eff = m.hamiltonian - 0.5j * sum(
-        g * (L.conj().T @ L) for g, (L, _) in zip(gammas, m.jump_operators)
-    )
-    if dt * np.linalg.norm(H_eff, 2) > 0.05 + 1e-12:
-        raise ValueError("dt too large: require dt * ||H_eff|| <= 0.05")
+    u_step, ls_scaled = _step_operators(m, dt)
     n_steps = step_count(t, dt)
     if n_out < 2 or n_steps % (n_out - 1) != 0:
         raise ValueError("(n_out - 1) must divide the number of steps")
     stride = n_steps // (n_out - 1)
-    u_step = np.ascontiguousarray(expm(-1j * dt * H_eff))
-    ls_scaled = np.ascontiguousarray(
-        np.array([math.sqrt(max(g, 0.0)) * L for g, L in zip(gammas, ls)])
-    )
+    n_jump = len(ls_scaled)
+    table = _phase_table(dt)
     chunk = min(_CHUNK, n_traj)
-    block = max(1, min(n_steps, _NOISE_BYTES // (16 * chunk * max(len(gammas), 1))))
-    noise = np.empty((chunk, block, len(gammas)), dtype=complex)
+    block = max(1, min(n_steps, _NOISE_BYTES // (16 * chunk * max(n_jump, 1))))
+    noise = np.empty((chunk, block * n_jump), dtype=complex)
+    window = 32 * _WORDS
+    words = np.empty((chunk, _WORDS), dtype="<u8")
+    packed = words.view(np.uint8)
     states = np.empty((n_traj, n_out, m.dim), dtype=complex)
     streams = [_stream(seed, 0) for _ in range(chunk)]
+    draws = [gen.bit_generator.random_raw for gen in streams]
     for start in range(0, n_traj, chunk):
-        stop = min(start + chunk, n_traj)
-        for r, gen in zip(range(start, stop), streams):
+        rows = min(chunk, n_traj - start)
+        for r, gen in zip(range(start, start + rows), streams):
             _rekey(gen, seed, r)
-        psi = np.tile(psi0, (stop - start, 1))
+        psi = np.tile(psi0, (rows, 1))
         for step0 in range(0, n_steps, block):
-            buf = noise[: stop - start, : min(block, n_steps - step0)]
-            for gen, rows in zip(streams, buf):
-                gen.standard_normal(out=rows.view(np.float64))
-            buf *= math.sqrt(dt / 2.0)
-            step_trajectory_chunk(psi, u_step, ls_scaled, buf, stride, states[start:stop], step0)
+            steps = min(block, n_steps - step0)
+            buf = noise[:rows, : steps * n_jump]
+            # fields f0 .. f1 - 1, cut where a new window of words is drawn
+            f0 = f = step0 * n_jump
+            f1 = f0 + buf.shape[1]
+            while f < f1:
+                if f % window == 0:
+                    for draw, row in zip(draws, words[:rows]):
+                        row[...] = draw(_WORDS)
+                piece = min(f1, f - f % window + window) - f
+                _decode(packed[:rows], f % window, buf[:, f - f0 : f - f0 + piece], table)
+                f += piece
+            step_trajectory_chunk(psi, u_step, ls_scaled, buf.reshape(rows, steps, n_jump),
+                                  stride, states[start:start + rows], step0)
     grid = dt * stride * np.arange(n_out)
     mean, err = _ensemble_summaries(states)
     return TrajectoryEnsemble(
@@ -333,6 +409,128 @@ def ensemble_compare(e: TrajectoryEnsemble, m: GKLSModel, rho0: DensityMatrix):
         if e.stat_error[i] > 0.0:
             max_sigma = max(max_sigma, dev / e.stat_error[i])
     return (max_dev, max_sigma)
+
+
+def one_step_means(m: GKLSModel, rho0: DensityMatrix, dt: float, grid) -> np.ndarray:
+    """Phi^n rho0 at each time n dt of ``grid``, which starts at 0.
+
+    Phi(rho) = U rho U^H + dt sum_k Lt_k rho Lt_k^H, with the U and Lt_k
+    ``unravel_linear`` steps by, is the one-step map of its ensemble mean:
+    Phi^n rho0 is the mean state's exact expectation after n steps.
+    """
+    u_step, ls_scaled = _step_operators(m, dt)
+    phi = np.kron(u_step.conj(), u_step)
+    for L in ls_scaled:
+        phi += dt * np.kron(L.conj(), L)
+    steps = np.rint(np.asarray(grid, dtype=float) / dt).astype(int)
+    v = vec(rho0.matrix)
+    means = np.empty((steps.size, m.dim, m.dim), dtype=complex)
+    means[0] = rho0.matrix
+    for i in range(1, steps.size):
+        v = np.linalg.matrix_power(phi, int(steps[i] - steps[i - 1])) @ v
+        means[i] = unvec(v, m.dim)
+    return means
+
+
+def _sidak_z(alpha: float, n: int) -> float:
+    """The z at which n independent |N(0, 1)| all stay below z with
+    probability 1 - alpha (Sidak); it bounds correlated normals as well."""
+    level = -math.expm1(math.log1p(-alpha) / n)
+    lo, hi = 0.0, 40.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if math.erfc(mid / math.sqrt(2.0)) > level else (lo, mid)
+    return hi
+
+
+def _sigma_units(dev: float, se: float) -> float:
+    """|dev| in units of se once ``_ROUNDING`` is taken off: 0 within
+    rounding, infinite beyond it with no spread, NaN for a NaN deviation."""
+    excess = max(abs(dev) - _ROUNDING, 0.0)
+    if excess == 0.0:
+        return 0.0
+    return excess / se if se > 0.0 else math.inf
+
+
+@dataclass(frozen=True)
+class EnsembleCheck:
+    """An unraveling's mean state against the master equation, split into a
+    Monte-Carlo part in units of its own standard errors and the scheme's
+    deterministic bias.
+
+    Monte-Carlo part: at each saved time the mean state is compared with its
+    exact expectation Phi^n rho0 (``one_step_means``), coordinate by
+    coordinate (the d^2 real coordinates of a Hermitian matrix) and in its
+    trace, each deviation over the standard error of that same estimate.
+    ``mean_sigma_units`` and ``trace_sigma_units`` are the largest of these.
+    Each is bounded by a Sidak z at family-wise false-alarm rate ``alpha``
+    (``_FALSE_ALARM``): ``mean_z_bound`` over the (n_out - 1) d^2
+    coordinates, ``trace_z_bound`` over the n_out - 1 times t > 0.
+    Deviations within ``_ROUNDING`` count as zero, so t = 0 and noiseless
+    coordinates must match to rounding.
+
+    Bias part: ``scheme_bias`` = max_t ||Phi^n rho0 - exp(t L) rho0||_F,
+    bounded by ``scheme_bias_bound`` = t dt ||L||_2^2, the O(dt^2 ||L||^2)
+    error of one step summed over t / dt steps.  ``trace_defect`` =
+    max_t |tr Phi^n rho0 - 1| is the part of it in the trace, so |tr
+    rho_mean - 1| is within trace_z_bound standard errors plus trace_defect.
+
+    ``max_deviation`` = max_t ||rho_mean - exp(t L) rho0||_F, both parts
+    together, is the deviation ``ensemble_compare`` reports.
+    """
+
+    alpha: float
+    max_deviation: float
+    mean_sigma_units: float
+    mean_z_bound: float
+    trace_sigma_units: float
+    trace_z_bound: float
+    trace_defect: float
+    scheme_bias: float
+    scheme_bias_bound: float
+
+    @property
+    def mean_ok(self) -> bool:
+        return bool(self.mean_sigma_units <= self.mean_z_bound
+                    and self.scheme_bias <= self.scheme_bias_bound)
+
+    @property
+    def trace_ok(self) -> bool:
+        return bool(self.trace_sigma_units <= self.trace_z_bound)
+
+
+def ensemble_check(e: TrajectoryEnsemble, m: GKLSModel, rho0: DensityMatrix,
+                   dt: float) -> EnsembleCheck:
+    """The ``EnsembleCheck`` of an ``unravel_linear`` ensemble stepped by dt."""
+    expected = one_step_means(m, rho0, dt, e.grid)
+    exact = np.array([evolve(m, rho0, float(t)).matrix for t in e.grid])
+    root_n = math.sqrt(e.n_traj)
+    mean_z, trace_z = np.empty(e.grid.size), np.empty(e.grid.size)
+    for i in range(e.grid.size):
+        psi = e.states[:, i]
+        dev = e.mean_state[i] - expected[i]
+        # the d^2 real coordinates: Re rho_jk for j <= k, Im rho_jk for j < k
+        z = []
+        for j, k in zip(*np.triu_indices(m.dim)):
+            proj = psi[:, j] * psi[:, k].conj()
+            z.append(_sigma_units(float(dev[j, k].real), proj.real.std() / root_n))
+            if j < k:
+                z.append(_sigma_units(float(dev[j, k].imag), proj.imag.std() / root_n))
+        mean_z[i] = np.max(z)
+        norms = np.einsum("rj,rj->r", psi.real, psi.real) + np.einsum("rj,rj->r", psi.imag, psi.imag)
+        trace_z[i] = _sigma_units(float(np.trace(dev).real), norms.std() / root_n)
+    gen_norm = np.linalg.norm(build_generator(m).matrix, 2)
+    return EnsembleCheck(
+        alpha=_FALSE_ALARM,
+        max_deviation=float(np.linalg.norm(e.mean_state - exact, axis=(1, 2)).max()),
+        mean_sigma_units=float(mean_z.max()),
+        mean_z_bound=_sidak_z(_FALSE_ALARM, (e.grid.size - 1) * m.dim**2),
+        trace_sigma_units=float(trace_z.max()),
+        trace_z_bound=_sidak_z(_FALSE_ALARM, e.grid.size - 1),
+        trace_defect=float(np.abs(np.trace(expected, axis1=1, axis2=2) - 1.0).max()),
+        scheme_bias=float(np.linalg.norm(expected - exact, axis=(1, 2)).max()),
+        scheme_bias_bound=float(e.grid[-1] * dt * gen_norm**2),
+    )
 
 
 def write_ensemble_csv(e: TrajectoryEnsemble, path) -> None:

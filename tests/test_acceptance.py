@@ -223,7 +223,7 @@ def test_09_trajectory_master_equation_equivalence():
     stat = float(ens.stat_error.max())
     ok = max_dev <= max(0.02, 5.0 * stat)
     elapsed = time.perf_counter() - t0
-    ok &= elapsed < 10.0
+    ok &= elapsed < 5.0
     _report(9, "trajectory-master-equation", ok,
             f"max_dev={max_dev:.4f} bound={max(0.02, 5 * stat):.4f} t={elapsed:.1f}s")
 

@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.stats
 
 from relclock import _accel, trajectories
 from relclock.correlators import EnvironmentSpec
@@ -11,8 +14,11 @@ from relclock.gkls import DensityMatrix, GKLSModel, expm, qubit_decay_model
 from relclock.kernels import GaussianKernel
 from relclock.trajectories import (
     _rekey,
+    _sidak_z,
     _stream,
+    ensemble_check,
     ensemble_compare,
+    one_step_means,
     sample_colored_noise,
     unravel_linear,
     write_ensemble_csv,
@@ -61,11 +67,21 @@ def _matvec_noise(root, n_real, seed):
     return samples
 
 
+def _philox_increments(seed, r, n_fields, dt):
+    """Stream r's first ``n_fields`` increments, decoded here from the raw
+    words of Philox(key=(seed, r)): field f is bits 2 (f mod 32) and
+    2 (f mod 32) + 1 of word f // 32 and selects sqrt(dt) * (1, i, -1, -i)."""
+    words = np.random.Philox(key=np.array([seed, r], dtype=np.uint64)).random_raw(-(-n_fields // 32))
+    fields = [(int(words[f // 32]) >> (2 * (f % 32))) & 3 for f in range(n_fields)]
+    return math.sqrt(dt) * np.array([1, 1j, -1, -1j])[fields]
+
+
 def _reference_unravel(m, psi0, t, dt, n_traj, seed, n_out):
-    """The whole-stream unraveling, written out: each trajectory draws all of
-    its increments in one call, then every trajectory takes every step.  The
-    step propagator is the package's own expm, so a bit-exact match tests the
-    keyed streams and the chunking, not the exponential."""
+    """The whole-stream unraveling, written out: each trajectory decodes all
+    of its increments from one draw of raw words, then every trajectory
+    takes every step.  The step propagator is the package's own expm, so a
+    bit-exact match tests the keyed streams, the decoding and the chunking,
+    not the exponential."""
     gammas = np.real(np.diag(m.kossakowski))
     n_jump, n_steps = len(gammas), int(round(t / dt))
     stride = n_steps // (n_out - 1)
@@ -73,10 +89,8 @@ def _reference_unravel(m, psi0, t, dt, n_traj, seed, n_out):
         g * (L.conj().T @ L) for g, (L, _) in zip(gammas, m.jump_operators))
     u_step = np.ascontiguousarray(expm(-1j * dt * H_eff))
     ls = [math.sqrt(g) * L for g, (L, _) in zip(gammas, m.jump_operators)]
-    noise = np.empty((n_traj, n_steps, n_jump), dtype=complex)
-    for r in range(n_traj):
-        g = _philox(seed, r).standard_normal((n_steps, n_jump, 2))
-        noise[r] = math.sqrt(dt / 2.0) * (g[..., 0] + 1j * g[..., 1])
+    noise = np.array([_philox_increments(seed, r, n_steps * n_jump, dt).reshape(n_steps, n_jump)
+                      for r in range(n_traj)])
     psi = np.broadcast_to(psi0, (n_traj, psi0.size)).copy()
     out = [psi]
     for s in range(n_steps):
@@ -87,6 +101,24 @@ def _reference_unravel(m, psi0, t, dt, n_traj, seed, n_out):
         if (s + 1) % stride == 0:
             out.append(psi)
     return np.stack(out, axis=1)
+
+
+def _recorded_noise(monkeypatch, *args, **kwargs):
+    """``unravel_linear(*args, **kwargs)`` and the increments it stepped
+    through, as one (n_traj, n_steps, n_jump) array."""
+    chunks = []
+    stepper = trajectories.step_trajectory_chunk
+
+    def recording(psi, u_step, ls_scaled, noise, save_stride, out, step0=0):
+        if step0 == 0:
+            chunks.append([])
+        chunks[-1].append(noise.copy())
+        return stepper(psi, u_step, ls_scaled, noise, save_stride, out, step0)
+
+    monkeypatch.setattr(trajectories, "step_trajectory_chunk", recording)
+    ens = unravel_linear(*args, **kwargs)
+    monkeypatch.setattr(trajectories, "step_trajectory_chunk", stepper)
+    return ens, np.concatenate([np.concatenate(blocks, axis=1) for blocks in chunks])
 
 
 class TestColoredNoise:
@@ -283,14 +315,16 @@ class TestUnravelLinear:
 
     def test_chunk_schedule_independence(self, monkeypatch):
         # trajectory r depends only on (seed, r): a run with more
-        # trajectories, split into 64-trajectory chunks and 7-step noise
-        # blocks, reproduces the one-chunk, one-block runs bit for bit
+        # trajectories, split into 64-trajectory chunks, 7-step noise blocks
+        # and one-word draws (so blocks start mid-word and straddle draws),
+        # reproduces the one-chunk, one-block runs bit for bit
         m = qubit_decay_model(1.0, 1.0)
         rho0 = DensityMatrix.pure([1, 0])
         small = unravel_linear(m, rho0, 0.2, 1e-3, 5, seed=13, n_out=5)
         whole = unravel_linear(m, rho0, 0.2, 1e-3, 300, seed=13, n_out=5)
         monkeypatch.setattr(trajectories, "_CHUNK", 64)
         monkeypatch.setattr(trajectories, "_NOISE_BYTES", 16 * 64 * 7)
+        monkeypatch.setattr(trajectories, "_WORDS", 1)
         large = unravel_linear(m, rho0, 0.2, 1e-3, 300, seed=13, n_out=5)
         assert np.array_equal(small.states, large.states[:5])
         assert np.array_equal(whole.states, large.states)
@@ -304,28 +338,33 @@ class TestUnravelLinear:
         whole = unravel_linear(m, rho0, 0.05, 1e-3, 300, seed=19, n_out=6)
         monkeypatch.setattr(trajectories, "_CHUNK", 64)
         monkeypatch.setattr(trajectories, "_NOISE_BYTES", 16 * 64 * 2 * 7)
+        monkeypatch.setattr(trajectories, "_WORDS", 1)
         large = unravel_linear(m, rho0, 0.05, 1e-3, 300, seed=19, n_out=6)
         assert np.all(np.isfinite(whole.states))
         assert np.array_equal(small.states, large.states[:5])
         assert np.array_equal(whole.states, large.states)
 
-    @pytest.mark.parametrize("model, n_traj, chunk, block", [
-        (qubit_decay_model(1.0, 1.0), 20, 8, 7),
-        (GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5])), 20, 8, 7),
-        (GKLSModel(2, 0.5 * SZ, [], np.zeros((0, 0))), 20, 8, 7),
-        (qubit_decay_model(1.0, 1.0), 1100, None, None),
-    ], ids=["one_jump", "two_jumps", "closed", "default_sizes"])
-    def test_matches_whole_stream_reference(self, monkeypatch, model, n_traj, chunk, block):
-        # blocks of 7 steps straddle the saves every 10 steps; the default
+    @pytest.mark.parametrize("model, n_traj, chunk, block, n_steps, n_out", [
+        (qubit_decay_model(1.0, 1.0), 20, 8, 7, 60, 7),
+        (GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5])), 20, 8, 7, 60, 7),
+        (GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0), (SM.T, 1.0)], np.diag([1.0, 0.5, 0.25])),
+         20, 8, 7, 350, 8),
+        (GKLSModel(2, 0.5 * SZ, [], np.zeros((0, 0))), 20, 8, 7, 60, 7),
+        (qubit_decay_model(1.0, 1.0), 1100, None, None, 200, 11),
+    ], ids=["one_jump", "two_jumps", "three_jumps", "closed", "default_sizes"])
+    def test_matches_whole_stream_reference(self, monkeypatch, model, n_traj, chunk, block,
+                                            n_steps, n_out):
+        # blocks of 7 steps straddle the saves every 10 (or 50) steps; three
+        # jumps take 21 fields a block, so blocks start mid-word and one
+        # straddles the draws of fields 0..1023 and 1024..2047; the default
         # sizes take two chunks (1024 + 76) and two noise blocks (128 + 72)
         if chunk is not None:
             monkeypatch.setattr(trajectories, "_CHUNK", chunk)
             monkeypatch.setattr(trajectories, "_NOISE_BYTES", 16 * chunk * max(
                 len(model.jump_operators), 1) * block)
-        n_steps = 60 if chunk is not None else 200
         psi0 = np.array([0.6, 0.8j])
         ens = unravel_linear(model, DensityMatrix.pure(psi0), n_steps * 1e-3, 1e-3,
-                             n_traj, seed=29, n_out=7 if chunk is not None else 11)
+                             n_traj, seed=29, n_out=n_out)
         # start from the state as unravel_linear phases it
         expected = _reference_unravel(model, ens.states[0, 0], n_steps * 1e-3, 1e-3,
                                       n_traj, 29, ens.grid.size)
@@ -347,12 +386,18 @@ class TestUnravelLinear:
         assert math.isnan(max_dev) and math.isnan(max_sigma)
 
     def test_mc_scaling(self):
+        # the Monte-Carlo error falls as 1/sqrt(N): the standard error halves
+        # from 500 to 2000 trajectories, and each mean stays within its own
+        # standard errors of the exact expectation
         m = qubit_decay_model(1.0, 1.0)
         rho0 = DensityMatrix.pure([1, 0])
-        dev1 = ensemble_compare(unravel_linear(m, rho0, 1.0, 1e-3, 500, seed=21), m, rho0)[0]
-        dev4 = ensemble_compare(unravel_linear(m, rho0, 1.0, 1e-3, 2000, seed=21), m, rho0)[0]
-        ratio = dev1 / dev4
+        e1 = unravel_linear(m, rho0, 1.0, 1e-3, 500, seed=21)
+        e4 = unravel_linear(m, rho0, 1.0, 1e-3, 2000, seed=21)
+        ratio = e1.stat_error.max() / e4.stat_error.max()
         assert 2.0 / 1.4 <= ratio <= 2.0 * 1.4
+        for e in (e1, e4):
+            check = ensemble_check(e, m, rho0, 1e-3)
+            assert check.mean_ok and check.trace_ok
 
     def test_preconditions(self):
         m = qubit_decay_model(1.0, 1.0)
@@ -366,20 +411,146 @@ class TestUnravelLinear:
         with pytest.raises(ValueError):
             unravel_linear(m2, DensityMatrix.pure([1, 0]), 1.0, 1e-3, 10, seed=1)
 
-    def test_site_noise_streams_uncorrelated(self):
-        # hypersurface-white discretization: channels at distinct sites draw
-        # independent increments; their sample cross covariance vanishes
-        n_traj, n_steps = 400, 200
-        dt = 1e-2
-        acc = 0.0
+    def test_site_noise_streams_uncorrelated(self, monkeypatch):
+        # hypersurface-white discretization: channels at distinct sites take
+        # independent increments.  The increments the unraveling steps
+        # through, for two jumps, have |dxi|^2 = dt exactly, and their mean,
+        # their square and their cross-channel product vanish within five
+        # standard errors
+        m = GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5]))
+        n_traj, n_steps, dt = 400, 200, 1e-2
+        _, xi = _recorded_noise(monkeypatch, m, DensityMatrix.pure([1, 0]), n_steps * dt, dt,
+                                n_traj, seed=99)
+        assert xi.shape == (n_traj, n_steps, 2)
+        assert np.all(np.abs(xi) ** 2 == pytest.approx(dt, rel=1e-15))
+        n = n_traj * n_steps
+        bound = 5.0 / math.sqrt(n)
+        for k in range(2):
+            assert abs(xi[..., k].mean()) / math.sqrt(dt) <= bound
+            assert abs(np.mean(xi[..., k] ** 2)) / dt <= bound
+        assert abs(np.mean(xi[..., 0] * xi[..., 1].conj())) / dt <= bound
+        assert abs(np.mean(xi[..., 0] * xi[..., 1])) / dt <= bound
+
+    def test_increments_decode_keyed_words(self, monkeypatch):
+        # increment (r, s, k) is field s * n_jump + k of the raw words of
+        # Philox(key=(seed, r)), decoded here; 600 steps of two jumps take
+        # two draws of 32 words per trajectory
+        m = GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5]))
+        n_traj, n_steps, dt = 5, 600, 1e-3
+        _, xi = _recorded_noise(monkeypatch, m, DensityMatrix.pure([1, 0]), n_steps * dt, dt,
+                                n_traj, seed=2**40 + 3)
         for r in range(n_traj):
-            g = np.random.Generator(
-                np.random.Philox(key=np.array([99, r], dtype=np.uint64))
-            ).standard_normal((n_steps, 2, 2))
-            xi = math.sqrt(dt / 2) * (g[..., 0] + 1j * g[..., 1])
-            acc += np.sum(xi[:, 0] * np.conj(xi[:, 1]))
-        cross = abs(acc) / (n_traj * n_steps * dt)
-        assert cross <= 4.0 / math.sqrt(n_traj)
+            expected = _philox_increments(2**40 + 3, r, 2 * n_steps, dt)
+            assert np.array_equal(xi[r].ravel(), expected)
+
+    def test_phase_table_moments(self):
+        # the four increments are equally likely: E xi = 0, E |xi|^2 = dt,
+        # E xi^2 = 0, and two channels' independent fields are uncorrelated
+        dt = 0.037
+        table = trajectories._phase_table(dt)
+        assert table.shape == (4,)
+        assert abs(table.mean()) <= 1e-17
+        assert np.mean(np.abs(table) ** 2) == pytest.approx(dt, rel=1e-15)
+        assert abs(np.mean(table**2)) <= 1e-17
+        pairs = np.array(list(itertools.product(table, repeat=2)))
+        assert abs(np.mean(pairs[:, 0] * pairs[:, 1].conj())) <= 1e-17
+        assert abs(np.mean(pairs[:, 0] * pairs[:, 1])) <= 1e-17
+
+    @pytest.mark.parametrize("model, n_steps", [
+        (qubit_decay_model(1.0, 1.0), 3),
+        (qubit_decay_model(1.0, 1.0), 5),
+        (GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5])), 3),
+        (GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5])), 4),
+    ], ids=["one_jump_3", "one_jump_5", "two_jumps_3", "two_jumps_4"])
+    def test_exact_mean_is_one_step_map(self, model, n_steps):
+        # every one of the 4^(n_steps * n_jump) increment paths, stepped by
+        # the package's stepper and table, weighted equally: the exact
+        # ensemble mean, which must be Phi^n rho0 with Phi(rho) = U rho U^H
+        # + dt sum_k Lt_k rho Lt_k^H built here, to rounding
+        dt = 0.05
+        gammas = np.real(np.diag(model.kossakowski))
+        H_eff = model.hamiltonian - 0.5j * sum(
+            g * (L.conj().T @ L) for g, (L, _) in zip(gammas, model.jump_operators))
+        U = scipy.linalg.expm(-1j * dt * H_eff)
+        ls = [math.sqrt(g) * L for g, (L, _) in zip(gammas, model.jump_operators)]
+        u_step, ls_scaled = trajectories._step_operators(model, dt)
+        n_jump = len(ls)
+        paths = np.array(list(itertools.product(range(4), repeat=n_steps * n_jump)))
+        noise = trajectories._phase_table(dt)[paths].reshape(len(paths), n_steps, n_jump)
+        psi0 = np.array([0.6, 0.8j])
+        psi = np.tile(psi0, (len(paths), 1))
+        out = np.empty((len(paths), n_steps + 1, 2), dtype=complex)
+        _accel.step_trajectory_chunk(psi, u_step, ls_scaled, noise, 1, out)
+        # summed along a contiguous axis, pairwise, so the 4^n terms round
+        # to about log2(4^n) ulps
+        proj = np.ascontiguousarray(np.einsum("rsi,rsj->sijr", out, out.conj()))
+        means = proj.sum(axis=-1) / len(paths)
+        rho0 = DensityMatrix.pure(psi0)
+        ours = one_step_means(model, rho0, dt, dt * np.arange(n_steps + 1))
+        rho = np.outer(psi0, psi0.conj())
+        for s in range(n_steps + 1):
+            assert np.abs(means[s] - rho).max() <= 1e-14
+            assert np.abs(ours[s] - rho).max() <= 1e-14
+            rho = U @ rho @ U.conj().T + dt * sum(L @ rho @ L.conj().T for L in ls)
+
+    def test_sidak_z(self):
+        for alpha, n in [(1e-3, 1), (1e-3, 10), (1e-3, 40), (0.05, 3), (1e-6, 1000)]:
+            level = -math.expm1(math.log1p(-alpha) / n)
+            assert _sidak_z(alpha, n) == pytest.approx(scipy.stats.norm.isf(level / 2), rel=1e-12)
+
+    @pytest.mark.parametrize("n_traj, t, seed", [(2000, 1.0, 2), (2000, 1.0, 4), (512, 20.0, 5)])
+    def test_ensemble_check_passes(self, n_traj, t, seed):
+        # the mean state within its own standard errors of Phi^n rho0, and
+        # the scheme's bias within t dt ||L||^2; the deep run at seed 5 is
+        # the one whose trace failed the old 3-sigma check
+        m = qubit_decay_model(1.0, 1.0)
+        rho0 = DensityMatrix.pure([1, 0])
+        ens = unravel_linear(m, rho0, t, 1e-3, n_traj, seed=seed)
+        check = ensemble_check(ens, m, rho0, 1e-3)
+        assert check.mean_ok and check.trace_ok
+        assert check.mean_z_bound == _sidak_z(1e-3, 40)
+        assert check.trace_z_bound == _sidak_z(1e-3, 10)
+        # the bias of this model is its trace gain, sum_n p_n (exp(-dt) - 1 + dt)
+        p = np.exp(-1e-3 * np.arange(int(round(t / 1e-3))))
+        assert check.scheme_bias == pytest.approx(np.sum(p * (math.expm1(-1e-3) + 1e-3)), rel=1e-6)
+        assert check.trace_defect == pytest.approx(check.scheme_bias, rel=1e-6)
+
+    @pytest.mark.parametrize("scale, jump_rate", [(math.sqrt(2.0), 1.0), (1.0, 0.0)],
+                             ids=["variance_2dt", "jump_dropped"])
+    def test_ensemble_check_catches_wrong_sampler(self, monkeypatch, scale, jump_rate):
+        # increments of variance 2 dt, or states stepped without the jump
+        # term, fail both checks by many standard errors
+        m = qubit_decay_model(1.0, 1.0)
+        rho0 = DensityMatrix.pure([1, 0])
+        table = trajectories._phase_table
+        monkeypatch.setattr(trajectories, "_phase_table", lambda dt: scale * jump_rate * table(dt))
+        ens = unravel_linear(m, rho0, 1.0, 1e-3, 2000, seed=2)
+        check = ensemble_check(ens, m, rho0, 1e-3)
+        assert not check.mean_ok and not check.trace_ok
+        assert min(check.mean_sigma_units, check.trace_sigma_units) > 5 * check.mean_z_bound
+
+    def test_ensemble_check_nan_fails(self):
+        m = qubit_decay_model(1.0, 1.0)
+        rho0 = DensityMatrix.pure([1, 0])
+        ens = unravel_linear(m, rho0, 0.1, 1e-3, 4, seed=1)
+        states = ens.states.copy()
+        states[2, 3, 1] = complex(math.nan, 0.0)
+        mean = ens.mean_state.copy()
+        mean[3, 1, 1] = math.nan
+        check = ensemble_check(dataclasses.replace(ens, states=states, mean_state=mean), m, rho0, 1e-3)
+        assert not check.mean_ok and not check.trace_ok
+
+    def test_ensemble_check_zero_time_exact(self):
+        # t = 0 carries no Monte-Carlo spread: a mean state off by more
+        # than rounding there fails, however small
+        m = qubit_decay_model(1.0, 1.0)
+        rho0 = DensityMatrix.pure([1, 0])
+        ens = unravel_linear(m, rho0, 0.1, 1e-3, 200, seed=1)
+        assert ensemble_check(ens, m, rho0, 1e-3).trace_ok
+        mean = ens.mean_state.copy()
+        mean[0, 1, 1] += 1e-9
+        check = ensemble_check(dataclasses.replace(ens, mean_state=mean), m, rho0, 1e-3)
+        assert not check.mean_ok and not check.trace_ok
 
 
 def _dense_three_level():
