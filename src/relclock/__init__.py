@@ -69,7 +69,6 @@ from .trajectories import (
     EnsembleCheck,
     TrajectoryEnsemble,
     ensemble_check,
-    ensemble_compare,
     sample_colored_noise,
     unravel_linear,
 )

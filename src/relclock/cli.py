@@ -177,6 +177,7 @@ _GRID_SIZES = {
     "langevin.n_times": 1,
     "noise.grid_points": 1,
     "cq.cells": 2,
+    "boost.grid_size": 8,  # the coarsest refinement grid, n/4, needs 2 modes
     "markov_limit.sigmas": 1,
     "kms.sigmas": 1,
     "curl.sigmas": 1,
@@ -284,6 +285,8 @@ def parse_config(
             params["lamb_shift.cutoff"] = 40.0 * mass
         if scenario == "kms" and params["kms.omega"] is None:
             params["kms.omega"] = 2.0 * mass
+    if scenario == "cq" and not params["cq.t"] > 0:
+        raise ConfigError(f"[cq] t must be > 0, got {params['cq.t']}")
     digest = hashlib.sha256(text.encode()).hexdigest()
     return ScenarioConfig(
         scenario=scenario, parameters=params, output_path=output,
@@ -476,7 +479,7 @@ def _run_noise(cfg):
     env, kernel = _env_from(p), _kernel_from(p)
     grid = np.linspace(0.0, p["noise.t_span"], p["noise.grid_points"])
     field = sample_colored_noise(env, kernel, grid, p["noise.n_real"], cfg.seed)
-    sample = field.sample_covariance()
+    sample = field.covariance
     planes = (field.target_covariance.real, field.target_covariance.imag, sample.real, sample.imag)
     rows = ((i, j, *cells) for i in range(grid.size)
             for j, cells in enumerate(zip(*(plane[i].tolist() for plane in planes))))
@@ -520,7 +523,7 @@ def _run_boost(cfg):
     rows, outputs = [], {}
     results = {}
     for source in ("comoving_covariant", "geometric_normal"):
-        model = MomentumGridModel.from_environment(
+        model = MomentumGridModel(
             env, p["boost.grid_size"], p["boost.theta_max"], p["boost.system_mass"], source,
         )
         res = boost_interchange_residual(model, p["boost.d_rapidity"])

@@ -135,8 +135,10 @@ class GKLSModel:
 
     ``hamiltonian`` is the full coherent part (system plus any Lamb shift);
     the Bohr eigenoperator check runs against ``system_hamiltonian`` (defaults
-    to ``hamiltonian``).  Pass ``validate=False`` only to probe deliberately
-    broken models, e.g. non-PSD rate matrices in CP tests.
+    to ``hamiltonian``).  Every model is validated on construction: the
+    Kossakowski block must be PSD and couple equal Bohr frequencies only.  A
+    deliberately broken generator, such as one with a non-PSD rate matrix,
+    is built from ``generator_matrix`` directly.
     """
 
     def __init__(
@@ -146,7 +148,6 @@ class GKLSModel:
         jump_operators,
         kossakowski,
         system_hamiltonian=None,
-        validate: bool = True,
     ):
         self.dim = int(dim)
         self.hamiltonian = np.asarray(hamiltonian, dtype=complex)
@@ -162,8 +163,7 @@ class GKLSModel:
             if system_hamiltonian is None
             else np.asarray(system_hamiltonian, dtype=complex)
         )
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         d = self.dim
@@ -293,8 +293,9 @@ def build_generator(m: GKLSModel) -> Superoperator:
     return Superoperator(matrix=generator_matrix(m.hamiltonian, ops, m.kossakowski))
 
 
-def cp_choi_check(s: Superoperator, dt: float, tol: float = 1e-10) -> ChoiVerdict:
-    """Choi-positivity test of the short-time channel exp(dt * L)."""
+def cp_choi_check(s: Superoperator, dt: float) -> ChoiVerdict:
+    """Choi-positivity test of the short-time channel exp(dt * L): CP when
+    the least Choi eigenvalue is >= -1e-10."""
     M = s.matrix
     d = s.dim
     if dt < 0.0:
@@ -311,7 +312,20 @@ def cp_choi_check(s: Superoperator, dt: float, tol: float = 1e-10) -> ChoiVerdic
             choi += np.kron(Eij, unit)
         # (kron ordering fixed by the column-stacking convention above)
     min_eig = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
-    return ChoiVerdict(is_cp=min_eig >= -tol, min_choi_eigenvalue=min_eig)
+    return ChoiVerdict(is_cp=min_eig >= -1e-10, min_choi_eigenvalue=min_eig)
+
+
+def check_uniform_grid(grid: np.ndarray, name: str) -> None:
+    """Raise unless the 1-D ``grid`` is distinct, evenly spaced points.
+
+    Every step must lie within 1e-9 of the first, relative, plus 1e-12 of
+    the largest |point|, so the rounding of a linspace passes; a zero step
+    (a repeated point, or a zero-width grid) raises.  One point passes.
+    """
+    steps = np.diff(grid)
+    tol = 1e-12 * np.abs(grid).max(initial=0.0) + 1e-9 * np.abs(steps[:1])
+    if np.any(steps == 0.0) or not np.all(np.abs(steps - steps[:1]) <= tol):
+        raise ValueError(f"{name} must be uniform: distinct, evenly spaced points")
 
 
 def step_count(t: float, dt: float) -> int:
@@ -340,17 +354,16 @@ def stationarity_check(m: GKLSModel, rho: DensityMatrix) -> float:
     return float(np.linalg.norm(gen.matrix @ vec(rho.matrix)))
 
 
-def bohr_decompose(H_S, A, tol: float | None = None):
+def bohr_decompose(H_S, A):
     """Split A into Bohr eigenoperators of H_S, [H_S, A_w] = w A_w.
 
-    Frequencies within ``tol`` (default 1e-9 * ||H_S||) are binned together.
+    Frequencies within 1e-9 * max(||H_S||, 1) are binned together.
     Returns a list of (component, frequency) whose components sum to A.
     """
     H = np.asarray(H_S, dtype=complex)
     A = np.asarray(A, dtype=complex)
     eigvals, V = np.linalg.eigh(H)
-    if tol is None:
-        tol = 1e-9 * max(np.linalg.norm(H, 2), 1.0)
+    tol = 1e-9 * max(np.linalg.norm(H, 2), 1.0)
     At = V.conj().T @ A @ V
     d = H.shape[0]
     bins: dict[int, tuple[float, np.ndarray]] = {}
@@ -382,9 +395,7 @@ def bohr_decompose(H_S, A, tol: float | None = None):
     return out
 
 
-def qubit_decay_model(
-    omega0: float, gamma_down: float, gamma_up: float = 0.0, lamb_shift: float = 0.0
-) -> GKLSModel:
+def qubit_decay_model(omega0: float, gamma_down: float, gamma_up: float = 0.0) -> GKLSModel:
     """Two-level model: H = omega0 sz/2, lowering/raising channels.
 
     The lowering operator carries label -omega0 and rate ``gamma_down``;
@@ -392,8 +403,6 @@ def qubit_decay_model(
     """
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
-    H_S = 0.5 * omega0 * sz
-    H = H_S + 0.5 * lamb_shift * sz
     jumps = [(sm, -omega0)]
     rates = [gamma_down]
     if gamma_up != 0.0:
@@ -401,8 +410,7 @@ def qubit_decay_model(
         rates.append(gamma_up)
     return GKLSModel(
         dim=2,
-        hamiltonian=H,
+        hamiltonian=0.5 * omega0 * sz,
         jump_operators=jumps,
         kossakowski=np.diag(rates).astype(complex),
-        system_hamiltonian=H_S,
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._accel import fv_drift_diffusion_step
 from ._csv import write_csv
-from .gkls import expm, generator_matrix, step_count
+from .gkls import check_uniform_grid, expm, generator_matrix, step_count
 from .kernels import psd_margin
 
 __all__ = [
@@ -127,19 +127,17 @@ class HybridState:
     """Operator-valued weights over a uniform classical grid.
 
     ``blocks[c]`` is the Hermitian weight of cell c (density times cell
-    width); total trace is 1.  Block positivity is a property of valid
+    width); total trace is 1 to 1e-8.  Block positivity is a property of valid
     dynamics, not a construction invariant, so it is exposed via
     :meth:`min_block_eigenvalue` rather than enforced.
     """
 
-    def __init__(self, z_grid, blocks, trace_tol: float = 1e-8):
+    def __init__(self, z_grid, blocks):
         z = np.asarray(z_grid, dtype=float)
         b = np.asarray(blocks, dtype=complex)
         if z.ndim != 1 or z.size < 2:
             raise ValueError("z_grid must be a 1d grid with >= 2 cells")
-        dz = np.diff(z)
-        if np.abs(dz - dz[0]).max() > 1e-9 * abs(dz[0]):
-            raise ValueError("z_grid must be uniform")
+        check_uniform_grid(z, "z_grid")
         if b.ndim != 3 or b.shape[0] != z.size or b.shape[1] != b.shape[2]:
             raise ValueError("blocks must be (n_cells, d, d)")
         if np.abs(b - b.conj().transpose(0, 2, 1)).max() > 1e-10 * max(
@@ -147,7 +145,7 @@ class HybridState:
         ):
             raise ValueError("blocks must be Hermitian")
         tr = float(np.real(np.einsum("cii->", b)))
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > 1e-8:
             raise ValueError(f"total trace must be 1 (got {tr!r})")
         self.z_grid = z
         self.blocks = b
@@ -266,7 +264,7 @@ def cq_evolve_grid(
         blocks = fv_drift_diffusion_step(blocks, V, D, dz, 0.5 * dt)
     blocks = np.einsum("ia,cab,jb->cij", Q, blocks, Q.conj())  # rotate out
     blocks = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
-    return HybridState(z, blocks, trace_tol=1e-8)
+    return HybridState(z, blocks)
 
 
 def write_hybrid_csv(st: HybridState, path) -> None:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,15 +58,12 @@ class SliceLattice:
     n_sites: int
     heights: tuple
     spacing: float
-    site_dim: int = 2
     rate_mode: str = "normal_independent"
     site_energy: float = 3.0
 
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("n_sites must be >= 1")
-        if self.site_dim != 2:
-            raise ValueError("only qubit sites are supported")
         if self.rate_mode not in ("normal_independent", "normal_sampled"):
             raise ValueError(f"unknown rate_mode {self.rate_mode!r}")
         h = tuple(float(v) for v in self.heights)
@@ -179,29 +175,24 @@ def _deformed(l: SliceLattice, site: int, eps: float) -> SliceLattice:
 
 
 def functional_curl_residual(
-    l: SliceLattice,
-    x: int,
-    y: int,
-    env: EnvironmentSpec,
-    kernel: ClockKernel,
-    eps: Optional[float] = None,
+    l: SliceLattice, x: int, y: int, env: EnvironmentSpec, kernel: ClockKernel
 ) -> CurlResidual:
     """Discrete functional curvature ||[L_x, L_y] + D_xy - D_yx||.
 
     D_xy is the finite-difference response of the site-y generator to a
-    height deformation at x (nonzero only when x sits in y's normal stencil
-    and rates are normal sampled).  Central differences are used: the clock
-    frame rates are even in the site rapidity, so a one-sided difference
-    would leave a spurious O(eps) residual on flat slices where the exact
-    shape derivative vanishes.  Spectral norms throughout, exact on the 16 x 16
-    superoperators of sites {x, y} (rates still read the whole lattice): each
-    operator is A kron I up to a fixed permutation of the vec index, and
-    ||A kron I||_2 = ||A||_2.  The commutator is structurally zero for x != y.
+    height deformation eps = 1e-4 * spacing at x (nonzero only when x sits
+    in y's normal stencil and rates are normal sampled).  Central
+    differences are used: the clock frame rates are even in the site
+    rapidity, so a one-sided difference would leave a spurious O(eps)
+    residual on flat slices where the exact shape derivative vanishes.
+    Spectral norms throughout, exact on the 16 x 16 superoperators of sites
+    {x, y} (rates still read the whole lattice): each operator is A kron I
+    up to a fixed permutation of the vec index, and ||A kron I||_2 =
+    ||A||_2.  The commutator is structurally zero for x != y.
     """
     if x == y:
         raise ValueError("x and y must differ")
-    if eps is None:
-        eps = 1e-4 * l.spacing
+    eps = 1e-4 * l.spacing
     gen = lambda lat, site: _site_generator(lat, site, (x, y), env, kernel).matrix
     Lx, Ly = gen(l, x), gen(l, y)
     comm = Lx @ Ly - Ly @ Lx
@@ -226,62 +217,39 @@ def functional_curl_residual(
 class MomentumGridModel:
     """Independent field modes on a rapidity-uniform momentum grid.
 
-    ``rates`` holds Gamma(p_j) >= 0; ``rate_fn`` maps the sampled frequency
-    k.n to a rate so refined grids can be rebuilt.  ``rate_source`` fixes how
-    rates respond to a boost: transported for ``comoving_covariant``, frozen
-    for ``geometric_normal``.
+    ``n_modes`` rapidities theta_j span [-theta_max, theta_max], so p_j =
+    mass sinh theta_j.  A mode's rate is the vacuum ideal-clock rate of
+    ``env`` at its sampled frequency k.n.  ``rate_source`` fixes how rates
+    respond to a boost: transported for ``comoving_covariant`` (k.n is the
+    boosted mode energy), frozen for ``geometric_normal`` (k.n stays the
+    unboosted energy).  The refinement study runs n_modes, n_modes/2 and
+    n_modes/4 modes, so n_modes must be a multiple of 4 in [8, 64].
     """
 
-    momenta: np.ndarray
-    mass: float
-    rates: np.ndarray
-    rate_source: str
+    env: EnvironmentSpec
+    n_modes: int
     theta_max: float
-    rate_fn: Callable[[np.ndarray], np.ndarray]
-    sample_rapidity: float = 0.0
+    mass: float
+    rate_source: str
 
     def __post_init__(self):
         if self.rate_source not in ("geometric_normal", "comoving_covariant"):
             raise ValueError(f"unknown rate_source {self.rate_source!r}")
-        if self.momenta.size > 64:
+        if self.n_modes > 64:
             raise ValueError("momentum grid larger than 64 modes")
-        if np.any(self.rates < 0.0):
-            raise ValueError("rates must be >= 0")
+        if self.n_modes < 8:
+            raise ValueError(
+                f"n_modes must be >= 8 for the refinement study (its coarsest "
+                f"grid, n_modes/4, needs 2 modes), got {self.n_modes}"
+            )
+        if self.n_modes % 4 != 0:
+            raise ValueError(
+                f"n_modes must be divisible by 4 for the refinement study, got {self.n_modes}"
+            )
 
-    @property
-    def n_modes(self) -> int:
-        return self.momenta.size
-
-    @classmethod
-    def from_environment(
-        cls,
-        env: EnvironmentSpec,
-        n_modes: int,
-        theta_max: float,
-        system_mass: float,
-        rate_source: str,
-        sample_rapidity: float = 0.0,
-    ) -> "MomentumGridModel":
-        """Vacuum ideal-clock rates sampled on a rapidity-uniform grid."""
-
-        def rate_fn(kn):
-            return np.array([kappa_markov_vacuum(env, -x) for x in np.atleast_1d(kn)])
-
-        theta = np.linspace(-theta_max, theta_max, n_modes)
-        p = system_mass * np.sinh(theta)
-        if rate_source == "comoving_covariant":
-            kn = system_mass * np.cosh(theta)
-        else:
-            kn = system_mass * np.cosh(theta - sample_rapidity)
-        return cls(
-            momenta=p,
-            mass=system_mass,
-            rates=rate_fn(kn),
-            rate_source=rate_source,
-            theta_max=theta_max,
-            rate_fn=rate_fn,
-            sample_rapidity=sample_rapidity,
-        )
+    def rates_at(self, kn: np.ndarray) -> np.ndarray:
+        """Vacuum ideal-clock rates Gamma(k.n) >= 0, one per sampled frequency."""
+        return np.array([kappa_markov_vacuum(self.env, -x) for x in kn])
 
 
 @dataclass(frozen=True)
@@ -300,46 +268,41 @@ class BoostResidual:
 PACKET_FAMILY = ((-0.27, 0.10), (0.0, 0.10), (0.27, 0.10))
 
 
-def _packet_family(theta: np.ndarray, theta_max: float, family):
-    for frac, wfrac in family:
+def _packet_family(theta: np.ndarray, theta_max: float):
+    for frac, wfrac in PACKET_FAMILY:
         v = np.exp(-((theta - frac * theta_max) ** 2) / (2.0 * (wfrac * theta_max) ** 2))
         yield (v / np.linalg.norm(v)).astype(complex)
 
 
-def _residual_on_grid(m: MomentumGridModel, n: int, deta: float, zero_rates: bool,
-                      family=PACKET_FAMILY):
+def _residual_on_grid(m: MomentumGridModel, n: int, deta: float, zero_rates: bool):
     theta = np.linspace(-m.theta_max, m.theta_max, n)
     h = theta[1] - theta[0]
     E = m.mass * np.cosh(theta)
     E_after = m.mass * np.cosh(theta - deta)
     if zero_rates:
-        G_before = np.zeros_like(theta)
-        G_after = G_before
-    elif m.rate_source == "comoving_covariant":
-        G_before = m.rate_fn(m.mass * np.cosh(theta))
-        G_after = m.rate_fn(m.mass * np.cosh(theta - deta))
+        G_before = G_after = np.zeros_like(theta)
     else:
-        G_before = m.rate_fn(m.mass * np.cosh(theta - m.sample_rapidity))
-        G_after = G_before
+        G_before = m.rates_at(E)
+        G_after = m.rates_at(E_after) if m.rate_source == "comoving_covariant" else G_before
     L_before = -0.5 * G_before - 1j * E
     L_after = -0.5 * G_after - 1j * E_after
     B = np.sinc((theta[:, None] - deta - theta[None, :]) / h)
     worst = 0.0
-    for v in _packet_family(theta, m.theta_max, family):
+    for v in _packet_family(theta, m.theta_max):
         edge_mass = abs(v[0]) ** 2 + abs(v[-1]) ** 2
         if edge_mass > 1e-12:
+            # reported at the caller of boost_interchange_residual, past
+            # this frame and the generator expression that calls it
             warnings.warn(
                 "test packet leaves the momentum grid; relabeled modes are "
-                "zero padded", stacklevel=3,
+                "zero padded", stacklevel=4,
             )
         diff = B @ (L_before * v) - L_after * (B @ v)
         worst = max(worst, float(np.linalg.norm(diff)) / deta)
     return worst
 
 
-def boost_interchange_residual(
-    m: MomentumGridModel, d_rapidity: float = 1e-3, packet_family=PACKET_FAMILY
-) -> BoostResidual:
+def boost_interchange_residual(m: MomentumGridModel, d_rapidity: float = 1e-3) -> BoostResidual:
     """Residual of (boost then evolve) minus (evolve then boost), per rapidity.
 
     Runs the model grid alongside its 2x and 4x coarsenings and reports the
@@ -350,15 +313,9 @@ def boost_interchange_residual(
     if not 0.0 < d_rapidity < 0.1:
         raise ValueError("d_rapidity must be small and positive")
     n = m.n_modes
-    if n % 4 != 0:
-        raise ValueError("mode count must be divisible by 4 for the refinement study")
     sizes = (n // 4, n // 2, n)
-    residuals = tuple(
-        _residual_on_grid(m, k, d_rapidity, False, packet_family) for k in sizes
-    )
-    baselines = tuple(
-        _residual_on_grid(m, k, d_rapidity, True, packet_family) for k in sizes
-    )
+    residuals = tuple(_residual_on_grid(m, k, d_rapidity, False) for k in sizes)
+    baselines = tuple(_residual_on_grid(m, k, d_rapidity, True) for k in sizes)
     order = math.log2(residuals[-2] / residuals[-1]) if residuals[-1] > 0.0 else math.inf
     return BoostResidual(
         residual=residuals[-1],

@@ -30,8 +30,8 @@ __all__ = [
     "positivity_gram_check",
 ]
 
-#: Default tolerance on the minimum Gram eigenvalue.  Numerically PSD
-#: matrices routinely show eigenvalues around -1e-13.
+#: Tolerance on the minimum Gram eigenvalue.  Numerically PSD matrices
+#: routinely show eigenvalues around -1e-13.
 GRAM_TOLERANCE = 1e-10
 
 #: Dropped Poisson tail weight allowed when truncating the coherent series.
@@ -83,11 +83,12 @@ class SpectralMeasure:
     density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     density_halfwidth: float = 0.0
 
-    def total_mass(self, tol: float = 1e-9) -> float:
+    def total_mass(self) -> float:
+        """Atom weights plus the density integrated to 1e-9 over its support."""
         mass = float(np.sum(self.atoms[:, 1])) if self.atoms.size else 0.0
         if self.density is not None:
             L = self.density_halfwidth
-            mass += integrate_adaptive(self.density, -L, L, tol).value
+            mass += integrate_adaptive(self.density, -L, L, 1e-9).value
         return mass
 
 
@@ -148,22 +149,18 @@ class CoherentReadoutKernel(ClockKernel):
     w(s) = exp(-R^2) * sum_n (R^2)^n / n! * cos(n omega_C s), a convex
     mixture of cosines, hence positive type.  For R >> 1 it approaches a
     Gaussian of width ~ 1/(R omega_C) near s = 0.  The series is truncated
-    where the dropped Poisson tail is below ``SERIES_TAIL``.
+    at the least order whose dropped Poisson tail is below ``SERIES_TAIL``.
     """
 
     R: float
     omega_C: float
-    series_truncation: Optional[int] = None  # None means "choose from the tail bound"
 
     def __post_init__(self):
         if self.R < 0.0:
             raise ValueError(f"R must be >= 0, got {self.R!r}")
         if not self.omega_C > 0.0:
             raise ValueError(f"omega_C must be > 0, got {self.omega_C!r}")
-        if self.series_truncation is None:
-            object.__setattr__(self, "series_truncation", self._auto_truncation())
-        weights = self._poisson_weights(self.series_truncation)
-        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_weights", self._poisson_weights(self._auto_truncation()))
 
     def _auto_truncation(self) -> int:
         lam = self.R * self.R
@@ -322,22 +319,21 @@ class TabulatedKernel(ClockKernel):
             )
         return float(self._interp(np.clip(s, -self._range, self._range)))
 
-    def spectrum(self, n_grid: int = 2048) -> SpectralMeasure:
-        # Discrete transform on a uniform resampling of the table.  When the
-        # table itself is uniform its own grid is used, so node values enter
-        # the transform exactly; off-grid interpolation of kinked data would
-        # otherwise manufacture spurious negative leakage.
+    def spectrum(self) -> SpectralMeasure:
+        # Discrete transform on a uniform resampling of the table at 2048
+        # points.  When the table itself is uniform its own grid is used, so
+        # node values enter the transform exactly; off-grid interpolation of
+        # kinked data would otherwise manufacture spurious negative leakage.
         S = self._range
         nodes = self._interp.x
         steps = np.diff(nodes)
         if nodes.size >= 16 and np.abs(steps - steps[0]).max() < 1e-9 * steps[0]:
             s = nodes[:-1]
-            n_grid = s.size
         else:
-            s = np.linspace(-S, S, n_grid, endpoint=False)
+            s = np.linspace(-S, S, 2048, endpoint=False)
         w = self._interp(s)
         ds = s[1] - s[0]
-        freqs = 2.0 * math.pi * np.fft.fftfreq(n_grid, d=ds)
+        freqs = 2.0 * math.pi * np.fft.fftfreq(s.size, d=ds)
         # continuous transform via DFT, undoing the grid-offset phase;
         # an even kernel gives a real spectrum
         vals = np.real(np.exp(1j * freqs * S) * np.fft.fft(w)) * ds
@@ -367,13 +363,11 @@ def kernel_spectrum(k: ClockKernel) -> SpectralMeasure:
     return k.spectrum()
 
 
-def positivity_gram_check(
-    k: ClockKernel, times: Sequence[float], tol: float = GRAM_TOLERANCE
-) -> PositiveTypeVerdict:
+def positivity_gram_check(k: ClockKernel, times: Sequence[float]) -> PositiveTypeVerdict:
     """Certify positive-typeness of w on a sample grid.
 
     Builds the Gram matrix M[j, k] = w(t_j - t_k) and reports the minimum
-    eigenvalue; the kernel passes iff it is >= -tol.
+    eigenvalue; the kernel passes iff it is >= -``GRAM_TOLERANCE``.
     """
     t = np.asarray(times, dtype=float)
     if t.size < 2:
@@ -381,4 +375,4 @@ def positivity_gram_check(
     diff = t[:, None] - t[None, :]
     M = np.vectorize(k.evaluate)(diff)
     min_eig = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min())
-    return PositiveTypeVerdict(positive_type=min_eig >= -tol, min_eigenvalue=min_eig)
+    return PositiveTypeVerdict(positive_type=min_eig >= -GRAM_TOLERANCE, min_eigenvalue=min_eig)

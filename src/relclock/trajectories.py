@@ -50,7 +50,8 @@ import numpy as np
 from ._accel import step_trajectory_chunk
 from ._csv import write_csv
 from .correlators import EnvironmentSpec, wightman_timelike
-from .gkls import DensityMatrix, GKLSModel, build_generator, evolve, expm, step_count, unvec, vec
+from .gkls import (DensityMatrix, GKLSModel, build_generator, check_uniform_grid, evolve, expm,
+                   step_count, unvec, vec)
 from .kernels import ClockKernel, PositivityError
 
 __all__ = [
@@ -58,7 +59,6 @@ __all__ = [
     "TrajectoryEnsemble",
     "sample_colored_noise",
     "unravel_linear",
-    "ensemble_compare",
     "EnsembleCheck",
     "ensemble_check",
     "one_step_means",
@@ -200,29 +200,22 @@ class NoiseField:
             z[start:stop] = (xi @ self.root.T)[: stop - start]
         return z
 
-    def sample_covariance(self) -> np.ndarray:
-        """(1/N) sum_r z_r z_r^H over the N = ``n_real`` realizations."""
-        return self.covariance
-
 
 def sample_colored_noise(
-    env: EnvironmentSpec,
-    kernel: ClockKernel,
-    grid,
-    n_real: int,
-    seed: int,
-    cutoff: float | None = None,
+    env: EnvironmentSpec, kernel: ClockKernel, grid, n_real: int, seed: int
 ) -> NoiseField:
     """Draw Gaussian noise with covariance C(t_j - t_k) from the smeared bath.
 
-    ``grid`` must be uniform: one point, or distinct evenly spaced points.
-    The target covariance is then Hermitian Toeplitz, so C is evaluated once
-    per lag, at t_0 - t_k rounded to 12 decimals, and C(-s) = conj(C(s))
-    fills the other triangle.  Factorization is the Hermitian
-    eigen-square-root with negative eigenvalues clipped at zero (the clipped
-    mass is reported); a significantly negative spectrum signals a bad kernel
-    and raises instead.  Realization r is ``root @ xi`` with xi drawn from
-    the stream keyed (seed, r).
+    C is ``wightman_timelike`` at its default energy cutoff, 40 m_E.
+    ``grid`` must be uniform: one point, or distinct evenly spaced points
+    (``gkls.check_uniform_grid``).  The target covariance is then Hermitian
+    Toeplitz, so C is evaluated once per lag, at t_0 - t_k rounded to 12
+    decimals, and C(-s) = conj(C(s)) fills the other triangle.
+    Factorization is the Hermitian eigen-square-root with negative
+    eigenvalues clipped at zero (the clipped mass is reported); a
+    significantly negative spectrum signals a bad kernel and raises instead.
+    Realization r is ``root @ xi`` with xi drawn from the stream keyed
+    (seed, r).
 
     The sample covariance is streamed: the draws come in fixed blocks of
     R = ``_SAMPLE_BYTES`` // (16 n) rows (at least one), and S = sum_r
@@ -236,15 +229,12 @@ def sample_colored_noise(
         raise ValueError("noise grid must be a non-empty 1-D array of finite times")
     if t.size > 256:
         raise ValueError("noise grid larger than 256 points")
-    steps = np.diff(t)
-    if np.any(steps == 0.0) or not np.allclose(steps, steps[:1], rtol=1e-9,
-                                               atol=1e-12 * np.abs(t).max()):
-        raise ValueError("noise grid must be uniform: distinct, evenly spaced times")
+    check_uniform_grid(t, "noise grid")
     if n_real < 1:
         raise ValueError("need at least one realization")
     n = t.size
-    row = np.array([wightman_timelike(env, kernel, round(t[0] - tk, 12), cutoff=cutoff)
-                    for tk in t], dtype=complex)
+    row = np.array([wightman_timelike(env, kernel, round(t[0] - tk, 12)) for tk in t],
+                   dtype=complex)
     # M[j, k] is row[k - j] on and above the diagonal, conj(row[j - k]) below
     full = np.concatenate((row[:0:-1].conj(), row))
     M = np.lib.stride_tricks.sliding_window_view(full, n)[::-1]
@@ -394,23 +384,6 @@ def unravel_linear(
     )
 
 
-def ensemble_compare(e: TrajectoryEnsemble, m: GKLSModel, rho0: DensityMatrix):
-    """Max Frobenius deviation of the ensemble mean from evolve(), absolute
-    and in units of the per-time statistical error; both NaN when the mean
-    holds a NaN, so no check can pass on it."""
-    if np.isnan(e.mean_state).any():
-        return (math.nan, math.nan)
-    max_dev = 0.0
-    max_sigma = 0.0
-    for i, t in enumerate(e.grid):
-        exact = evolve(m, rho0, float(t)).matrix
-        dev = float(np.linalg.norm(e.mean_state[i] - exact))
-        max_dev = max(max_dev, dev)
-        if e.stat_error[i] > 0.0:
-            max_sigma = max(max_sigma, dev / e.stat_error[i])
-    return (max_dev, max_sigma)
-
-
 def one_step_means(m: GKLSModel, rho0: DensityMatrix, dt: float, grid) -> np.ndarray:
     """Phi^n rho0 at each time n dt of ``grid``, which starts at 0.
 
@@ -475,8 +448,9 @@ class EnsembleCheck:
     max_t |tr Phi^n rho0 - 1| is the part of it in the trace, so |tr
     rho_mean - 1| is within trace_z_bound standard errors plus trace_defect.
 
-    ``max_deviation`` = max_t ||rho_mean - exp(t L) rho0||_F, both parts
-    together, is the deviation ``ensemble_compare`` reports.
+    ``max_deviation`` = max_t ||rho_mean - exp(t L) rho0||_F is both parts
+    together: the ensemble mean's whole deviation from the master equation,
+    NaN when the mean holds a NaN.
     """
 
     alpha: float

@@ -40,7 +40,7 @@ from relclock.rates import (
     odd_kernel_transform,
 )
 from relclock.specfun import bose_occupation
-from relclock.trajectories import ensemble_compare, sample_colored_noise, unravel_linear
+from relclock.trajectories import ensemble_check, sample_colored_noise, unravel_linear
 
 VAC = EnvironmentSpec(mass_E=1.0, coupling_g=1.0)
 
@@ -219,7 +219,7 @@ def test_09_trajectory_master_equation_equivalence():
     model = qubit_decay_model(1.0, 1.0)
     rho0 = DensityMatrix.pure([1.0, 0.0])
     ens = unravel_linear(model, rho0, t=1.0, dt=1e-3, n_traj=10_000, seed=909)
-    max_dev, max_sigma = ensemble_compare(ens, model, rho0)
+    max_dev = ensemble_check(ens, model, rho0, 1e-3).max_deviation
     stat = float(ens.stat_error.max())
     ok = max_dev <= max(0.02, 5.0 * stat)
     elapsed = time.perf_counter() - t0
@@ -233,7 +233,7 @@ def test_10_colored_noise_covariance():
     field = sample_colored_noise(
         VAC, GaussianKernel(1.0), np.linspace(0.0, 4.0, 32), 20_000, seed=1010
     )
-    err = np.linalg.norm(field.sample_covariance() - field.target_covariance)
+    err = np.linalg.norm(field.covariance - field.target_covariance)
     rel = err / np.linalg.norm(field.target_covariance)
     ok = rel <= 0.05
     elapsed = time.perf_counter() - t0
@@ -266,10 +266,10 @@ def test_11_curl_null_violation_split():
 def test_12_boost_interchange_split():
     t0 = time.perf_counter()
     cov = boost_interchange_residual(
-        MomentumGridModel.from_environment(VAC, 64, 3.0, 3.0, "comoving_covariant")
+        MomentumGridModel(VAC, 64, 3.0, 3.0, "comoving_covariant")
     )
     geo = boost_interchange_residual(
-        MomentumGridModel.from_environment(VAC, 64, 3.0, 3.0, "geometric_normal")
+        MomentumGridModel(VAC, 64, 3.0, 3.0, "geometric_normal")
     )
     decreasing = all(cov.residuals[i] / cov.residuals[i + 1] >= 1.7 for i in range(2))
     plateau = geo.residuals[1] / geo.residuals[2] < 1.7

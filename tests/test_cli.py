@@ -196,9 +196,12 @@ class TestMain:
         ("unravel", "n_traj = 0", "n_traj", "negative dimensions"),
         ("unravel", "n_traj = -3", "n_traj", "negative dimensions"),
         ("noise", "grid_points = 0", "grid", "zero-size array"),
+        ("cq", "t = 0", "[cq] t", "division by zero"),
+        ("cq", "z_min = 2\nz_max = 2", "z_grid", "division by zero"),
     ])
     def test_empty_sample_named(self, tmp_path, capsys, scenario, setting, named, numpy_message):
-        # an empty ensemble or grid is refused by name, before any artifact
+        # an empty ensemble, grid, duration or grid width is refused by name,
+        # before any artifact
         config = tmp_path / "cfg.ini"
         config.write_text(f"[run]\nscenario = {scenario}\nseed = 1\n\n[{scenario}]\n{setting}\n")
         out = tmp_path / "out"
@@ -215,6 +218,7 @@ class TestMain:
         ("langevin", "langevin", "n_times", ""),
         ("noise", "noise", "grid_points", ""),
         ("cq", "cq", "cells", ""),
+        ("boost", "boost", "grid_size", ""),
     ])
     def test_grid_size_named(self, tmp_path, capsys, scenario, section, key, extra, value):
         # refused when the config is parsed, before numpy's linspace sees it

@@ -180,6 +180,8 @@ class TestHybridState:
             HybridState(z, blocks)
         with pytest.raises(ValueError):
             HybridState(np.array([0.0, 0.1, 0.5]), np.zeros((3, 2, 2)))  # nonuniform
+        with pytest.raises(ValueError, match="z_grid"):
+            HybridState(np.full(3, 2.0), np.zeros((3, 2, 2)))  # zero width
 
     def test_moments(self):
         z = np.linspace(-5, 5, 200)

@@ -211,10 +211,10 @@ class TestCurlDenseOracle:
 class TestBoost:
     def test_covariant_refines_geometric_plateaus(self):
         cov = boost_interchange_residual(
-            MomentumGridModel.from_environment(ENV, 64, 3.0, 3.0, "comoving_covariant")
+            MomentumGridModel(ENV, 64, 3.0, 3.0, "comoving_covariant")
         )
         geo = boost_interchange_residual(
-            MomentumGridModel.from_environment(ENV, 64, 3.0, 3.0, "geometric_normal")
+            MomentumGridModel(ENV, 64, 3.0, 3.0, "geometric_normal")
         )
         # covariant: every refinement shrinks the residual
         assert cov.residuals[0] / cov.residuals[1] >= 1.7
@@ -233,28 +233,29 @@ class TestBoost:
 
     def test_zero_rate_matches_baseline(self):
         # with all rates off the residual is pure interpolation error
-        m = MomentumGridModel.from_environment(ENV, 32, 3.0, 3.0, "comoving_covariant")
-        zero = MomentumGridModel(
-            momenta=m.momenta, mass=m.mass, rates=np.zeros_like(m.rates),
-            rate_source="comoving_covariant", theta_max=m.theta_max,
-            rate_fn=lambda kn: np.zeros_like(np.atleast_1d(kn)),
-        )
-        res = boost_interchange_residual(zero)
+        off = EnvironmentSpec(coupling_g=0.0)
+        res = boost_interchange_residual(MomentumGridModel(off, 32, 3.0, 3.0, "comoving_covariant"))
         assert res.residuals == res.baselines
 
     def test_rapidity_step_validation(self):
-        m = MomentumGridModel.from_environment(ENV, 32, 3.0, 3.0, "comoving_covariant")
+        m = MomentumGridModel(ENV, 32, 3.0, 3.0, "comoving_covariant")
         with pytest.raises(ValueError):
             boost_interchange_residual(m, d_rapidity=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_modes"):
             boost_interchange_residual(
-                MomentumGridModel.from_environment(ENV, 30, 3.0, 3.0, "comoving_covariant")
+                MomentumGridModel(ENV, 30, 3.0, 3.0, "comoving_covariant")
             )
+        # the coarsest refinement grid, n/4, needs two modes
+        with pytest.raises(ValueError, match="n_modes must be >= 8"):
+            MomentumGridModel(ENV, 4, 3.0, 3.0, "comoving_covariant")
 
     def test_edge_leak_warns(self):
-        # a packet family wide enough to touch the grid edge gets flagged
-        m = MomentumGridModel.from_environment(ENV, 32, 3.0, 3.0, "comoving_covariant")
+        # on the 2-mode coarsest grid of an 8-mode model every packet touches
+        # the grid edge; the warning points at the caller of the residual
+        m = MomentumGridModel(ENV, 8, 3.0, 3.0, "comoving_covariant")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            boost_interchange_residual(m, packet_family=((0.0, 0.8),))
-        assert any("zero padded" in str(w.message) for w in caught)
+            boost_interchange_residual(m)
+        leaks = [w for w in caught if "zero padded" in str(w.message)]
+        assert leaks
+        assert all(w.filename == __file__ for w in leaks)

@@ -119,7 +119,7 @@ class TestGramCheck:
     def test_gaussian_random_times(self):
         rng = np.random.default_rng(11)
         times = rng.uniform(-10, 10, size=32)
-        assert positivity_gram_check(GaussianKernel(1.0), times, 1e-10)
+        assert positivity_gram_check(GaussianKernel(1.0), times)
 
     def test_builtin_kernels_random_grids(self):
         rng = np.random.default_rng(5)
@@ -130,14 +130,14 @@ class TestGramCheck:
             k = kernels[trial % len(kernels)]
             n = rng.integers(4, 65)
             times = rng.uniform(-8, 8, size=n)
-            verdict = positivity_gram_check(k, times, 1e-10)
+            verdict = positivity_gram_check(k, times)
             assert verdict.positive_type, verdict
 
     def test_triangle_positive(self):
         s = np.linspace(-2, 2, 41)
         k = TabulatedKernel(np.column_stack([s, 1 - np.abs(s) / 2]))
         times = np.linspace(-1, 1, 16)
-        assert positivity_gram_check(k, times, 1e-10)
+        assert positivity_gram_check(k, times)
 
     def test_cosine_mixture_positive(self):
         s = np.linspace(-20, 20, 4001)
@@ -146,12 +146,12 @@ class TestGramCheck:
         # times on multiples of the table spacing: differences hit table
         # nodes exactly, so the check sees the kernel, not pchip wiggle
         times = 0.17 * np.arange(24)
-        assert positivity_gram_check(k, times, 1e-10)
+        assert positivity_gram_check(k, times)
 
     def test_parabola_violation(self):
         s = np.linspace(-1, 1, 201)
         k = TabulatedKernel(np.column_stack([s, 1 - s**2]))
-        verdict = positivity_gram_check(k, np.linspace(-0.5, 0.5, 32), 1e-10)
+        verdict = positivity_gram_check(k, np.linspace(-0.5, 0.5, 32))
         assert not verdict.positive_type
         assert verdict.min_eigenvalue < -1e-10
 

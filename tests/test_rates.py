@@ -324,11 +324,11 @@ class TestKernelCertificate:
         return calls
 
     def test_certified_once_per_kernel(self, gram_calls):
-        # an explicit truncation no other test uses, so this kernel is new here
-        kernel = CoherentReadoutKernel(R=3.0, omega_C=1.0, series_truncation=61)
+        # a clock frequency no other test uses, so this kernel is new here
+        kernel = CoherentReadoutKernel(R=3.0, omega_C=1.1)
         for om in np.linspace(-4.0, 1.0, 50):
             RateQuery(omega=float(om), kernel=kernel, env=VAC)
-        twin = CoherentReadoutKernel(R=3.0, omega_C=1.0, series_truncation=61)
+        twin = CoherentReadoutKernel(R=3.0, omega_C=1.1)
         RateQuery(omega=-2.0, kernel=twin, env=VAC)
         assert gram_calls == [kernel]
 

@@ -17,7 +17,6 @@ from relclock.trajectories import (
     _sidak_z,
     _stream,
     ensemble_check,
-    ensemble_compare,
     one_step_means,
     sample_colored_noise,
     unravel_linear,
@@ -132,7 +131,7 @@ class TestColoredNoise:
     def test_sample_covariance_converges(self):
         env = EnvironmentSpec()
         field = sample_colored_noise(env, GaussianKernel(1.0), np.linspace(0, 4, 24), 20_000, seed=3)
-        err = np.linalg.norm(field.sample_covariance() - field.target_covariance)
+        err = np.linalg.norm(field.covariance - field.target_covariance)
         assert err / np.linalg.norm(field.target_covariance) <= 0.05
 
     def test_coupling_off_gives_zero(self):
@@ -172,10 +171,10 @@ class TestColoredNoise:
         calls, values = [], {}
         original = trajectories.wightman_timelike
 
-        def recording(env, kernel, s, cutoff=None):
+        def recording(env, kernel, s):
             calls.append(s)
             if s not in values:
-                values[s] = original(env, kernel, s, cutoff=cutoff)
+                values[s] = original(env, kernel, s)
             return values[s]
 
         monkeypatch.setattr(trajectories, "wightman_timelike", recording)
@@ -203,9 +202,9 @@ class TestColoredNoise:
         values = {}
         original = trajectories.wightman_timelike
 
-        def cached(env, kernel, s, cutoff=None):
+        def cached(env, kernel, s):
             if s not in values:
-                values[s] = original(env, kernel, s, cutoff=cutoff)
+                values[s] = original(env, kernel, s)
             return values[s]
 
         monkeypatch.setattr(trajectories, "wightman_timelike", cached)
@@ -230,7 +229,7 @@ class TestColoredNoise:
         # of the regenerated realizations to 1e-13 relative
         grid = [0.0] if n_points == 1 else np.linspace(0.0, 4.0, n_points)
         field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, n_real, seed=23)
-        got = field.sample_covariance()
+        got = field.covariance
         z = field.samples
         ref = (z.conj().T @ z).T / n_real
         scale = np.abs(ref).max()
@@ -242,8 +241,7 @@ class TestColoredNoise:
         grid = np.linspace(0.0, 4.0, 256)
         tracemalloc.start()
         try:
-            field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, 20_000, seed=29)
-            field.sample_covariance()
+            sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, 20_000, seed=29)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -276,10 +274,10 @@ class TestUnravelLinear:
         m = qubit_decay_model(1.0, 1.0)
         rho0 = DensityMatrix.pure([1, 0])
         ens = unravel_linear(m, rho0, t=1.0, dt=1e-3, n_traj=2000, seed=2)
-        max_dev, max_sigma = ensemble_compare(ens, m, rho0)
+        check = ensemble_check(ens, m, rho0, 1e-3)
         stat = ens.stat_error.max()
-        assert max_dev <= max(0.05, 5.0 * stat)
-        assert max_sigma <= 5.0
+        assert check.max_deviation <= max(0.05, 5.0 * stat)
+        assert check.mean_ok
 
     def test_mean_trace_within_errors(self):
         m = qubit_decay_model(1.0, 1.0)
@@ -294,16 +292,14 @@ class TestUnravelLinear:
         ens = unravel_linear(m, rho0, t=0.5, dt=1e-3, n_traj=32, seed=6)
         spread = np.abs(ens.states - ens.states[:1]).max()
         assert spread <= 1e-12
-        max_dev, _ = ensemble_compare(ens, m, rho0)
-        assert max_dev <= 1e-5  # euler phase error only
+        assert ensemble_check(ens, m, rho0, 1e-3).max_deviation <= 1e-5  # euler phase error only
 
     def test_closed_system(self):
         # no jump operators: every trajectory is the unitary orbit, exactly
         m = GKLSModel(2, 0.5 * SZ, [], np.zeros((0, 0)))
         rho0 = DensityMatrix.pure(np.array([1.0, 1.0]) / math.sqrt(2.0))
         ens = unravel_linear(m, rho0, 0.1, 1e-3, 4, seed=1)
-        max_dev, _ = ensemble_compare(ens, m, rho0)
-        assert max_dev <= 1e-12
+        assert ensemble_check(ens, m, rho0, 1e-3).max_deviation <= 1e-12
         assert ens.stat_error.max() == 0.0
 
     def test_single_trajectory_norm_drifts(self):
@@ -375,15 +371,6 @@ class TestUnravelLinear:
         with pytest.raises(ValueError, match="n_traj"):
             unravel_linear(qubit_decay_model(1.0, 1.0), DensityMatrix.pure([1, 0]),
                            0.1, 1e-3, n_traj, seed=1)
-
-    def test_compare_nan_mean_fails(self):
-        m = qubit_decay_model(1.0, 1.0)
-        rho0 = DensityMatrix.pure([1, 0])
-        ens = unravel_linear(m, rho0, 0.1, 1e-3, 4, seed=1)
-        mean = ens.mean_state.copy()
-        mean[3, 0, 1] = complex(math.nan, 0.0)
-        max_dev, max_sigma = ensemble_compare(dataclasses.replace(ens, mean_state=mean), m, rho0)
-        assert math.isnan(max_dev) and math.isnan(max_sigma)
 
     def test_mc_scaling(self):
         # the Monte-Carlo error falls as 1/sqrt(N): the standard error halves
