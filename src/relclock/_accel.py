@@ -2,33 +2,46 @@
 
 ``step_trajectory_chunk`` steps the linear unraveling and
 ``fv_drift_diffusion_step`` the classical sector of the hybrid evolver.  The
-stepper draws no random numbers: each trajectory consumes only its own rows
-of the noise array it is handed and writes only its own output slots, so
+stepper draws no random numbers: each trajectory reads only its own rows of
+the two-bit fields it is handed and writes only its own output slots, so
 seeded results do not depend on how the trajectories are split into chunks.
-It also takes the steps in blocks: the caller hands it one block of noise at
-a time together with the states reached so far, so the noise it holds is
-O(chunk * block) whatever the number of steps, and a run split into blocks
-takes exactly the arithmetic of one unsplit call.
+It also takes the steps in blocks: the caller hands it one block of fields
+at a time together with the states reached so far, so the fields it holds
+are O(chunk * block) whatever the number of steps.
+
+Step tables.  A step's increments take one of four values per jump, so the
+step is one of 4^n_jump matrices M(c) = U + sum_k incr[k, c_k].  The stepper
+takes the steps in groups of up to four fields, one byte: 4 // n_jump steps
+for n_jump in {1, 2, 4}, one step otherwise.  A group's byte code, field i
+of the group at bits 2 i, indexes a table of the group's step products
+M(c_last) ... M(c_first), at most 256 of them; a step of more than four
+jumps is one table per four of its jumps, U added to the first, and its
+matrix is their sum.  A closed model steps by U alone.  The tables are
+summed and multiplied in extended precision (``np.clongdouble``, wider than
+double on x86) and rounded to complex once.  An entry that every group
+applies, such as the decay amplitude U_00^4, then carries one rounding and
+not one per product, whose bias would otherwise build up over every group of
+a long run.
+
+Grouping rule.  Groups start at step 0, at every save point and every
+full group length after it, so a group never straddles a save, and the
+leftover steps before a save form a shorter group with its own table.  The
+boundaries follow from the global step index and the save stride alone; a
+block edge also ends a group, and ``unravel_linear`` cuts its blocks only at
+group boundaries, so its chunks, blocks and draw windows never change a
+trajectory's bits.
 
 Row layout.  The stepper holds a chunk as d contiguous rows of length
 n_chunk, row j being component j of every trajectory, and builds each new
-row with elementwise ufuncs: the products ``row_j * coef`` over the exactly
-nonzero entries of a row of ``u_step`` (or of ``ls_scaled[k]``), summed in
-column order, then for a jump the product with the noise column
-``noise[:, i, k]`` (a strided view, not a copy), added in k order.  A zero
-entry may be skipped because its term is an exact zero for a finite state,
-and adding an exact zero leaves a nonzero sum unchanged.  Every element of a
-row goes through the same ufunc arithmetic, so a trajectory's bits depend
-neither on its position in the row nor on the chunk size.
-
-Where every row of ``u_step`` and of each ``L_k`` has at most one nonzero
-entry (a diagonal H_eff with ladder or diagonal jumps, as in every model the
-CLI unravels), each term is a single complex product with no sum to round.
-BLAS forms that product the same way, so the rows equal ``state @
-u_step.T`` plus ``noise[:, i, k, None] * (state @ L_k.T)`` bit for bit, up
-to the sign of a component that is exactly zero.  A dense d-level model is
-as correct, at d * d products per matrix and step, with its sums rounded in
-column order rather than in BLAS's order.
+row with elementwise ufuncs over the entries (a, j) of the group's tables,
+in table and column order: an entry that is exactly zero for every code is
+skipped, one that is the same for every code is a scalar multiply of row j,
+and only an entry that varies is gathered over the chunk with ``np.take``
+on the codes.  For qubit decay that is one ``take`` and four ufunc calls per
+four steps.  A skipped zero term is an exact zero for a finite state, and
+adding an exact zero leaves a nonzero sum unchanged.  Every element of a
+row goes through the same arithmetic, so a trajectory's bits depend neither
+on its position in the row nor on the chunk size.
 """
 
 from __future__ import annotations
@@ -40,67 +53,137 @@ import numpy as np
 # linear-unraveling stepper
 # ---------------------------------------------------------------------------
 
-def _nonzero_terms(matrix):
-    """Per row a, the (j, matrix[a, j]) pairs with a nonzero entry, in column order."""
-    return [[(j, complex(c)) for j, c in enumerate(row) if c != 0] for row in matrix]
+def _group_tables(u_step, incr, steps):
+    """The byte tables of a group of ``steps`` steps, indexed by the code of
+    the group's fields, field i at bits 2 i, built in extended precision and
+    rounded to complex once.
+
+    One step of at most four jumps has one table, of the 4^n_jump step
+    matrices U + sum_k incr[k, c_k].  A step of more jumps has one table per
+    four of its jumps, U in the first only, and its matrix is their sum.  A
+    group of several steps multiplies them in step order: its last step's
+    fields are the code's top bits, so entry hi * 4^(n_jump (steps - 1)) +
+    lo is step matrix hi times the product that the earlier steps' code lo
+    indexes.
+    """
+    n_jump, _, d, _ = incr.shape
+    tables = []
+    for first in range(0, max(n_jump, 1), 4):
+        jumps = range(first, min(first + 4, n_jump))
+        codes = np.arange(4 ** len(jumps))
+        one = np.zeros((codes.size, d, d), dtype=np.clongdouble)
+        if first == 0:
+            one += u_step
+        for i, k in enumerate(jumps):
+            one += incr[k, (codes >> 2 * i) & 3]
+        table = one
+        for _ in range(steps - 1):
+            table = (one[:, None] @ table[None, :]).reshape(-1, d, d)
+        tables.append(table.astype(complex))
+    return tables
 
 
-def step_trajectory_chunk(psi, u_step, ls_scaled, noise, save_stride, out, step0=0):
+def _group_terms(tables):
+    """Per output row a, the terms (t, j, entry) of the entries (a, j) of
+    table t that are nonzero for some code: ``entry`` is a complex constant,
+    or the entry's values over the codes when they are not all equal."""
+    d = tables[0].shape[1]
+    terms = [[] for _ in range(d)]
+    for t, table in enumerate(tables):
+        nonzero = table.any(axis=0).tolist()
+        varies = (table != table[0]).any(axis=0).tolist()
+        for a in range(d):
+            for j in range(d):
+                if varies[a][j]:
+                    terms[a].append((t, j, np.ascontiguousarray(table[:, a, j])))
+                elif nonzero[a][j]:
+                    terms[a].append((t, j, complex(table[0, a, j])))
+    return terms
+
+
+def _byte_codes(fields, lengths):
+    """(n_byte, n_chunk) intp codes of the consecutive runs of ``lengths``
+    (at most four each) of the (n_chunk, n_fields) ``fields``, field i of a
+    run at bits 2 i.
+
+    Each run is padded to four bytes, read as a little-endian uint32 with
+    field i in byte i, and multiplied by 2^6 + 2^12 + 2^18 + 2^24, which
+    adds field i at bit 24 + 2 i and leaves every other shifted copy in a
+    bit pair of its own below bit 24 or past bit 31, so no sum carries.
+    """
+    if any(n != 4 for n in lengths):
+        padded = np.zeros((len(fields), 4 * len(lengths)), dtype=np.uint8)
+        ends = np.cumsum(lengths)
+        padded[:, np.arange(ends[-1]) - np.repeat(ends - lengths - 4 * np.arange(len(lengths)),
+                                                  lengths)] = fields
+        fields = padded
+    words = np.ascontiguousarray(fields).view("<u4") * np.uint32(0x01041040)
+    words >>= 24
+    return words.T.astype(np.intp, order="C")
+
+
+def step_trajectory_chunk(psi, u_step, incr, noise, save_stride, out, step0=0):
     """Stochastic steps step0 + 1 .. step0 + n_block for a chunk of
     unnormalized trajectories.
 
-    The deterministic contraction exp(-i H_eff dt) is applied exactly via
-    the precomputed one-step matrix ``u_step``; the noise coupling is Ito-
-    Euler: psi <- u_step psi + sum_k sqrt(gamma_k) L_k dxi_k psi.
+    Step s takes psi <- (u_step + sum_k incr[k, noise[:, s, k]]) psi: the
+    exact contraction exp(-i H_eff dt) plus the Ito-Euler noise coupling,
+    applied one group of steps at a time through the tabulated products of
+    the module docstring.
 
     psi: (n_chunk, d) states after global step ``step0``, advanced in place
     u_step: (d, d) one-step propagator of the effective Hamiltonian
-    ls_scaled: (n_jump, d, d), sqrt(gamma_k) * L_k
-    noise: (n_chunk, n_block, n_jump) complex increments with E dxi = 0 and
-        E dxi_k dxi_l* = delta_kl dt, any array of that shape (a strided view
-        included); ``unravel_linear`` hands it the phases sqrt(dt) * {1, i,
-        -1, -i}, and the mean of the projectors needs no other moment
+    incr: (n_jump, 4, d, d), the noise term that field value c selects for
+        jump k; ``unravel_linear`` passes xi_c sqrt(gamma_k) L_k with xi =
+        sqrt(dt) * (1, i, -1, -i)
+    noise: (n_chunk, n_block, n_jump) uint8 two-bit fields, field (s, k)
+        of a row selecting jump k's term at step step0 + s + 1; any array of
+        that shape (a strided view included)
     out: (n_chunk, n_save, d); the state after global step s is written to
         ``out[:, s // save_stride]`` whenever s is a multiple of save_stride
         (s = 0 included, when step0 is 0)
     """
-    n_chunk, n_block, _ = noise.shape
-    u_terms = _nonzero_terms(u_step)
-    l_terms = [_nonzero_terms(L) for L in ls_scaled]
+    n_chunk, n_block, n_jump = noise.shape
+    size = 4 // n_jump if n_jump in (1, 2, 4) else 1
+    groups = []
+    s, end = step0, step0 + n_block
+    while s < end:
+        into = s % save_stride
+        stop = min(end, s - into + save_stride, s + size - into % size)
+        groups.append((stop - s, stop))
+        s = stop
+    terms = {steps: _group_terms(_group_tables(u_step, incr, steps))
+             for steps in {g for g, _ in groups}}
+    n_tables = -(-n_jump // 4) or 1
+    if n_jump:
+        lengths = [min(4, steps * n_jump - i) for steps, _ in groups
+                   for i in range(0, steps * n_jump, 4)]
+        codes = _byte_codes(noise.reshape(n_chunk, n_block * n_jump), lengths)
     state = np.ascontiguousarray(psi.T)
     new = np.empty_like(state)
-    term = np.empty(n_chunk, dtype=complex)
-    acc = np.empty(n_chunk, dtype=complex)
+    scratch = np.empty(n_chunk, dtype=complex)
     if step0 == 0:
         out[:, 0, :] = psi
-    for i in range(n_block):
-        for row, terms in zip(new, u_terms):
-            _combine(state, terms, row, term)
-        for k, rows_k in enumerate(l_terms):
-            xi = noise[:, i, k]
-            for row, terms in zip(new, rows_k):
-                if terms:
-                    _combine(state, terms, acc, term)
-                    np.multiply(xi, acc, out=acc)
-                    row += acc
+    code = 0
+    for steps, stop in groups:
+        for row, row_terms in zip(new, terms[steps]):
+            if not row_terms:
+                row[...] = 0.0
+            for n, (t, j, entry) in enumerate(row_terms):
+                dest = scratch if n else row
+                if type(entry) is complex:
+                    np.multiply(state[j], entry, out=dest)
+                else:
+                    entry.take(codes[code + t], out=dest, mode="wrap")
+                    dest *= state[j]
+                if n:
+                    row += scratch
+        code += n_tables
         state, new = new, state
-        s = step0 + i + 1
-        if s % save_stride == 0:
-            out[:, s // save_stride, :] = state.T
+        if stop % save_stride == 0:
+            out[:, stop // save_stride, :] = state.T
     psi[...] = state.T
     return out
-
-
-def _combine(state, terms, dest, scratch):
-    """dest <- sum over (j, c) in ``terms`` of state[j] * c, in that order."""
-    if not terms:
-        dest[...] = 0.0
-        return
-    (j, c), *rest = terms
-    np.multiply(state[j], c, out=dest)
-    for j, c in rest:
-        np.multiply(state[j], c, out=scratch)
-        dest += scratch
 
 
 # ---------------------------------------------------------------------------

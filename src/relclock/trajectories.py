@@ -29,13 +29,15 @@ field f = s * n_jump + k of stream r's raw 64-bit words: word f // 32, bits
 2 (f mod 32) and 2 (f mod 32) + 1.
 
 Memory: ``unravel_linear`` steps at most ``_CHUNK`` trajectories at a time,
-through noise blocks of at most ``_NOISE_BYTES`` (or of one step, should one
-step of a chunk need more), decoded from a word buffer of ``_WORDS`` words
-per trajectory, so its working memory is O(chunk * block) plus the saved
-states, whatever the number of steps.  ``sample_colored_noise`` draws R =
-``_SAMPLE_BYTES`` // (16 n) realizations at a time and keeps only their n x n
-sum of outer products, so its working memory is O(R * n + n^2) on an n-point
-grid: no O(n_real * n) buffer exists unless a caller reads
+through blocks of at most ``_BLOCK_FIELDS`` one-byte two-bit fields (or of
+four steps, should four steps of a chunk need more), unpacked from a
+word buffer of ``_WORDS`` words per trajectory; the stepper adds an intp
+byte code per four fields and tables of at most 256 d x d matrices, and no
+complex noise array is formed.  Its working memory is O(chunk * block) plus
+the saved states, whatever the number of steps.  ``sample_colored_noise``
+draws R = ``_SAMPLE_BYTES`` // (16 n) realizations at a time and keeps only
+their n x n sum of outer products, so its working memory is O(R * n + n^2)
+on an n-point grid: no O(n_real * n) buffer exists unless a caller reads
 ``NoiseField.samples``.
 """
 
@@ -67,8 +69,8 @@ __all__ = [
 
 #: trajectories stepped together
 _CHUNK = 1024
-#: bytes of the complex noise block a chunk is stepped through
-_NOISE_BYTES = 2 * 2**20
+#: two-bit fields (one byte each) of the block a chunk is stepped through
+_BLOCK_FIELDS = 2**18
 #: raw 64-bit words a trajectory draws at a time, 32 two-bit increments each
 _WORDS = 32
 #: bytes of the block of normal draws the colored-noise sampler multiplies at once
@@ -123,25 +125,21 @@ def _phase_table(dt: float) -> np.ndarray:
     return math.sqrt(dt) * np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _decode(packed: np.ndarray, first: int, out: np.ndarray, table: np.ndarray) -> None:
-    """out[:, j] <- table[field first + j] of the same row of ``packed``.
+def _unpack(packed: np.ndarray, first: int, out: np.ndarray) -> None:
+    """out[:, j] <- field first + j of the same row of ``packed``.
 
     ``packed`` holds a row's fields four to a byte, field f at bits 2 (f mod
     4) and above of byte f // 4: the little-endian bytes of its drawn words.
-    Rows are decoded 2**15 fields at a time, so the intp copy of the fields
-    that ``np.take`` makes stays at 256 KiB.
+    Each byte is spread over the four bytes of a little-endian uint32, its
+    field i into byte i, by two shift-and-or steps and a mask.
     """
     rows, n = out.shape
-    b0, b1 = first // 4, (first + n + 3) // 4
-    skip = first - 4 * b0
-    step = max(1, 2**15 // n)
-    for r in range(0, rows, step):
-        fields = np.empty((min(step, rows - r), b1 - b0, 4), dtype=np.uint8)
-        for q in range(4):
-            np.right_shift(packed[r:r + step, b0:b1], 2 * q, out=fields[..., q])
-        fields &= 3
-        np.take(table, fields.reshape(len(fields), -1)[:, skip:skip + n],
-                out=out[r:r + step], mode="wrap")
+    b0 = first // 4
+    spread = packed[:, b0:(first + n + 3) // 4].astype("<u4")
+    spread |= spread << 6
+    spread |= spread << 12
+    spread &= 0x03030303
+    out[...] = spread.view(np.uint8)[:, first - 4 * b0:first - 4 * b0 + n]
 
 
 def _draw_blocks(seed: int, n: int, n_real: int):
@@ -321,35 +319,47 @@ def unravel_linear(
 
     Requires a pure initial state, a diagonal Kossakowski block (rotate to
     eigenjumps first), and dt small against the effective Hamiltonian.
-    States are recorded at ``n_out`` evenly spaced grid times including both
-    endpoints, so (n_out - 1) must divide the step count.
+    States are recorded at ``n_out`` >= 2 evenly spaced grid times including
+    both endpoints, so (n_out - 1) must divide the step count.
 
-    The increments are sqrt(dt) * {1, i, -1, -i}, picked by 2-bit fields of
-    trajectory r's stream keyed (seed, r): increment (s, k) is field s *
-    n_jump + k, in word (s * n_jump + k) // 32.  Each chunk keeps one
-    generator per trajectory, draws ``_WORDS`` raw words per trajectory for
-    each 32 * ``_WORDS`` fields, and decodes them through the 4-entry
-    ``_phase_table`` one step block at a time, so no buffer grows with
-    n_traj * n_steps.  The ensemble mean of the projectors has exactly the
-    expectation Phi^n rho0 it would have with Gaussian increments; only the
-    fluctuations differ.
+    The increments are sqrt(dt) * {1, i, -1, -i} (``_phase_table``), picked
+    by 2-bit fields of trajectory r's stream keyed (seed, r): increment
+    (s, k) is field s * n_jump + k, in word (s * n_jump + k) // 32.  Each
+    chunk keeps one generator per trajectory, draws ``_WORDS`` raw words per
+    trajectory for each 32 * ``_WORDS`` fields, and hands the stepper the
+    unpacked uint8 fields one block at a time, with the noise term each
+    field value selects, so no buffer grows with n_traj * n_steps.  The
+    stepper applies tabulated products of up to four steps (``_accel``);
+    the blocks end only at save points or a multiple of four steps after
+    one, so the blocking never changes a trajectory's bits.  The ensemble
+    mean of the projectors has exactly the expectation Phi^n rho0 it would
+    have with Gaussian increments; only the fluctuations differ.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
+    if n_out < 2:
+        raise ValueError(f"n_out must be at least 2, got {n_out}")
     eigvals, eigvecs = np.linalg.eigh(rho0.matrix)
     if eigvals[-1] < 1.0 - 1e-10:
         raise ValueError("unravel_linear requires a pure (rank-1) initial state")
     psi0 = np.ascontiguousarray(eigvecs[:, -1])
     u_step, ls_scaled = _step_operators(m, dt)
     n_steps = step_count(t, dt)
-    if n_out < 2 or n_steps % (n_out - 1) != 0:
+    if n_steps % (n_out - 1) != 0:
         raise ValueError("(n_out - 1) must divide the number of steps")
     stride = n_steps // (n_out - 1)
     n_jump = len(ls_scaled)
-    table = _phase_table(dt)
+    incr = _phase_table(dt)[:, None, None] * ls_scaled[:, None]
     chunk = min(_CHUNK, n_traj)
-    block = max(1, min(n_steps, _NOISE_BYTES // (16 * chunk * max(n_jump, 1))))
-    noise = np.empty((chunk, block * n_jump), dtype=complex)
+    # blocks end at save points or a multiple of 4 steps after one, which
+    # every group size divides
+    limit = max(4, _BLOCK_FIELDS // (chunk * max(n_jump, 1)))
+    span = limit - limit % stride if stride <= limit else limit - limit % 4
+    blocks = []
+    for base in range(0, n_steps, max(span, stride)):
+        stop = min(base + max(span, stride), n_steps)
+        blocks += [(s, min(s + span, stop)) for s in range(base, stop, span)]
+    fields = np.empty((chunk, span * n_jump), dtype=np.uint8)
     window = 32 * _WORDS
     words = np.empty((chunk, _WORDS), dtype="<u8")
     packed = words.view(np.uint8)
@@ -361,20 +371,19 @@ def unravel_linear(
         for r, gen in zip(range(start, start + rows), streams):
             _rekey(gen, seed, r)
         psi = np.tile(psi0, (rows, 1))
-        for step0 in range(0, n_steps, block):
-            steps = min(block, n_steps - step0)
-            buf = noise[:rows, : steps * n_jump]
+        for step0, step1 in blocks:
+            buf = fields[:rows, : (step1 - step0) * n_jump]
             # fields f0 .. f1 - 1, cut where a new window of words is drawn
             f0 = f = step0 * n_jump
-            f1 = f0 + buf.shape[1]
+            f1 = step1 * n_jump
             while f < f1:
                 if f % window == 0:
                     for draw, row in zip(draws, words[:rows]):
                         row[...] = draw(_WORDS)
                 piece = min(f1, f - f % window + window) - f
-                _decode(packed[:rows], f % window, buf[:, f - f0 : f - f0 + piece], table)
+                _unpack(packed[:rows], f % window, buf[:, f - f0 : f - f0 + piece])
                 f += piece
-            step_trajectory_chunk(psi, u_step, ls_scaled, buf.reshape(rows, steps, n_jump),
+            step_trajectory_chunk(psi, u_step, incr, buf.reshape(rows, step1 - step0, n_jump),
                                   stride, states[start:start + rows], step0)
     grid = dt * stride * np.arange(n_out)
     mean, err = _ensemble_summaries(states)

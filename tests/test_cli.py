@@ -195,6 +195,8 @@ class TestMain:
     @pytest.mark.parametrize("scenario, setting, named, numpy_message", [
         ("unravel", "n_traj = 0", "n_traj", "negative dimensions"),
         ("unravel", "n_traj = -3", "n_traj", "negative dimensions"),
+        ("unravel", "n_out = 0", "n_out must be at least 2", "must divide"),
+        ("unravel", "n_out = 1", "n_out must be at least 2", "must divide"),
         ("noise", "grid_points = 0", "grid", "zero-size array"),
         ("cq", "t = 0", "[cq] t", "division by zero"),
         ("cq", "z_min = 2\nz_max = 2", "z_grid", "division by zero"),
@@ -402,23 +404,24 @@ class TestFreshProcess:
         assert len(evals) == n_quad and min(evals) > 0
 
     def test_benchmark_tracer_sees_noise_blocks(self, tmp_path):
-        # the tracer counts the stepper's work and noise buffer from its 4th
-        # argument: 1100 trajectories x 200 steps take two chunks and two
-        # noise blocks, every step is counted once and no block passes the cap
+        # the tracer counts the stepper's work and field buffer from its 4th
+        # argument: 1100 trajectories x 300 steps take two chunks and two
+        # blocks (240 + 60 steps), every step is counted once and no block
+        # passes the cap
         from relclock import trajectories
 
         config = tmp_path / "cfg.ini"
         config.write_text("[run]\nscenario = unravel\nseed = 3\n\n"
-                          "[unravel]\nn_traj = 1100\nt = 0.2\ndt = 0.001\n")
+                          "[unravel]\nn_traj = 1100\nt = 0.3\ndt = 0.001\n")
         trace = tmp_path / "trace.json"
         done = _fresh_python(str(SRC.parent / "relbench" / "tracer.py"),
                              "unravel", str(config), str(tmp_path / "out"), str(trace))
         assert done.returncode == 0, done.stderr
         record = json.loads(trace.read_text())
         counts = record["counts"]
-        assert sum(counts["accel.chunk_steps"]) == 1100 * 200
+        assert sum(counts["accel.chunk_steps"]) == 1100 * 300
         assert len(counts["accel.chunk_steps"]) == 4
-        assert max(counts["trajectories.noise_buffer_mb"]) <= trajectories._NOISE_BYTES / 2**20
+        assert max(counts["trajectories.noise_buffer_mb"]) <= trajectories._BLOCK_FIELDS / 2**20
         assert [span[0] for span in record["spans"]].count("accel.step_chunk") == 4
 
 

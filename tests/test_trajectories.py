@@ -66,21 +66,28 @@ def _matvec_noise(root, n_real, seed):
     return samples
 
 
-def _philox_increments(seed, r, n_fields, dt):
-    """Stream r's first ``n_fields`` increments, decoded here from the raw
+def _philox_fields(seed, r, n_fields):
+    """Stream r's first ``n_fields`` two-bit fields, decoded here from the raw
     words of Philox(key=(seed, r)): field f is bits 2 (f mod 32) and
-    2 (f mod 32) + 1 of word f // 32 and selects sqrt(dt) * (1, i, -1, -i)."""
+    2 (f mod 32) + 1 of word f // 32."""
     words = np.random.Philox(key=np.array([seed, r], dtype=np.uint64)).random_raw(-(-n_fields // 32))
-    fields = [(int(words[f // 32]) >> (2 * (f % 32))) & 3 for f in range(n_fields)]
-    return math.sqrt(dt) * np.array([1, 1j, -1, -1j])[fields]
+    return np.array([(int(words[f // 32]) >> (2 * (f % 32))) & 3 for f in range(n_fields)],
+                    dtype=np.uint8)
+
+
+def _philox_increments(seed, r, n_fields, dt):
+    """Stream r's first ``n_fields`` increments: field value c selects
+    sqrt(dt) * (1, i, -1, -i)[c]."""
+    return math.sqrt(dt) * np.array([1, 1j, -1, -1j])[_philox_fields(seed, r, n_fields)]
 
 
 def _reference_unravel(m, psi0, t, dt, n_traj, seed, n_out):
     """The whole-stream unraveling, written out: each trajectory decodes all
     of its increments from one draw of raw words, then every trajectory
-    takes every step.  The step propagator is the package's own expm, so a
-    bit-exact match tests the keyed streams, the decoding and the chunking,
-    not the exponential."""
+    takes every step, one matrix product per step and jump.  The step
+    propagator is the package's own expm, so a match to rounding tests the
+    keyed streams, the decoding, the step tables and the chunking, not the
+    exponential."""
     gammas = np.real(np.diag(m.kossakowski))
     n_jump, n_steps = len(gammas), int(round(t / dt))
     stride = n_steps // (n_out - 1)
@@ -102,22 +109,40 @@ def _reference_unravel(m, psi0, t, dt, n_traj, seed, n_out):
     return np.stack(out, axis=1)
 
 
-def _recorded_noise(monkeypatch, *args, **kwargs):
-    """``unravel_linear(*args, **kwargs)`` and the increments it stepped
-    through, as one (n_traj, n_steps, n_jump) array."""
+def _recorded_fields(monkeypatch, *args, **kwargs):
+    """``unravel_linear(*args, **kwargs)`` and the two-bit fields it stepped
+    through, as one (n_traj, n_steps, n_jump) uint8 array."""
     chunks = []
     stepper = trajectories.step_trajectory_chunk
 
-    def recording(psi, u_step, ls_scaled, noise, save_stride, out, step0=0):
+    def recording(psi, u_step, incr, noise, save_stride, out, step0=0):
         if step0 == 0:
             chunks.append([])
         chunks[-1].append(noise.copy())
-        return stepper(psi, u_step, ls_scaled, noise, save_stride, out, step0)
+        return stepper(psi, u_step, incr, noise, save_stride, out, step0)
 
     monkeypatch.setattr(trajectories, "step_trajectory_chunk", recording)
     ens = unravel_linear(*args, **kwargs)
     monkeypatch.setattr(trajectories, "step_trajectory_chunk", stepper)
     return ens, np.concatenate([np.concatenate(blocks, axis=1) for blocks in chunks])
+
+
+def _reversed_bytes(stepper):
+    """A mutant stepper that takes each byte's four fields in reverse order
+    (one jump, every block a whole number of bytes)."""
+
+    def mutant(psi, u_step, incr, noise, save_stride, out, step0=0):
+        n, steps, _ = noise.shape
+        flipped = noise.reshape(n, steps // 4, 4)[:, :, ::-1].reshape(n, steps, 1)
+        return stepper(psi, u_step, incr, flipped, save_stride, out, step0)
+
+    return mutant
+
+
+#: the stepper's states match the per-step reference within this, times the
+#: state's norm: the group products round differently from step-by-step
+#: products, by about 1e-14 relative over a few hundred steps
+_TABLE_ROUNDING = 1e-12
 
 
 class TestColoredNoise:
@@ -311,15 +336,16 @@ class TestUnravelLinear:
 
     def test_chunk_schedule_independence(self, monkeypatch):
         # trajectory r depends only on (seed, r): a run with more
-        # trajectories, split into 64-trajectory chunks, 7-step noise blocks
-        # and one-word draws (so blocks start mid-word and straddle draws),
-        # reproduces the one-chunk, one-block runs bit for bit
+        # trajectories, split into 64-trajectory chunks, blocks of at most 7
+        # steps (cut to 4, a group) and one-word draws (so blocks start
+        # mid-word and straddle draws), reproduces the one-chunk, one-block
+        # runs bit for bit; each 50-step save interval ends in a 2-step group
         m = qubit_decay_model(1.0, 1.0)
         rho0 = DensityMatrix.pure([1, 0])
         small = unravel_linear(m, rho0, 0.2, 1e-3, 5, seed=13, n_out=5)
         whole = unravel_linear(m, rho0, 0.2, 1e-3, 300, seed=13, n_out=5)
         monkeypatch.setattr(trajectories, "_CHUNK", 64)
-        monkeypatch.setattr(trajectories, "_NOISE_BYTES", 16 * 64 * 7)
+        monkeypatch.setattr(trajectories, "_BLOCK_FIELDS", 64 * 7)
         monkeypatch.setattr(trajectories, "_WORDS", 1)
         large = unravel_linear(m, rho0, 0.2, 1e-3, 300, seed=13, n_out=5)
         assert np.array_equal(small.states, large.states[:5])
@@ -327,13 +353,14 @@ class TestUnravelLinear:
 
     def test_dense_model_chunk_schedule_independence(self, monkeypatch):
         # the same bit-exact schedule contract for a model whose products
-        # are sums of three terms
+        # are sums of three terms: two jumps, 2-step groups, blocks of 4, 4
+        # and 2 steps in each 10-step save interval
         m = _dense_three_level()
         rho0 = DensityMatrix.pure(np.array([0.6, 0.48j, 0.64]))
         small = unravel_linear(m, rho0, 0.05, 1e-3, 5, seed=19, n_out=6)
         whole = unravel_linear(m, rho0, 0.05, 1e-3, 300, seed=19, n_out=6)
         monkeypatch.setattr(trajectories, "_CHUNK", 64)
-        monkeypatch.setattr(trajectories, "_NOISE_BYTES", 16 * 64 * 2 * 7)
+        monkeypatch.setattr(trajectories, "_BLOCK_FIELDS", 64 * 2 * 7)
         monkeypatch.setattr(trajectories, "_WORDS", 1)
         large = unravel_linear(m, rho0, 0.05, 1e-3, 300, seed=19, n_out=6)
         assert np.all(np.isfinite(whole.states))
@@ -345,26 +372,73 @@ class TestUnravelLinear:
         (GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5])), 20, 8, 7, 60, 7),
         (GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0), (SM.T, 1.0)], np.diag([1.0, 0.5, 0.25])),
          20, 8, 7, 350, 8),
+        (GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0), (SM.T, 1.0), (SZ, 0.0), (SM, -1.0)],
+                   np.diag([1.0, 0.5, 0.25, 0.3, 0.2])), 20, 8, 7, 60, 7),
         (GKLSModel(2, 0.5 * SZ, [], np.zeros((0, 0))), 20, 8, 7, 60, 7),
         (qubit_decay_model(1.0, 1.0), 1100, None, None, 200, 11),
-    ], ids=["one_jump", "two_jumps", "three_jumps", "closed", "default_sizes"])
+    ], ids=["one_jump", "two_jumps", "three_jumps", "five_jumps", "closed", "default_sizes"])
     def test_matches_whole_stream_reference(self, monkeypatch, model, n_traj, chunk, block,
                                             n_steps, n_out):
-        # blocks of 7 steps straddle the saves every 10 (or 50) steps; three
-        # jumps take 21 fields a block, so blocks start mid-word and one
-        # straddles the draws of fields 0..1023 and 1024..2047; the default
-        # sizes take two chunks (1024 + 76) and two noise blocks (128 + 72)
+        # saves every 10 (or 50) steps, so one jump's 4-step groups leave a
+        # 2-step group before each save; blocks of at most 7 steps are cut to
+        # 4, and three jumps take 12 fields a block, so blocks start mid-word
+        # and one straddles the draws of fields 0..1023 and 1024..2047; five
+        # jumps take two tables a step; the default sizes
+        # take two chunks (1024 + 76) and one block of 200 steps.  The fields
+        # stepped through are the whole-stream fields exactly, and the states
+        # the per-step reference's to rounding
         if chunk is not None:
             monkeypatch.setattr(trajectories, "_CHUNK", chunk)
-            monkeypatch.setattr(trajectories, "_NOISE_BYTES", 16 * chunk * max(
-                len(model.jump_operators), 1) * block)
+            monkeypatch.setattr(trajectories, "_BLOCK_FIELDS",
+                                chunk * max(len(model.jump_operators), 1) * block)
         psi0 = np.array([0.6, 0.8j])
-        ens = unravel_linear(model, DensityMatrix.pure(psi0), n_steps * 1e-3, 1e-3,
-                             n_traj, seed=29, n_out=n_out)
+        n_jump = len(model.jump_operators)
+        ens, fields = _recorded_fields(monkeypatch, model, DensityMatrix.pure(psi0),
+                                       n_steps * 1e-3, 1e-3, n_traj, seed=29, n_out=n_out)
+        expected_fields = np.array([_philox_fields(29, r, n_steps * n_jump) for r in range(n_traj)])
+        assert np.array_equal(fields, expected_fields.reshape(n_traj, n_steps, n_jump))
         # start from the state as unravel_linear phases it
         expected = _reference_unravel(model, ens.states[0, 0], n_steps * 1e-3, 1e-3,
                                       n_traj, 29, ens.grid.size)
-        assert np.array_equal(ens.states, expected)
+        norms = np.linalg.norm(expected, axis=-1, keepdims=True)
+        assert np.all(np.abs(ens.states - expected) <= _TABLE_ROUNDING * norms)
+
+    def test_reference_bound_catches_reversed_bytes(self, monkeypatch):
+        # the rounding bound keeps the reference test's power: a stepper that
+        # takes each byte's four fields in reverse order misses it by more
+        # than six orders of magnitude
+        m = qubit_decay_model(1.0, 1.0)
+        monkeypatch.setattr(trajectories, "step_trajectory_chunk",
+                            _reversed_bytes(trajectories.step_trajectory_chunk))
+        ens = unravel_linear(m, DensityMatrix.pure([0.6, 0.8j]), 0.06, 1e-3, 20, seed=29, n_out=4)
+        expected = _reference_unravel(m, ens.states[0, 0], 0.06, 1e-3, 20, 29, 4)
+        norms = np.linalg.norm(expected, axis=-1, keepdims=True)
+        assert np.max(np.abs(ens.states - expected) / norms) > 1e6 * _TABLE_ROUNDING
+
+    @pytest.mark.parametrize("n_out", [0, 1, -4])
+    def test_n_out_named(self, n_out):
+        # refused by name before the step count is divided by n_out - 1
+        with pytest.raises(ValueError, match="n_out must be at least 2"):
+            unravel_linear(qubit_decay_model(1.0, 1.0), DensityMatrix.pure([1, 0]),
+                           0.1, 1e-3, 4, seed=1, n_out=n_out)
+
+    def test_fields_never_form_noise(self):
+        # 1024 trajectories x 2000 steps: past the saved states, the peak
+        # holds at most 8 bytes per field of a block (the uint8 fields, the
+        # intp byte codes and their temporaries) and 1 MiB for the 1024
+        # generators and their words; a complex noise block of the same
+        # fields would alone take 16 bytes per field
+        m = qubit_decay_model(1.0, 1.0)
+        rho0 = DensityMatrix.pure([1, 0])
+        unravel_linear(m, rho0, 0.01, 1e-3, 4, seed=1)
+        tracemalloc.start()
+        try:
+            ens = unravel_linear(m, rho0, 2.0, 1e-3, 1024, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.states.shape == (1024, 11, 2)
+        assert peak < ens.states.nbytes + 8 * trajectories._BLOCK_FIELDS + 2**20
 
     @pytest.mark.parametrize("n_traj", [0, -3])
     def test_n_traj_named(self, n_traj):
@@ -406,9 +480,10 @@ class TestUnravelLinear:
         # standard errors
         m = GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5]))
         n_traj, n_steps, dt = 400, 200, 1e-2
-        _, xi = _recorded_noise(monkeypatch, m, DensityMatrix.pure([1, 0]), n_steps * dt, dt,
-                                n_traj, seed=99)
-        assert xi.shape == (n_traj, n_steps, 2)
+        _, fields = _recorded_fields(monkeypatch, m, DensityMatrix.pure([1, 0]), n_steps * dt, dt,
+                                     n_traj, seed=99)
+        assert fields.shape == (n_traj, n_steps, 2) and fields.dtype == np.uint8
+        xi = trajectories._phase_table(dt)[fields]
         assert np.all(np.abs(xi) ** 2 == pytest.approx(dt, rel=1e-15))
         n = n_traj * n_steps
         bound = 5.0 / math.sqrt(n)
@@ -424,11 +499,10 @@ class TestUnravelLinear:
         # two draws of 32 words per trajectory
         m = GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5]))
         n_traj, n_steps, dt = 5, 600, 1e-3
-        _, xi = _recorded_noise(monkeypatch, m, DensityMatrix.pure([1, 0]), n_steps * dt, dt,
-                                n_traj, seed=2**40 + 3)
+        _, fields = _recorded_fields(monkeypatch, m, DensityMatrix.pure([1, 0]), n_steps * dt, dt,
+                                     n_traj, seed=2**40 + 3)
         for r in range(n_traj):
-            expected = _philox_increments(2**40 + 3, r, 2 * n_steps, dt)
-            assert np.array_equal(xi[r].ravel(), expected)
+            assert np.array_equal(fields[r].ravel(), _philox_fields(2**40 + 3, r, 2 * n_steps))
 
     def test_phase_table_moments(self):
         # the four increments are equally likely: E xi = 0, E |xi|^2 = dt,
@@ -453,7 +527,9 @@ class TestUnravelLinear:
         # every one of the 4^(n_steps * n_jump) increment paths, stepped by
         # the package's stepper and table, weighted equally: the exact
         # ensemble mean, which must be Phi^n rho0 with Phi(rho) = U rho U^H
-        # + dt sum_k Lt_k rho Lt_k^H built here, to rounding
+        # + dt sum_k Lt_k rho Lt_k^H built here, to rounding.  Saving every
+        # step takes one step per group; saving only the last takes the
+        # groups 3, 4 + 1, 2 + 1 and 2 + 2 steps long
         dt = 0.05
         gammas = np.real(np.diag(model.kossakowski))
         H_eff = model.hamiltonian - 0.5j * sum(
@@ -462,12 +538,17 @@ class TestUnravelLinear:
         ls = [math.sqrt(g) * L for g, (L, _) in zip(gammas, model.jump_operators)]
         u_step, ls_scaled = trajectories._step_operators(model, dt)
         n_jump = len(ls)
-        paths = np.array(list(itertools.product(range(4), repeat=n_steps * n_jump)))
-        noise = trajectories._phase_table(dt)[paths].reshape(len(paths), n_steps, n_jump)
+        incr = trajectories._phase_table(dt)[:, None, None] * ls_scaled[:, None]
+        paths = np.array(list(itertools.product(range(4), repeat=n_steps * n_jump)), dtype=np.uint8)
+        fields = paths.reshape(len(paths), n_steps, n_jump)
         psi0 = np.array([0.6, 0.8j])
         psi = np.tile(psi0, (len(paths), 1))
         out = np.empty((len(paths), n_steps + 1, 2), dtype=complex)
-        _accel.step_trajectory_chunk(psi, u_step, ls_scaled, noise, 1, out)
+        _accel.step_trajectory_chunk(psi, u_step, incr, fields, 1, out)
+        grouped = np.empty((len(paths), 2, 2), dtype=complex)
+        _accel.step_trajectory_chunk(np.tile(psi0, (len(paths), 1)), u_step, incr, fields,
+                                     n_steps, grouped)
+        assert np.abs(grouped[:, 1] - out[:, -1]).max() <= 1e-14
         # summed along a contiguous axis, pairwise, so the 4^n terms round
         # to about log2(4^n) ulps
         proj = np.ascontiguousarray(np.einsum("rsi,rsj->sijr", out, out.conj()))
@@ -561,22 +642,23 @@ class TestKernelOracles:
 
     def test_step_chunk_matches_loop(self):
         # two calls, 25 steps then 35, carry the states across the block
-        # boundary and save by global step index
+        # boundary (which cuts a 2-step group) and save by global step index
         rng = np.random.default_rng(0)
         d, steps, chunk, stride = 2, 60, 5, 10
         psi0 = np.array([0.6, 0.8j], dtype=complex)
         u_step = np.eye(d) - 1j * 1e-2 * (0.5 * SZ - 0.25j * (SM.conj().T @ SM))
         ls = np.array([0.7 * SM, 0.4 * SZ], dtype=complex)
-        noise = 0.07 * (rng.normal(size=(chunk, steps, 2)) + 1j * rng.normal(size=(chunk, steps, 2)))
+        incr = 0.1 * np.array([1, 1j, -1, -1j])[:, None, None] * ls[:, None]
+        fields = rng.integers(0, 4, size=(chunk, steps, 2), dtype=np.uint8)
         out = np.empty((chunk, steps // stride + 1, d), dtype=complex)
         psi = np.tile(psi0, (chunk, 1))
-        _accel.step_trajectory_chunk(psi, u_step, ls, noise[:, :25], stride, out)
-        _accel.step_trajectory_chunk(psi, u_step, ls, noise[:, 25:], stride, out, 25)
+        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, :25], stride, out)
+        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, 25:], stride, out, 25)
         for r in range(chunk):
             state = psi0.copy()
             expected = [state]
             for s in range(steps):
-                state = u_step @ state + sum(noise[r, s, k] * (ls[k] @ state) for k in range(2))
+                state = u_step @ state + sum(incr[k, fields[r, s, k]] @ state for k in range(2))
                 if (s + 1) % stride == 0:
                     expected.append(state)
             assert np.abs(out[r] - np.array(expected)).max() <= 1e-13
@@ -585,7 +667,8 @@ class TestKernelOracles:
     @pytest.mark.parametrize("zero_row", [False, True], ids=["dense", "zero_row"])
     def test_step_chunk_dense_matches_loop(self, zero_row):
         # d = 3, two jumps, every entry of u_step and of both L_k nonzero (or
-        # one all-zero row of L_1): the row-layout sums against a matvec loop
+        # one all-zero row of L_1): the row-layout sums of the group tables
+        # against a matvec loop
         rng = np.random.default_rng(2)
         d, steps, chunk, stride = 3, 40, 9, 8
         m = _dense_three_level()
@@ -594,21 +677,67 @@ class TestKernelOracles:
         if zero_row:
             ls[1, 1] = 0.0
         assert np.all(u_step != 0) and np.count_nonzero(ls) == ls.size - 3 * zero_row
+        incr = 0.1 * np.array([1, 1j, -1, -1j])[:, None, None] * ls[:, None]
         psi0 = np.array([0.6, 0.48j, 0.64], dtype=complex)
-        noise = 0.07 * (rng.normal(size=(chunk, steps, 2)) + 1j * rng.normal(size=(chunk, steps, 2)))
+        fields = rng.integers(0, 4, size=(chunk, steps, 2), dtype=np.uint8)
         out = np.empty((chunk, steps // stride + 1, d), dtype=complex)
         psi = np.tile(psi0, (chunk, 1))
-        _accel.step_trajectory_chunk(psi, u_step, ls, noise[:, :13], stride, out)
-        _accel.step_trajectory_chunk(psi, u_step, ls, noise[:, 13:], stride, out, 13)
+        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, :13], stride, out)
+        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, 13:], stride, out, 13)
         for r in range(chunk):
             state = psi0.copy()
             expected = [state]
             for s in range(steps):
-                state = u_step @ state + sum(noise[r, s, k] * (ls[k] @ state) for k in range(2))
+                state = u_step @ state + sum(incr[k, fields[r, s, k]] @ state for k in range(2))
                 if (s + 1) % stride == 0:
                     expected.append(state)
             assert np.abs(out[r] - np.array(expected)).max() <= 1e-13
         assert np.array_equal(psi, out[:, -1])
+
+    @pytest.mark.parametrize("n_jump", [0, 1, 2, 3, 5])
+    def test_group_tables_are_step_products(self, n_jump):
+        # every entry of every table of every group length equals the
+        # explicit product of its steps' M(c) = U + sum_k incr[k, c_k], last
+        # step leftmost, to 1e-15 of the product's largest entry; five jumps
+        # take a table of jumps 0-3 with U and one of jump 4 without
+        rng = np.random.default_rng(5)
+        d, dt = 3, 1e-3
+        m = _dense_three_level()
+        u_step = expm(-1j * dt * m.hamiltonian)
+        ls = 0.5 * (rng.normal(size=(n_jump, d, d)) + 1j * rng.normal(size=(n_jump, d, d)))
+        incr = trajectories._phase_table(dt)[:, None, None] * ls[:, None]
+
+        def step_matrix(codes):
+            return u_step + sum(incr[k, c] for k, c in enumerate(codes))
+
+        for steps in range(1, (4 // n_jump if n_jump in (1, 2, 4) else 1) + 1):
+            tables = _accel._group_tables(u_step, incr, steps)
+            assert len(tables) == max(1, -(-n_jump // 4))
+            for t, table in enumerate(tables):
+                n_fields = min(4, steps * n_jump - 4 * t)
+                assert table.shape == (4**n_fields, d, d)
+                for code, entry in enumerate(table):
+                    fields = [(code >> 2 * i) & 3 for i in range(n_fields)]
+                    if n_jump > 4:
+                        jumps = range(4 * t, 4 * t + n_fields)
+                        expected = (u_step if t == 0 else 0) + sum(
+                            incr[k, c] for k, c in zip(jumps, fields))
+                    else:
+                        expected = np.eye(d)
+                        for s in range(steps):
+                            expected = step_matrix(fields[s * n_jump:(s + 1) * n_jump]) @ expected
+                    assert np.abs(entry - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("lengths", [[4, 4], [4, 1, 3, 2, 4]], ids=["bytes", "padded"])
+    def test_byte_codes(self, lengths):
+        # runs of one to four fields, every field value at every place of a
+        # run: each run's code is sum_i field_i 4^i
+        fields = np.array(list(itertools.product(range(4), repeat=4)), dtype=np.uint8)
+        rows = np.concatenate([fields[:, :n] for n in lengths], axis=1)
+        codes = _accel._byte_codes(rows, lengths)
+        assert codes.shape == (len(lengths), len(fields)) and codes.dtype == np.intp
+        for run, n in enumerate(lengths):
+            assert np.array_equal(codes[run], fields[:, :n] @ (4 ** np.arange(n)))
 
     @pytest.mark.parametrize(
         "D, V",
