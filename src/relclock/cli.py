@@ -487,7 +487,8 @@ def _run_noise(cfg):
     _write_csv(out, ["i", "j", "re_target", "im_target", "re_sample", "im_sample"], rows)
     err = float(np.linalg.norm(sample - field.target_covariance) / np.linalg.norm(field.target_covariance))
     return (
-        {"frobenius_rel_error": err, "clipped_mass": field.clipped_mass},
+        {"frobenius_rel_error": err, "clipped_mass": field.clipped_mass,
+         "root_rank": field.root.shape[1]},
         {"covariance_within_5pct": bool(err <= 0.05)},
         [out.name],
     )

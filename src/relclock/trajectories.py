@@ -35,10 +35,11 @@ word buffer of ``_WORDS`` words per trajectory; the stepper adds an intp
 byte code per four fields and tables of at most 256 d x d matrices, and no
 complex noise array is formed.  Its working memory is O(chunk * block) plus
 the saved states, whatever the number of steps.  ``sample_colored_noise``
-draws R = ``_SAMPLE_BYTES`` // (16 n) realizations at a time and keeps only
-their n x n sum of outer products, so its working memory is O(R * n + n^2)
-on an n-point grid: no O(n_real * n) buffer exists unless a caller reads
-``NoiseField.samples``.
+draws only the k <= n eigen-directions of the target covariance that stand
+above its rank tolerance, R = ``_SAMPLE_BYTES`` // (16 k) realizations at a
+time, and keeps only their k x k sum of outer products, so its working
+memory is O(R * k + n * k + n^2) on an n-point grid: no O(n_real * n) buffer
+exists unless a caller reads ``NoiseField.samples``.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ _BLOCK_FIELDS = 2**18
 _WORDS = 32
 #: bytes of the block of normal draws the colored-noise sampler multiplies at once
 _SAMPLE_BYTES = 256 * 2**10
+#: eigenvalues of the noise covariance within this many times its largest
+#: diagonal entry of zero are dropped from the root; one below minus that raises
+_RANK_TOL = 1e-8
 #: deviations of a mean within this are rounding, not Monte-Carlo error
 _ROUNDING = 1e-12
 #: family-wise false-alarm rate of each ``ensemble_check`` test
@@ -142,17 +146,19 @@ def _unpack(packed: np.ndarray, first: int, out: np.ndarray) -> None:
     out[...] = spread.view(np.uint8)[:, first - 4 * b0:first - 4 * b0 + n]
 
 
-def _draw_blocks(seed: int, n: int, n_real: int):
+def _draw_blocks(seed: int, k: int, n_real: int):
     """Yield ``(start, stop, xi)`` for each fixed block of R = ``_SAMPLE_BYTES``
-    // (16 n) realizations (at least one).
+    // (16 k) realizations (at least one); yield nothing when k is 0.
 
-    Row r - start of the (R, n) array ``xi`` holds the n complex normals of
+    Row r - start of the (R, k) array ``xi`` holds the k complex normals of
     the stream keyed (seed, r), scaled by 1/sqrt(2) so E[xi xi*] = 1; the
     rows past ``n_real`` of the last block are zero.  One buffer is refilled
     for every block.
     """
-    rows = max(1, _SAMPLE_BYTES // (16 * n))
-    xi = np.empty((rows, n), dtype=complex)
+    if k == 0:
+        return
+    rows = max(1, _SAMPLE_BYTES // (16 * k))
+    xi = np.empty((rows, k), dtype=complex)
     gen = _stream(seed, 0)
     for start in range(0, n_real, rows):
         stop = min(start + rows, n_real)
@@ -169,11 +175,15 @@ class NoiseField:
     """A complex Gaussian field with a prescribed covariance, and the sample
     covariance of ``n_real`` of its realizations.
 
-    Realization r is z_r = ``root`` @ xi_r, with xi_r drawn from the stream
-    keyed (``seed``, r); E[z_j z_k*] converges to ``target_covariance[j, k]``.
-    ``covariance`` is (1/N) sum_r z_r z_r^H, built while the draws were made.
-    ``clipped_mass`` reports how much negative eigenvalue weight was clipped
-    during the Hermitian square-root factorization.
+    ``root`` is n x k: the eigenvectors of ``target_covariance`` whose
+    eigenvalues exceed ``_RANK_TOL`` times its largest diagonal entry, each
+    scaled by the square root of its eigenvalue.  Realization r is z_r =
+    ``root`` @ xi_r, with the k complex normals xi_r drawn from the stream
+    keyed (``seed``, r); E[z_j z_k*] converges to ``target_covariance[j, k]``
+    up to the dropped eigenvalues.  ``covariance`` is (1/N) sum_r z_r z_r^H,
+    built while the draws were made.  ``clipped_mass`` is the sum of |lambda|
+    over every dropped eigenvalue, positive or negative: the trace norm of
+    ``target_covariance - root @ root^H``.
     """
 
     grid: np.ndarray
@@ -193,8 +203,8 @@ class NoiseField:
         bits of realization r depend on (seed, r, grid) only, never on
         ``n_real``.
         """
-        z = np.empty((self.n_real, self.grid.size), dtype=complex)
-        for start, stop, xi in _draw_blocks(self.seed, self.grid.size, self.n_real):
+        z = np.zeros((self.n_real, self.grid.size), dtype=complex)
+        for start, stop, xi in _draw_blocks(self.seed, self.root.shape[1], self.n_real):
             z[start:stop] = (xi @ self.root.T)[: stop - start]
         return z
 
@@ -209,15 +219,20 @@ def sample_colored_noise(
     (``gkls.check_uniform_grid``).  The target covariance is then Hermitian
     Toeplitz, so C is evaluated once per lag, at t_0 - t_k rounded to 12
     decimals, and C(-s) = conj(C(s)) fills the other triangle.
-    Factorization is the Hermitian eigen-square-root with negative
-    eigenvalues clipped at zero (the clipped mass is reported); a
-    significantly negative spectrum signals a bad kernel and raises instead.
-    Realization r is ``root @ xi`` with xi drawn from the stream keyed
-    (seed, r).
+    Factorization is the Hermitian eigen-square-root of rank k: with tol =
+    ``_RANK_TOL`` times the largest diagonal entry, an eigenvalue below -tol
+    signals a kernel that is not positive type and raises, every eigenvalue
+    with |lambda| <= tol is dropped (``clipped_mass`` is their sum of
+    |lambda|), and the k eigenvalues above tol give the n x k ``root``.  The
+    clock kernel smooths the correlator, so k is far below n on fine grids
+    (39 of 256 points for a unit Gaussian over a span of 4); a grid of full
+    numerical rank keeps all n.  Realization r is ``root @ xi`` with the k
+    complex normals xi drawn from the stream keyed (seed, r).  With
+    ``coupling_g`` = 0 the covariance vanishes, k = 0 and nothing is drawn.
 
     The sample covariance is streamed: the draws come in fixed blocks of
-    R = ``_SAMPLE_BYTES`` // (16 n) rows (at least one), and S = sum_r
-    xi_r xi_r^H grows by ``xi.T @ conj(xi)`` per block, so the stored
+    R = ``_SAMPLE_BYTES`` // (16 k) rows (at least one), and the k x k S =
+    sum_r xi_r xi_r^H grows by ``xi.T @ conj(xi)`` per block, so the stored
     ``root @ (S / n_real) @ root^H`` equals (1/N) sum_r z_r z_r^H without
     any realization being formed.  ``NoiseField.samples`` regenerates them
     on demand; realization r still depends on (seed, r, grid) only.
@@ -238,16 +253,18 @@ def sample_colored_noise(
     M = np.lib.stride_tricks.sliding_window_view(full, n)[::-1]
     M = 0.5 * (M + M.conj().T)
     eigvals, V = np.linalg.eigh(M)
-    max_diag = max(np.real(np.diag(M)).max(), 0.0)
-    if eigvals.min() < -1e-8 * max(max_diag, 1e-300):
+    tol = _RANK_TOL * max(np.real(np.diag(M)).max(), 1e-300)
+    if eigvals.min() < -tol:
         raise PositivityError(
             f"noise covariance has negative eigenvalue {eigvals.min():.3e}; "
             "the kernel is not positive type at this cutoff"
         )
-    clipped = float(-np.clip(eigvals, None, 0.0).sum())
-    root = V * np.sqrt(np.clip(eigvals, 0.0, None))
-    S = np.zeros((n, n), dtype=complex)
-    for _, _, xi in _draw_blocks(seed, n, n_real):
+    keep = eigvals > tol
+    clipped = float(np.abs(eigvals[~keep]).sum())
+    root = V[:, keep] * np.sqrt(eigvals[keep])
+    k = root.shape[1]
+    S = np.zeros((k, k), dtype=complex)
+    for _, _, xi in _draw_blocks(seed, k, n_real):
         S += xi.T @ xi.conj()
     return NoiseField(t, M, clipped, root, seed, n_real, root @ (S / n_real) @ root.conj().T)
 

@@ -229,16 +229,21 @@ def test_09_trajectory_master_equation_equivalence():
 
 
 def test_10_colored_noise_covariance():
-    t0 = time.perf_counter()
-    field = sample_colored_noise(
-        VAC, GaussianKernel(1.0), np.linspace(0.0, 4.0, 32), 20_000, seed=1010
-    )
-    err = np.linalg.norm(field.covariance - field.target_covariance)
-    rel = err / np.linalg.norm(field.target_covariance)
-    ok = rel <= 0.05
-    elapsed = time.perf_counter() - t0
-    ok &= elapsed < 10.0
-    _report(10, "colored-noise-covariance", ok, f"frob rel={rel:.4f} t={elapsed:.1f}s")
+    # the 32-point grid has full rank; the 256-point cap has rank 39.  Each
+    # is timed alone: 0.3 s at 256 points on 2 vCPUs, 5.7 s with a second
+    # test run competing for them
+    for n_points in (32, 256):
+        t0 = time.perf_counter()
+        field = sample_colored_noise(
+            VAC, GaussianKernel(1.0), np.linspace(0.0, 4.0, n_points), 20_000, seed=1010
+        )
+        err = np.linalg.norm(field.covariance - field.target_covariance)
+        rel = err / np.linalg.norm(field.target_covariance)
+        ok = rel <= 0.05
+        elapsed = time.perf_counter() - t0
+        ok &= elapsed < 10.0
+        _report(10, "colored-noise-covariance", ok,
+                f"n={n_points} frob rel={rel:.4f} t={elapsed:.1f}s")
 
 
 def test_11_curl_null_violation_split():

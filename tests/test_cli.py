@@ -129,6 +129,16 @@ class TestRunScenario:
         assert run_scenario(cfg, quiet=True) == 0
         assert (tmp_path / "noise_covariance.csv").exists()
 
+    def test_noise_summary_rank_and_clipped_mass(self, tmp_path):
+        # the 8-point default grid has full rank: nothing is dropped, and the
+        # clipped mass is written as 0.0, not -0.0
+        cfg = parse_config(SMALL_CONFIGS["noise"])
+        cfg.output_path = tmp_path
+        assert run_scenario(cfg, quiet=True) == 0
+        text = (tmp_path / "summary.json").read_text()
+        assert '"clipped_mass": 0.0,' in text
+        assert json.loads(text)["outputs"]["root_rank"] == 8
+
     def test_csv_determinism(self, tmp_path):
         text = "[run]\nscenario = unravel\nseed = 9\n\n[unravel]\nn_traj = 200\nt = 0.2\ndt = 0.001\nn_out = 5\n"
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -31,10 +31,32 @@ def _philox(seed, r):
     return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
 
 
+def _rank_root(M):
+    """The n x k eigen-root of M from its k eigenvalues above 1e-8 times its
+    largest diagonal entry, with every eigenvalue at or below that."""
+    eigvals, V = np.linalg.eigh(M)
+    tol = 1e-8 * np.real(np.diag(M)).max()
+    keep = eigvals > tol
+    return V[:, keep] * np.sqrt(eigvals[keep]), eigvals, tol
+
+
+def _cache_correlator(monkeypatch):
+    """Make the sampler evaluate each correlator lag once per test."""
+    values = {}
+    original = trajectories.wightman_timelike
+
+    def cached(env, kernel, s):
+        if s not in values:
+            values[s] = original(env, kernel, s)
+        return values[s]
+
+    monkeypatch.setattr(trajectories, "wightman_timelike", cached)
+
+
 def _reference_noise(evaluate, grid, root, n_real, seed):
     """The per-pair dict covariance and the block sampler, written out: one
-    fresh Philox per realization, zero-padded blocks of R rows, one GEMM per
-    block."""
+    fresh Philox per realization drawing k = root.shape[1] complex normals,
+    zero-padded blocks of R rows, one GEMM per block."""
     t = np.asarray(grid, dtype=float)
     n = t.size
     diffs = t[:, None] - t[None, :]
@@ -46,11 +68,12 @@ def _reference_noise(evaluate, grid, root, n_real, seed):
             if key not in cache:
                 cache[key] = np.conj(cache[-key]) if -key in cache else evaluate(key)
             M[j, k] = cache[key]
-    R = max(1, trajectories._SAMPLE_BYTES // (16 * n))
+    k = root.shape[1]
+    R = max(1, trajectories._SAMPLE_BYTES // (16 * k))
     n_blocks = -(-n_real // R)
-    xi = np.zeros((n_blocks * R, n), dtype=complex)
+    xi = np.zeros((n_blocks * R, k), dtype=complex)
     for r in range(n_real):
-        g = _philox(seed, r).standard_normal((n, 2))
+        g = _philox(seed, r).standard_normal((k, 2))
         xi[r] = g[:, 0] + 1j * g[:, 1]
     samples = np.concatenate([(block / math.sqrt(2.0)) @ root.T
                               for block in np.split(xi, n_blocks)])
@@ -61,7 +84,7 @@ def _matvec_noise(root, n_real, seed):
     """The per-realization sampler: one matvec per realization."""
     samples = np.empty((n_real, root.shape[0]), dtype=complex)
     for r in range(n_real):
-        g = _philox(seed, r).standard_normal((root.shape[0], 2))
+        g = _philox(seed, r).standard_normal((root.shape[1], 2))
         samples[r] = root @ ((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0))
     return samples
 
@@ -164,6 +187,19 @@ class TestColoredNoise:
         field = sample_colored_noise(env, GaussianKernel(1.0), np.linspace(0, 2, 8), 50, seed=5)
         assert np.all(field.samples == 0.0)
 
+    def test_coupling_off_draws_nothing(self, monkeypatch):
+        # every eigenvalue is 0, so the root has rank 0 and no stream is keyed
+        def refuse(gen, seed, index):
+            raise AssertionError("a stream was drawn for a rank-0 root")
+
+        monkeypatch.setattr(trajectories, "_rekey", refuse)
+        env = EnvironmentSpec(coupling_g=0.0)
+        field = sample_colored_noise(env, GaussianKernel(1.0), np.linspace(0, 2, 8), 50, seed=5)
+        assert field.root.shape == (8, 0)
+        assert field.clipped_mass == 0.0
+        assert np.array_equal(field.covariance, np.zeros((8, 8)))
+        assert np.array_equal(field.samples, np.zeros((50, 8)))
+
     def test_single_point_variance(self):
         env = EnvironmentSpec()
         n = 4000
@@ -189,7 +225,7 @@ class TestColoredNoise:
         with pytest.raises(ValueError, match="grid"):
             sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, 2, seed=1)
 
-    @pytest.mark.parametrize("n_points", [1, 8, 32, 256])
+    @pytest.mark.parametrize("n_points", [1, 8, 32, 64, 256])
     def test_matches_reference_construction(self, monkeypatch, n_points):
         # one evaluation per lag, at the rounded keys the pairwise dict loop
         # evaluates, and bit-identical samples
@@ -209,12 +245,12 @@ class TestColoredNoise:
         field = sample_colored_noise(env, kernel, grid, n_real, seed=17)
         ours = list(calls)
         calls.clear()
-        eigvals, V = np.linalg.eigh(field.target_covariance)
-        root = V * np.sqrt(np.clip(eigvals, 0.0, None))
+        root = _rank_root(field.target_covariance)[0]
         M, samples = _reference_noise(lambda s: recording(env, kernel, s), grid, root, n_real, 17)
         assert ours == calls
         assert len(ours) == n_points
         assert np.array_equal(field.target_covariance, M)
+        assert np.array_equal(field.root, root)
         assert np.array_equal(field.samples, samples)
         # the block product rounds differently from one matvec per realization
         matvec = _matvec_noise(root, n_real, 17)
@@ -224,18 +260,12 @@ class TestColoredNoise:
     def test_realization_independent_of_count(self, monkeypatch, n_points):
         # realization r has the same bits whether it sits in a full block, a
         # zero-padded last block or the only block
-        values = {}
-        original = trajectories.wightman_timelike
-
-        def cached(env, kernel, s):
-            if s not in values:
-                values[s] = original(env, kernel, s)
-            return values[s]
-
-        monkeypatch.setattr(trajectories, "wightman_timelike", cached)
+        _cache_correlator(monkeypatch)
         env, kernel = EnvironmentSpec(), GaussianKernel(1.0)
         grid = [0.0] if n_points == 1 else np.linspace(0.0, 4.0, n_points)
-        R = max(1, trajectories._SAMPLE_BYTES // (16 * n_points))
+        # the blocks hold R rows of k = rank normals each
+        k = sample_colored_noise(env, kernel, grid, 1, seed=31).root.shape[1]
+        R = max(1, trajectories._SAMPLE_BYTES // (16 * k))
         counts = [1, R - 1, R, R + 1, 3 * R + 2]
         runs = [sample_colored_noise(env, kernel, grid, c, seed=31).samples for c in counts]
         longest = runs[-1]
@@ -244,7 +274,7 @@ class TestColoredNoise:
             assert np.array_equal(samples, longest[:c])
 
     @pytest.mark.parametrize("n_real, n_points", [
-        (20_000, 256),  # the noise cap: full blocks of 64 draws
+        (20_000, 256),  # the noise cap: rank 39, full blocks of 420 draws
         (1001, 32),     # short last blocks
         (5, 8),
         (7, 1),
@@ -262,7 +292,9 @@ class TestColoredNoise:
         assert np.abs(got - ref).max() <= 1e-13 * scale
 
     def test_sample_covariance_memory(self):
-        # no (n_real, n) buffer: 20 000 x 256 realizations would take 78 MiB
+        # no (n_real, n) buffer: 20 000 x 256 realizations would take 78 MiB;
+        # the full-rank root and its 64-row blocks peaked at 8 MiB, the rank-39
+        # root at 4.5 MiB
         grid = np.linspace(0.0, 4.0, 256)
         tracemalloc.start()
         try:
@@ -270,7 +302,41 @@ class TestColoredNoise:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize("n_points, rank", [(1, 1), (8, 8), (32, 32), (64, 38), (256, 39)])
+    def test_root_rank_and_clipped_mass(self, n_points, rank):
+        # the root keeps exactly the eigenvalues above the tolerance, so it is
+        # within the tolerance of the target in the 2-norm, and the clipped mass
+        # is the |lambda| of all the others: +0.0 when none is dropped
+        grid = [0.0] if n_points == 1 else np.linspace(0.0, 4.0, n_points)
+        field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, 1, seed=37)
+        M = field.target_covariance
+        _, eigvals, tol = _rank_root(M)
+        assert field.root.shape == (n_points, rank)
+        assert rank == np.count_nonzero(eigvals > tol)
+        assert np.linalg.norm(field.root @ field.root.conj().T - M, 2) <= tol
+        dropped = np.abs(eigvals[eigvals <= tol]).sum()
+        assert field.clipped_mass == pytest.approx(dropped, rel=1e-12, abs=0.0)
+        assert math.copysign(1.0, field.clipped_mass) == 1.0
+
+    def test_sample_covariance_error_law(self, monkeypatch):
+        # circular draws give E ||C_hat - C||_F^2 = sum_jk C_jj C_kk / N =
+        # (tr C)^2 / N, whatever the rank: the mean of N ||C_hat - C||_F^2 /
+        # (tr C)^2 over 30 seeds is 1 within a Student-t bound at a two-sided
+        # false-alarm rate of 1e-3 (3.66 standard errors); one stream reused
+        # for two realizations reads about 2
+        _cache_correlator(monkeypatch)
+        grid, n_real, seeds = np.linspace(0.0, 4.0, 64), 2000, range(30)
+        ratios = []
+        for seed in seeds:
+            field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, n_real, seed)
+            C = field.target_covariance
+            ratios.append(n_real * np.linalg.norm(field.covariance - C) ** 2 / np.trace(C).real ** 2)
+        assert field.root.shape[1] < grid.size
+        se = np.std(ratios, ddof=1) / math.sqrt(len(ratios))
+        bound = scipy.stats.t.isf(0.5e-3, len(ratios) - 1)
+        assert abs(np.mean(ratios) - 1.0) <= bound * se
 
     @pytest.mark.parametrize("seed, r", [(0, 0), (3, 5), (3, 2**40), (2**63 + 7, 1), (41, 2**64 - 1)])
     def test_stream_matches_keyed_philox(self, seed, r):
