@@ -8,23 +8,20 @@ and hybrid classical-quantum clock dynamics.
 
 Importing the package loads numpy only, and so does every CLI scenario:
 no relclock module imports scipy.  Quadrature and special functions are
-numpy (:mod:`relclock.specfun`), Gibbs states come from ``eigh``, the matrix
-exponential is Padé scaling and squaring (``gkls.expm``), and
-``TabulatedKernel`` interpolates with a numpy PCHIP.  scipy is a test-only
-dependency, the oracle these routines are checked against.
+numpy (:mod:`relclock.specfun`), Gibbs states come from ``eigh``, and the
+matrix exponential is Padé scaling and squaring (``gkls.expm``).  scipy is a
+test-only dependency, the oracle these routines are checked against.
 """
 
-from .correlators import EnvironmentSpec, kms_rate_weights, vacuum_spectral_density, wightman_timelike
+from .correlators import EnvironmentSpec, vacuum_spectral_density, wightman_timelike
 from .gkls import (
     DensityMatrix,
     GKLSModel,
     Superoperator,
-    bohr_decompose,
     build_generator,
     cp_choi_check,
     evolve,
     qubit_decay_model,
-    stationarity_check,
 )
 from .hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, tradeoff_check
 from .integrability import (
@@ -38,7 +35,6 @@ from .kernels import (
     ClockKernel,
     CoherentReadoutKernel,
     GaussianKernel,
-    TabulatedKernel,
     kernel_spectrum,
     positivity_gram_check,
 )
@@ -47,14 +43,12 @@ from .langevin import (
     ModeParams,
     ccr_defect,
     mode_evolve_moments,
-    smeared_noise_spectrum,
     stationary_fdr_check,
 )
 from .rates import (
     KossakowskiBlock,
     RateQuery,
     assemble_kossakowski,
-    delta_kappa_memory,
     kappa_markov_kms,
     kappa_markov_vacuum,
     kappa_tcl,

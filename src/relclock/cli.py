@@ -183,10 +183,14 @@ _GRID_SIZES = {
     "curl.sigmas": 1,
 }
 
-_USES_ENV_KERNEL = {
+#: the scenarios that read [env]
+_USES_ENV = {
     "rates", "markov_limit", "lamb_shift", "kms", "gkls", "langevin",
     "noise", "curl", "boost",
 }
+
+#: the scenarios that build their clock kernel from [kernel]
+_USES_KERNEL = {"rates", "lamb_shift", "noise"}
 
 
 def parse_config(
@@ -229,8 +233,9 @@ def parse_config(
         raise ConfigError(f"scenario {scenario!r} is stochastic: [run] seed is required")
 
     allowed = dict(SCHEMA[scenario])
-    if scenario in _USES_ENV_KERNEL:
+    if scenario in _USES_ENV:
         allowed["env"] = _ENV_KEYS
+    if scenario in _USES_KERNEL:
         allowed["kernel"] = _KERNEL_KEYS
     params: dict = {}
     for sec in cp.sections():
@@ -269,22 +274,23 @@ def parse_config(
             raise ConfigError(f"[{sec}] {key} must {verb} >= {least}, got {size}")
 
     # contextual defaults and unit-level validation
-    if scenario in _USES_ENV_KERNEL:
+    if scenario in _USES_ENV:
         mass = params["env.mass_e"]
         if not mass > 0:
             raise ConfigError("mass_e must be > 0")
-        if params["kernel.sigma"] is None:
-            params["kernel.sigma"] = 5.0 / mass
-        if not params["kernel.sigma"] > 0:
-            raise ConfigError("sigma must be > 0")
-        if params["kernel.kind"] not in ("gaussian", "coherent"):
-            raise ConfigError(f"unknown kernel kind {params['kernel.kind']!r}")
         if scenario == "markov_limit" and params["markov_limit.omega"] is None:
             params["markov_limit.omega"] = -3.0 * mass
         if scenario == "lamb_shift" and params["lamb_shift.cutoff"] is None:
             params["lamb_shift.cutoff"] = 40.0 * mass
         if scenario == "kms" and params["kms.omega"] is None:
             params["kms.omega"] = 2.0 * mass
+    if scenario in _USES_KERNEL:
+        if params["kernel.sigma"] is None:
+            params["kernel.sigma"] = 5.0 / mass
+        if not params["kernel.sigma"] > 0:
+            raise ConfigError("sigma must be > 0")
+        if params["kernel.kind"] not in ("gaussian", "coherent"):
+            raise ConfigError(f"unknown kernel kind {params['kernel.kind']!r}")
     if scenario == "cq" and not params["cq.t"] > 0:
         raise ConfigError(f"[cq] t must be > 0, got {params['cq.t']}")
     digest = hashlib.sha256(text.encode()).hexdigest()
@@ -331,7 +337,7 @@ def _run_rates(cfg):
 
 def _run_markov_limit(cfg):
     p = cfg.parameters
-    env, _ = _env_from(p), None
+    env = _env_from(p)
     om = p["markov_limit.omega"]
     km = kappa_markov(env, om)
     rows, rels = [], []
@@ -485,7 +491,11 @@ def _run_noise(cfg):
             for j, cells in enumerate(zip(*(plane[i].tolist() for plane in planes))))
     out = cfg.output_path / "noise_covariance.csv"
     _write_csv(out, ["i", "j", "re_target", "im_target", "re_sample", "im_sample"], rows)
-    err = float(np.linalg.norm(sample - field.target_covariance) / np.linalg.norm(field.target_covariance))
+    scale = np.linalg.norm(field.target_covariance)
+    if scale > 0.0:
+        err = float(np.linalg.norm(sample - field.target_covariance) / scale)
+    else:  # a zero target is met exactly or not at all
+        err = 0.0 if not sample.any() else math.inf
     return (
         {"frobenius_rel_error": err, "clipped_mass": field.clipped_mass,
          "root_rank": field.root.shape[1]},
@@ -602,8 +612,22 @@ _RUNNERS = {
 }
 
 
+def _json_ready(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {key: _json_ready(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
-    """Execute a validated config; write CSV artifacts plus summary.json."""
+    """Execute a validated config; write CSV artifacts plus summary.json.
+
+    summary.json is strict JSON: a non-finite output is written as null.
+    """
     cfg.output_path.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     outputs, checks, files = _RUNNERS[cfg.scenario](cfg)
@@ -612,14 +636,14 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
         "scenario": cfg.scenario,
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
-        "outputs": outputs,
+        "outputs": _json_ready(outputs),
         "checks": checks,
         "wall_time_s": wall,
         "version": __version__,
         "artifacts": files,
     }
     with open(cfg.output_path / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
+        json.dump(summary, fh, indent=2, default=float, allow_nan=False)
         fh.write("\n")
     ok = all(checks.values())
     if not quiet:

@@ -22,7 +22,6 @@ from .specfun import _gauss_kronrod, bose_occupation
 __all__ = [
     "EnvironmentSpec",
     "vacuum_spectral_density",
-    "kms_rate_weights",
     "wightman_timelike",
 ]
 
@@ -73,17 +72,6 @@ def vacuum_spectral_density(env: EnvironmentSpec, E):
         raise ValueError(f"E must be >= 0, got {E!r}")
     m = env.mass_E
     return (env.coupling_g**2 * np.sqrt(np.maximum(x * x - m * m, 0.0)) / (4.0 * math.pi**2))[()]
-
-
-def kms_rate_weights(env: EnvironmentSpec, E: float) -> tuple[float, float]:
-    """Thermal emission/absorption weights (1 + n_B(E), n_B(E)).
-
-    Vacuum limit returns (1, 0).  E below the mass gap is rejected.
-    """
-    if E < env.mass_E:
-        raise ValueError(f"E must be >= mass_E, got {E!r}")
-    n = bose_occupation(E, env.beta)
-    return (1.0 + n, n)
 
 
 def _spectral_ft(env: EnvironmentSpec, s: float, cutoff: float) -> complex:

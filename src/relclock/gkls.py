@@ -27,8 +27,6 @@ __all__ = [
     "build_generator",
     "cp_choi_check",
     "evolve",
-    "stationarity_check",
-    "bohr_decompose",
     "qubit_decay_model",
 ]
 
@@ -346,53 +344,6 @@ def evolve(m: GKLSModel, rho0: DensityMatrix, t: float) -> DensityMatrix:
     rho = unvec(expm(t * gen.matrix) @ vec(rho0.matrix), m.dim)
     rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(rho, trace_tol=1e-10, eig_floor=-1e-8)
-
-
-def stationarity_check(m: GKLSModel, rho: DensityMatrix) -> float:
-    """Frobenius norm of L(rho); ~0 for stationary states."""
-    gen = build_generator(m)
-    return float(np.linalg.norm(gen.matrix @ vec(rho.matrix)))
-
-
-def bohr_decompose(H_S, A):
-    """Split A into Bohr eigenoperators of H_S, [H_S, A_w] = w A_w.
-
-    Frequencies within 1e-9 * max(||H_S||, 1) are binned together.
-    Returns a list of (component, frequency) whose components sum to A.
-    """
-    H = np.asarray(H_S, dtype=complex)
-    A = np.asarray(A, dtype=complex)
-    eigvals, V = np.linalg.eigh(H)
-    tol = 1e-9 * max(np.linalg.norm(H, 2), 1.0)
-    At = V.conj().T @ A @ V
-    d = H.shape[0]
-    bins: dict[int, tuple[float, np.ndarray]] = {}
-    freqs: list[float] = []
-    for a in range(d):
-        for b in range(d):
-            if At[a, b] == 0.0:
-                continue
-            w = eigvals[a] - eigvals[b]
-            for idx, f in enumerate(freqs):
-                if abs(w - f) <= tol:
-                    key = idx
-                    break
-            else:
-                freqs.append(w)
-                key = len(freqs) - 1
-            comp = bins.get(key)
-            if comp is None:
-                bins[key] = (freqs[key], np.zeros((d, d), dtype=complex))
-            piece = np.zeros((d, d), dtype=complex)
-            piece[a, b] = At[a, b]
-            bins[key] = (bins[key][0], bins[key][1] + piece)
-    out = []
-    anorm = max(np.linalg.norm(A), 1e-30)
-    for w, comp_t in (bins[k] for k in sorted(bins)):
-        comp = V @ comp_t @ V.conj().T
-        if np.linalg.norm(comp) > 1e-14 * anorm:
-            out.append((comp, float(w)))
-    return out
 
 
 def qubit_decay_model(omega0: float, gamma_down: float, gamma_up: float = 0.0) -> GKLSModel:

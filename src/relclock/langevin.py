@@ -12,14 +12,11 @@ only free noise parameter once the commutator normalization is fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._csv import write_csv
-from .correlators import EnvironmentSpec
-from .kernels import ClockKernel
-from .rates import RateQuery, kappa_tcl
 from .specfun import bose_occupation, integrate_adaptive
 
 __all__ = [
@@ -28,7 +25,6 @@ __all__ = [
     "mode_evolve_moments",
     "ccr_defect",
     "stationary_fdr_check",
-    "smeared_noise_spectrum",
     "write_moment_trajectory_csv",
 ]
 
@@ -131,21 +127,6 @@ def stationary_fdr_check(p: ModeParams, beta: float):
     x = beta * p.energy_E
     prediction = 0.5 if beta == math.inf else 0.5 / math.tanh(0.5 * x)
     return (symmetrized, prediction, abs(symmetrized - prediction))
-
-
-def smeared_noise_spectrum(
-    env: EnvironmentSpec, kernel: ClockKernel, Omega: float
-) -> float:
-    """Symmetrized smeared-noise spectrum (kappa(-Omega) + kappa(+Omega)) / 2.
-
-    This is the Fourier transform of the symmetrized smeared correlator and
-    matches the Kossakowski density; nonnegative by the positive-type kernel.
-    """
-    if abs(env.rapidity) > 1e-14:
-        raise ValueError("smeared_noise_spectrum requires rapidity = 0")
-    up = kappa_tcl(RateQuery(omega=+Omega, kernel=kernel, env=env))
-    down = kappa_tcl(RateQuery(omega=-Omega, kernel=kernel, env=env))
-    return 0.5 * (up + down)
 
 
 def write_moment_trajectory_csv(path, p: ModeParams, m0: ModeMoments, taus) -> list[float]:

@@ -45,7 +45,6 @@ __all__ = [
     "kappa_tcl_kms",
     "kappa_markov_vacuum",
     "kappa_markov_kms",
-    "delta_kappa_memory",
     "lamb_shift_coefficient",
     "odd_kernel_transform",
     "assemble_kossakowski",
@@ -75,10 +74,10 @@ def _certify_kernel(kernel: ClockKernel) -> None:
     """17-point Gram certificate of positive type, run once per kernel.
 
     Positive type is a property of the kernel alone, so a passing verdict is
-    cached: frozen kernels hash by value, a ``TabulatedKernel`` by identity.
-    A failure raises and is not cached, so it raises on every query.
+    cached; the frozen kernels hash by value.  A failure raises and is not
+    cached, so it raises on every query.
     """
-    a = kernel.sample_halfspan
+    a = 4.0 * kernel.width
     verdict = positivity_gram_check(kernel, np.linspace(-a, a, 17))
     if not verdict:
         raise PositivityError(
@@ -302,18 +301,6 @@ def kappa_markov(env: EnvironmentSpec, omega: float) -> float:
     if env.is_vacuum:
         return kappa_markov_vacuum(env, omega)
     return kappa_markov_kms(env, omega)
-
-
-def delta_kappa_memory(q: RateQuery) -> float:
-    """Finite-clock memory correction kappa_tcl - kappa_markov.
-
-    Equivalently the (w(s) - 1) part of the rate integral.  The sum
-    kappa_markov + delta_kappa is the full nonnegative finite-sigma rate, and
-    delta_kappa -> 0 in the ideal-clock limit.
-    """
-    if abs(q.env.rapidity) > 1e-14:
-        raise ValueError("delta_kappa_memory requires rapidity = 0")
-    return kappa_tcl(q) - kappa_markov(q.env, q.omega)
 
 
 def odd_kernel_transform(sigma: float, Omega: float) -> complex:

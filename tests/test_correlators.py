@@ -7,7 +7,6 @@ from scipy import integrate
 from relclock.correlators import (
     EnvironmentSpec,
     _spectral_ft,
-    kms_rate_weights,
     vacuum_spectral_density,
     wightman_timelike,
 )
@@ -71,27 +70,6 @@ class TestSpectralDensity:
         j = vacuum_spectral_density(env, E_grid)
         exact = np.trapezoid(j * f(E_grid), E_grid)
         assert mc == pytest.approx(exact, rel=0.01)
-
-
-class TestKMSWeights:
-    def test_vacuum(self):
-        assert kms_rate_weights(EnvironmentSpec(), 2.0) == (1.0, 0.0)
-
-    def test_unit_occupation(self):
-        # E = ln 2 needs a mass gap below it
-        em, ab = kms_rate_weights(EnvironmentSpec(mass_E=0.5, beta=1.0), math.log(2.0))
-        assert em == pytest.approx(2.0, abs=1e-12)
-        assert ab == pytest.approx(1.0, abs=1e-12)
-
-    def test_value(self):
-        em, ab = kms_rate_weights(EnvironmentSpec(beta=1.0), 2.0)
-        nb = 1 / (math.exp(2.0) - 1)
-        assert ab == pytest.approx(nb, rel=1e-12)
-        assert em == pytest.approx(1 + nb, rel=1e-12)
-
-    def test_below_gap_rejected(self):
-        with pytest.raises(ValueError):
-            kms_rate_weights(EnvironmentSpec(), 0.5)
 
 
 class TestWightman:

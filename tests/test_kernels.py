@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conftest import ClosedFormKernel
 from relclock.kernels import (
     CoherentReadoutKernel,
     GaussianKernel,
-    PositivityError,
-    TabulatedKernel,
-    _Pchip,
     kernel_spectrum,
     positivity_gram_check,
 )
@@ -134,23 +132,18 @@ class TestGramCheck:
             assert verdict.positive_type, verdict
 
     def test_triangle_positive(self):
-        s = np.linspace(-2, 2, 41)
-        k = TabulatedKernel(np.column_stack([s, 1 - np.abs(s) / 2]))
+        # the triangle's transform is a squared sinc, so it is positive type
+        k = ClosedFormKernel(lambda s: max(1 - abs(s) / 2, 0.0), 1.0)
         times = np.linspace(-1, 1, 16)
         assert positivity_gram_check(k, times)
 
     def test_cosine_mixture_positive(self):
-        s = np.linspace(-20, 20, 4001)
-        w = (np.cos(s) + 0.5 * np.cos(3 * s)) / 1.5
-        k = TabulatedKernel(np.column_stack([s, w]))
-        # times on multiples of the table spacing: differences hit table
-        # nodes exactly, so the check sees the kernel, not pchip wiggle
+        k = ClosedFormKernel(lambda s: (math.cos(s) + 0.5 * math.cos(3 * s)) / 1.5, 1.0)
         times = 0.17 * np.arange(24)
         assert positivity_gram_check(k, times)
 
     def test_parabola_violation(self):
-        s = np.linspace(-1, 1, 201)
-        k = TabulatedKernel(np.column_stack([s, 1 - s**2]))
+        k = ClosedFormKernel(lambda s: 1 - s**2, 0.25)
         verdict = positivity_gram_check(k, np.linspace(-0.5, 0.5, 32))
         assert not verdict.positive_type
         assert verdict.min_eigenvalue < -1e-10
@@ -159,81 +152,3 @@ class TestGramCheck:
         with pytest.raises(ValueError):
             positivity_gram_check(GaussianKernel(1.0), [0.0])
 
-
-class TestTabulated:
-    def test_out_of_range(self):
-        k = TabulatedKernel([(-1.0, 0.5), (0.0, 1.0), (1.0, 0.5)])
-        with pytest.raises(ValueError):
-            k.evaluate(2.0)
-
-    def test_symmetrization(self):
-        # asymmetric noise in the table is averaged out
-        k = TabulatedKernel([(-1.0, 0.4), (-0.5, 0.8), (0.0, 1.0), (0.5, 0.9), (1.0, 0.6)])
-        assert k.evaluate(0.7) == pytest.approx(k.evaluate(-0.7), abs=1e-12)
-
-    def test_csv_roundtrip(self, tmp_path):
-        path = tmp_path / "kernel.csv"
-        path.write_text("s,w\n-2.0,0.0\n-1.0,0.5\n0.0,1.0\n1.0,0.5\n2.0,0.0\n")
-        k = TabulatedKernel.from_csv(path)
-        assert k.evaluate(0.0) == pytest.approx(1.0)
-        assert k.evaluate(1.0) == pytest.approx(0.5)
-        path2 = tmp_path / "noheader.csv"
-        path2.write_text("-2.0,0.0\n-1.0,0.5\n0.0,1.0\n1.0,0.5\n2.0,0.0\n")
-        k2 = TabulatedKernel.from_csv(path2)
-        assert k2.evaluate(0.5) == pytest.approx(k.evaluate(0.5))
-
-    def test_triangle_spectrum_nonnegative(self):
-        s = np.linspace(-2, 2, 81)
-        k = TabulatedKernel(np.column_stack([s, 1 - np.abs(s) / 2]))
-        spec = kernel_spectrum(k)
-        assert np.all(spec.atoms[:, 1] >= 0.0)
-        # Fourier inversion, up to the discrete transform's truncation
-        assert spec.atoms[:, 1].sum() == pytest.approx(2 * math.pi, abs=5e-3)
-
-    def test_parabola_spectrum_raises(self):
-        s = np.linspace(-1, 1, 201)
-        k = TabulatedKernel(np.column_stack([s, 1 - s**2]))
-        with pytest.raises(PositivityError):
-            kernel_spectrum(k)
-
-
-_UNEVEN = np.cumsum(np.random.default_rng(3).uniform(0.01, 1.0, 20))
-
-
-class TestPchip:
-    @pytest.mark.parametrize("x, y", [
-        (np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9) ** 3),
-        (np.linspace(-3.0, 3.0, 13), np.sin(2.0 * np.linspace(-3.0, 3.0, 13))),
-        (np.arange(8.0), np.array([0.0, 1.0, 1.0, 1.0, 2.0, 0.0, 0.0, 3.0])),
-        (np.array([0.0, 2.0]), np.array([1.0, -3.0])),
-        (np.array([-1.0, 0.5, 4.0]), np.array([2.0, -1.0, 5.0])),
-        (_UNEVEN, np.random.default_rng(4).normal(size=20)),
-    ], ids=["monotone", "non-monotone", "flat-segments", "two-point", "three-point", "uneven"])
-    def test_matches_scipy(self, x, y):
-        from scipy.interpolate import PchipInterpolator
-
-        q = np.linspace(x[0], x[-1], 1001)
-        expected = PchipInterpolator(x, y)(q)
-        got = _Pchip(x, y)(q)
-        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
-        assert np.array_equal(_Pchip(x, y)(x), y)
-
-    def test_monotone_data_stay_monotone(self):
-        x = np.array([0.0, 0.1, 0.15, 1.0, 3.0, 3.2])
-        y = np.array([0.0, 0.0, 0.5, 0.6, 3.0, 3.0])
-        assert (np.diff(_Pchip(x, y)(np.linspace(0.0, 3.2, 2001))) >= 0.0).all()
-
-    @pytest.mark.parametrize("x, y", [
-        ([0.0], [1.0]),
-        ([0.0, 0.0, 1.0], [1.0, 2.0, 3.0]),
-        ([1.0, 0.0], [1.0, 2.0]),
-        ([0.0, 1.0], [1.0, math.nan]),
-    ])
-    def test_bad_nodes_rejected(self, x, y):
-        with pytest.raises(ValueError):
-            _Pchip(x, y)
-
-    def test_outside_nodes_rejected(self):
-        p = _Pchip([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-        with pytest.raises(ValueError, match="outside"):
-            p(2.5)

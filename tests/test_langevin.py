@@ -5,17 +5,15 @@ import numpy as np
 import pytest
 
 from relclock.correlators import EnvironmentSpec
-from relclock.kernels import CoherentReadoutKernel, GaussianKernel
 from relclock.langevin import (
     ModeMoments,
     ModeParams,
     ccr_defect,
     mode_evolve_moments,
-    smeared_noise_spectrum,
     stationary_fdr_check,
     write_moment_trajectory_csv,
 )
-from relclock.rates import RateQuery, kappa_markov_kms, kappa_tcl_vacuum
+from relclock.rates import kappa_markov_kms
 from relclock.specfun import bose_occupation
 
 
@@ -119,38 +117,6 @@ class TestFDR:
         p = ModeParams(energy_E=E, gamma=gamma, nbar=nbar)
         m = mode_evolve_moments(p, ModeMoments(occupation_n=4.0), 60.0 / gamma)
         assert m.occupation_n == pytest.approx(bose_occupation(E, 0.8), abs=1e-9)
-
-
-class TestNoiseSpectrum:
-    def test_matches_rate_at_negative_frequency(self):
-        env = EnvironmentSpec()
-        ker = GaussianKernel(10.0)
-        val = smeared_noise_spectrum(env, ker, 2.0)
-        down = kappa_tcl_vacuum(RateQuery(omega=-2.0, kernel=ker, env=env))
-        assert abs(val - 0.5 * down) <= 1e-10 * down
-
-    def test_symmetry(self):
-        env = EnvironmentSpec(beta=1.0)
-        ker = GaussianKernel(3.0)
-        assert smeared_noise_spectrum(env, ker, 1.7) == pytest.approx(
-            smeared_noise_spectrum(env, ker, -1.7), rel=1e-12
-        )
-
-    def test_coupling_off(self):
-        env = EnvironmentSpec(coupling_g=0.0)
-        assert smeared_noise_spectrum(env, GaussianKernel(1.0), 2.0) == 0.0
-
-    def test_nonnegative_random_draws(self):
-        rng = np.random.default_rng(44)
-        for trial in range(500):
-            beta = math.inf if trial % 2 else rng.uniform(0.3, 4.0)
-            env = EnvironmentSpec(mass_E=rng.uniform(0.5, 2.0), beta=beta)
-            if trial % 3 == 0:
-                ker = CoherentReadoutKernel(R=rng.uniform(0.3, 2.5), omega_C=rng.uniform(0.5, 2.0))
-            else:
-                ker = GaussianKernel(rng.uniform(0.5, 8.0))
-            Om = rng.uniform(-5, 5)
-            assert smeared_noise_spectrum(env, ker, float(Om)) >= 0.0
 
 
 def test_csv_emission(tmp_path):

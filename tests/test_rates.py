@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conftest import ClosedFormKernel
 from relclock.correlators import EnvironmentSpec, vacuum_spectral_density
-from relclock.kernels import CoherentReadoutKernel, GaussianKernel, PositivityError, TabulatedKernel
+from relclock.kernels import CoherentReadoutKernel, GaussianKernel, PositivityError
 from relclock.rates import (
     KossakowskiBlock,
     RateQuery,
     assemble_kossakowski,
-    delta_kappa_memory,
     kappa_markov_kms,
     kappa_markov_vacuum,
     kappa_tcl,
@@ -20,7 +20,7 @@ from relclock.rates import (
     lamb_shift_coefficient,
     odd_kernel_transform,
 )
-from relclock.specfun import bose_occupation, gaussian_ft
+from relclock.specfun import bose_occupation
 
 VAC = EnvironmentSpec(mass_E=1.0, coupling_g=1.0)
 
@@ -143,30 +143,6 @@ class TestMarkovKms:
     def test_mass_gap(self):
         assert kappa_markov_kms(EnvironmentSpec(beta=1.0), 0.5) == 0.0
         assert kappa_markov_kms(EnvironmentSpec(beta=1.0), -0.5) == 0.0
-
-
-class TestDeltaKappa:
-    def test_ideal_clock_convergence(self):
-        dk = delta_kappa_memory(q(-3.0, sigma=20.0))
-        km = kappa_markov_vacuum(VAC, -3.0)
-        assert abs(dk) / km <= 1e-3
-
-    def test_heating_is_pure_memory(self):
-        dk = delta_kappa_memory(q(1.0, sigma=2.0))
-        assert dk == kappa_tcl_vacuum(q(1.0, sigma=2.0))
-        assert dk >= 0.0
-
-    def test_coupling_off(self):
-        env = replace(VAC, coupling_g=0.0)
-        assert delta_kappa_memory(q(-2.0, sigma=1.0, env=env)) == 0.0
-
-    def test_total_rate_nonnegative(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            om = rng.uniform(-5, 5)
-            sig = rng.uniform(0.5, 10.0)
-            dk = delta_kappa_memory(q(om, sigma=sig))
-            assert kappa_markov_vacuum(VAC, om) + dk >= -1e-15
 
 
 class TestLambShift:
@@ -302,8 +278,7 @@ class TestProperties:
         assert all(devs[i] > devs[i + 1] for i in range(3))
 
     def test_rate_query_rejects_bad_kernel(self):
-        s = np.linspace(-1, 1, 201)
-        bad = TabulatedKernel(np.column_stack([s, 1 - s**2]))
+        bad = ClosedFormKernel(lambda s: 1 - s**2, 0.25)
         with pytest.raises(PositivityError):
             RateQuery(omega=-2.0, kernel=bad, env=VAC)
 
@@ -333,8 +308,7 @@ class TestKernelCertificate:
         assert gram_calls == [kernel]
 
     def test_failure_raises_on_every_query(self, gram_calls):
-        s = np.linspace(-1, 1, 201)
-        bad = TabulatedKernel(np.column_stack([s, 1 - s**2]))
+        bad = ClosedFormKernel(lambda s: 1 - s**2, 0.25)
         for _ in range(2):
             with pytest.raises(PositivityError):
                 RateQuery(omega=-2.0, kernel=bad, env=VAC)
