@@ -15,17 +15,24 @@ gives equality margin <-> equality of decay and packet-separation exponents).
 The classical sector uses Scharfetter-Gummel fluxes with reflecting
 boundaries: trace is conserved identically and the scheme's leading error is
 a small extra diffusion, which errs on the positive-definite side.
+
+:func:`cq_evolve_grid` picks its own step dt_max: the least of the cap
+``_DT_CAP``, the diffusion limit 0.2 dz^2 / d2 and the generator limit
+0.1 / (max over cells ||G||_2 + max|V| / dz).  It cuts t into ``_CHECKS`` equal
+parts of ceil(t / _CHECKS / dt_max) steps each, and returns the least block
+eigenvalue at the start and after each part with the final state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._accel import fv_drift_diffusion_step
 from ._csv import write_csv
-from .gkls import check_uniform_grid, expm, generator_matrix, step_count
+from .gkls import check_uniform_grid, expm, generator_matrix
 from .kernels import psd_margin
 
 __all__ = [
@@ -37,6 +44,9 @@ __all__ = [
     "cq_evolve_grid",
     "write_hybrid_csv",
 ]
+
+_DT_CAP = 2e-3  #: the hybrid step never exceeds this
+_CHECKS = 20  #: equal parts of a run; block positivity is read after each
 
 
 @dataclass(frozen=True)
@@ -140,6 +150,8 @@ class HybridState:
         check_uniform_grid(z, "z_grid")
         if b.ndim != 3 or b.shape[0] != z.size or b.shape[1] != b.shape[2]:
             raise ValueError("blocks must be (n_cells, d, d)")
+        if not np.isfinite(b).all():
+            raise ValueError("blocks must be finite")
         if np.abs(b - b.conj().transpose(0, 2, 1)).max() > 1e-10 * max(
             np.abs(b).max(), 1e-300
         ):
@@ -190,8 +202,8 @@ class HybridState:
 
 
 def cq_evolve_grid(
-    k: CQKernels, model: CQModel, st: HybridState, t: float, dt: float
-) -> HybridState:
+    k: CQKernels, model: CQModel, st: HybridState, t: float
+) -> tuple[HybridState, float]:
     """Strang-split hybrid evolution: classical half, quantum full, classical half.
 
     The classical substep is an explicit Scharfetter-Gummel finite-volume
@@ -199,72 +211,61 @@ def cq_evolve_grid(
     substep applies per-cell GKLS propagators (exact matrix exponentials).
     Requires z-independent Lindblad operators whenever the backaction drift
     is switched on, since the entrywise flux decoupling needs one common
-    eigenbasis along the grid.
+    eigenbasis along the grid.  Step rule and positivity record: see the
+    module docstring.
     """
     if k.d2.shape != (1, 1):
         raise ValueError("grid evolution supports one classical direction")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    n_steps = step_count(t, dt)
+    if not t > 0.0:
+        raise ValueError(f"t must be > 0 (got {t!r})")
     D = float(np.real(k.d2[0, 0]))
     dz = st.dz
     z = st.z_grid
     d = st.dim
 
-    has_drift = np.abs(k.d1).max() > 0.0
-    if has_drift and callable(model._lind):
-        raise NotImplementedError(
-            "backaction drift with z-dependent Lindblad operators is not supported"
-        )
-    lind0 = model.lindblads(float(z[0]))
     B = np.zeros((d, d), dtype=complex)  # backaction drift operator
-    if has_drift:
-        for mu, L in enumerate(lind0):
+    if np.abs(k.d1).max() > 0.0:
+        if callable(model._lind):
+            raise NotImplementedError(
+                "backaction drift with z-dependent Lindblad operators is not supported"
+            )
+        for mu, L in enumerate(model.lindblads(0.0)):
             B += 0.5 * k.d1[0, mu] * (L + L.conj().T)
         B = 0.5 * (B + B.conj().T)
     lam, Q = np.linalg.eigh(B)
     V = np.real(lam[:, None] + lam[None, :])  # entrywise drift velocities
 
-    # stability guards (explicit classical substep)
-    if D > 0.0 and dt > 0.2 * dz * dz / D * (1.0 + 1e-12):
-        raise ValueError("step-size error: dt must be <= 0.2 dz^2 / max(d2)")
-
-    # per-cell quantum propagators in the drift eigenbasis
+    # per-cell quantum generators in the drift eigenbasis
     def rotate(M):
         return Q.conj().T @ M @ Q
 
-    props = []
-    gen_norm = 0.0
-    if model.z_dependent:
-        for zc in z:
-            G = generator_matrix(
-                rotate(model.hamiltonian(float(zc))), [rotate(L) for L in model.lindblads(float(zc))], k.d0
-            )
-            gen_norm = max(gen_norm, np.linalg.norm(G, 2))
-            props.append(expm(dt * G))
-        props = np.array(props)
-    else:
-        G = generator_matrix(rotate(model.hamiltonian(0.0)), [rotate(L) for L in lind0], k.d0)
-        gen_norm = np.linalg.norm(G, 2)
-        props = None
-        prop_single = expm(dt * G)
-    if dt * (gen_norm + np.abs(V).max() / dz) > 0.1 + 1e-12:
-        raise ValueError("step-size error: dt * ||generator|| must be <= 0.1")
+    gens = np.array([
+        generator_matrix(rotate(model.hamiltonian(float(zc))),
+                         [rotate(L) for L in model.lindblads(float(zc))], k.d0)
+        for zc in (z if model.z_dependent else [0.0])
+    ])
+    gen_norm = max(np.linalg.norm(G, 2) for G in gens)
 
-    blocks = np.einsum("ai,cij,bj->cab", Q.conj(), st.blocks, Q)  # rotate in
-    vb_shape = (z.size, d * d)
-    for _ in range(n_steps):
-        blocks = fv_drift_diffusion_step(blocks, V, D, dz, 0.5 * dt)
-        vb = blocks.transpose(0, 2, 1).reshape(vb_shape)  # vec per cell (column stacking)
-        if props is None:
-            vb = vb @ prop_single.T
-        else:
-            vb = np.einsum("cij,cj->ci", props, vb)
-        blocks = vb.reshape(z.size, d, d).transpose(0, 2, 1)
-        blocks = fv_drift_diffusion_step(blocks, V, D, dz, 0.5 * dt)
-    blocks = np.einsum("ia,cab,jb->cij", Q, blocks, Q.conj())  # rotate out
-    blocks = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
-    return HybridState(z, blocks)
+    rate = gen_norm + np.abs(V).max() / dz
+    dt_max = min(_DT_CAP, 0.2 * dz * dz / max(D, 1e-30), 0.1 / max(rate, 1e-30))
+    per_check = math.ceil(t / _CHECKS / dt_max)
+    dt = t / _CHECKS / per_check
+
+    props = np.array([expm(dt * G) for G in gens])
+    blocks = st.blocks
+    min_eig = st.min_block_eigenvalue()
+    for _ in range(_CHECKS):
+        blocks = np.einsum("ai,cij,bj->cab", Q.conj(), blocks, Q)  # rotate in
+        for _ in range(per_check):
+            blocks = fv_drift_diffusion_step(blocks, V, D, dz, 0.5 * dt)
+            vb = blocks.transpose(0, 2, 1).reshape(z.size, d * d)  # vec per cell (column stacking)
+            vb = np.einsum("cij,cj->ci", props, vb) if model.z_dependent else vb @ props[0].T
+            blocks = vb.reshape(z.size, d, d).transpose(0, 2, 1)
+            blocks = fv_drift_diffusion_step(blocks, V, D, dz, 0.5 * dt)
+        blocks = np.einsum("ia,cab,jb->cij", Q, blocks, Q.conj())  # rotate out
+        blocks = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(blocks).min()))
+    return HybridState(z, blocks), min_eig
 
 
 def write_hybrid_csv(st: HybridState, path) -> None:

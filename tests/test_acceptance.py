@@ -295,17 +295,10 @@ def test_13_cq_tradeoff():
     z = np.linspace(-8.0, 8.0, 64)
     rho = np.array([[0.5, 0.45], [0.45, 0.5]], dtype=complex)
 
-    def run(kern, t_total=1.0, chunks=20):
+    def run(kern):
         st = HybridState.gaussian_packet(z, 0.0, 0.5, rho)
-        tr0 = st.total_trace()
-        tc = t_total / chunks
-        dt_max = min(0.2 * st.dz**2 / max(np.real(kern.d2[0, 0]), 1e-30), 2e-3)
-        dt = tc / math.ceil(tc / dt_max)
-        worst = st.min_block_eigenvalue()
-        for _ in range(chunks):
-            st = cq_evolve_grid(kern, model, st, tc, dt)
-            worst = min(worst, st.min_block_eigenvalue())
-        return worst, abs(st.total_trace() - tr0)
+        out, worst = cq_evolve_grid(kern, model, st, 1.0)
+        return worst, abs(out.total_trace() - st.total_trace())
 
     worst_ok, drift_ok = run(CQKernels(2.0, 2.0, 1.0))
     worst_bad, drift_bad = run(CQKernels(1.0, 2.0, 1.0))
@@ -313,6 +306,6 @@ def test_13_cq_tradeoff():
     ok &= worst_bad <= -1e-4
     ok &= drift_ok <= 1e-8 and drift_bad <= 1e-8
     elapsed = time.perf_counter() - t0
-    ok &= elapsed < 180.0
+    ok &= elapsed < 10.0
     _report(13, "cq-decoherence-diffusion-tradeoff", ok,
             f"margin={boundary.margin:.1e} ok_min={worst_ok:.1e} bad_min={worst_bad:.1e} t={elapsed:.1f}s")

@@ -187,24 +187,82 @@ class TestRunScenario:
     @pytest.mark.parametrize("text, rc, expected", [
         ("[run]\nscenario = markov_limit\n\n[markov_limit]\nsigmas = 2\n", 2,
          {"observed_order": None}),
-        ("[run]\nscenario = markov_limit\n\n[markov_limit]\nomega = 0.5\n", 2,
-         {"rel_errors": [None] * 4, "observed_order": None}),
+        ("[run]\nscenario = markov_limit\n\n[markov_limit]\nomega = 0.5\n", 1,
+         "[markov_limit] omega"),
         ("[run]\nscenario = noise\nseed = 1\n\n[env]\ng = 0\n\n[noise]\ngrid_points = 8\nn_real = 500\n",
          0, {"frobenius_rel_error": 0.0}),
-    ], ids=["one-sigma", "no-markov-rate", "zero-coupling"])
-    def test_summary_is_strict_json(self, tmp_path, text, rc, expected):
+        ("[run]\nscenario = kms\n\n[env]\nbeta = 1\ng = 0\n", 2,
+         {"finite_sigma_deviations": [None] * 4}),
+    ], ids=["one-sigma", "no-markov-rate", "zero-coupling", "kms-zero-coupling"])
+    def test_summary_is_strict_json(self, tmp_path, capsys, text, rc, expected):
         # a non-finite output is written as null; a zero coupling gives a zero
-        # target covariance, which the sample meets exactly
+        # target covariance, which the sample meets exactly; a Markov limit
+        # with no rate to converge to is refused by key, before any artifact
         config = tmp_path / "cfg.ini"
         config.write_text(text)
         scenario = parse_config(text).scenario
         assert main([scenario, "--config", str(config), "--output", str(tmp_path), "--quiet"]) == rc
+        if rc == 1:
+            assert expected in capsys.readouterr().err
+            assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.ini"]
+            return
 
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")
 
         outputs = json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse)["outputs"]
         assert {key: outputs[key] for key in expected} == expected
+
+    def test_markov_limit_thermal_absorption_converges(self, tmp_path):
+        # a positive omega has a thermal Markov rate: refused only on a zero rate
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = markov_limit\n\n[env]\nbeta = 1\n\n"
+                          "[markov_limit]\nomega = 3\n")
+        assert main(["markov_limit", "--config", str(config), "--output", str(tmp_path),
+                     "--quiet"]) == 0
+
+    @pytest.mark.parametrize("kernels", ["d0 = 100", "d0 = 20\nd1 = 20\nd2 = 10"])
+    def test_cq_generator_bound_sets_the_step(self, tmp_path, kernels):
+        # a strong Lindblad or backaction sector shortens the step; it is not
+        # a step-size error
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = cq\n\n[cq]\n{kernels}\n")
+        assert main(["cq", "--config", str(config), "--output", str(tmp_path), "--quiet"]) == 0
+        checks = json.loads((tmp_path / "summary.json").read_text())["checks"]
+        assert checks == {"trace_conserved": True, "blocks_stay_positive": True}
+
+    def test_cq_builds_one_generator(self, tmp_path, monkeypatch):
+        from relclock import hybridcq
+
+        calls = {"generator_matrix": 0, "expm": 0}
+        for name in calls:
+            original = getattr(hybridcq, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(hybridcq, name, spy)
+        cfg = parse_config("[run]\nscenario = cq\n")
+        cfg.output_path = tmp_path
+        assert run_scenario(cfg, quiet=True) == 0
+        assert calls == {"generator_matrix": 1, "expm": 1}
+
+    @pytest.mark.parametrize("setting, named", [
+        ("coherence = 0.6", "[cq] coherence"),
+        ("coherence = -0.6", "[cq] coherence"),
+        ("coherence = nan", "[cq] coherence"),
+        ("packet_width = 0", "[cq] packet_width"),
+        ("packet_width = -0.5", "[cq] packet_width"),
+    ])
+    def test_cq_initial_state_refused(self, tmp_path, capsys, setting, named):
+        # a negative block or a packet of no width is not a hybrid state
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = cq\n\n[cq]\n{setting}\n")
+        out = tmp_path / "out"
+        assert main(["cq", "--config", str(config), "--output", str(out), "--quiet"]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kms_requires_thermal_env(self, tmp_path):
         cfg = parse_config("[run]\nscenario = kms\n")

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from relclock import hybridcq
+from relclock.gkls import generator_matrix
 from relclock.hybridcq import (
     CQKernels,
     CQModel,
@@ -25,16 +27,17 @@ def dephasing_model():
     return CQModel(2, H0, [SZ])
 
 
-def evolve_tracking(kernels, model, st, t, chunks=20, dt_cap=2e-3):
-    """Evolve in chunks, tracking the worst block eigenvalue."""
-    tc = t / chunks
-    dt_max = min(0.2 * st.dz**2 / max(np.real(kernels.d2[0, 0]), 1e-30), dt_cap)
-    dt = tc / math.ceil(tc / dt_max)
-    worst = st.min_block_eigenvalue()
-    for _ in range(chunks):
-        st = cq_evolve_grid(kernels, model, st, tc, dt)
-        worst = min(worst, st.min_block_eigenvalue())
-    return st, worst
+def spy_steps(monkeypatch):
+    """Record dt at each classical half step: two per Strang step."""
+    steps = []
+    fv = hybridcq.fv_drift_diffusion_step
+
+    def spy(blocks, V, D, dz, half_dt):
+        steps.append(2.0 * half_dt)
+        return fv(blocks, V, D, dz, half_dt)
+
+    monkeypatch.setattr(hybridcq, "fv_drift_diffusion_step", spy)
+    return steps
 
 
 class TestTradeoff:
@@ -78,7 +81,7 @@ class TestGridEvolver:
         z = np.linspace(-10, 10, 128)
         st = HybridState.gaussian_packet(z, 0.0, 0.4, np.eye(2, dtype=complex) / 2)
         v0 = st.z_variance()
-        out = cq_evolve_grid(k, dephasing_model(), st, 1.0, 0.0025)
+        out, _ = cq_evolve_grid(k, dephasing_model(), st, 1.0)
         assert out.z_variance() - v0 == pytest.approx(2.0, rel=0.02)
 
     def test_zero_kernels_unitary(self):
@@ -88,7 +91,7 @@ class TestGridEvolver:
         z = np.linspace(-4, 4, 32)
         st = HybridState.gaussian_packet(z, 0.0, 0.5, np.array([[1.0, 0], [0, 0.0]], dtype=complex))
         ev0 = np.sort(np.linalg.eigvalsh(st.blocks), axis=None)
-        out = cq_evolve_grid(k, model, st, 1.0, 0.002)
+        out, _ = cq_evolve_grid(k, model, st, 1.0)
         ev1 = np.sort(np.linalg.eigvalsh(out.blocks), axis=None)
         assert np.abs(ev0 - ev1).max() <= 1e-10
 
@@ -96,7 +99,7 @@ class TestGridEvolver:
         k = CQKernels(2.0, 2.0, 1.0)
         z = np.linspace(-8, 8, 64)
         st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
-        out, _ = evolve_tracking(k, dephasing_model(), st, 1.0)
+        out, _ = cq_evolve_grid(k, dephasing_model(), st, 1.0)
         sx = np.real(np.trace(out.quantum_marginal() @ SX))
         assert sx == pytest.approx(0.9 * math.exp(-2 * 2.0 * 1.0), rel=0.05)
 
@@ -109,34 +112,68 @@ class TestGridEvolver:
             d1 = rng.uniform(0.0, math.sqrt(2 * d0 * d2))  # satisfied region
             k = CQKernels(d0, d1, d2)
             st = HybridState.gaussian_packet(z, rng.uniform(-1, 1), 0.6, PLUS_MIXED)
-            out, _ = evolve_tracking(k, dephasing_model(), st, 0.5, chunks=5)
+            out, _ = cq_evolve_grid(k, dephasing_model(), st, 0.5)
             assert abs(out.total_trace() - 1.0) <= 1e-8
 
     def test_positivity_sentinel(self):
         z = np.linspace(-8, 8, 64)
         st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
-        _, worst_ok = evolve_tracking(CQKernels(2.0, 2.0, 1.0), dephasing_model(), st, 1.0)
+        _, worst_ok = cq_evolve_grid(CQKernels(2.0, 2.0, 1.0), dephasing_model(), st, 1.0)
         assert worst_ok >= -1e-6
-        _, worst_bad = evolve_tracking(CQKernels(1.0, 2.0, 1.0), dephasing_model(), st, 1.0)
+        _, worst_bad = cq_evolve_grid(CQKernels(1.0, 2.0, 1.0), dephasing_model(), st, 1.0)
         assert worst_bad <= -1e-4
 
-    def test_step_halving_convergence(self):
+    def test_step_halving_convergence(self, monkeypatch):
+        # with the cap binding, t = 0.4 gives exactly dt, dt/2 and dt/4
         k = CQKernels(1.0, 1.0, 1.0)
         z = np.linspace(-8, 8, 64)
         st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
-        coarse = cq_evolve_grid(k, dephasing_model(), st, 0.5, 2e-3)
-        fine = cq_evolve_grid(k, dephasing_model(), st, 0.5, 1e-3)
-        finer = cq_evolve_grid(k, dephasing_model(), st, 0.5, 5e-4)
+        runs = []
+        for cap in (2e-3, 1e-3, 5e-4):
+            monkeypatch.setattr(hybridcq, "_DT_CAP", cap)
+            steps = spy_steps(monkeypatch)
+            runs.append(cq_evolve_grid(k, dephasing_model(), st, 0.4)[0])
+            assert set(steps) == {cap}
+        coarse, fine, finer = runs
         d1 = np.abs(coarse.blocks - fine.blocks).max()
         d2 = np.abs(fine.blocks - finer.blocks).max()
         assert d2 < d1
 
-    def test_step_size_guards(self):
-        k = CQKernels(1.0, 0.0, 1.0)
+    @pytest.mark.parametrize("kernels, binding", [
+        ((1.0, 0.0, 1.0), "cap"),
+        ((1.0, 0.0, 10.0), "diffusion"),
+        ((100.0, 0.0, 1.0), "generator"),
+        ((20.0, 20.0, 10.0), "generator"),
+    ], ids=["cap", "diffusion", "generator", "generator-drift"])
+    def test_step_rule_binds_each_bound(self, monkeypatch, kernels, binding):
+        # the step never exceeds the least bound, and t / 20 is cut into the
+        # fewest steps that keep it there
+        k = CQKernels(*kernels)
         z = np.linspace(-4, 4, 64)
         st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
-        with pytest.raises(ValueError):
-            cq_evolve_grid(k, dephasing_model(), st, 1.0, 0.5)  # diffusive limit
+        dz = st.dz
+        G = generator_matrix(H0, [SZ], k.d0)
+        drift = 2.0 * abs(np.real(k.d1[0, 0]))  # |lambda_i + lambda_j| of B = d1 sz
+        bounds = {
+            "cap": hybridcq._DT_CAP,
+            "diffusion": 0.2 * dz * dz / np.real(k.d2[0, 0]),
+            "generator": 0.1 / (np.linalg.norm(G, 2) + drift / dz),
+        }
+        assert min(bounds, key=bounds.get) == binding
+        steps = spy_steps(monkeypatch)
+        out, _ = cq_evolve_grid(k, dephasing_model(), st, 0.2)
+        bound = bounds[binding]
+        assert len(set(steps)) == 1
+        assert 0.5 * bound < steps[0] <= bound * (1.0 + 1e-12)
+        assert len(steps) == 2 * 20 * math.ceil(0.2 / 20 / bound)
+        assert abs(out.total_trace() - 1.0) <= 1e-8
+
+    def test_t_must_be_positive(self):
+        z = np.linspace(-4, 4, 16)
+        st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
+        for t in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="t must be > 0"):
+                cq_evolve_grid(CQKernels(1.0, 0.0, 1.0), dephasing_model(), st, t)
 
     def test_z_dependent_hamiltonian(self):
         # conditional phase rotation: no drift, rates constant
@@ -144,7 +181,7 @@ class TestGridEvolver:
         k = CQKernels(0.5, 0.0, 0.2)
         z = np.linspace(-4, 4, 48)
         st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
-        out = cq_evolve_grid(k, model, st, 0.4, 1e-3)
+        out, _ = cq_evolve_grid(k, model, st, 0.4)
         assert abs(out.total_trace() - 1.0) <= 1e-8
 
     def test_branch_splitting_variance(self):
@@ -154,7 +191,7 @@ class TestGridEvolver:
         d1, d2, t, w, p = 2.0, 1.0, 1.0, 0.5, PLUS_MIXED[0, 0].real
         z = np.linspace(-8, 8, 64)
         st = HybridState.gaussian_packet(z, 0.0, w, PLUS_MIXED)
-        out, _ = evolve_tracking(CQKernels(2.0, d1, d2), dephasing_model(), st, t)
+        out, _ = cq_evolve_grid(CQKernels(2.0, d1, d2), dephasing_model(), st, t)
         expected = w**2 + 2 * d2 * t + 4 * p * (1 - p) * (2 * d1 * t) ** 2
         assert expected == 18.25
         assert out.z_variance() == pytest.approx(expected, rel=0.01)
@@ -182,6 +219,15 @@ class TestHybridState:
             HybridState(np.array([0.0, 0.1, 0.5]), np.zeros((3, 2, 2)))  # nonuniform
         with pytest.raises(ValueError, match="z_grid"):
             HybridState(np.full(3, 2.0), np.zeros((3, 2, 2)))  # zero width
+
+    def test_non_finite_blocks_refused(self):
+        z = np.linspace(-1, 1, 4)
+        for bad in (np.nan, np.inf):
+            blocks = np.zeros((4, 2, 2), dtype=complex)
+            blocks[:, 0, 0] = 0.25
+            blocks[1, 1, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                HybridState(z, blocks)
 
     def test_moments(self):
         z = np.linspace(-5, 5, 200)
