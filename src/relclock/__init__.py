@@ -6,65 +6,47 @@ dimensional GKLS evolution with CPTP certificates, mode-level Langevin
 moments, stochastic unravelings, discretized foliation-integrability tests,
 and hybrid classical-quantum clock dynamics.
 
-Importing the package loads numpy only, and so does every CLI scenario:
-no relclock module imports scipy.  Quadrature and special functions are
-numpy (:mod:`relclock.specfun`), Gibbs states come from ``eigh``, and the
-matrix exponential is Padé scaling and squaring (``gkls.expm``).  scipy is a
+Importing ``relclock`` or ``relclock.cli`` loads numpy and no physics
+module: each name below is imported from its home module on first use, so a
+CLI process loads only the modules its scenario runs.  No relclock module
+imports scipy.  Quadrature and special functions are numpy
+(:mod:`relclock.specfun`), Gibbs states come from ``eigh``, and the matrix
+exponential is Padé scaling and squaring (``gkls.expm``).  scipy is a
 test-only dependency, the oracle these routines are checked against.
 """
 
-from .correlators import EnvironmentSpec, vacuum_spectral_density, wightman_timelike
-from .gkls import (
-    DensityMatrix,
-    GKLSModel,
-    Superoperator,
-    build_generator,
-    cp_choi_check,
-    evolve,
-    qubit_decay_model,
-)
-from .hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, tradeoff_check
-from .integrability import (
-    MomentumGridModel,
-    SliceLattice,
-    boost_interchange_residual,
-    build_slice_generator,
-    functional_curl_residual,
-)
-from .kernels import (
-    ClockKernel,
-    CoherentReadoutKernel,
-    GaussianKernel,
-    kernel_spectrum,
-    positivity_gram_check,
-)
-from .langevin import (
-    ModeMoments,
-    ModeParams,
-    ccr_defect,
-    mode_evolve_moments,
-    stationary_fdr_check,
-)
-from .rates import (
-    KossakowskiBlock,
-    RateQuery,
-    assemble_kossakowski,
-    kappa_markov_kms,
-    kappa_markov_vacuum,
-    kappa_tcl,
-    kappa_tcl_kms,
-    kappa_tcl_vacuum,
-    lamb_shift_coefficient,
-    odd_kernel_transform,
-)
-from .specfun import bose_occupation, dawson, gaussian_ft, integrate_adaptive
-from .trajectories import (
-    NoiseField,
-    EnsembleCheck,
-    TrajectoryEnsemble,
-    ensemble_check,
-    sample_colored_noise,
-    unravel_linear,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+#: exported name -> the submodule that defines it
+_HOMES = {
+    name: module
+    for module, names in {
+        "correlators": ("EnvironmentSpec", "vacuum_spectral_density", "wightman_timelike"),
+        "gkls": ("DensityMatrix", "GKLSModel", "Superoperator", "build_generator",
+                 "cp_choi_check", "evolve", "qubit_decay_model"),
+        "hybridcq": ("CQKernels", "CQModel", "HybridState", "cq_evolve_grid", "tradeoff_check"),
+        "integrability": ("MomentumGridModel", "SliceLattice", "boost_interchange_residual",
+                          "build_slice_generator", "functional_curl_residual"),
+        "kernels": ("ClockKernel", "CoherentReadoutKernel", "GaussianKernel",
+                    "kernel_spectrum", "positivity_gram_check"),
+        "langevin": ("ModeMoments", "ModeParams", "ccr_defect", "mode_evolve_moments",
+                     "stationary_fdr_check"),
+        "rates": ("KossakowskiBlock", "RateQuery", "assemble_kossakowski", "kappa_markov_kms",
+                  "kappa_markov_vacuum", "kappa_tcl", "kappa_tcl_kms", "kappa_tcl_vacuum",
+                  "lamb_shift_coefficient", "odd_kernel_transform"),
+        "specfun": ("bose_occupation", "dawson", "gaussian_ft", "integrate_adaptive"),
+        "trajectories": ("NoiseField", "EnsembleCheck", "TrajectoryEnsemble", "ensemble_check",
+                         "sample_colored_noise", "unravel_linear"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name):
+    # any other name raises, so ``from relclock import <submodule>`` falls
+    # back to importing the submodule
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)

@@ -23,14 +23,6 @@ import numpy as np
 
 from . import __version__
 from ._csv import write_csv as _write_csv
-from .correlators import EnvironmentSpec
-from .gkls import DensityMatrix, build_generator, cp_choi_check, evolve, qubit_decay_model
-from .hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, tradeoff_check, write_hybrid_csv
-from .integrability import MomentumGridModel, SliceLattice, boost_interchange_residual, functional_curl_residual
-from .kernels import CoherentReadoutKernel, GaussianKernel
-from .langevin import ModeMoments, ModeParams, stationary_fdr_check, write_moment_trajectory_csv
-from .rates import RateQuery, kappa_markov, kappa_markov_kms, kappa_tcl, lamb_shift_coefficient
-from .trajectories import ensemble_check, sample_colored_noise, unravel_linear, write_ensemble_csv
 
 SCENARIOS = (
     "rates", "lamb_shift", "markov_limit", "kms", "gkls", "langevin",
@@ -278,6 +270,8 @@ def parse_config(
         mass = params["env.mass_e"]
         if not mass > 0:
             raise ConfigError("mass_e must be > 0")
+        if scenario in ("kms", "boost") and params["env.g"] == 0:
+            raise ConfigError(f"[env] g = 0 makes every {scenario} rate 0: its check has no target")
         if scenario == "markov_limit" and params["markov_limit.omega"] is None:
             params["markov_limit.omega"] = -3.0 * mass
         if scenario == "lamb_shift" and params["lamb_shift.cutoff"] is None:
@@ -304,7 +298,8 @@ def parse_config(
     )
 
 
-def _env_from(params) -> EnvironmentSpec:
+def _env_from(params):
+    from .correlators import EnvironmentSpec
     return EnvironmentSpec(
         mass_E=params["env.mass_e"],
         coupling_g=params["env.g"],
@@ -314,16 +309,19 @@ def _env_from(params) -> EnvironmentSpec:
 
 
 def _kernel_from(params):
+    from .kernels import CoherentReadoutKernel, GaussianKernel
     if params["kernel.kind"] == "coherent":
         return CoherentReadoutKernel(R=params["kernel.r"], omega_C=params["kernel.omega_c"])
     return GaussianKernel(sigma=params["kernel.sigma"])
 
 
 # ---------------------------------------------------------------------------
-# scenario runners: return (outputs, checks, csv file names)
+# scenario runners: return (outputs, checks, csv file names); each imports
+# what it runs, so a CLI process loads only its own scenario's modules
 # ---------------------------------------------------------------------------
 
 def _run_rates(cfg):
+    from .rates import RateQuery, kappa_markov, kappa_tcl
     p = cfg.parameters
     env, kernel = _env_from(p), _kernel_from(p)
     omegas = np.linspace(p["rates.omega_min"], p["rates.omega_max"], p["rates.omega_points"])
@@ -340,6 +338,8 @@ def _run_rates(cfg):
 
 
 def _run_markov_limit(cfg):
+    from .kernels import GaussianKernel
+    from .rates import RateQuery, kappa_markov, kappa_tcl
     p = cfg.parameters
     env = _env_from(p)
     om = p["markov_limit.omega"]
@@ -367,6 +367,7 @@ def _run_markov_limit(cfg):
 
 
 def _run_lamb_shift(cfg):
+    from .rates import lamb_shift_coefficient
     p = cfg.parameters
     env, kernel = _env_from(p), _kernel_from(p)
     cutoff = p["lamb_shift.cutoff"]
@@ -390,6 +391,8 @@ def _run_lamb_shift(cfg):
 
 
 def _run_kms(cfg):
+    from .kernels import GaussianKernel
+    from .rates import RateQuery, kappa_markov_kms, kappa_tcl
     p = cfg.parameters
     env = _env_from(p)
     if env.beta == math.inf:
@@ -416,6 +419,8 @@ def _run_kms(cfg):
 
 
 def _run_gkls(cfg):
+    from .gkls import DensityMatrix, build_generator, cp_choi_check, evolve, qubit_decay_model
+    from .rates import kappa_markov
     p = cfg.parameters
     env = _env_from(p)
     om0 = p["gkls.omega0"]
@@ -444,6 +449,8 @@ def _run_gkls(cfg):
 
 
 def _run_langevin(cfg):
+    from .langevin import ModeMoments, ModeParams, stationary_fdr_check, write_moment_trajectory_csv
+    from .rates import kappa_markov, kappa_markov_kms
     p = cfg.parameters
     env = _env_from(p)
     E = p["langevin.energy"]
@@ -470,6 +477,8 @@ def _run_langevin(cfg):
 
 
 def _run_unravel(cfg):
+    from .gkls import DensityMatrix, qubit_decay_model
+    from .trajectories import ensemble_check, unravel_linear, write_ensemble_csv
     p = cfg.parameters
     model = qubit_decay_model(p["unravel.omega0"], p["unravel.gamma"])
     rho0 = DensityMatrix.pure([1.0, 0.0])
@@ -487,6 +496,7 @@ def _run_unravel(cfg):
 
 
 def _run_noise(cfg):
+    from .trajectories import sample_colored_noise
     p = cfg.parameters
     env, kernel = _env_from(p), _kernel_from(p)
     grid = np.linspace(0.0, p["noise.t_span"], p["noise.grid_points"])
@@ -511,6 +521,8 @@ def _run_noise(cfg):
 
 
 def _run_curl(cfg):
+    from .integrability import SliceLattice, functional_curl_residual
+    from .kernels import GaussianKernel
     p = cfg.parameters
     env = _env_from(p)
     rows = []
@@ -535,6 +547,7 @@ def _run_curl(cfg):
 
 
 def _run_boost(cfg):
+    from .integrability import MomentumGridModel, boost_interchange_residual
     p = cfg.parameters
     env = _env_from(p)
     rows, outputs = [], {}
@@ -561,6 +574,7 @@ def _run_boost(cfg):
 
 
 def _run_cq(cfg):
+    from .hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, tradeoff_check, write_hybrid_csv
     p = cfg.parameters
     kern = CQKernels(d0=p["cq.d0"], d1=p["cq.d1"], d2=p["cq.d2"])
     verdict = tradeoff_check(kern)
@@ -584,6 +598,7 @@ def _run_cq(cfg):
 
 
 def _run_tradeoff(cfg):
+    from .hybridcq import CQKernels, tradeoff_check
     p = cfg.parameters
     kern = CQKernels(d0=p["tradeoff.d0"], d1=p["tradeoff.d1"], d2=p["tradeoff.d2"])
     verdict = tradeoff_check(kern)
@@ -624,6 +639,8 @@ def run_scenario(cfg: ScenarioConfig, quiet: bool = False) -> int:
     """Execute a validated config; write CSV artifacts plus summary.json.
 
     summary.json is strict JSON: a non-finite output is written as null.
+    Its ``wall_time_s`` includes the first import of the modules the
+    scenario runs, which each runner imports for itself.
     """
     cfg.output_path.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import psd_margin
-from .rates import KossakowskiBlock
 
 __all__ = [
     "DensityMatrix",
@@ -152,10 +151,7 @@ class GKLSModel:
         self.jump_operators = [
             (np.asarray(L, dtype=complex), float(om)) for L, om in jump_operators
         ]
-        if isinstance(kossakowski, KossakowskiBlock):
-            self.kossakowski = np.asarray(kossakowski.matrix, dtype=complex)
-        else:
-            self.kossakowski = np.asarray(kossakowski, dtype=complex)
+        self.kossakowski = np.asarray(kossakowski, dtype=complex)
         self.system_hamiltonian = (
             self.hamiltonian
             if system_hamiltonian is None

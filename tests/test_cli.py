@@ -1,3 +1,4 @@
+import configparser
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import relclock
-from relclock.cli import SCENARIOS, ConfigError, main, parse_config, run_scenario
+from relclock.cli import SCENARIOS, ConfigError, _json_ready, main, parse_config, run_scenario
 
 SRC = Path(relclock.__file__).resolve().parents[1]
 
@@ -191,16 +192,16 @@ class TestRunScenario:
          "[markov_limit] omega"),
         ("[run]\nscenario = noise\nseed = 1\n\n[env]\ng = 0\n\n[noise]\ngrid_points = 8\nn_real = 500\n",
          0, {"frobenius_rel_error": 0.0}),
-        ("[run]\nscenario = kms\n\n[env]\nbeta = 1\ng = 0\n", 2,
-         {"finite_sigma_deviations": [None] * 4}),
+        ("[run]\nscenario = kms\n\n[env]\nbeta = 1\ng = 0\n", 1, "[env] g"),
     ], ids=["one-sigma", "no-markov-rate", "zero-coupling", "kms-zero-coupling"])
     def test_summary_is_strict_json(self, tmp_path, capsys, text, rc, expected):
         # a non-finite output is written as null; a zero coupling gives a zero
         # target covariance, which the sample meets exactly; a Markov limit
-        # with no rate to converge to is refused by key, before any artifact
+        # with no rate to converge to, and a detailed-balance check with no
+        # rate at all, are refused by key, before any artifact
         config = tmp_path / "cfg.ini"
         config.write_text(text)
-        scenario = parse_config(text).scenario
+        scenario = text.partition("scenario = ")[2].split()[0]
         assert main([scenario, "--config", str(config), "--output", str(tmp_path), "--quiet"]) == rc
         if rc == 1:
             assert expected in capsys.readouterr().err
@@ -212,6 +213,31 @@ class TestRunScenario:
 
         outputs = json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse)["outputs"]
         assert {key: outputs[key] for key in expected} == expected
+
+    def test_json_ready_nulls_every_non_finite(self):
+        value = {"a": [1.0, math.inf, {"b": -math.inf, "c": [math.nan, 0]}],
+                 "d": np.float64(-np.inf), "e": "inf", "f": None}
+        assert _json_ready(value) == {"a": [1.0, None, {"b": None, "c": [None, 0]}],
+                                      "d": None, "e": "inf", "f": None}
+
+    @pytest.mark.parametrize("scenario, rc", [
+        ("rates", 0), ("lamb_shift", 0), ("gkls", 0), ("langevin", 0), ("noise", 0),
+        ("curl", 0), ("kms", 1), ("boost", 1),
+    ])
+    def test_zero_coupling_refused_only_without_a_target(self, tmp_path, capsys, scenario, rc):
+        # with g = 0 every rate is 0: the detailed-balance ratio and the
+        # boost split between two rate sources can then never pass
+        cp = configparser.ConfigParser()
+        cp.read_string(SMALL_CONFIGS[scenario])
+        cp.read_dict({"env": {"g": "0"}})
+        config = tmp_path / "cfg.ini"
+        with open(config, "w") as fh:
+            cp.write(fh)
+        out = tmp_path / "out"
+        assert main([scenario, "--config", str(config), "--output", str(out), "--quiet"]) == rc
+        if rc == 1:
+            assert "[env] g = 0" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_markov_limit_thermal_absorption_converges(self, tmp_path):
         # a positive omega has a thermal Markov rate: refused only on a zero rate
@@ -381,14 +407,35 @@ SMALL_CONFIGS = {
     "tradeoff": "[run]\nscenario = tradeoff\n\n[tradeoff]\nd0 = 1\nd1 = 1\nd2 = 1\n",
 }
 
-#: runs one scenario as the CLI does, then prints the scipy modules it loaded
-SCIPY_PROBE = (
+#: runs one scenario as the CLI does, then prints the modules of one package
+#: that it loaded
+_PROBE = (
     "import json, sys\n"
     "from relclock.cli import main\n"
     "rc = main([sys.argv[1], '--config', sys.argv[2], '--output', sys.argv[3], '--quiet'])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))\n"
     "sys.exit(rc)\n"
 )
+SCIPY_PROBE = _PROBE.format(package="scipy")
+RELCLOCK_PROBE = _PROBE.format(package="relclock")
+
+#: the relclock modules a scenario's process loads besides the package, cli
+#: and _csv
+_RATE_MODULES = {"specfun", "kernels", "correlators", "rates"}
+SCENARIO_MODULES = {
+    "rates": _RATE_MODULES,
+    "lamb_shift": _RATE_MODULES,
+    "markov_limit": _RATE_MODULES,
+    "kms": _RATE_MODULES,
+    "gkls": _RATE_MODULES | {"gkls"},
+    "langevin": _RATE_MODULES | {"langevin"},
+    "unravel": {"_accel", "correlators", "gkls", "kernels", "specfun", "trajectories"},
+    "noise": {"_accel", "correlators", "gkls", "kernels", "specfun", "trajectories"},
+    "curl": {"correlators", "gkls", "integrability", "kernels", "rates", "specfun"},
+    "boost": {"correlators", "gkls", "integrability", "kernels", "rates", "specfun"},
+    "cq": {"_accel", "gkls", "hybridcq", "kernels", "specfun"},
+    "tradeoff": {"_accel", "gkls", "hybridcq", "kernels", "specfun"},
+}
 
 #: a meta-path finder, put first, that makes every import of scipy fail
 NO_SCIPY = (
@@ -416,6 +463,23 @@ class TestFreshProcess:
                              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_import_loads_no_physics_module(self):
+        done = _fresh_python("-c", "import sys, relclock.cli; "
+                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'relclock'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(["relclock", "relclock._csv", "relclock.cli"])
+
+    @pytest.mark.parametrize("scenario, text", SMALL_CONFIGS.items(), ids=list(SMALL_CONFIGS))
+    def test_scenario_loads_only_its_modules(self, tmp_path, scenario, text):
+        # a process compiles only the modules its scenario runs
+        config = tmp_path / "cfg.ini"
+        config.write_text(text)
+        done = _fresh_python("-c", RELCLOCK_PROBE, scenario, str(config), str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        loaded = set(json.loads(done.stdout.strip().splitlines()[-1]))
+        expected = {"relclock", "relclock.cli", "relclock._csv"}
+        assert loaded == expected | {f"relclock.{m}" for m in SCENARIO_MODULES[scenario]}
 
     @pytest.mark.parametrize("scenario, text", SMALL_CONFIGS.items(), ids=list(SMALL_CONFIGS))
     def test_scenario_scipy_modules(self, tmp_path, scenario, text):

@@ -1,7 +1,12 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import relclock
 
@@ -40,3 +45,32 @@ def test_every_exported_name_is_used():
                     used.add(name)
     assert sorted(exported - used - UNUSED_EXPORTS_KEPT.keys()) == []
     assert sorted(UNUSED_EXPORTS_KEPT.keys() - (exported - used)) == []
+
+
+def test_lazy_names_come_from_their_home_modules():
+    for name, module in relclock._HOMES.items():
+        home = importlib.import_module(f"relclock.{module}")
+        assert name in home.__all__
+        assert getattr(relclock, name) is getattr(home, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    # kappa_markov is defined in rates but not exported
+    with pytest.raises(AttributeError, match="no attribute 'kappa_markov'"):
+        getattr(relclock, "kappa_markov")
+
+
+def test_lazy_imports_in_a_fresh_interpreter():
+    # ``_accel`` is not in the table, so the import falls back to the submodule
+    code = ("import sys\n"
+            "from relclock import GKLSModel, _accel\n"
+            "assert GKLSModel.__module__ == 'relclock.gkls'\n"
+            "assert _accel is sys.modules['relclock._accel']\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'relclock'))\n")
+    src = str(Path(relclock.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    # GKLSModel's own imports, and nothing from other scenarios
+    assert done.stdout.strip() == str(["relclock", "relclock._accel", "relclock.gkls",
+                                       "relclock.kernels", "relclock.specfun"])
