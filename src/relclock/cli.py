@@ -3,6 +3,8 @@
 Every run writes one or more CSV artifacts (full 17-significant-digit
 precision, byte-stable for a fixed config and seed) and a ``summary.json``
 echoing the inputs, the config hash, key outputs, and pass/fail checks.
+``noise_covariance.csv`` has one row per lag of the Hermitian Toeplitz noise
+covariance: target, sample lag mean, standard error (``trajectories._lag_summary``).
 Exit status: 0 on success, 2 when a declared invariant check fails, 1 on
 errors.
 """
@@ -162,12 +164,13 @@ SCHEMA = {
     }},
 }
 
-#: grid sizes, and the least value each may take; a list's size is its length
+#: grid and sample sizes, and the least value each may take (a list's: its length)
 _GRID_SIZES = {
     "rates.omega_points": 1,
     "gkls.n_times": 1,
     "langevin.n_times": 1,
     "noise.grid_points": 1,
+    "noise.n_real": 1,
     "cq.cells": 2,
     "boost.grid_size": 8,  # the coarsest refinement grid, n/4, needs 2 modes
     "markov_limit.sigmas": 1,
@@ -285,6 +288,8 @@ def parse_config(
             raise ConfigError("sigma must be > 0")
         if params["kernel.kind"] not in ("gaussian", "coherent"):
             raise ConfigError(f"unknown kernel kind {params['kernel.kind']!r}")
+    if scenario == "noise" and not 0.0 < params["noise.t_span"] < math.inf:
+        raise ConfigError(f"[noise] t_span must be finite and > 0, got {params['noise.t_span']}")
     if scenario == "cq":
         for key in ("t", "packet_width"):
             if not params[f"cq.{key}"] > 0:
@@ -496,17 +501,16 @@ def _run_unravel(cfg):
 
 
 def _run_noise(cfg):
-    from .trajectories import sample_colored_noise
+    from .trajectories import _lag_summary, sample_colored_noise
     p = cfg.parameters
     env, kernel = _env_from(p), _kernel_from(p)
     grid = np.linspace(0.0, p["noise.t_span"], p["noise.grid_points"])
     field = sample_colored_noise(env, kernel, grid, p["noise.n_real"], cfg.seed)
     sample = field.covariance
-    planes = (field.target_covariance.real, field.target_covariance.imag, sample.real, sample.imag)
-    rows = ((i, j, *cells) for i in range(grid.size)
-            for j, cells in enumerate(zip(*(plane[i].tolist() for plane in planes))))
+    lag_t, c, c_hat, std_error = _lag_summary(field)
     out = cfg.output_path / "noise_covariance.csv"
-    _write_csv(out, ["i", "j", "re_target", "im_target", "re_sample", "im_sample"], rows)
+    _write_csv(out, ["lag_t", "re_target", "im_target", "re_sample", "im_sample", "std_error"],
+               zip(lag_t, c.real, c.imag, c_hat.real, c_hat.imag, std_error))
     scale = np.linalg.norm(field.target_covariance)
     if scale > 0.0:
         err = float(np.linalg.norm(sample - field.target_covariance) / scale)

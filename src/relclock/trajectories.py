@@ -183,7 +183,8 @@ class NoiseField:
     up to the dropped eigenvalues.  ``covariance`` is (1/N) sum_r z_r z_r^H,
     built while the draws were made.  ``clipped_mass`` is the sum of |lambda|
     over every dropped eigenvalue, positive or negative: the trace norm of
-    ``target_covariance - root @ root^H``.
+    ``target_covariance - root @ root^H``.  ``_lag_summary`` reduces both
+    matrices to their n lags, with the standard error of each sample lag.
     """
 
     grid: np.ndarray
@@ -207,6 +208,26 @@ class NoiseField:
         for start, stop, xi in _draw_blocks(self.seed, self.root.shape[1], self.n_real):
             z[start:stop] = (xi @ self.root.T)[: stop - start]
         return z
+
+
+def _lag_summary(field: NoiseField):
+    """``(lag_t, target, sample, std_error)`` per lag l = 0 .. n - 1 of the
+    uniform grid: t_l - t_0, the Toeplitz target's first row c_l = M[0, l],
+    the mean of the l-th superdiagonal of ``field.covariance`` (the
+    stationary estimator over its m = n - l pairs), and that mean's
+    root-mean-square error.  For N circular Gaussian realizations Isserlis
+    gives Cov(C_hat[a, a + l], C_hat[b, b + l]) = |M_ab|^2 / N, so
+    std_error_l^2 = sum_{a, b < m} |M_ab|^2 / (N m^2) = (m |c_0|^2 +
+    2 sum_{0 < d < m} (m - d) |c_d|^2) / (N m^2), a sum of non-negative
+    terms, taken for every m at once by one convolution.
+    """
+    n = field.grid.size
+    target = field.target_covariance[0]
+    sample = np.array([np.diagonal(field.covariance, lag).mean() for lag in range(n)])
+    power, m = np.abs(target) ** 2, np.arange(1.0, n + 1.0)
+    weighted = np.convolve(power, m)[:n]  # sum_{d < m} (m - d) |c_d|^2
+    std_error = np.sqrt((2.0 * weighted - m * power[0]) / (field.n_real * m**2))[::-1]
+    return field.grid - field.grid[0], target, sample, std_error
 
 
 def sample_colored_noise(
@@ -235,7 +256,9 @@ def sample_colored_noise(
     sum_r xi_r xi_r^H grows by ``xi.T @ conj(xi)`` per block, so the stored
     ``root @ (S / n_real) @ root^H`` equals (1/N) sum_r z_r z_r^H without
     any realization being formed.  ``NoiseField.samples`` regenerates them
-    on demand; realization r still depends on (seed, r, grid) only.
+    on demand; realization r still depends on (seed, r, grid) only.  The
+    ``noise`` scenario writes the field as ``_lag_summary`` rows: per lag,
+    the target, the sample's stationary mean and its standard error.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):

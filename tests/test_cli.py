@@ -153,6 +153,21 @@ class TestRunScenario:
         assert '"clipped_mass": 0.0,' in text
         assert json.loads(text)["outputs"]["root_rank"] == 8
 
+    @pytest.mark.parametrize("g, n_points", [(1, 8), (1, 256), (0, 8)])
+    def test_noise_csv_one_row_per_lag(self, tmp_path, g, n_points):
+        # the Toeplitz covariance is written as its n lags, not as n^2 pairs;
+        # a zero coupling gives zero target, sample and std_error columns
+        cfg = parse_config(f"[run]\nscenario = noise\nseed = 2\n\n[env]\ng = {g}\n\n"
+                           f"[noise]\ngrid_points = {n_points}\n")
+        cfg.output_path = tmp_path
+        assert run_scenario(cfg, quiet=True) == 0
+        header, *lines = (tmp_path / "noise_covariance.csv").read_text().splitlines()
+        assert header == "lag_t,re_target,im_target,re_sample,im_sample,std_error"
+        rows = np.array([[float(c) for c in line.split(",")] for line in lines])
+        assert rows.shape == (n_points, 6)
+        assert np.array_equal(rows[:, 0], np.linspace(0.0, 4.0, n_points))
+        assert rows[:, 1:].any() == bool(g)
+
     def test_csv_determinism(self, tmp_path):
         text = "[run]\nscenario = unravel\nseed = 9\n\n[unravel]\nn_traj = 200\nt = 0.2\ndt = 0.001\nn_out = 5\n"
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -361,6 +376,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert f"[{section}] {key}" in err and "Number of samples" not in err
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("setting, key", [
+        ("t_span = 0", "t_span"),
+        ("t_span = inf", "t_span"),
+        ("t_span = nan", "t_span"),
+        ("t_span = -4", "t_span"),
+        ("n_real = 0", "n_real"),
+    ])
+    def test_noise_inputs_named(self, tmp_path, capsys, setting, key):
+        # a grid of no width, an infinite or negative span and an empty
+        # ensemble are refused by key when the config is parsed, before the
+        # sampler or numpy's linspace sees them
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = noise\nseed = 1\n\n[noise]\ngrid_points = 8\n{setting}\n")
+        out = tmp_path / "out"
+        assert main(["noise", "--config", str(config), "--output", str(out), "--quiet"]) == 1
+        assert f"[noise] {key}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["markov_limit", "kms", "curl"])
     def test_empty_sigmas_named(self, tmp_path, capsys, scenario):

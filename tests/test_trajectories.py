@@ -338,6 +338,56 @@ class TestColoredNoise:
         bound = scipy.stats.t.isf(0.5e-3, len(ratios) - 1)
         assert abs(np.mean(ratios) - 1.0) <= bound * se
 
+    @pytest.mark.parametrize("n_points", [1, 8, 32])
+    def test_lag_summary_columns(self, monkeypatch, n_points):
+        # one row per lag: the target's first row, and the plain mean of each
+        # superdiagonal of the sample covariance, to the bit
+        _cache_correlator(monkeypatch)
+        grid = [0.5] if n_points == 1 else np.linspace(0.5, 4.5, n_points)
+        field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, 300, seed=41)
+        lag_t, target, sample, std_error = trajectories._lag_summary(field)
+        assert lag_t.shape == target.shape == sample.shape == std_error.shape == (n_points,)
+        assert np.array_equal(lag_t, np.asarray(grid) - grid[0])
+        assert np.array_equal(target, field.target_covariance[0])
+        for lag in range(n_points):
+            assert sample[lag] == np.diagonal(field.covariance, lag).mean()
+
+    def test_lag_std_error_brute_force(self, monkeypatch):
+        # the convolution gives sum_{a, b < m} |M_ab|^2 / (N m^2), m = n - lag
+        _cache_correlator(monkeypatch)
+        n, n_real = 12, 700
+        field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0),
+                                     np.linspace(0.0, 3.0, n), n_real, seed=43)
+        power = np.abs(field.target_covariance) ** 2
+        brute = [math.sqrt(power[: n - lag, : n - lag].sum() / (n_real * (n - lag) ** 2))
+                 for lag in range(n)]
+        std_error = trajectories._lag_summary(field)[3]
+        assert np.abs(std_error - brute).max() <= 1e-12 * np.abs(brute).min()
+
+    def test_lag_std_error_law(self, monkeypatch):
+        # E |c_hat_l - c_l|^2 = std_error_l^2 at every lag: the mean over the
+        # 16 lags of |c_hat_l - c_l|^2 / std_error_l^2, one value per seed, has
+        # mean 1, and over 200 seeds it stays within a Student-t bound at a
+        # two-sided false-alarm rate of 1e-3 (3.34 standard errors; the
+        # ratios are skewed, so 4 of 2000 disjoint 200-seed sets alarmed, and
+        # 6 of 2000 40-seed sets).  A law off by sqrt(2) either way reads 1/2
+        # or 2 and must fail.
+        _cache_correlator(monkeypatch)
+        grid, n_real, seeds = np.linspace(0.0, 4.0, 16), 200, range(200)
+        ratios = []
+        for seed in seeds:
+            field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, n_real, seed)
+            _, target, sample, std_error = trajectories._lag_summary(field)
+            ratios.append(np.mean(np.abs(sample - target) ** 2 / std_error**2))
+        bound = scipy.stats.t.isf(0.5e-3, len(seeds) - 1)
+
+        def within(scale):  # the ratios of std_error * scale
+            q = np.array(ratios) / scale**2
+            return abs(q.mean() - 1.0) <= bound * q.std(ddof=1) / math.sqrt(q.size)
+
+        assert within(1.0)
+        assert not within(math.sqrt(2.0)) and not within(1.0 / math.sqrt(2.0))
+
     @pytest.mark.parametrize("seed, r", [(0, 0), (3, 5), (3, 2**40), (2**63 + 7, 1), (41, 2**64 - 1)])
     def test_stream_matches_keyed_philox(self, seed, r):
         gen, fresh = _stream(seed, r), _philox(seed, r)
