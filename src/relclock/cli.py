@@ -74,6 +74,17 @@ def _parse_matrix(section, key, raw):
 
 _TYPES = {"float": _parse_float, "list": _parse_list, "matrix": _parse_matrix}
 
+def _finite(section, key, raw, value):
+    """``value`` if every number in it is finite; otherwise a ``ConfigError``
+    naming the key.  ``[env] beta`` alone may also be +inf: the vacuum, at
+    zero temperature."""
+    numbers = np.asarray(value, dtype=float)
+    if (section, key) == ("env", "beta"):
+        numbers = numbers[numbers != math.inf]
+    if not np.isfinite(numbers).all():
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw.strip()!r}")
+    return value
+
 # (type, required, default); defaults marked None are filled contextually
 _ENV_KEYS = {
     "mass_e": ("float", False, 1.0),
@@ -254,7 +265,7 @@ def parse_config(
                 elif typ == "str":
                     params[f"{sec}.{key}"] = raw.strip()
                 else:
-                    params[f"{sec}.{key}"] = _TYPES[typ](sec, key, raw)
+                    params[f"{sec}.{key}"] = _finite(sec, key, raw, _TYPES[typ](sec, key, raw))
             elif required:
                 raise ConfigError(f"missing required key {key!r} in [{sec}]")
             else:

@@ -18,15 +18,24 @@ are uniform phases sqrt(dt) * {1, i, -1, -i}, two random bits each: the
 simplified weak Euler scheme with discrete increments (Kloeden & Platen
 1992, ch. 14).
 
-Reproducibility: trajectory r (and noise realization r) draws from a
-counter-based Philox stream keyed by (seed, r), so a fixed seed gives
-bit-identical results regardless of how the work is scheduled or chunked
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A
-keyed stream is a pure function of its key and position: it can be drawn in
-blocks, and one generator can be re-keyed to (seed, r) at counter 0, without
-changing a single draw.  Increment (r, s, k) of the unraveling is the 2-bit
-field f = s * n_jump + k of stream r's raw 64-bit words: word f // 32, bits
-2 (f mod 32) and 2 (f mod 32) + 1.
+Reproducibility: every draw comes from a counter-based Philox stream keyed
+by (seed, index), so a fixed seed gives bit-identical results regardless of
+how the work is scheduled or chunked (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11).  A keyed stream is a pure function of
+its key and counter, so one generator is re-keyed (``_rekey``) to any key
+and any group of four words without drawing the words before it.  The
+streams are keyed by column, not by trajectory:
+
+- Increment (r, s, k) of the unraveling is the 2-bit field f = s * n_jump +
+  k of trajectory r's raw 64-bit words, bits 2 (f mod 32) and 2 (f mod 32) +
+  1 of its word j = f // 32, and that word is word r of the stream keyed
+  (seed, j).  A chunk of trajectories reads each word j of all its rows in
+  one call.
+- Noise realization r is row r - bR of block b = r // R of the sampler
+  (R realizations a block, below), and block b is one draw of normals from
+  the stream keyed (seed, b).  Ziggurat normals take a varying number of
+  words each, so they cannot be addressed by counter; a row depends on the
+  rows before it in its block, never on the number of realizations.
 
 Memory: ``unravel_linear`` steps at most ``_CHUNK`` trajectories at a time,
 through blocks of at most ``_BLOCK_FIELDS`` one-byte two-bit fields (or of
@@ -44,7 +53,6 @@ exists unless a caller reads ``NoiseField.samples``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -85,40 +93,42 @@ _ROUNDING = 1e-12
 _FALSE_ALARM = 1e-3
 
 
-@functools.cache
-def _seed_sequence() -> np.random.SeedSequence:
-    """The one fixed seed sequence every ``_stream`` Philox is built from
-    before its key is set; made on first use, so that importing the package
-    does not import ``numpy.random``."""
-    return np.random.SeedSequence(0)
-
-
-def _stream(seed: int, index: int) -> np.random.Generator:
-    """The Philox stream keyed (seed, index), at counter 0.
+def _generator() -> np.random.Generator:
+    """A Philox generator for ``_rekey`` to key and position.
 
     ``Philox(key=...)`` would first seed a SeedSequence from OS entropy that
-    the key then discards; building from one fixed sequence and re-keying
-    gives the same draws for less.
+    the key then discards; seeding with 0 and re-keying gives the same draws
+    for less.  Built on first use, so that importing the package does not
+    import ``numpy.random``.
     """
-    gen = np.random.Generator(np.random.Philox(_seed_sequence()))
-    _rekey(gen, seed, index)
-    return gen
+    return np.random.Generator(np.random.Philox(0))
 
 
-def _rekey(gen: np.random.Generator, seed: int, index: int) -> None:
-    """Reset a ``_stream`` generator to the start of ``_stream(seed, index)``:
-    key (seed, index), counter 0, empty buffer.
+def _rekey(gen: np.random.Generator, seed: int, index: int, counter: int = 0) -> None:
+    """Position ``gen`` at word 4 * ``counter`` of the Philox stream keyed
+    (seed, index): that key and counter, empty buffer.
 
-    This is about eight times cheaper than building a new Philox.
+    Philox makes the four words 4c .. 4c + 3 of a stream from counter c + 1
+    alone, so any word can be reached without drawing the ones before it.
+    Re-keying is about eight times cheaper than building a new Philox.
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},
+        "state": {"counter": (counter, 0, 0, 0), "key": (seed, index)},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _keyed_words(gen: np.random.Generator, seed: int, index: int, first: int, n: int) -> np.ndarray:
+    """Raw words first .. first + n - 1 of the Philox stream keyed (seed,
+    index): one read from counter first // 4, less its first (first mod 4)
+    words."""
+    _rekey(gen, seed, index, first // 4)
+    skip = first % 4
+    return gen.bit_generator.random_raw(skip + n)[skip:]
 
 
 def _phase_table(dt: float) -> np.ndarray:
@@ -150,21 +160,24 @@ def _draw_blocks(seed: int, k: int, n_real: int):
     """Yield ``(start, stop, xi)`` for each fixed block of R = ``_SAMPLE_BYTES``
     // (16 k) realizations (at least one); yield nothing when k is 0.
 
-    Row r - start of the (R, k) array ``xi`` holds the k complex normals of
-    the stream keyed (seed, r), scaled by 1/sqrt(2) so E[xi xi*] = 1; the
-    rows past ``n_real`` of the last block are zero.  One buffer is refilled
-    for every block.
+    Block b = start / R is one draw of the stream keyed (seed, b): its
+    first 2k (stop - start) normals, in row order, are the real and
+    imaginary parts of rows 0 .. stop - start - 1 of the (R, k) array
+    ``xi``, scaled by 1/sqrt(2) so E[xi xi*] = 1.  Ziggurat normals cannot
+    be addressed by counter, so a block, not a realization, owns a stream;
+    row r - start still depends on (seed, r, k) only, as a shorter last
+    block draws a prefix of the same stream.  Its rows past ``n_real`` are
+    zero.  One buffer is refilled for every block.
     """
     if k == 0:
         return
     rows = max(1, _SAMPLE_BYTES // (16 * k))
     xi = np.empty((rows, k), dtype=complex)
-    gen = _stream(seed, 0)
-    for start in range(0, n_real, rows):
+    gen = _generator()
+    for block, start in enumerate(range(0, n_real, rows)):
         stop = min(start + rows, n_real)
-        for r, draw in zip(range(start, stop), xi):
-            _rekey(gen, seed, r)
-            gen.standard_normal(out=draw.view(np.float64))
+        _rekey(gen, seed, block)
+        gen.standard_normal(out=xi[: stop - start].view(np.float64))
         xi[stop - start:] = 0.0
         xi /= math.sqrt(2.0)
         yield start, stop, xi
@@ -178,8 +191,9 @@ class NoiseField:
     ``root`` is n x k: the eigenvectors of ``target_covariance`` whose
     eigenvalues exceed ``_RANK_TOL`` times its largest diagonal entry, each
     scaled by the square root of its eigenvalue.  Realization r is z_r =
-    ``root`` @ xi_r, with the k complex normals xi_r drawn from the stream
-    keyed (``seed``, r); E[z_j z_k*] converges to ``target_covariance[j, k]``
+    ``root`` @ xi_r, with the k complex normals xi_r row r - bR of the draw
+    block b = r // R, R = ``_SAMPLE_BYTES`` // (16 k), drawn from the stream
+    keyed (``seed``, b); E[z_j z_k*] converges to ``target_covariance[j, k]``
     up to the dropped eigenvalues.  ``covariance`` is (1/N) sum_r z_r z_r^H,
     built while the draws were made.  ``clipped_mass`` is the sum of |lambda|
     over every dropped eigenvalue, positive or negative: the trace norm of
@@ -248,11 +262,13 @@ def sample_colored_noise(
     clock kernel smooths the correlator, so k is far below n on fine grids
     (39 of 256 points for a unit Gaussian over a span of 4); a grid of full
     numerical rank keeps all n.  Realization r is ``root @ xi`` with the k
-    complex normals xi drawn from the stream keyed (seed, r).  With
+    complex normals xi in row r - bR of draw block b = r // R.  With
     ``coupling_g`` = 0 the covariance vanishes, k = 0 and nothing is drawn.
 
     The sample covariance is streamed: the draws come in fixed blocks of
-    R = ``_SAMPLE_BYTES`` // (16 k) rows (at least one), and the k x k S =
+    R = ``_SAMPLE_BYTES`` // (16 k) rows (at least one), block b being one
+    call that draws the normals of its rows in order from the stream keyed
+    (seed, b), and the k x k S =
     sum_r xi_r xi_r^H grows by ``xi.T @ conj(xi)`` per block, so the stored
     ``root @ (S / n_real) @ root^H`` equals (1/N) sum_r z_r z_r^H without
     any realization being formed.  ``NoiseField.samples`` regenerates them
@@ -311,15 +327,29 @@ class TrajectoryEnsemble:
 
 
 def _ensemble_summaries(states):
+    """The mean projector at each saved time and its standard error
+    sqrt(sum_ab Var(psi_a psi_b*) / n_traj), one entry a <= b at a time.
+
+    Only the entries a <= b are summed: entry (b, a) of the mean is set to
+    the conjugate of entry (a, b), and a diagonal entry to its real part, so
+    the mean is Hermitian exactly.  The variances are centred sums, so
+    identical trajectories give an error of exactly 0.
+    """
     n_traj, n_save, d = states.shape
     means = np.empty((n_save, d, d), dtype=complex)
     errs = np.empty(n_save)
+    entries = [(a, b, 1 if a == b else 2) for a in range(d) for b in range(a, d)]
     for i in range(n_save):
-        proj = np.einsum("ri,rj->rij", states[:, i, :], states[:, i, :].conj())
-        mean = proj.mean(axis=0)
-        var = np.mean(np.abs(proj - mean) ** 2, axis=0)
-        means[i] = 0.5 * (mean + mean.conj().T)
-        errs[i] = math.sqrt(var.sum() / n_traj)
+        psi = np.ascontiguousarray(states[:, i].T)
+        var = 0.0
+        for a, b, copies in entries:
+            proj = psi[a] * psi[b].conj()
+            mean = proj.sum() / n_traj
+            dev = proj - mean
+            means[i, b, a] = mean.conjugate()
+            means[i, a, b] = mean if a < b else mean.real
+            var += copies * np.vdot(dev, dev).real / n_traj
+        errs[i] = math.sqrt(var / n_traj)
     return means, errs
 
 
@@ -363,12 +393,14 @@ def unravel_linear(
     both endpoints, so (n_out - 1) must divide the step count.
 
     The increments are sqrt(dt) * {1, i, -1, -i} (``_phase_table``), picked
-    by 2-bit fields of trajectory r's stream keyed (seed, r): increment
-    (s, k) is field s * n_jump + k, in word (s * n_jump + k) // 32.  Each
-    chunk keeps one generator per trajectory, draws ``_WORDS`` raw words per
-    trajectory for each 32 * ``_WORDS`` fields, and hands the stepper the
-    unpacked uint8 fields one block at a time, with the noise term each
-    field value selects, so no buffer grows with n_traj * n_steps.  The
+    by 2-bit fields of trajectory r's raw words: increment (s, k) is field
+    f = s * n_jump + k, in word j = f // 32, and word j of trajectory r is
+    word r of the stream keyed (seed, j).  For each 32 * ``_WORDS`` fields a
+    chunk re-keys one generator once per word column and reads that
+    column's words for all its rows in one call (``_keyed_words``), then
+    hands the stepper the unpacked uint8 fields one block at a time, with
+    the noise term each field value selects, so no buffer grows with
+    n_traj * n_steps.  The
     stepper applies tabulated products of up to four steps (``_accel``);
     the blocks end only at save points or a multiple of four steps after
     one, so the blocking never changes a trajectory's bits.  The ensemble
@@ -400,16 +432,14 @@ def unravel_linear(
         stop = min(base + max(span, stride), n_steps)
         blocks += [(s, min(s + span, stop)) for s in range(base, stop, span)]
     fields = np.empty((chunk, span * n_jump), dtype=np.uint8)
+    n_words = -(-n_steps * n_jump // 32)
     window = 32 * _WORDS
     words = np.empty((chunk, _WORDS), dtype="<u8")
     packed = words.view(np.uint8)
     states = np.empty((n_traj, n_out, m.dim), dtype=complex)
-    streams = [_stream(seed, 0) for _ in range(chunk)]
-    draws = [gen.bit_generator.random_raw for gen in streams]
+    gen = _generator()
     for start in range(0, n_traj, chunk):
         rows = min(chunk, n_traj - start)
-        for r, gen in zip(range(start, start + rows), streams):
-            _rekey(gen, seed, r)
         psi = np.tile(psi0, (rows, 1))
         for step0, step1 in blocks:
             buf = fields[:rows, : (step1 - step0) * n_jump]
@@ -418,8 +448,10 @@ def unravel_linear(
             f1 = step1 * n_jump
             while f < f1:
                 if f % window == 0:
-                    for draw, row in zip(draws, words[:rows]):
-                        row[...] = draw(_WORDS)
+                    # word j of trajectory r is word r of the stream keyed (seed, j)
+                    first = f // 32
+                    for col, j in enumerate(range(first, min(first + _WORDS, n_words))):
+                        words[:rows, col] = _keyed_words(gen, seed, j, start, rows)
                 piece = min(f1, f - f % window + window) - f
                 _unpack(packed[:rows], f % window, buf[:, f - f0 : f - f0 + piece])
                 f += piece

@@ -395,6 +395,39 @@ class TestMain:
         assert f"[noise] {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario, sections, named", [
+        ("unravel", "[unravel]\nt = inf", "[unravel] t"),
+        ("unravel", "[unravel]\ndt = nan", "[unravel] dt"),
+        ("unravel", "[unravel]\nomega0 = nan", "[unravel] omega0"),
+        ("rates", "[rates]\nomega_min = nan\nomega_max = 1\nomega_points = 3", "[rates] omega_min"),
+        ("rates", "[rates]\nomega_min = -1\nomega_max = 1\nomega_points = 3\n[env]\nmass_e = inf",
+         "[env] mass_e"),
+        ("rates", "[rates]\nomega_min = -1\nomega_max = 1\nomega_points = 3\n[env]\nbeta = -inf",
+         "[env] beta"),
+        ("rates", "[rates]\nomega_min = -1\nomega_max = 1\nomega_points = 3\n[env]\nbeta = nan",
+         "[env] beta"),
+        ("kms", "[env]\nbeta = 1\n[kms]\nsigmas = 2 nan", "[kms] sigmas"),
+        ("tradeoff", "[tradeoff]\nd0 = 1\nd1 = inf\nd2 = 1", "[tradeoff] d1"),
+    ])
+    def test_non_finite_number_named(self, tmp_path, capsys, scenario, sections, named):
+        # one rule for every float, list and matrix key: a nan or an infinity
+        # is refused by key when the config is parsed, before it fails deep
+        # in the compute under a message that names no key (an integer
+        # conversion, expm, an SVD, a quadrature range or the kernel width)
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = {scenario}\nseed = 1\n\n{sections}\n")
+        out = tmp_path / "out"
+        assert main([scenario, "--config", str(config), "--output", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"{named} must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "+inf", "Infinity"])
+    def test_infinite_beta_is_the_vacuum(self, value):
+        # [env] beta is the one number that may be +inf: zero temperature
+        cfg = parse_config(MINIMAL_RATES.replace("g = 1.0", f"g = 1.0\nbeta = {value}"))
+        assert cfg.parameters["env.beta"] == math.inf
+
     @pytest.mark.parametrize("scenario", ["markov_limit", "kms", "curl"])
     def test_empty_sigmas_named(self, tmp_path, capsys, scenario):
         # an empty list would index past its end, pass vacuously, or leave a

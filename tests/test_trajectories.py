@@ -13,9 +13,10 @@ from relclock.correlators import EnvironmentSpec
 from relclock.gkls import DensityMatrix, GKLSModel, expm, qubit_decay_model
 from relclock.kernels import GaussianKernel
 from relclock.trajectories import (
+    _generator,
+    _keyed_words,
     _rekey,
     _sidak_z,
-    _stream,
     ensemble_check,
     one_step_means,
     sample_colored_noise,
@@ -29,6 +30,28 @@ SM = np.array([[0, 0], [1, 0]], dtype=complex)
 
 def _philox(seed, r):
     return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
+
+
+def _philox4x64(key, counter):
+    """The four words Philox4x64-10 makes from a counter and a two-word key,
+    written out from Salmon et al. (SC'11): ten rounds of two 64 x 64 -> 128
+    bit products, the key bumped by the Weyl constants between rounds."""
+    mask = 2**64 - 1
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & mask, (p0 >> 64) ^ c3 ^ k1, p0 & mask
+        k0, k1 = (k0 + 0x9E3779B97F4A7C15) & mask, (k1 + 0xBB67AE8584CAA73B) & mask
+    return [c0, c1, c2, c3]
+
+
+def _philox_words(seed, index, first, n):
+    """Raw words first .. first + n - 1 of the stream keyed (seed, index),
+    from the written-out rounds: words 4c .. 4c + 3 come from counter c + 1."""
+    blocks = range(first // 4, (first + n - 1) // 4 + 1)
+    words = [w for c in blocks for w in _philox4x64((seed, index), (c + 1, 0, 0, 0))]
+    return np.array(words[first % 4:first % 4 + n], dtype=np.uint64)
 
 
 def _rank_root(M):
@@ -54,9 +77,10 @@ def _cache_correlator(monkeypatch):
 
 
 def _reference_noise(evaluate, grid, root, n_real, seed):
-    """The per-pair dict covariance and the block sampler, written out: one
-    fresh Philox per realization drawing k = root.shape[1] complex normals,
-    zero-padded blocks of R rows, one GEMM per block."""
+    """The per-pair dict covariance and the block sampler, written out:
+    zero-padded blocks of R rows, block b one fresh Philox keyed (seed, b)
+    drawing k = root.shape[1] complex normals for each of its rows, one GEMM
+    per block."""
     t = np.asarray(grid, dtype=float)
     n = t.size
     diffs = t[:, None] - t[None, :]
@@ -72,42 +96,49 @@ def _reference_noise(evaluate, grid, root, n_real, seed):
     R = max(1, trajectories._SAMPLE_BYTES // (16 * k))
     n_blocks = -(-n_real // R)
     xi = np.zeros((n_blocks * R, k), dtype=complex)
-    for r in range(n_real):
-        g = _philox(seed, r).standard_normal((k, 2))
-        xi[r] = g[:, 0] + 1j * g[:, 1]
+    for b in range(n_blocks):
+        rows = min(R, n_real - b * R)
+        g = _philox(seed, b).standard_normal((rows, k, 2))
+        xi[b * R:b * R + rows] = g[..., 0] + 1j * g[..., 1]
     samples = np.concatenate([(block / math.sqrt(2.0)) @ root.T
                               for block in np.split(xi, n_blocks)])
     return 0.5 * (M + M.conj().T), samples[:n_real]
 
 
 def _matvec_noise(root, n_real, seed):
-    """The per-realization sampler: one matvec per realization."""
+    """The per-realization sampler: realization r takes the next k complex
+    normals of its block's stream, one draw and one matvec per realization."""
+    k = root.shape[1]
+    R = max(1, trajectories._SAMPLE_BYTES // (16 * k))
     samples = np.empty((n_real, root.shape[0]), dtype=complex)
     for r in range(n_real):
-        g = _philox(seed, r).standard_normal((root.shape[1], 2))
+        if r % R == 0:
+            gen = _philox(seed, r // R)
+        g = gen.standard_normal((k, 2))
         samples[r] = root @ ((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0))
     return samples
 
 
 def _philox_fields(seed, r, n_fields):
-    """Stream r's first ``n_fields`` two-bit fields, decoded here from the raw
-    words of Philox(key=(seed, r)): field f is bits 2 (f mod 32) and
-    2 (f mod 32) + 1 of word f // 32."""
-    words = np.random.Philox(key=np.array([seed, r], dtype=np.uint64)).random_raw(-(-n_fields // 32))
-    return np.array([(int(words[f // 32]) >> (2 * (f % 32))) & 3 for f in range(n_fields)],
+    """Trajectory r's first ``n_fields`` two-bit fields, decoded here from raw
+    Philox words: its word j is word r of Philox(key=(seed, j)), and field f
+    is bits 2 (f mod 32) and 2 (f mod 32) + 1 of its word f // 32."""
+    words = [int(np.random.Philox(key=np.array([seed, j], dtype=np.uint64)).random_raw(r + 1)[r])
+             for j in range(-(-n_fields // 32))]
+    return np.array([(words[f // 32] >> (2 * (f % 32))) & 3 for f in range(n_fields)],
                     dtype=np.uint8)
 
 
 def _philox_increments(seed, r, n_fields, dt):
-    """Stream r's first ``n_fields`` increments: field value c selects
+    """Trajectory r's first ``n_fields`` increments: field value c selects
     sqrt(dt) * (1, i, -1, -i)[c]."""
     return math.sqrt(dt) * np.array([1, 1j, -1, -1j])[_philox_fields(seed, r, n_fields)]
 
 
 def _reference_unravel(m, psi0, t, dt, n_traj, seed, n_out):
     """The whole-stream unraveling, written out: each trajectory decodes all
-    of its increments from one draw of raw words, then every trajectory
-    takes every step, one matrix product per step and jump.  The step
+    of its increments from its raw words (``_philox_fields``), then every
+    trajectory takes every step, one matrix product per step and jump.  The step
     propagator is the package's own expm, so a match to rounding tests the
     keyed streams, the decoding, the step tables and the chunking, not the
     exponential."""
@@ -390,14 +421,15 @@ class TestColoredNoise:
 
     @pytest.mark.parametrize("seed, r", [(0, 0), (3, 5), (3, 2**40), (2**63 + 7, 1), (41, 2**64 - 1)])
     def test_stream_matches_keyed_philox(self, seed, r):
-        gen, fresh = _stream(seed, r), _philox(seed, r)
+        gen, fresh = _generator(), _philox(seed, r)
+        _rekey(gen, seed, r)
         assert np.array_equal(gen.standard_normal(64), fresh.standard_normal(64))
         assert np.array_equal(gen.integers(0, 2**31, size=5, dtype=np.uint32),
                               fresh.integers(0, 2**31, size=5, dtype=np.uint32))
         assert np.array_equal(gen.random(9), fresh.random(9))
 
     def test_rekey_matches_fresh_stream(self):
-        gen = _stream(3, 0)
+        gen = _generator()
         for r in (5, 0, 2**40, 5):
             # leave the generator mid-buffer, with a cached 32-bit half
             gen.standard_normal(7)
@@ -408,6 +440,38 @@ class TestColoredNoise:
             assert np.array_equal(gen.integers(0, 2**31, size=5, dtype=np.uint32),
                                   fresh.integers(0, 2**31, size=5, dtype=np.uint32))
             assert np.array_equal(gen.random(9), fresh.random(9))
+
+    @pytest.mark.parametrize("first, n", [(0, 5), (1, 3), (6, 9), (7, 1), (1021, 40),
+                                          (2**40 + 1, 7), (2**40 + 2, 2), (2**40 + 3, 10)])
+    def test_keyed_words_positioned_by_counter(self, first, n):
+        # a read that starts at any word, r0 mod 4 in {0, 1, 2, 3}, past
+        # 2^40, and crosses counter blocks: numpy's own stream read from
+        # word 0 where that fits in memory, the written-out rounds past 2^40
+        gen = _generator()
+        gen.standard_normal(3)  # a generator left mid-buffer
+        got = _keyed_words(gen, 2**40 + 3, 9, first, n)
+        expected = _philox_words(2**40 + 3, 9, first, n)
+        assert got.dtype == np.uint64 and np.array_equal(got, expected)
+        if first < 2**20:
+            whole = np.random.Philox(key=np.array([2**40 + 3, 9], dtype=np.uint64))
+            assert np.array_equal(got, whole.random_raw(first + n)[first:])
+
+    @pytest.mark.parametrize("n_points, n_real", [(8, 1), (32, 5000)])
+    def test_rekeys_once_per_block(self, monkeypatch, n_points, n_real):
+        # one stream per block of R realizations, not one per realization
+        _cache_correlator(monkeypatch)
+        calls = []
+        rekey = trajectories._rekey
+
+        def spy(gen, seed, *position):
+            calls.append(position)
+            rekey(gen, seed, *position)
+
+        monkeypatch.setattr(trajectories, "_rekey", spy)
+        field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0),
+                                     np.linspace(0.0, 4.0, n_points), n_real, seed=3)
+        R = max(1, trajectories._SAMPLE_BYTES // (16 * field.root.shape[1]))
+        assert calls == [(b,) for b in range(-(-n_real // R))]
 
 
 class TestUnravelLinear:
@@ -442,6 +506,24 @@ class TestUnravelLinear:
         ens = unravel_linear(m, rho0, 0.1, 1e-3, 4, seed=1)
         assert ensemble_check(ens, m, rho0, 1e-3).max_deviation <= 1e-12
         assert ens.stat_error.max() == 0.0
+
+    def test_rekeys_once_per_word_column_per_chunk(self, monkeypatch):
+        # 3000 trajectories x 1000 steps of one jump: each of the three
+        # chunks keys the stream of each of its 32 word columns once, at the
+        # counter of its first row; no stream is keyed per trajectory
+        calls = []
+        rekey = trajectories._rekey
+
+        def spy(gen, seed, *position):
+            calls.append(position)
+            rekey(gen, seed, *position)
+
+        monkeypatch.setattr(trajectories, "_rekey", spy)
+        unravel_linear(qubit_decay_model(1.0, 1.0), DensityMatrix.pure([1, 0]), 1.0, 1e-3, 3000,
+                       seed=5)
+        chunk = trajectories._CHUNK
+        assert len(calls) == -(-3000 // chunk) * -(-1000 // 32)
+        assert calls == [(j, start // 4) for start in range(0, 3000, chunk) for j in range(32)]
 
     def test_single_trajectory_norm_drifts(self):
         m = qubit_decay_model(1.0, 1.0)
@@ -492,7 +574,9 @@ class TestUnravelLinear:
                    np.diag([1.0, 0.5, 0.25, 0.3, 0.2])), 20, 8, 7, 60, 7),
         (GKLSModel(2, 0.5 * SZ, [], np.zeros((0, 0))), 20, 8, 7, 60, 7),
         (qubit_decay_model(1.0, 1.0), 1100, None, None, 200, 11),
-    ], ids=["one_jump", "two_jumps", "three_jumps", "five_jumps", "closed", "default_sizes"])
+        (GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5])), 20, 5, 7, 600, 7),
+    ], ids=["one_jump", "two_jumps", "three_jumps", "five_jumps", "closed", "default_sizes",
+            "odd_chunks"])
     def test_matches_whole_stream_reference(self, monkeypatch, model, n_traj, chunk, block,
                                             n_steps, n_out):
         # saves every 10 (or 50) steps, so one jump's 4-step groups leave a
@@ -500,7 +584,9 @@ class TestUnravelLinear:
         # 4, and three jumps take 12 fields a block, so blocks start mid-word
         # and one straddles the draws of fields 0..1023 and 1024..2047; five
         # jumps take two tables a step; the default sizes
-        # take two chunks (1024 + 76) and one block of 200 steps.  The fields
+        # take two chunks (1024 + 76) and one block of 200 steps; chunks of
+        # 5 start at rows 0, 5, 10 and 15, so their word reads start at every
+        # position within a counter's four words.  The fields
         # stepped through are the whole-stream fields exactly, and the states
         # the per-step reference's to rounding
         if chunk is not None:
@@ -541,8 +627,8 @@ class TestUnravelLinear:
     def test_fields_never_form_noise(self):
         # 1024 trajectories x 2000 steps: past the saved states, the peak
         # holds at most 8 bytes per field of a block (the uint8 fields, the
-        # intp byte codes and their temporaries) and 1 MiB for the 1024
-        # generators and their words; a complex noise block of the same
+        # intp byte codes and their temporaries) and 1 MiB for the generator
+        # and its words; a complex noise block of the same
         # fields would alone take 16 bytes per field
         m = qubit_decay_model(1.0, 1.0)
         rho0 = DensityMatrix.pure([1, 0])
@@ -610,9 +696,9 @@ class TestUnravelLinear:
         assert abs(np.mean(xi[..., 0] * xi[..., 1])) / dt <= bound
 
     def test_increments_decode_keyed_words(self, monkeypatch):
-        # increment (r, s, k) is field s * n_jump + k of the raw words of
-        # Philox(key=(seed, r)), decoded here; 600 steps of two jumps take
-        # two draws of 32 words per trajectory
+        # increment (r, s, k) is field s * n_jump + k of trajectory r's raw
+        # words, its word j being word r of Philox(key=(seed, j)), decoded
+        # here; 600 steps of two jumps take two windows of 32 word columns
         m = GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5]))
         n_traj, n_steps, dt = 5, 600, 1e-3
         _, fields = _recorded_fields(monkeypatch, m, DensityMatrix.pure([1, 0]), n_steps * dt, dt,
