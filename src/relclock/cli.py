@@ -7,6 +7,15 @@ echoing the inputs, the config hash, key outputs, and pass/fail checks.
 covariance: target, sample lag mean, standard error (``trajectories._lag_summary``).
 Exit status: 0 on success, 2 when a declared invariant check fails, 1 on
 errors.
+
+Each ``SCHEMA`` key declares its domain: the accepted words of a string, or
+an interval such as ``(0, inf)`` that every number of a value (a list's or a
+matrix's too) must lie in.  nan lies in none, and an infinity only in an
+interval closed at it: ``[env] beta``, ``(0, inf]`` where +inf is the vacuum,
+alone.  A value outside raises one :class:`ConfigError` naming ``[section]
+key``, the domain and the value.  Library caps (256 noise points, 6 curl
+sites, 64 boost modes in multiples of 4) are not repeated there: they stay
+library errors.
 """
 
 from __future__ import annotations
@@ -47,156 +56,156 @@ class ScenarioConfig:
     config_hash: str
 
 
-def _parse_float(section, key, raw):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}")
+#: the default of a key that every config must set
+REQUIRED = object()
 
 
-def _parse_list(section, key, raw):
-    try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number list, got {raw!r}")
+def _parse_list(raw):
+    values = [float(tok) for tok in raw.replace(",", " ").split()]
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
-def _parse_matrix(section, key, raw):
-    try:
-        rows = [
-            [float(tok) for tok in row.replace(",", " ").split()]
-            for row in raw.split(";")
-        ]
-        return np.array(rows)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected 'a b; c d' matrix, got {raw!r}")
+def _parse_matrix(raw):
+    return np.array([_parse_list(row) for row in raw.split(";")])
 
 
-_TYPES = {"float": _parse_float, "list": _parse_list, "matrix": _parse_matrix}
+#: each type's parser of the raw string, and what it expects
+_TYPES = {
+    "float": (float, "a number"),
+    "int": (int, "an integer"),
+    "str": (str.strip, "a word"),
+    "list": (_parse_list, "a non-empty number list"),
+    "matrix": (_parse_matrix, "an 'a b; c d' matrix"),
+}
 
-def _finite(section, key, raw, value):
-    """``value`` if every number in it is finite; otherwise a ``ConfigError``
-    naming the key.  ``[env] beta`` alone may also be +inf: the vacuum, at
-    zero temperature."""
-    numbers = np.asarray(value, dtype=float)
-    if (section, key) == ("env", "beta"):
-        numbers = numbers[numbers != math.inf]
-    if not np.isfinite(numbers).all():
-        raise ConfigError(f"[{section}] {key} must be finite, got {raw.strip()!r}")
+
+def _check(sec, key, value, domain):
+    """``value`` if it lies in ``domain``, element by element: a tuple of the
+    accepted words, or an interval such as ``"(0, inf)"`` or ``"[-0.5, 0.5]"``.
+    nan lies in no interval and +-inf only in one closed at it.  Otherwise
+    one :class:`ConfigError` names the key, the domain and the value."""
+    if isinstance(domain, tuple):
+        if value not in domain:
+            raise ConfigError(f"[{sec}] {key} must be one of {', '.join(domain)}, got {value!r}")
+        return value
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    lo_in, hi_in = domain[0] == "[", domain[-1] == "]"
+    for x in np.ravel(value).tolist():
+        if (lo < x or lo_in and x == lo) and (x < hi or hi_in and x == hi):
+            continue
+        if not math.isfinite(x):
+            need = "finite"
+        elif x <= lo:
+            need = f">{'=' * lo_in} {lo:g}"
+        else:
+            need = f"<{'=' * hi_in} {hi:g}"
+        raise ConfigError(f"[{sec}] {key} must be {need} (domain {domain}), got {x}")
     return value
 
-# (type, required, default); defaults marked None are filled contextually
-_ENV_KEYS = {
-    "mass_e": ("float", False, 1.0),
-    "g": ("float", False, 1.0),
-    "beta": ("float", False, math.inf),
-    "rapidity": ("float", False, 0.0),
+
+# (type, default, domain) per key; a default of None is set in units of
+# [env] mass_e (_MASS_UNITS), so [env] comes first in each scenario's entry
+_ENV = {
+    "mass_e": ("float", 1.0, "(0, inf)"),
+    "g": ("float", 1.0, "[0, inf)"),
+    "beta": ("float", math.inf, "(0, inf]"),  # +inf is the vacuum, at zero temperature
+    "rapidity": ("float", 0.0, "(-inf, inf)"),
 }
-_KERNEL_KEYS = {
-    "kind": ("str", False, "gaussian"),
-    "sigma": ("float", False, None),  # default 5 / mass_e
-    "r": ("float", False, 1.0),
-    "omega_c": ("float", False, 1.0),
+#: with g = 0 every rate is 0, and a detailed-balance ratio or a split between
+#: two rate sources has no target
+_ENV_COUPLED = {**_ENV, "g": ("float", 1.0, "(0, inf)")}
+_KERNEL = {
+    "kind": ("str", "gaussian", ("gaussian", "coherent")),
+    "sigma": ("float", None, "(0, inf)"),
+    # read by the coherent kernel alone, whose own guard names R and omega_C
+    "r": ("float", 1.0, "(-inf, inf)"),
+    "omega_c": ("float", 1.0, "(-inf, inf)"),
 }
+_MASS_UNITS = {
+    "kernel.sigma": 5.0,  # a time: 5 / mass_e
+    "markov_limit.omega": -3.0,
+    "lamb_shift.cutoff": 40.0,
+    "kms.omega": 2.0,
+}
+_SIGMAS = ("list", [2.0, 5.0, 10.0, 20.0], "(0, inf)")
 
 SCHEMA = {
-    "rates": {"rates": {
-        "omega_min": ("float", True, None),
-        "omega_max": ("float", True, None),
-        "omega_points": ("int", True, None),
+    "rates": {"env": _ENV, "kernel": _KERNEL, "rates": {
+        "omega_min": ("float", REQUIRED, "(-inf, inf)"),
+        "omega_max": ("float", REQUIRED, "(-inf, inf)"),
+        "omega_points": ("int", REQUIRED, "[1, inf)"),
     }},
-    "markov_limit": {"markov_limit": {
-        "omega": ("float", False, None),  # default -3 mass_e
-        "sigmas": ("list", False, [2.0, 5.0, 10.0, 20.0]),
+    "markov_limit": {"env": _ENV, "markov_limit": {
+        "omega": ("float", None, "(-inf, inf)"),
+        "sigmas": _SIGMAS,
     }},
-    "lamb_shift": {"lamb_shift": {
-        "cutoff": ("float", False, None),  # default 40 mass_e
+    "lamb_shift": {"env": _ENV, "kernel": _KERNEL, "lamb_shift": {
+        "cutoff": ("float", None, "(0, inf)"),
     }},
-    "kms": {"kms": {
-        "omega": ("float", False, None),  # default 2 mass_e
-        "sigmas": ("list", False, [2.0, 5.0, 10.0, 20.0]),
+    "kms": {"env": {**_ENV_COUPLED, "beta": ("float", REQUIRED, "(0, inf)")}, "kms": {
+        "omega": ("float", None, "(-inf, inf)"),
+        "sigmas": _SIGMAS,
     }},
-    "gkls": {"gkls": {
-        "omega0": ("float", False, 2.0),
-        "t_max": ("float", False, 5.0),
-        "n_times": ("int", False, 11),
+    "gkls": {"env": _ENV, "gkls": {
+        "omega0": ("float", 2.0, "(0, inf)"),
+        "t_max": ("float", 5.0, "[0, inf)"),
+        "n_times": ("int", 11, "[1, inf)"),
     }},
-    "langevin": {"langevin": {
-        "energy": ("float", False, 2.0),
-        "tau_max": ("float", False, 10.0),
-        "n_times": ("int", False, 21),
-        "n0": ("float", False, 5.0),
+    "langevin": {"env": _ENV, "langevin": {
+        "energy": ("float", 2.0, "(-inf, inf)"),
+        "tau_max": ("float", 10.0, "[0, inf)"),
+        "n_times": ("int", 21, "[1, inf)"),
+        "n0": ("float", 5.0, "[0, inf)"),
     }},
     "unravel": {"unravel": {
-        "omega0": ("float", False, 1.0),
-        "gamma": ("float", False, 1.0),
-        "t": ("float", False, 1.0),
-        "dt": ("float", False, 1e-3),
-        "n_traj": ("int", False, 10_000),
-        "n_out": ("int", False, 11),
+        "omega0": ("float", 1.0, "(-inf, inf)"),
+        "gamma": ("float", 1.0, "[0, inf)"),
+        "t": ("float", 1.0, "(0, inf)"),
+        "dt": ("float", 1e-3, "(0, inf)"),
+        "n_traj": ("int", 10_000, "[1, inf)"),
+        "n_out": ("int", 11, "[2, inf)"),
     }},
-    "noise": {"noise": {
-        "t_span": ("float", False, 4.0),
-        "grid_points": ("int", False, 32),
-        "n_real": ("int", False, 20_000),
+    "noise": {"env": _ENV, "kernel": _KERNEL, "noise": {
+        "t_span": ("float", 4.0, "(0, inf)"),
+        "grid_points": ("int", 32, "[1, inf)"),
+        "n_real": ("int", 20_000, "[1, inf)"),
     }},
-    "curl": {"curl": {
-        "n_sites": ("int", False, 4),
-        "tilt": ("float", False, 0.3),
-        "spacing": ("float", False, 1.0),
-        "site_energy": ("float", False, 3.0),
-        "x": ("int", False, 1),
-        "y": ("int", False, 2),
-        "rate_mode": ("str", False, "normal_sampled"),
-        "sigmas": ("list", False, [2.0]),
+    "curl": {"env": _ENV, "curl": {
+        "n_sites": ("int", 4, "[2, inf)"),
+        "tilt": ("float", 0.3, "(-inf, inf)"),
+        "spacing": ("float", 1.0, "(0, inf)"),
+        "site_energy": ("float", 3.0, "(-inf, inf)"),
+        "x": ("int", 1, "[0, inf)"),  # below n_sites, and x != y
+        "y": ("int", 2, "[0, inf)"),
+        "rate_mode": ("str", "normal_sampled", ("normal_sampled", "normal_independent")),
+        "sigmas": ("list", [2.0], "(0, inf)"),
     }},
-    "boost": {"boost": {
-        "grid_size": ("int", False, 64),
-        "theta_max": ("float", False, 3.0),
-        "system_mass": ("float", False, 3.0),
-        "d_rapidity": ("float", False, 1e-3),
+    "boost": {"env": _ENV_COUPLED, "boost": {
+        "grid_size": ("int", 64, "[8, inf)"),  # the coarsest refinement grid, n/4, needs 2 modes
+        "theta_max": ("float", 3.0, "(0, inf)"),
+        "system_mass": ("float", 3.0, "(0, inf)"),
+        "d_rapidity": ("float", 1e-3, "(0, 0.1)"),
     }},
     "cq": {"cq": {
-        "d0": ("float", False, 2.0),
-        "d1": ("float", False, 2.0),
-        "d2": ("float", False, 1.0),
-        "z_min": ("float", False, -8.0),
-        "z_max": ("float", False, 8.0),
-        "cells": ("int", False, 64),
-        "t": ("float", False, 1.0),
-        "packet_center": ("float", False, 0.0),
-        "packet_width": ("float", False, 0.5),
-        "coherence": ("float", False, 0.45),
+        "d0": ("float", 2.0, "[0, inf)"),
+        "d1": ("float", 2.0, "(-inf, inf)"),
+        "d2": ("float", 1.0, "[0, inf)"),
+        "z_min": ("float", -8.0, "(-inf, inf)"),
+        "z_max": ("float", 8.0, "(-inf, inf)"),
+        "cells": ("int", 64, "[2, inf)"),
+        "t": ("float", 1.0, "(0, inf)"),
+        "packet_center": ("float", 0.0, "(-inf, inf)"),
+        "packet_width": ("float", 0.5, "(0, inf)"),
+        "coherence": ("float", 0.45, "[-0.5, 0.5]"),  # the qubit block stays PSD
     }},
     "tradeoff": {"tradeoff": {
-        "d0": ("matrix", True, None),
-        "d1": ("matrix", True, None),
-        "d2": ("matrix", True, None),
+        "d0": ("matrix", REQUIRED, "(-inf, inf)"),
+        "d1": ("matrix", REQUIRED, "(-inf, inf)"),
+        "d2": ("matrix", REQUIRED, "(-inf, inf)"),
     }},
 }
-
-#: grid and sample sizes, and the least value each may take (a list's: its length)
-_GRID_SIZES = {
-    "rates.omega_points": 1,
-    "gkls.n_times": 1,
-    "langevin.n_times": 1,
-    "noise.grid_points": 1,
-    "noise.n_real": 1,
-    "cq.cells": 2,
-    "boost.grid_size": 8,  # the coarsest refinement grid, n/4, needs 2 modes
-    "markov_limit.sigmas": 1,
-    "kms.sigmas": 1,
-    "curl.sigmas": 1,
-}
-
-#: the scenarios that read [env]
-_USES_ENV = {
-    "rates", "markov_limit", "lamb_shift", "kms", "gkls", "langevin",
-    "noise", "curl", "boost",
-}
-
-#: the scenarios that build their clock kernel from [kernel]
-_USES_KERNEL = {"rates", "lamb_shift", "noise"}
 
 
 def parse_config(
@@ -205,9 +214,13 @@ def parse_config(
     """Validate a key = value config document and fill declared defaults.
 
     Unknown sections or keys are rejected; missing required keys raise a
-    :class:`ConfigError` naming the key.  Stochastic scenarios must carry a
-    seed (reproducibility contract); ``seed_override`` substitutes for a
-    config-file seed.
+    :class:`ConfigError` naming the key.  Every value, given or default, must
+    lie in the domain its ``SCHEMA`` entry declares (see :func:`_check`):
+    ``[env] beta`` alone is closed at +inf, and ``[curl] x`` and ``y`` must
+    be distinct sites below ``n_sites``.  Library caps (noise grid, curl
+    sites, boost modes) are not declared here and stay library errors.
+    Stochastic scenarios must carry a seed (reproducibility contract);
+    ``seed_override`` substitutes for a config-file seed.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -238,75 +251,39 @@ def parse_config(
     if scenario in STOCHASTIC and seed is None:
         raise ConfigError(f"scenario {scenario!r} is stochastic: [run] seed is required")
 
-    allowed = dict(SCHEMA[scenario])
-    if scenario in _USES_ENV:
-        allowed["env"] = _ENV_KEYS
-    if scenario in _USES_KERNEL:
-        allowed["kernel"] = _KERNEL_KEYS
+    allowed = SCHEMA[scenario]
     params: dict = {}
     for sec in cp.sections():
-        if sec == "run":
-            continue
-        if sec not in allowed:
+        if sec != "run" and sec not in allowed:
             raise ConfigError(f"unknown section [{sec}] for scenario {scenario!r}")
     for sec, keys in allowed.items():
         got = dict(cp[sec]) if sec in cp else {}
         for key in got:
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in [{sec}]")
-        for key, (typ, required, default) in keys.items():
+        for key, (typ, default, domain) in keys.items():
+            name = f"{sec}.{key}"
             if key in got:
-                raw = got[key]
-                if typ == "int":
-                    try:
-                        params[f"{sec}.{key}"] = int(raw)
-                    except ValueError:
-                        raise ConfigError(f"[{sec}] {key}: expected an integer, got {raw!r}")
-                elif typ == "str":
-                    params[f"{sec}.{key}"] = raw.strip()
-                else:
-                    params[f"{sec}.{key}"] = _finite(sec, key, raw, _TYPES[typ](sec, key, raw))
-            elif required:
+                parse, expected = _TYPES[typ]
+                try:
+                    value = parse(got[key])
+                except ValueError:
+                    raise ConfigError(f"[{sec}] {key}: expected {expected}, got {got[key]!r}") from None
+            elif default is REQUIRED:
                 raise ConfigError(f"missing required key {key!r} in [{sec}]")
+            elif default is None:
+                mass, unit = params["env.mass_e"], _MASS_UNITS[name]
+                value = unit / mass if sec == "kernel" else unit * mass
             else:
-                params[f"{sec}.{key}"] = default
-
-    for name, least in _GRID_SIZES.items():
-        value = params.get(name)
-        size = len(value) if isinstance(value, list) else value
-        if size is not None and size < least:
-            sec, key = name.split(".")
-            verb = "list" if isinstance(value, list) else "be"
-            raise ConfigError(f"[{sec}] {key} must {verb} >= {least}, got {size}")
-
-    # contextual defaults and unit-level validation
-    if scenario in _USES_ENV:
-        mass = params["env.mass_e"]
-        if not mass > 0:
-            raise ConfigError("mass_e must be > 0")
-        if scenario in ("kms", "boost") and params["env.g"] == 0:
-            raise ConfigError(f"[env] g = 0 makes every {scenario} rate 0: its check has no target")
-        if scenario == "markov_limit" and params["markov_limit.omega"] is None:
-            params["markov_limit.omega"] = -3.0 * mass
-        if scenario == "lamb_shift" and params["lamb_shift.cutoff"] is None:
-            params["lamb_shift.cutoff"] = 40.0 * mass
-        if scenario == "kms" and params["kms.omega"] is None:
-            params["kms.omega"] = 2.0 * mass
-    if scenario in _USES_KERNEL:
-        if params["kernel.sigma"] is None:
-            params["kernel.sigma"] = 5.0 / mass
-        if not params["kernel.sigma"] > 0:
-            raise ConfigError("sigma must be > 0")
-        if params["kernel.kind"] not in ("gaussian", "coherent"):
-            raise ConfigError(f"unknown kernel kind {params['kernel.kind']!r}")
-    if scenario == "noise" and not 0.0 < params["noise.t_span"] < math.inf:
-        raise ConfigError(f"[noise] t_span must be finite and > 0, got {params['noise.t_span']}")
-    if scenario == "cq":
-        for key in ("t", "packet_width"):
-            if not params[f"cq.{key}"] > 0:
-                raise ConfigError(f"[cq] {key} must be > 0, got {params[f'cq.{key}']}")
-        if not abs(params["cq.coherence"]) <= 0.5:
-            raise ConfigError(f"[cq] coherence must be within [-0.5, 0.5], got {params['cq.coherence']}")
+                value = default
+            params[name] = _check(sec, key, value, domain)
+    if scenario == "curl":
+        n, x, y = params["curl.n_sites"], params["curl.x"], params["curl.y"]
+        for key, site in (("x", x), ("y", y)):
+            if site >= n:
+                raise ConfigError(f"[curl] {key} must be < n_sites = {n}, got {site}")
+        if x == y:
+            raise ConfigError(f"[curl] x and y must be distinct sites, got {x} for both")
     digest = hashlib.sha256(text.encode()).hexdigest()
     return ScenarioConfig(
         scenario=scenario, parameters=params, output_path=output,
@@ -411,8 +388,6 @@ def _run_kms(cfg):
     from .rates import RateQuery, kappa_markov_kms, kappa_tcl
     p = cfg.parameters
     env = _env_from(p)
-    if env.beta == math.inf:
-        raise ConfigError("kms scenario requires a finite [env] beta")
     om = p["kms.omega"]
     markov_dev = abs(kappa_markov_kms(env, om) * math.exp(env.beta * om) - kappa_markov_kms(env, -om))
     rows, devs = [], []

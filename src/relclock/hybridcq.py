@@ -196,7 +196,13 @@ class HybridState:
     ) -> "HybridState":
         z = np.asarray(z_grid, dtype=float)
         w = np.exp(-((z - center) ** 2) / (2.0 * width**2))
-        w /= w.sum()
+        total = w.sum()
+        if not total > 0.0:
+            raise ValueError(
+                f"a packet at centre {center!r} of width {width!r} puts no weight on the "
+                f"z grid [{z[0]}, {z[-1]}]"
+            )
+        w /= total
         rho = np.asarray(qubit_state, dtype=complex)
         return cls(z, w[:, None, None] * rho[None, :, :])
 

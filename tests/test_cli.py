@@ -2,6 +2,7 @@ import configparser
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 import relclock
-from relclock.cli import SCENARIOS, ConfigError, _json_ready, main, parse_config, run_scenario
+from relclock.cli import (
+    SCENARIOS, SCHEMA, ConfigError, _json_ready, main, parse_config, run_scenario,
+)
 
 SRC = Path(relclock.__file__).resolve().parents[1]
 
@@ -30,6 +33,26 @@ omega_min = -4.0
 omega_max = 1.0
 omega_points = 6
 """
+
+#: the keys a config must set, at values inside their domains
+REQUIRED_KEYS = {
+    "rates": {"rates": {"omega_min": "-4", "omega_max": "1", "omega_points": "6"}},
+    "kms": {"env": {"beta": "1"}},
+    "tradeoff": {"tradeoff": {"d0": "1", "d1": "1", "d2": "1"}},
+}
+
+
+def _config_with(scenario, section=None, key=None, raw=None):
+    """The least config of ``scenario``, with ``[section] key = raw`` set."""
+    sections = {sec: dict(keys) for sec, keys in REQUIRED_KEYS.get(scenario, {}).items()}
+    if section is not None:
+        sections.setdefault(section, {})[key] = raw
+    if (scenario, key) == ("curl", "n_sites"):  # two distinct sites below n_sites = 2
+        sections[section].update(x="0", y="1")
+    text = f"[run]\nscenario = {scenario}\nseed = 1\n"
+    for sec, keys in sections.items():
+        text += f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    return text
 
 
 class TestParseConfig:
@@ -86,6 +109,44 @@ class TestParseConfig:
         else:
             with pytest.raises(ConfigError, match=r"unknown section \[kernel\]"):
                 parse_config(text)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_key_refused_outside_its_domain(self, scenario):
+        # every entry declares its domain; the defaults and each closed edge
+        # parse; a value just past each finite bound, nan, and an infinity
+        # the domain does not contain are refused by [section] key
+        parse_config(_config_with(scenario))
+        for sec, keys in SCHEMA[scenario].items():
+            for key, (typ, _, domain) in keys.items():
+                named = re.escape(f"[{sec}] {key}")
+
+                def refused(raw):
+                    with pytest.raises(ConfigError, match=named):
+                        parse_config(_config_with(scenario, sec, key, raw))
+
+                if typ == "str":
+                    assert domain and all(isinstance(word, str) for word in domain)
+                    for word in domain:
+                        parse_config(_config_with(scenario, sec, key, word))
+                    refused("nonsense")
+                    continue
+                interval = re.fullmatch(r"([\[(])(\S+), (\S+)([\])])", domain)
+                assert interval, f"[{sec}] {key} declares no interval"
+                left, lo, hi, right = interval.groups()
+
+                def raw(x):
+                    return str(int(x)) if typ == "int" and math.isfinite(x) else repr(float(x))
+
+                for bound, closed, away in ((float(lo), left == "[", -math.inf),
+                                            (float(hi), right == "]", math.inf)):
+                    if not closed:
+                        refused(raw(bound))
+                        continue
+                    parse_config(_config_with(scenario, sec, key, raw(bound)))
+                    if math.isfinite(bound):
+                        past = bound + math.copysign(1.0, away) if typ == "int" else np.nextafter(bound, away)
+                        refused(raw(past))
+                refused("nan")
 
     def test_config_hash_stable(self):
         a = parse_config(MINIMAL_RATES)
@@ -251,7 +312,7 @@ class TestRunScenario:
         out = tmp_path / "out"
         assert main([scenario, "--config", str(config), "--output", str(out), "--quiet"]) == rc
         if rc == 1:
-            assert "[env] g = 0" in capsys.readouterr().err
+            assert "[env] g" in capsys.readouterr().err
             assert not out.exists()
 
     def test_markov_limit_thermal_absorption_converges(self, tmp_path):
@@ -305,11 +366,30 @@ class TestRunScenario:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    def test_kms_requires_thermal_env(self, tmp_path):
-        cfg = parse_config("[run]\nscenario = kms\n")
-        cfg.output_path = tmp_path
-        with pytest.raises(ConfigError):
-            run_scenario(cfg, quiet=True)
+    @pytest.mark.parametrize("scenario, sections, named", [
+        ("gkls", "[gkls]\nomega0 = 0", "[gkls] omega0"),
+        ("gkls", "[gkls]\nomega0 = -1", "[gkls] omega0"),
+        ("boost", "[boost]\nsystem_mass = 0", "[boost] system_mass"),
+        ("boost", "[boost]\nsystem_mass = -1", "[boost] system_mass"),
+        ("boost", "[boost]\ntheta_max = 0", "[boost] theta_max"),
+        ("boost", "[boost]\ntheta_max = -1", "[boost] theta_max"),
+        ("curl", "[curl]\nx = 2\ny = 2", "[curl] x"),
+        ("curl", "[curl]\nn_sites = 4\nx = 4", "[curl] x"),
+        ("gkls", "[env]\ng = -1", "[env] g"),
+    ])
+    def test_out_of_domain_named(self, tmp_path, capsys, scenario, sections, named):
+        # refused by key when the config is parsed, not by a division by
+        # zero, a failed check or a library message that names no key
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = {scenario}\n\n{sections}\n")
+        out = tmp_path / "out"
+        assert main([scenario, "--config", str(config), "--output", str(out), "--quiet"]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kms_requires_thermal_env(self):
+        with pytest.raises(ConfigError, match=r"'beta' in \[env\]"):
+            parse_config("[run]\nscenario = kms\n")
 
 
 class TestMain:
@@ -334,13 +414,13 @@ class TestMain:
                    "--quiet"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "dt must be positive" in err and "division" not in err
+        assert "[unravel] dt" in err and "division" not in err
 
     @pytest.mark.parametrize("scenario, setting, named, numpy_message", [
         ("unravel", "n_traj = 0", "n_traj", "negative dimensions"),
         ("unravel", "n_traj = -3", "n_traj", "negative dimensions"),
-        ("unravel", "n_out = 0", "n_out must be at least 2", "must divide"),
-        ("unravel", "n_out = 1", "n_out must be at least 2", "must divide"),
+        ("unravel", "n_out = 0", "[unravel] n_out", "must divide"),
+        ("unravel", "n_out = 1", "[unravel] n_out", "must divide"),
         ("noise", "grid_points = 0", "grid", "zero-size array"),
         ("cq", "t = 0", "[cq] t", "division by zero"),
         ("cq", "z_min = 2\nz_max = 2", "z_grid", "division by zero"),

@@ -229,6 +229,13 @@ class TestHybridState:
             with pytest.raises(ValueError, match="finite"):
                 HybridState(z, blocks)
 
+    @pytest.mark.parametrize("center, width", [(1e6, 0.5), (0.05, 1e-12), (math.nan, 0.5)])
+    def test_packet_off_the_grid_refused(self, center, width):
+        # every weight underflows to 0 (or is nan): refused, not a 0/0 block
+        z = np.linspace(-8.0, 8.0, 64)
+        with pytest.raises(ValueError, match=f"centre {center!r}"):
+            HybridState.gaussian_packet(z, center, width, PLUS_MIXED)
+
     def test_moments(self):
         z = np.linspace(-5, 5, 200)
         st = HybridState.gaussian_packet(z, 1.0, 0.5, np.eye(2, dtype=complex) / 2)
