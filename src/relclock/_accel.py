@@ -1,13 +1,15 @@
 """Hot numeric kernels, vectorized in numpy.
 
-``step_trajectory_chunk`` steps the linear unraveling and
-``fv_drift_diffusion_step`` the classical sector of the hybrid evolver.  The
-stepper draws no random numbers: each trajectory reads only its own rows of
-the two-bit fields it is handed and writes only its own output slots, so
+``step_trajectory_chunk`` steps the linear unraveling, ``saved_state_moments``
+and ``merge_moments`` reduce its saved states to moments, and
+``fv_drift_diffusion_step`` steps the classical sector of the hybrid evolver.
+The stepper draws no random numbers: each trajectory reads only its own rows
+of the two-bit fields it is handed and writes only its own output slots, so
 seeded results do not depend on how the trajectories are split into chunks.
 It also takes the steps in blocks: the caller hands it one block of fields
-at a time together with the states reached so far, so the fields it holds
-are O(chunk * block) whatever the number of steps.
+at a time together with the states reached so far, and it saves only that
+block's states, so what it holds is O(chunk * block) whatever the number of
+steps and saves.
 
 Step tables.  A step's increments take one of four values per jump, so the
 step is one of 4^n_jump matrices M(c) = U + sum_k incr[k, c_k].  The stepper
@@ -139,9 +141,10 @@ def step_trajectory_chunk(psi, u_step, incr, noise, save_stride, out, step0=0):
     noise: (n_chunk, n_block, n_jump) uint8 two-bit fields, field (s, k)
         of a row selecting jump k's term at step step0 + s + 1; any array of
         that shape (a strided view included)
-    out: (n_chunk, n_save, d); the state after global step s is written to
-        ``out[:, s // save_stride]`` whenever s is a multiple of save_stride
-        (s = 0 included, when step0 is 0)
+    out: (n_chunk, n_save, d); the states of the call's save steps, in order:
+        step 0 when step0 is 0, then every step s in (step0, step0 +
+        n_block] that is a multiple of save_stride, so a block's saves take
+        O(chunk * block) memory however many the run makes
     """
     n_chunk, n_block, n_jump = noise.shape
     size = 4 // n_jump if n_jump in (1, 2, 4) else 1
@@ -162,6 +165,7 @@ def step_trajectory_chunk(psi, u_step, incr, noise, save_stride, out, step0=0):
     state = np.ascontiguousarray(psi.T)
     new = np.empty_like(state)
     scratch = np.empty(n_chunk, dtype=complex)
+    first = step0 // save_stride + (step0 > 0)  # global index of the call's first save
     if step0 == 0:
         out[:, 0, :] = psi
     code = 0
@@ -181,9 +185,81 @@ def step_trajectory_chunk(psi, u_step, incr, noise, save_stride, out, step0=0):
         code += n_tables
         state, new = new, state
         if stop % save_stride == 0:
-            out[:, stop // save_stride, :] = state.T
+            out[:, stop // save_stride - first, :] = state.T
     psi[...] = state.T
     return out
+
+
+# ---------------------------------------------------------------------------
+# moments of the saved states
+# ---------------------------------------------------------------------------
+
+def merge_moments(a, b):
+    """Merge the (count, mean, centred sum of squares) of two disjoint sets
+    of trajectories into ``a``'s arrays, with ``b``'s as scratch: the
+    pairwise update of Chan, Golub & LeVeque (1983, Am. Stat. 37).
+    Identical trajectories differ by exactly 0, so they keep their mean and
+    a centred sum of exactly 0."""
+    (na, ma, sa), (nb, mb, sb) = a, b
+    mb -= ma
+    sa += sb
+    np.multiply(mb, mb, out=sb)
+    sb *= na * nb / (na + nb)
+    sa += sb
+    mb *= nb / (na + nb)
+    ma += mb
+    return na + nb, ma, sa
+
+
+def saved_state_moments(saved, start):
+    """The moments of the coordinates of (n_save, d, n_chunk) saved states
+    of trajectories start, start + 1, ..., one (count, mean, m2) node per
+    maximal aligned dyadic block [j 2^L, (j + 1) 2^L) of trajectory indices,
+    mean and m2 being (n_save, d^2 + 1) arrays.
+
+    A state's d^2 + 1 coordinates are Re psi_a psi_b* at [a, b] for a <= b
+    and Im psi_a psi_b* at [b, a] for a < b of a row-major d x d array, then
+    the norm.  A block's coordinates are merged pairwise up a perfect binary
+    tree (``merge_moments``), elementwise, so a node depends on its
+    trajectories alone, not on the chunking.  The block is read in
+    bit-reversed order, so that every pair of children is the two halves of
+    the level below, and the leaves' centred sums, 0 + 0 + delta^2 / 2, are
+    taken directly.
+    """
+    n_save, d, n_chunk = saved.shape
+    x, re, im = np.empty((n_save, d * d + 1, n_chunk)), saved.real, saved.imag
+    for a, b in zip(*np.triu_indices(d)):
+        np.multiply(re[:, a], re[:, b], out=x[:, a * d + b])
+        x[:, a * d + b] += im[:, a] * im[:, b]
+        if a < b:
+            np.multiply(im[:, a], re[:, b], out=x[:, b * d + a])
+            x[:, b * d + a] -= re[:, a] * im[:, b]
+    np.sum(x[:, :d * d:d + 1], axis=1, out=x[:, -1])
+    x = x.reshape(-1, n_chunk)
+    nodes, lo, stop = [], start, start + n_chunk
+    while lo < stop:
+        size = lo & -lo or 1 << (stop - lo).bit_length()
+        while lo + size > stop:
+            size //= 2
+        order = np.zeros(1, dtype=np.intp)
+        while order.size < size:
+            order = np.concatenate((2 * order, 2 * order + 1))
+        n, mean, m2 = 1, x[:, lo - start + order], np.zeros((len(x), 1))
+        if size > 1:
+            left, right = mean[:, :size // 2], mean[:, size // 2:]
+            right -= left
+            m2 = right * right
+            m2 *= 0.5
+            right *= 0.5
+            left += right
+            n = 2
+        while n < size:
+            h = size // (2 * n)
+            n, mean, m2 = merge_moments((n, mean[:, :h], m2[:, :h]),
+                                        (n, mean[:, h:2 * h], m2[:, h:2 * h]))
+        nodes.append((n, mean[:, 0].reshape(n_save, -1), m2[:, 0].reshape(n_save, -1)))
+        lo += size
+    return nodes
 
 
 # ---------------------------------------------------------------------------

@@ -678,7 +678,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error [{args.scenario}]: {exc}", file=sys.stderr)
+        print(f"error [{args.scenario}]: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

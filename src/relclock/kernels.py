@@ -9,6 +9,7 @@ the Gram-matrix certificate used to reject bad kernels early.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -197,9 +198,14 @@ class CoherentReadoutKernel(ClockKernel):
         return 1.0 / (self.R * self.omega_C)
 
 
+@functools.cache
 def kernel_spectrum(k: ClockKernel) -> SpectralMeasure:
-    """Spectral measure of the kernel (atoms and/or continuous density)."""
-    return k.spectrum()
+    """Spectral measure of the kernel (atoms and/or continuous density),
+    built once per kernel, as the frozen kernels hash by value; its atoms
+    are read-only, since every caller shares them."""
+    spec = k.spectrum()
+    spec.atoms.flags.writeable = False
+    return spec
 
 
 def positivity_gram_check(k: ClockKernel, times: Sequence[float]) -> PositiveTypeVerdict:

@@ -42,8 +42,10 @@ through blocks of at most ``_BLOCK_FIELDS`` one-byte two-bit fields (or of
 four steps, should four steps of a chunk need more), unpacked from a
 word buffer of ``_WORDS`` words per trajectory; the stepper adds an intp
 byte code per four fields and tables of at most 256 d x d matrices, and no
-complex noise array is formed.  Its working memory is O(chunk * block) plus
-the saved states, whatever the number of steps.  ``sample_colored_noise``
+complex noise array is formed.  A block saves at most ``_BLOCK_FIELDS`` // 8
+complex state components and is reduced at once to per-time moments, so the
+working memory is O(chunk * block) plus O(n_out d^2 log n_traj) moments,
+whatever the number of steps and saves.  ``sample_colored_noise``
 draws only the k <= n eigen-directions of the target covariance that stand
 above its rank tolerance, R = ``_SAMPLE_BYTES`` // (16 k) realizations at a
 time, and keeps only their k x k sum of outer products, so its working
@@ -53,15 +55,16 @@ exists unless a caller reads ``NoiseField.samples``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import step_trajectory_chunk
+from ._accel import merge_moments, saved_state_moments, step_trajectory_chunk
 from ._csv import write_csv
 from .correlators import EnvironmentSpec, wightman_timelike
-from .gkls import (DensityMatrix, GKLSModel, build_generator, check_uniform_grid, evolve, expm,
+from .gkls import (DensityMatrix, GKLSModel, build_generator, check_uniform_grid, expm,
                    step_count, unvec, vec)
 from .kernels import ClockKernel, PositivityError
 
@@ -287,10 +290,10 @@ def sample_colored_noise(
     n = t.size
     row = np.array([wightman_timelike(env, kernel, round(t[0] - tk, 12)) for tk in t],
                    dtype=complex)
-    # M[j, k] is row[k - j] on and above the diagonal, conj(row[j - k]) below
+    # M[j, k] is row[k - j] on and above the diagonal, conj(row[j - k]) below,
+    # so M is Hermitian exactly: C(0) is real
     full = np.concatenate((row[:0:-1].conj(), row))
-    M = np.lib.stride_tricks.sliding_window_view(full, n)[::-1]
-    M = 0.5 * (M + M.conj().T)
+    M = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(full, n)[::-1])
     eigvals, V = np.linalg.eigh(M)
     tol = _RANK_TOL * max(np.real(np.diag(M)).max(), 1e-300)
     if eigvals.min() < -tol:
@@ -310,47 +313,30 @@ def sample_colored_noise(
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Unnormalized pure-state trajectories on a time grid, with summaries.
+    """The moments of unnormalized pure-state trajectories at the times ``grid``.
 
-    ``states[r, i]`` is trajectory r at grid time ``grid[i]``.  ``mean_state``
-    is the plain ensemble average of the projectors (its trace is 1 only up
-    to the reported Monte-Carlo ``stat_error``, so it is stored as a raw
-    Hermitian array rather than a validated state).
+    ``mean_state[i]`` is the plain average of the projectors, a raw
+    Hermitian array (its trace is 1 only up to the Monte-Carlo error).
+    ``std_error[i]`` holds the standard errors of its d^2 real coordinates,
+    packed row-major with Re rho_ab at [a, b] for a <= b and Im rho_ab at
+    [b, a] for a < b, then that of its trace.  ``states[r, 0]`` is
+    trajectory r at the last time; no earlier state is kept.
     """
 
-    n_traj: int
     grid: np.ndarray
     states: np.ndarray
-    seed: int
     mean_state: np.ndarray
-    stat_error: np.ndarray
+    std_error: np.ndarray
 
+    @property
+    def n_traj(self) -> int:
+        return self.states.shape[0]
 
-def _ensemble_summaries(states):
-    """The mean projector at each saved time and its standard error
-    sqrt(sum_ab Var(psi_a psi_b*) / n_traj), one entry a <= b at a time.
-
-    Only the entries a <= b are summed: entry (b, a) of the mean is set to
-    the conjugate of entry (a, b), and a diagonal entry to its real part, so
-    the mean is Hermitian exactly.  The variances are centred sums, so
-    identical trajectories give an error of exactly 0.
-    """
-    n_traj, n_save, d = states.shape
-    means = np.empty((n_save, d, d), dtype=complex)
-    errs = np.empty(n_save)
-    entries = [(a, b, 1 if a == b else 2) for a in range(d) for b in range(a, d)]
-    for i in range(n_save):
-        psi = np.ascontiguousarray(states[:, i].T)
-        var = 0.0
-        for a, b, copies in entries:
-            proj = psi[a] * psi[b].conj()
-            mean = proj.sum() / n_traj
-            dev = proj - mean
-            means[i, b, a] = mean.conjugate()
-            means[i, a, b] = mean if a < b else mean.real
-            var += copies * np.vdot(dev, dev).real / n_traj
-        errs[i] = math.sqrt(var / n_traj)
-    return means, errs
+    @property
+    def stat_error(self) -> np.ndarray:
+        """sqrt(sum_ab Var(psi_a psi_b*) / n_traj), off-diagonal coordinates twice."""
+        d = self.mean_state.shape[1]
+        return np.sqrt((self.std_error[:, :-1] ** 2 @ (2.0 - np.eye(d)).ravel()))
 
 
 def _step_operators(m: GKLSModel, dt: float):
@@ -389,23 +375,20 @@ def unravel_linear(
 
     Requires a pure initial state, a diagonal Kossakowski block (rotate to
     eigenjumps first), and dt small against the effective Hamiltonian.
-    States are recorded at ``n_out`` >= 2 evenly spaced grid times including
+    Moments are kept at ``n_out`` >= 2 evenly spaced grid times including
     both endpoints, so (n_out - 1) must divide the step count.
 
-    The increments are sqrt(dt) * {1, i, -1, -i} (``_phase_table``), picked
-    by 2-bit fields of trajectory r's raw words: increment (s, k) is field
-    f = s * n_jump + k, in word j = f // 32, and word j of trajectory r is
-    word r of the stream keyed (seed, j).  For each 32 * ``_WORDS`` fields a
-    chunk re-keys one generator once per word column and reads that
-    column's words for all its rows in one call (``_keyed_words``), then
-    hands the stepper the unpacked uint8 fields one block at a time, with
-    the noise term each field value selects, so no buffer grows with
-    n_traj * n_steps.  The
-    stepper applies tabulated products of up to four steps (``_accel``);
-    the blocks end only at save points or a multiple of four steps after
-    one, so the blocking never changes a trajectory's bits.  The ensemble
-    mean of the projectors has exactly the expectation Phi^n rho0 it would
-    have with Gaussian increments; only the fluctuations differ.
+    Each chunk draws its increments' words one column and window at a time
+    (module docstring), and the stepper (``_accel``) takes their unpacked
+    two-bit fields one block at a time; blocks end only at save points or a
+    multiple of four steps after one, so the blocking never changes a
+    trajectory's bits.  A block's saved states are reduced at once to the
+    moments of fixed dyadic blocks of trajectories (``saved_state_moments``),
+    which binary carries and a last fold merge across chunks
+    (``merge_moments``): no buffer grows with n_traj * n_steps or n_traj *
+    n_out, and no bit depends on the chunking.  The mean projector has
+    exactly the expectation Phi^n rho0 it would have with Gaussian
+    increments (``_phase_table``).
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
@@ -422,11 +405,12 @@ def unravel_linear(
     stride = n_steps // (n_out - 1)
     n_jump = len(ls_scaled)
     incr = _phase_table(dt)[:, None, None] * ls_scaled[:, None]
-    chunk = min(_CHUNK, n_traj)
+    chunk, d = min(_CHUNK, n_traj), m.dim
     # blocks end at save points or a multiple of 4 steps after one, which
-    # every group size divides
+    # every group size divides, and save at most _BLOCK_FIELDS // 8 components
     limit = max(4, _BLOCK_FIELDS // (chunk * max(n_jump, 1)))
     span = limit - limit % stride if stride <= limit else limit - limit % 4
+    span = min(span, stride * max(1, _BLOCK_FIELDS // (8 * d * chunk)))
     blocks = []
     for base in range(0, n_steps, max(span, stride)):
         stop = min(base + max(span, stride), n_steps)
@@ -436,7 +420,10 @@ def unravel_linear(
     window = 32 * _WORDS
     words = np.empty((chunk, _WORDS), dtype="<u8")
     packed = words.view(np.uint8)
-    states = np.empty((n_traj, n_out, m.dim), dtype=complex)
+    # a block's saves, laid out as the stepper holds its states: a row per component
+    saved = np.empty((span // stride + 1, d, chunk), dtype=complex)
+    stack = []  # nodes of trajectories 0 .. start - 1, one per canonical dyadic block
+    final = np.empty((n_traj, 1, d), dtype=complex)
     gen = _generator()
     for start in range(0, n_traj, chunk):
         rows = min(chunk, n_traj - start)
@@ -455,13 +442,31 @@ def unravel_linear(
                 piece = min(f1, f - f % window + window) - f
                 _unpack(packed[:rows], f % window, buf[:, f - f0 : f - f0 + piece])
                 f += piece
+            save0 = step0 // stride + (step0 > 0)
+            out = saved[: step1 // stride + 1 - save0, :, :rows]
             step_trajectory_chunk(psi, u_step, incr, buf.reshape(rows, step1 - step0, n_jump),
-                                  stride, states[start:start + rows], step0)
-    grid = dt * stride * np.arange(n_out)
-    mean, err = _ensemble_summaries(states)
+                                  stride, out.transpose(2, 0, 1), step0)
+            if len(out) == 0:
+                continue
+            parts = saved_state_moments(out, start)
+            if step0 == 0:
+                nodes = [(n, np.empty((n_out, d * d + 1)), np.empty((n_out, d * d + 1)))
+                         for n, _, _ in parts]
+            for (_, mean, m2), (_, part_mean, part_m2) in zip(nodes, parts):
+                mean[save0:save0 + len(out)] = part_mean
+                m2[save0:save0 + len(out)] = part_m2
+        final[start:start + rows, 0] = psi
+        for node in nodes:
+            while stack and stack[-1][0] == node[0]:
+                node = merge_moments(stack.pop(), node)
+            stack.append(node)
+    _, mean, m2 = functools.reduce(merge_moments, stack)
+    coords = mean[:, :-1].reshape(n_out, d, d)
+    re, im = np.triu(coords), np.tril(coords, -1).transpose(0, 2, 1)
     return TrajectoryEnsemble(
-        n_traj=n_traj, grid=grid, states=states, seed=seed,
-        mean_state=mean, stat_error=err,
+        grid=dt * stride * np.arange(n_out), states=final,
+        mean_state=re + np.triu(re, 1).transpose(0, 2, 1) + 1j * (im - im.transpose(0, 2, 1)),
+        std_error=np.sqrt(m2 / n_traj) / math.sqrt(n_traj),
     )
 
 
@@ -495,15 +500,6 @@ def _sidak_z(alpha: float, n: int) -> float:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if math.erfc(mid / math.sqrt(2.0)) > level else (lo, mid)
     return hi
-
-
-def _sigma_units(dev: float, se: float) -> float:
-    """|dev| in units of se once ``_ROUNDING`` is taken off: 0 within
-    rounding, infinite beyond it with no spread, NaN for a NaN deviation."""
-    excess = max(abs(dev) - _ROUNDING, 0.0)
-    if excess == 0.0:
-        return 0.0
-    return excess / se if se > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -556,41 +552,41 @@ class EnsembleCheck:
 
 def ensemble_check(e: TrajectoryEnsemble, m: GKLSModel, rho0: DensityMatrix,
                    dt: float) -> EnsembleCheck:
-    """The ``EnsembleCheck`` of an ``unravel_linear`` ensemble stepped by dt."""
+    """The ``EnsembleCheck`` of an ``unravel_linear`` ensemble stepped by dt,
+    from its moments: the exact reference is rho0 advanced by one propagator
+    exp(h G), h the grid step, once per saved time."""
     expected = one_step_means(m, rho0, dt, e.grid)
-    exact = np.array([evolve(m, rho0, float(t)).matrix for t in e.grid])
-    root_n = math.sqrt(e.n_traj)
-    mean_z, trace_z = np.empty(e.grid.size), np.empty(e.grid.size)
+    gen = build_generator(m).matrix
+    step, v = expm(e.grid[1] * gen), vec(rho0.matrix)
+    exact = np.empty_like(expected)
     for i in range(e.grid.size):
-        psi = e.states[:, i]
-        dev = e.mean_state[i] - expected[i]
-        # the d^2 real coordinates: Re rho_jk for j <= k, Im rho_jk for j < k
-        z = []
-        for j, k in zip(*np.triu_indices(m.dim)):
-            proj = psi[:, j] * psi[:, k].conj()
-            z.append(_sigma_units(float(dev[j, k].real), proj.real.std() / root_n))
-            if j < k:
-                z.append(_sigma_units(float(dev[j, k].imag), proj.imag.std() / root_n))
-        mean_z[i] = np.max(z)
-        norms = np.einsum("rj,rj->r", psi.real, psi.real) + np.einsum("rj,rj->r", psi.imag, psi.imag)
-        trace_z[i] = _sigma_units(float(np.trace(dev).real), norms.std() / root_n)
-    gen_norm = np.linalg.norm(build_generator(m).matrix, 2)
+        exact[i], v = unvec(v, m.dim), step @ v
+    dev = e.mean_state - expected
+    # |dev| of each coordinate, packed as in std_error, then of the trace, in
+    # units of its standard error once _ROUNDING is taken off: 0 within
+    # rounding, infinite beyond it with no spread, NaN for a NaN
+    upper = np.triu(np.ones((m.dim, m.dim), dtype=bool))
+    coords = np.where(upper, dev.real, dev.imag.transpose(0, 2, 1)).reshape(e.grid.size, -1)
+    excess = np.maximum(np.abs(np.column_stack((coords, np.trace(dev, axis1=1, axis2=2).real)))
+                        - _ROUNDING, 0.0)
+    z = np.divide(excess, e.std_error, out=np.full_like(excess, math.inf), where=e.std_error > 0.0)
+    z[excess == 0.0] = 0.0
     return EnsembleCheck(
         alpha=_FALSE_ALARM,
         max_deviation=float(np.linalg.norm(e.mean_state - exact, axis=(1, 2)).max()),
-        mean_sigma_units=float(mean_z.max()),
+        mean_sigma_units=float(z[:, :-1].max()),
         mean_z_bound=_sidak_z(_FALSE_ALARM, (e.grid.size - 1) * m.dim**2),
-        trace_sigma_units=float(trace_z.max()),
+        trace_sigma_units=float(z[:, -1].max()),
         trace_z_bound=_sidak_z(_FALSE_ALARM, e.grid.size - 1),
         trace_defect=float(np.abs(np.trace(expected, axis1=1, axis2=2) - 1.0).max()),
         scheme_bias=float(np.linalg.norm(expected - exact, axis=(1, 2)).max()),
-        scheme_bias_bound=float(e.grid[-1] * dt * gen_norm**2),
+        scheme_bias_bound=float(e.grid[-1] * dt * np.linalg.norm(gen, 2) ** 2),
     )
 
 
 def write_ensemble_csv(e: TrajectoryEnsemble, path) -> None:
     """Emit t, mean-state entries (re/im), stat_error per grid time."""
-    d = e.states.shape[2]
+    d = e.mean_state.shape[2]
     header = ["t"]
     for i in range(d):
         for j in range(d):

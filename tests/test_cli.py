@@ -407,6 +407,21 @@ class TestMain:
         assert rc == 1
         assert "omega_min" in capsys.readouterr().err
 
+    def test_empty_error_names_its_type(self, tmp_path, capsys, monkeypatch):
+        # an exception with no message still says what went wrong
+        from relclock import cli
+
+        def exhausted(cfg):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._RUNNERS, "unravel", exhausted)
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = unravel\nseed = 1\n")
+        rc = main(["unravel", "--config", str(config), "--output", str(tmp_path / "out"),
+                   "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error [unravel]: MemoryError\n"
+
     def test_zero_dt_named(self, tmp_path, capsys):
         config = tmp_path / "cfg.ini"
         config.write_text("[run]\nscenario = unravel\nseed = 1\n\n[unravel]\ndt = 0\n")
@@ -705,7 +720,7 @@ class TestFreshProcess:
         # the tracer counts the stepper's work and field buffer from its 4th
         # argument: 1100 trajectories x 300 steps take two chunks and two
         # blocks (240 + 60 steps), every step is counted once and no block
-        # passes the cap
+        # passes the cap; it reads the ESS from the final states
         from relclock import trajectories
 
         config = tmp_path / "cfg.ini"
@@ -721,6 +736,16 @@ class TestFreshProcess:
         assert len(counts["accel.chunk_steps"]) == 4
         assert max(counts["trajectories.noise_buffer_mb"]) <= trajectories._BLOCK_FIELDS / 2**20
         assert [span[0] for span in record["spans"]].count("accel.step_chunk") == 4
+        # the effective sample size of the final norms, as the library's
+        # final states give it in process
+        from relclock.gkls import DensityMatrix, qubit_decay_model
+
+        ens = trajectories.unravel_linear(qubit_decay_model(1.0, 1.0), DensityMatrix.pure([1, 0]),
+                                          0.3, 0.001, 1100, seed=3)
+        w = np.sum(np.abs(ens.states[:, -1, :]) ** 2, axis=1)
+        [ess_frac] = counts["trajectories.ess_frac"]
+        assert 0.0 < ess_frac <= 1.0
+        assert ess_frac == pytest.approx(w.sum() ** 2 / np.sum(w * w) / 1100, rel=1e-12)
 
 
 class TestWriteCsv:

@@ -307,6 +307,27 @@ class TestKernelCertificate:
         RateQuery(omega=-2.0, kernel=twin, env=VAC)
         assert gram_calls == [kernel]
 
+    def test_spectrum_built_once_per_kernel(self, monkeypatch):
+        # 800 rates of one coherent kernel, vacuum and thermal, build its
+        # spectrum once, and every query shares its read-only atoms
+        from relclock import kernels
+
+        calls = []
+        real = CoherentReadoutKernel.spectrum
+
+        def counting(kernel):
+            calls.append(kernel)
+            return real(kernel)
+
+        monkeypatch.setattr(CoherentReadoutKernel, "spectrum", counting)
+        kernels.kernel_spectrum.cache_clear()
+        kernel = CoherentReadoutKernel(R=2.0, omega_C=1.0)
+        for env in (VAC, EnvironmentSpec(beta=0.7)):
+            for om in np.linspace(-6.0, 6.0, 400):
+                kappa_tcl(RateQuery(omega=float(om), kernel=kernel, env=env))
+        assert calls == [kernel]
+        assert not kernels.kernel_spectrum(kernel).atoms.flags.writeable
+
     def test_failure_raises_on_every_query(self, gram_calls):
         bad = ClosedFormKernel(lambda s: 1 - s**2, 0.25)
         for _ in range(2):

@@ -10,8 +10,8 @@ import scipy.stats
 
 from relclock import _accel, trajectories
 from relclock.correlators import EnvironmentSpec
-from relclock.gkls import DensityMatrix, GKLSModel, expm, qubit_decay_model
-from relclock.kernels import GaussianKernel
+from relclock.gkls import DensityMatrix, GKLSModel, evolve, expm, qubit_decay_model
+from relclock.kernels import CoherentReadoutKernel, GaussianKernel
 from relclock.trajectories import (
     _generator,
     _keyed_words,
@@ -163,22 +163,42 @@ def _reference_unravel(m, psi0, t, dt, n_traj, seed, n_out):
     return np.stack(out, axis=1)
 
 
-def _recorded_fields(monkeypatch, *args, **kwargs):
-    """``unravel_linear(*args, **kwargs)`` and the two-bit fields it stepped
-    through, as one (n_traj, n_steps, n_jump) uint8 array."""
+def _recorded(monkeypatch, *args, **kwargs):
+    """``unravel_linear(*args, **kwargs)``, the two-bit fields it stepped
+    through, as one (n_traj, n_steps, n_jump) uint8 array, and the states it
+    saved, as one (n_traj, n_out, d) array."""
     chunks = []
     stepper = trajectories.step_trajectory_chunk
 
     def recording(psi, u_step, incr, noise, save_stride, out, step0=0):
         if step0 == 0:
-            chunks.append([])
-        chunks[-1].append(noise.copy())
-        return stepper(psi, u_step, incr, noise, save_stride, out, step0)
+            chunks.append(([], []))
+        result = stepper(psi, u_step, incr, noise, save_stride, out, step0)
+        chunks[-1][0].append(noise.copy())
+        chunks[-1][1].append(out.copy())
+        return result
 
     monkeypatch.setattr(trajectories, "step_trajectory_chunk", recording)
     ens = unravel_linear(*args, **kwargs)
     monkeypatch.setattr(trajectories, "step_trajectory_chunk", stepper)
-    return ens, np.concatenate([np.concatenate(blocks, axis=1) for blocks in chunks])
+    fields, states = (np.concatenate([np.concatenate(c[i], axis=1) for c in chunks]) for i in (0, 1))
+    assert np.array_equal(ens.states[:, 0], states[:, -1])
+    return ens, fields, states
+
+
+def _summaries(states):
+    """The mean projector, stat_error and std_error at each saved time,
+    written out as direct two-pass sums over the trajectories (numpy's
+    ``mean`` and ``std``)."""
+    n_traj, n_save, d = states.shape
+    proj = np.einsum("rsa,rsb->rsab", states, states.conj())
+    mean = proj.mean(axis=0)
+    stat = np.sqrt((np.abs(proj - mean) ** 2).mean(axis=0).sum(axis=(1, 2)) / n_traj)
+    coords = np.where(np.triu(np.ones((d, d), dtype=bool)), proj.real,
+                      proj.imag.transpose(0, 1, 3, 2)).reshape(n_traj, n_save, d * d)
+    trace = np.trace(proj, axis1=2, axis2=3).real
+    std = np.concatenate((coords, trace[..., None]), axis=-1).std(axis=0) / math.sqrt(n_traj)
+    return mean, stat, std
 
 
 def _reversed_bytes(stepper):
@@ -205,6 +225,18 @@ class TestColoredNoise:
         field = sample_colored_noise(env, GaussianKernel(1.0), np.linspace(0, 4, 16), 100, seed=1)
         M = field.target_covariance
         assert np.abs(M - M.conj().T).max() <= 1e-12 * np.abs(M).max()
+        assert np.linalg.eigvalsh(M).min() >= -1e-8 * np.real(np.diag(M)).max()
+
+    @pytest.mark.parametrize("env, kernel", [
+        (EnvironmentSpec(), GaussianKernel(1.0)),
+        (EnvironmentSpec(), CoherentReadoutKernel(R=1.0, omega_C=1.0)),
+        (EnvironmentSpec(beta=1.0), GaussianKernel(1.0)),
+    ], ids=["gaussian", "coherent", "thermal"])
+    def test_target_covariance_exactly_hermitian(self, env, kernel):
+        # the Toeplitz target is Hermitian bit for bit (signed zeros aside)
+        # with no symmetrizing pass, as C(0) is real
+        M = sample_colored_noise(env, kernel, np.linspace(0, 4, 16), 100, seed=1).target_covariance
+        assert M.flags.c_contiguous and np.array_equal(M, M.conj().T)
         assert np.linalg.eigvalsh(M).min() >= -1e-8 * np.real(np.diag(M)).max()
 
     def test_sample_covariance_converges(self):
@@ -491,21 +523,27 @@ class TestUnravelLinear:
         for ms, se in zip(ens.mean_state, ens.stat_error):
             assert abs(np.trace(ms).real - 1.0) <= max(3.0 * se, 1e-12)
 
-    def test_zero_dissipation_is_deterministic(self):
+    def test_zero_dissipation_is_deterministic(self, monkeypatch):
         m = GKLSModel(2, 0.5 * SZ, [(SM, -1.0)], np.zeros((1, 1)))
         rho0 = DensityMatrix.pure([0.6, 0.8])
-        ens = unravel_linear(m, rho0, t=0.5, dt=1e-3, n_traj=32, seed=6)
-        spread = np.abs(ens.states - ens.states[:1]).max()
+        ens, _, states = _recorded(monkeypatch, m, rho0, t=0.5, dt=1e-3, n_traj=32, seed=6)
+        spread = np.abs(states - states[:1]).max()
         assert spread <= 1e-12
         assert ensemble_check(ens, m, rho0, 1e-3).max_deviation <= 1e-5  # euler phase error only
 
-    def test_closed_system(self):
+    def test_closed_system(self, monkeypatch):
         # no jump operators: every trajectory is the unitary orbit, exactly
         m = GKLSModel(2, 0.5 * SZ, [], np.zeros((0, 0)))
         rho0 = DensityMatrix.pure(np.array([1.0, 1.0]) / math.sqrt(2.0))
         ens = unravel_linear(m, rho0, 0.1, 1e-3, 4, seed=1)
         assert ensemble_check(ens, m, rho0, 1e-3).max_deviation <= 1e-12
         assert ens.stat_error.max() == 0.0
+        # seven in chunks of three take carries across chunks and a fold of
+        # unequal blocks (4 + 2 + 1), and keep the mean and a zero spread
+        monkeypatch.setattr(trajectories, "_CHUNK", 3)
+        seven = unravel_linear(m, rho0, 0.1, 1e-3, 7, seed=1)
+        assert np.array_equal(seven.mean_state, ens.mean_state)
+        assert not np.any(seven.std_error)
 
     def test_rekeys_once_per_word_column_per_chunk(self, monkeypatch):
         # 3000 trajectories x 1000 steps of one jump: each of the three
@@ -528,7 +566,7 @@ class TestUnravelLinear:
     def test_single_trajectory_norm_drifts(self):
         m = qubit_decay_model(1.0, 1.0)
         ens = unravel_linear(m, DensityMatrix.pure([1, 0]), 1.0, 1e-3, 1, seed=8)
-        assert ens.states.shape == (1, 11, 2)
+        assert ens.states.shape == (1, 1, 2)
         norm_final = np.linalg.norm(ens.states[0, -1])
         assert norm_final != pytest.approx(1.0, abs=1e-3)
 
@@ -537,17 +575,21 @@ class TestUnravelLinear:
         # trajectories, split into 64-trajectory chunks, blocks of at most 7
         # steps (cut to 4, a group) and one-word draws (so blocks start
         # mid-word and straddle draws), reproduces the one-chunk, one-block
-        # runs bit for bit; each 50-step save interval ends in a 2-step group
+        # runs bit for bit; each 50-step save interval ends in a 2-step group.
+        # The moments, reduced over fixed dyadic blocks of trajectories, keep
+        # their bits too
         m = qubit_decay_model(1.0, 1.0)
         rho0 = DensityMatrix.pure([1, 0])
-        small = unravel_linear(m, rho0, 0.2, 1e-3, 5, seed=13, n_out=5)
-        whole = unravel_linear(m, rho0, 0.2, 1e-3, 300, seed=13, n_out=5)
+        _, _, small = _recorded(monkeypatch, m, rho0, 0.2, 1e-3, 5, seed=13, n_out=5)
+        whole, _, whole_states = _recorded(monkeypatch, m, rho0, 0.2, 1e-3, 300, seed=13, n_out=5)
         monkeypatch.setattr(trajectories, "_CHUNK", 64)
         monkeypatch.setattr(trajectories, "_BLOCK_FIELDS", 64 * 7)
         monkeypatch.setattr(trajectories, "_WORDS", 1)
-        large = unravel_linear(m, rho0, 0.2, 1e-3, 300, seed=13, n_out=5)
-        assert np.array_equal(small.states, large.states[:5])
-        assert np.array_equal(whole.states, large.states)
+        large, _, large_states = _recorded(monkeypatch, m, rho0, 0.2, 1e-3, 300, seed=13, n_out=5)
+        assert np.array_equal(small, large_states[:5])
+        assert np.array_equal(whole_states, large_states)
+        for field in dataclasses.fields(trajectories.TrajectoryEnsemble):
+            assert np.array_equal(getattr(whole, field.name), getattr(large, field.name))
 
     def test_dense_model_chunk_schedule_independence(self, monkeypatch):
         # the same bit-exact schedule contract for a model whose products
@@ -555,15 +597,17 @@ class TestUnravelLinear:
         # and 2 steps in each 10-step save interval
         m = _dense_three_level()
         rho0 = DensityMatrix.pure(np.array([0.6, 0.48j, 0.64]))
-        small = unravel_linear(m, rho0, 0.05, 1e-3, 5, seed=19, n_out=6)
-        whole = unravel_linear(m, rho0, 0.05, 1e-3, 300, seed=19, n_out=6)
+        _, _, small = _recorded(monkeypatch, m, rho0, 0.05, 1e-3, 5, seed=19, n_out=6)
+        whole, _, whole_states = _recorded(monkeypatch, m, rho0, 0.05, 1e-3, 300, seed=19, n_out=6)
         monkeypatch.setattr(trajectories, "_CHUNK", 64)
         monkeypatch.setattr(trajectories, "_BLOCK_FIELDS", 64 * 2 * 7)
         monkeypatch.setattr(trajectories, "_WORDS", 1)
-        large = unravel_linear(m, rho0, 0.05, 1e-3, 300, seed=19, n_out=6)
-        assert np.all(np.isfinite(whole.states))
-        assert np.array_equal(small.states, large.states[:5])
-        assert np.array_equal(whole.states, large.states)
+        large, _, large_states = _recorded(monkeypatch, m, rho0, 0.05, 1e-3, 300, seed=19, n_out=6)
+        assert np.all(np.isfinite(whole_states))
+        assert np.array_equal(small, large_states[:5])
+        assert np.array_equal(whole_states, large_states)
+        for field in dataclasses.fields(trajectories.TrajectoryEnsemble):
+            assert np.array_equal(getattr(whole, field.name), getattr(large, field.name))
 
     @pytest.mark.parametrize("model, n_traj, chunk, block, n_steps, n_out", [
         (qubit_decay_model(1.0, 1.0), 20, 8, 7, 60, 7),
@@ -595,15 +639,21 @@ class TestUnravelLinear:
                                 chunk * max(len(model.jump_operators), 1) * block)
         psi0 = np.array([0.6, 0.8j])
         n_jump = len(model.jump_operators)
-        ens, fields = _recorded_fields(monkeypatch, model, DensityMatrix.pure(psi0),
-                                       n_steps * 1e-3, 1e-3, n_traj, seed=29, n_out=n_out)
+        ens, fields, states = _recorded(monkeypatch, model, DensityMatrix.pure(psi0),
+                                        n_steps * 1e-3, 1e-3, n_traj, seed=29, n_out=n_out)
         expected_fields = np.array([_philox_fields(29, r, n_steps * n_jump) for r in range(n_traj)])
         assert np.array_equal(fields, expected_fields.reshape(n_traj, n_steps, n_jump))
         # start from the state as unravel_linear phases it
-        expected = _reference_unravel(model, ens.states[0, 0], n_steps * 1e-3, 1e-3,
+        expected = _reference_unravel(model, states[0, 0], n_steps * 1e-3, 1e-3,
                                       n_traj, 29, ens.grid.size)
         norms = np.linalg.norm(expected, axis=-1, keepdims=True)
-        assert np.all(np.abs(ens.states - expected) <= _TABLE_ROUNDING * norms)
+        assert np.all(np.abs(states - expected) <= _TABLE_ROUNDING * norms)
+        # the streamed moments are the two-pass sums over the saved states,
+        # to the rounding of their different summation orders
+        for ours, direct in zip((ens.mean_state, ens.stat_error, ens.std_error),
+                                _summaries(states)):
+            assert ours.shape == direct.shape
+            assert np.allclose(ours, direct, rtol=1e-12, atol=1e-15)
 
     def test_reference_bound_catches_reversed_bytes(self, monkeypatch):
         # the rounding bound keeps the reference test's power: a stepper that
@@ -612,10 +662,11 @@ class TestUnravelLinear:
         m = qubit_decay_model(1.0, 1.0)
         monkeypatch.setattr(trajectories, "step_trajectory_chunk",
                             _reversed_bytes(trajectories.step_trajectory_chunk))
-        ens = unravel_linear(m, DensityMatrix.pure([0.6, 0.8j]), 0.06, 1e-3, 20, seed=29, n_out=4)
-        expected = _reference_unravel(m, ens.states[0, 0], 0.06, 1e-3, 20, 29, 4)
+        _, _, states = _recorded(monkeypatch, m, DensityMatrix.pure([0.6, 0.8j]), 0.06, 1e-3, 20,
+                                 seed=29, n_out=4)
+        expected = _reference_unravel(m, states[0, 0], 0.06, 1e-3, 20, 29, 4)
         norms = np.linalg.norm(expected, axis=-1, keepdims=True)
-        assert np.max(np.abs(ens.states - expected) / norms) > 1e6 * _TABLE_ROUNDING
+        assert np.max(np.abs(states - expected) / norms) > 1e6 * _TABLE_ROUNDING
 
     @pytest.mark.parametrize("n_out", [0, 1, -4])
     def test_n_out_named(self, n_out):
@@ -639,8 +690,26 @@ class TestUnravelLinear:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ens.states.shape == (1024, 11, 2)
+        assert ens.states.shape == (1024, 1, 2)
         assert peak < ens.states.nbytes + 8 * trajectories._BLOCK_FIELDS + 2**20
+
+    def test_saved_times_cost_no_states(self):
+        # 20 000 trajectories x 1000 steps: saving every step instead of
+        # every 100th adds the moments and at most one block of saved states
+        # and its coordinates, not a state per trajectory and time (604 MiB)
+        m = qubit_decay_model(1.0, 1.0)
+        rho0 = DensityMatrix.pure([1, 0])
+        unravel_linear(m, rho0, 0.01, 1e-3, 4, seed=1)
+        peaks = []
+        for n_out in (11, 1001):
+            tracemalloc.start()
+            try:
+                ens = unravel_linear(m, rho0, 1.0, 1e-3, 20_000, seed=3, n_out=n_out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert ens.mean_state.shape == (n_out, 2, 2) and ens.states.shape == (20_000, 1, 2)
+        assert peaks[1] - peaks[0] < 16 * trajectories._BLOCK_FIELDS
 
     @pytest.mark.parametrize("n_traj", [0, -3])
     def test_n_traj_named(self, n_traj):
@@ -682,8 +751,8 @@ class TestUnravelLinear:
         # standard errors
         m = GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5]))
         n_traj, n_steps, dt = 400, 200, 1e-2
-        _, fields = _recorded_fields(monkeypatch, m, DensityMatrix.pure([1, 0]), n_steps * dt, dt,
-                                     n_traj, seed=99)
+        _, fields, _ = _recorded(monkeypatch, m, DensityMatrix.pure([1, 0]), n_steps * dt, dt,
+                                 n_traj, seed=99)
         assert fields.shape == (n_traj, n_steps, 2) and fields.dtype == np.uint8
         xi = trajectories._phase_table(dt)[fields]
         assert np.all(np.abs(xi) ** 2 == pytest.approx(dt, rel=1e-15))
@@ -701,8 +770,8 @@ class TestUnravelLinear:
         # here; 600 steps of two jumps take two windows of 32 word columns
         m = GKLSModel(2, 0.5 * SZ, [(SM, -1.0), (SZ, 0.0)], np.diag([1.0, 0.5]))
         n_traj, n_steps, dt = 5, 600, 1e-3
-        _, fields = _recorded_fields(monkeypatch, m, DensityMatrix.pure([1, 0]), n_steps * dt, dt,
-                                     n_traj, seed=2**40 + 3)
+        _, fields, _ = _recorded(monkeypatch, m, DensityMatrix.pure([1, 0]), n_steps * dt, dt,
+                                 n_traj, seed=2**40 + 3)
         for r in range(n_traj):
             assert np.array_equal(fields[r].ravel(), _philox_fields(2**40 + 3, r, 2 * n_steps))
 
@@ -799,16 +868,45 @@ class TestUnravelLinear:
         assert not check.mean_ok and not check.trace_ok
         assert min(check.mean_sigma_units, check.trace_sigma_units) > 5 * check.mean_z_bound
 
-    def test_ensemble_check_nan_fails(self):
+    def test_ensemble_check_nan_fails(self, monkeypatch):
+        # a NaN that enters trajectory 2 after the fourth saved time, in
+        # blocks of one 10-step save interval, reaches the moments and fails
+        # both checks
         m = qubit_decay_model(1.0, 1.0)
         rho0 = DensityMatrix.pure([1, 0])
+        stepper = trajectories.step_trajectory_chunk
+
+        def poisoned(psi, u_step, incr, noise, save_stride, out, step0=0):
+            if step0 == 30:
+                psi[2, 1] = complex(math.nan, 0.0)
+            return stepper(psi, u_step, incr, noise, save_stride, out, step0)
+
+        monkeypatch.setattr(trajectories, "_BLOCK_FIELDS", 4 * 10)
+        monkeypatch.setattr(trajectories, "step_trajectory_chunk", poisoned)
         ens = unravel_linear(m, rho0, 0.1, 1e-3, 4, seed=1)
-        states = ens.states.copy()
-        states[2, 3, 1] = complex(math.nan, 0.0)
-        mean = ens.mean_state.copy()
-        mean[3, 1, 1] = math.nan
-        check = ensemble_check(dataclasses.replace(ens, states=states, mean_state=mean), m, rho0, 1e-3)
+        assert np.all(np.isfinite(ens.mean_state[:4])) and np.isnan(ens.mean_state[4, 1, 1])
+        check = ensemble_check(ens, m, rho0, 1e-3)
         assert not check.mean_ok and not check.trace_ok
+
+    def test_ensemble_check_one_propagator(self, monkeypatch):
+        # the exact reference applies one exp(h G) per grid step h, so 101
+        # saved times take two expm calls (that and the step propagator of
+        # one_step_means), and it matches exp(t G) at each time to rounding
+        m = qubit_decay_model(1.0, 1.0)
+        rho0 = DensityMatrix.pure([1, 0])
+        ens = unravel_linear(m, rho0, 0.5, 1e-3, 64, seed=3, n_out=101)
+        calls = []
+
+        def counted(A):
+            calls.append(A.shape)
+            return expm(A)
+
+        monkeypatch.setattr(trajectories, "expm", counted)
+        check = ensemble_check(ens, m, rho0, 1e-3)
+        assert len(calls) == 2
+        exact = np.array([evolve(m, rho0, float(t)).matrix for t in ens.grid])
+        deviation = np.linalg.norm(ens.mean_state - exact, axis=(1, 2)).max()
+        assert abs(check.max_deviation - deviation) <= 1e-12
 
     def test_ensemble_check_zero_time_exact(self):
         # t = 0 carries no Monte-Carlo spread: a mean state off by more
@@ -844,7 +942,7 @@ class TestKernelOracles:
 
     def test_step_chunk_matches_loop(self):
         # two calls, 25 steps then 35, carry the states across the block
-        # boundary (which cuts a 2-step group) and save by global step index
+        # boundary (which cuts a 2-step group); each saves its own save steps
         rng = np.random.default_rng(0)
         d, steps, chunk, stride = 2, 60, 5, 10
         psi0 = np.array([0.6, 0.8j], dtype=complex)
@@ -854,8 +952,8 @@ class TestKernelOracles:
         fields = rng.integers(0, 4, size=(chunk, steps, 2), dtype=np.uint8)
         out = np.empty((chunk, steps // stride + 1, d), dtype=complex)
         psi = np.tile(psi0, (chunk, 1))
-        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, :25], stride, out)
-        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, 25:], stride, out, 25)
+        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, :25], stride, out[:, :3])
+        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, 25:], stride, out[:, 3:], 25)
         for r in range(chunk):
             state = psi0.copy()
             expected = [state]
@@ -884,8 +982,8 @@ class TestKernelOracles:
         fields = rng.integers(0, 4, size=(chunk, steps, 2), dtype=np.uint8)
         out = np.empty((chunk, steps // stride + 1, d), dtype=complex)
         psi = np.tile(psi0, (chunk, 1))
-        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, :13], stride, out)
-        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, 13:], stride, out, 13)
+        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, :13], stride, out[:, :2])
+        _accel.step_trajectory_chunk(psi, u_step, incr, fields[:, 13:], stride, out[:, 2:], 13)
         for r in range(chunk):
             state = psi0.copy()
             expected = [state]
