@@ -43,7 +43,9 @@ on the codes.  For qubit decay that is one ``take`` and four ufunc calls per
 four steps.  A skipped zero term is an exact zero for a finite state, and
 adding an exact zero leaves a nonzero sum unchanged.  Every element of a
 row goes through the same arithmetic, so a trajectory's bits depend neither
-on its position in the row nor on the chunk size.
+on its position in the row nor on the chunk size; a chunk of one trajectory
+is stepped as two equal rows, since numpy multiplies complex rows of length
+1 in place by another loop, which rounds otherwise.
 """
 
 from __future__ import annotations
@@ -163,8 +165,14 @@ def step_trajectory_chunk(psi, u_step, incr, noise, save_stride, out, step0=0):
                    for i in range(0, steps * n_jump, 4)]
         codes = _byte_codes(noise.reshape(n_chunk, n_block * n_jump), lengths)
     state = np.ascontiguousarray(psi.T)
+    if n_chunk == 1:
+        # numpy multiplies complex arrays of length 1 in place by a loop that
+        # rounds otherwise than at length >= 2: a lone trajectory is stepped
+        # as two equal rows, so its bits are those it has in any longer chunk
+        state = np.tile(state, 2)
+        codes = np.tile(codes, 2) if n_jump else None
     new = np.empty_like(state)
-    scratch = np.empty(n_chunk, dtype=complex)
+    scratch = np.empty(state.shape[1], dtype=complex)
     first = step0 // save_stride + (step0 > 0)  # global index of the call's first save
     if step0 == 0:
         out[:, 0, :] = psi
@@ -185,8 +193,8 @@ def step_trajectory_chunk(psi, u_step, incr, noise, save_stride, out, step0=0):
         code += n_tables
         state, new = new, state
         if stop % save_stride == 0:
-            out[:, stop // save_stride - first, :] = state.T
-    psi[...] = state.T
+            out[:, stop // save_stride - first, :] = state[:, :n_chunk].T
+    psi[...] = state[:, :n_chunk].T
     return out
 
 

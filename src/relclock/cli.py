@@ -6,7 +6,12 @@ echoing the inputs, the config hash, key outputs, and pass/fail checks.
 ``noise_covariance.csv`` has one row per lag of the Hermitian Toeplitz noise
 covariance: target, sample lag mean, standard error (``trajectories._lag_summary``).
 Exit status: 0 on success, 2 when a declared invariant check fails, 1 on
-errors.
+errors, which stderr names by scenario and stage (parse, compute or write);
+``--traceback`` prints the traceback too.
+
+Importing this module loads no OpenSSL: the config hash comes from CPython's
+built-in SHA-256, not ``hashlib``, whose libcrypto is about 3.5 MB resident.
+``unravel`` and ``noise`` still load it, through ``numpy.random``.
 
 Each ``SCHEMA`` key declares its domain: the accepted words of a string, or
 an interval such as ``(0, inf)`` that every number of a value (a list's or a
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import math
 import sys
@@ -34,6 +38,14 @@ import numpy as np
 
 from . import __version__
 from ._csv import write_csv as _write_csv
+
+try:  # the same digest as hashlib's, without OpenSSL (module docstring)
+    from _sha2 import sha256 as _sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SCENARIOS = (
     "rates", "lamb_shift", "markov_limit", "kms", "gkls", "langevin",
@@ -130,6 +142,9 @@ _MASS_UNITS = {
     "kms.omega": 2.0,
 }
 _SIGMAS = ("list", [2.0, 5.0, 10.0, 20.0], "(0, inf)")
+#: the most trajectory-steps, n_traj * t / dt, an unravel config may ask for:
+#: 60-100 s at the 1.0e8-1.7e8 steps a second measured on 2 vCPUs
+_UNRAVEL_STEPS = 1e10
 
 SCHEMA = {
     "rates": {"env": _ENV, "kernel": _KERNEL, "rates": {
@@ -217,7 +232,8 @@ def parse_config(
     :class:`ConfigError` naming the key.  Every value, given or default, must
     lie in the domain its ``SCHEMA`` entry declares (see :func:`_check`):
     ``[env] beta`` alone is closed at +inf, and ``[curl] x`` and ``y`` must
-    be distinct sites below ``n_sites``.  Library caps (noise grid, curl
+    be distinct sites below ``n_sites``, and an unravel run may take at most
+    ``_UNRAVEL_STEPS`` trajectory-steps.  Library caps (noise grid, curl
     sites, boost modes) are not declared here and stay library errors.
     Stochastic scenarios must carry a seed (reproducibility contract);
     ``seed_override`` substitutes for a config-file seed.
@@ -284,7 +300,13 @@ def parse_config(
                 raise ConfigError(f"[curl] {key} must be < n_sites = {n}, got {site}")
         if x == y:
             raise ConfigError(f"[curl] x and y must be distinct sites, got {x} for both")
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    if scenario == "unravel":
+        t, dt, n_traj = params["unravel.t"], params["unravel.dt"], params["unravel.n_traj"]
+        work = n_traj * t / dt
+        if work > _UNRAVEL_STEPS:
+            raise ConfigError(f"[unravel] dt = {dt:g}, t = {t:g} and n_traj = {n_traj} make {work:.3g} "
+                              f"trajectory-steps, past the budget of {_UNRAVEL_STEPS:.0e} (1-2 min)")
+    digest = _sha256(text.encode()).hexdigest()
     return ScenarioConfig(
         scenario=scenario, parameters=params, output_path=output,
         seed=seed, config_hash=digest,
@@ -667,18 +689,23 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
     parser.add_argument("--output", default=None, help="override [run] output directory")
     parser.add_argument("--quiet", action="store_true")
+    parser.add_argument("--traceback", action="store_true", help="print the traceback of an error")
     args = parser.parse_args(argv)
+    cfg = None
     try:
         text = Path(args.config).read_text()
         cfg = parse_config(text, scenario=args.scenario, seed_override=args.seed)
         if args.output is not None:
             cfg.output_path = Path(args.output)
         return run_scenario(cfg, quiet=args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error [{args.scenario}]: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        # a run reads no file once its config is parsed, so an OSError past
+        # that is a failed write of an artifact or of summary.json
+        stage = "parse" if cfg is None else "write" if isinstance(exc, OSError) else "compute"
+        print(f"error [{args.scenario}] {stage}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        if args.traceback:
+            import traceback
+            traceback.print_exc()
         return 1
 
 

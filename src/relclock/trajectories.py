@@ -411,10 +411,7 @@ def unravel_linear(
     limit = max(4, _BLOCK_FIELDS // (chunk * max(n_jump, 1)))
     span = limit - limit % stride if stride <= limit else limit - limit % 4
     span = min(span, stride * max(1, _BLOCK_FIELDS // (8 * d * chunk)))
-    blocks = []
-    for base in range(0, n_steps, max(span, stride)):
-        stop = min(base + max(span, stride), n_steps)
-        blocks += [(s, min(s + span, stop)) for s in range(base, stop, span)]
+    seg = max(span, stride)  # a save interval, or a span of whole ones
     fields = np.empty((chunk, span * n_jump), dtype=np.uint8)
     n_words = -(-n_steps * n_jump // 32)
     window = 32 * _WORDS
@@ -428,7 +425,10 @@ def unravel_linear(
     for start in range(0, n_traj, chunk):
         rows = min(chunk, n_traj - start)
         psi = np.tile(psi0, (rows, 1))
-        for step0, step1 in blocks:
+        # blocks of span steps, cut at the end of each seg and of the run,
+        # made as they are stepped: no O(n_steps / span) schedule is kept
+        for step0, step1 in ((s, min(s + span, b + seg, n_steps)) for b in range(0, n_steps, seg)
+                             for s in range(b, min(b + seg, n_steps), span)):
             buf = fields[:rows, : (step1 - step0) * n_jump]
             # fields f0 .. f1 - 1, cut where a new window of words is drawn
             f0 = f = step0 * n_jump

@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import json
 import math
 import os
@@ -420,7 +421,39 @@ class TestMain:
         rc = main(["unravel", "--config", str(config), "--output", str(tmp_path / "out"),
                    "--quiet"])
         assert rc == 1
-        assert capsys.readouterr().err == "error [unravel]: MemoryError\n"
+        assert capsys.readouterr().err == "error [unravel] compute: MemoryError\n"
+
+    def test_parse_and_write_failures_named(self, tmp_path, capsys):
+        # a failure names the stage it stopped in; an output path that is a
+        # file fails to be made a directory, before any artifact
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = rates\n")
+        assert main(["rates", "--config", str(config), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error [rates] parse: missing required key")
+        config.write_text(MINIMAL_RATES)
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        assert main(["rates", "--config", str(config), "--output", str(blocked), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error [rates] write: ")
+
+    def test_traceback_on_request(self, tmp_path, capsys):
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = rates\n")
+        main(["rates", "--config", str(config), "--quiet"])
+        assert "Traceback" not in capsys.readouterr().err
+        assert main(["rates", "--config", str(config), "--quiet", "--traceback"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [rates] parse: ")
+        assert "Traceback (most recent call last)" in err and "ConfigError" in err
+
+    def test_unravel_work_budget(self):
+        # n_traj * t / dt trajectory-steps past the budget are refused at
+        # parse, naming the keys and the count, instead of running for days
+        # (or, at dt = 1e-12, ending in a MemoryError)
+        with pytest.raises(ConfigError, match=r"\[unravel\] dt = 1e-12, t = 1 and n_traj = 10000 "
+                                              r"make 1e\+16 trajectory-steps"):
+            parse_config("[run]\nscenario = unravel\nseed = 1\n\n[unravel]\ndt = 1e-12\n")
+        parse_config("[run]\nscenario = unravel\nseed = 1\n\n[unravel]\ndt = 1e-6\n")  # at the budget
 
     def test_zero_dt_named(self, tmp_path, capsys):
         config = tmp_path / "cfg.ini"
@@ -568,17 +601,19 @@ SMALL_CONFIGS = {
     "tradeoff": "[run]\nscenario = tradeoff\n\n[tradeoff]\nd0 = 1\nd1 = 1\nd2 = 1\n",
 }
 
-#: runs one scenario as the CLI does, then prints the modules of one package
-#: that it loaded
+#: runs one scenario as the CLI does, then prints what it loaded as JSON: the
+#: modules of one package, or whether it loaded OpenSSL's binding and
+#: numpy.random
 _PROBE = (
     "import json, sys\n"
     "from relclock.cli import main\n"
     "rc = main([sys.argv[1], '--config', sys.argv[2], '--output', sys.argv[3], '--quiet'])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))\n"
+    "print(json.dumps({loaded}))\n"
     "sys.exit(rc)\n"
 )
-SCIPY_PROBE = _PROBE.format(package="scipy")
-RELCLOCK_PROBE = _PROBE.format(package="relclock")
+SCIPY_PROBE = _PROBE.format(loaded="sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')")
+RELCLOCK_PROBE = _PROBE.format(loaded="sorted(m for m in sys.modules if m.split('.')[0] == 'relclock')")
+OPENSSL_PROBE = _PROBE.format(loaded="['_hashlib' in sys.modules, 'numpy.random' in sys.modules]")
 
 #: the relclock modules a scenario's process loads besides the package, cli
 #: and _csv
@@ -630,6 +665,42 @@ class TestFreshProcess:
                              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'relclock'))")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == str(["relclock", "relclock._csv", "relclock.cli"])
+
+    def test_import_loads_no_openssl(self):
+        done = _fresh_python("-c", "import sys, relclock.cli; print('_hashlib' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("scenario, text", SMALL_CONFIGS.items(), ids=list(SMALL_CONFIGS))
+    def test_scenario_loads_openssl_only_with_numpy_random(self, tmp_path, scenario, text):
+        # the config hash needs no OpenSSL, so only the stochastic scenarios
+        # load it
+        config = tmp_path / "cfg.ini"
+        config.write_text(text)
+        done = _fresh_python("-c", OPENSSL_PROBE, scenario, str(config), str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        openssl, numpy_random = json.loads(done.stdout.strip().splitlines()[-1])
+        if scenario in ("unravel", "noise"):
+            # numpy.random imports secrets, hmac and so _hashlib, which
+            # relclock does not control: OpenSSL comes with it and only with it
+            assert numpy_random or not openssl
+        else:
+            assert not openssl
+
+    @pytest.mark.parametrize("text", SMALL_CONFIGS.values(), ids=list(SMALL_CONFIGS))
+    def test_config_hash_is_sha256(self, text):
+        assert parse_config(text).config_hash == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_config_hash_without_builtin_sha256(self):
+        # with neither built-in SHA-256 module, the hash falls back to
+        # hashlib and keeps its digest
+        done = _fresh_python("-c", "import sys\n"
+                             "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                             "from relclock.cli import parse_config\n"
+                             "print(parse_config(sys.argv[1]).config_hash, '_hashlib' in sys.modules)\n",
+                             MINIMAL_RATES)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [hashlib.sha256(MINIMAL_RATES.encode()).hexdigest(), "True"]
 
     @pytest.mark.parametrize("scenario, text", SMALL_CONFIGS.items(), ids=list(SMALL_CONFIGS))
     def test_scenario_loads_only_its_modules(self, tmp_path, scenario, text):

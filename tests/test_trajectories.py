@@ -591,6 +591,37 @@ class TestUnravelLinear:
         for field in dataclasses.fields(trajectories.TrajectoryEnsemble):
             assert np.array_equal(getattr(whole, field.name), getattr(large, field.name))
 
+    @pytest.mark.parametrize("n_traj, chunk", [(1, None), (2, 1), (45, 4), (41, 8), (48, 1)])
+    def test_single_row_chunk_independence(self, monkeypatch, n_traj, chunk):
+        # numpy multiplies complex rows of length 1 in place by a loop of its
+        # own; a run of one trajectory, a last chunk of one row (n_traj = 1
+        # mod _CHUNK) and chunks of one row still reproduce the rows of one
+        # 48-trajectory chunk bit for bit, and so do the moments
+        m = qubit_decay_model(1.0, 1.0)
+        rho0 = DensityMatrix.pure([1, 0])
+        whole, _, whole_states = _recorded(monkeypatch, m, rho0, 0.1, 1e-3, 48, seed=5)
+        if chunk is not None:
+            monkeypatch.setattr(trajectories, "_CHUNK", chunk)
+        ens, _, states = _recorded(monkeypatch, m, rho0, 0.1, 1e-3, n_traj, seed=5)
+        assert np.array_equal(states, whole_states[:n_traj])
+        if n_traj == 48:
+            for field in dataclasses.fields(trajectories.TrajectoryEnsemble):
+                assert np.array_equal(getattr(whole, field.name), getattr(ens, field.name))
+
+    def test_block_schedule_made_as_stepped(self, monkeypatch):
+        # 10^12 steps: the first block is stepped at once, with no schedule
+        # of its 1.5e7 blocks built first
+        class Stepped(Exception):
+            pass
+
+        def stepper(*args):
+            raise Stepped
+
+        monkeypatch.setattr(trajectories, "step_trajectory_chunk", stepper)
+        with pytest.raises(Stepped):
+            unravel_linear(qubit_decay_model(1.0, 1.0), DensityMatrix.pure([1, 0]), 1.0, 1e-12, 4,
+                           seed=1)
+
     def test_dense_model_chunk_schedule_independence(self, monkeypatch):
         # the same bit-exact schedule contract for a model whose products
         # are sums of three terms: two jumps, 2-step groups, blocks of 4, 4
