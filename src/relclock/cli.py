@@ -432,7 +432,7 @@ def _run_kms(cfg):
 
 
 def _run_gkls(cfg):
-    from .gkls import DensityMatrix, build_generator, cp_choi_check, evolve, qubit_decay_model
+    from .gkls import DensityMatrix, build_generator, cp_choi_check, evolve, expm, grid_states, qubit_decay_model
     from .rates import kappa_markov
     p = cfg.parameters
     env = _env_from(p)
@@ -442,15 +442,19 @@ def _run_gkls(cfg):
     model = qubit_decay_model(om0, gdown, gup)
     rho = DensityMatrix.pure([1.0, 0.0])
     times = np.linspace(0.0, p["gkls.t_max"], p["gkls.n_times"])
-    rows = []
-    trace_ok = True
-    for t in times:
-        r = evolve(model, rho, float(t))
-        trace_ok &= abs(np.trace(r.matrix).real - 1.0) <= 1e-10
-        rows.append([t, r.matrix[0, 0].real, r.matrix[0, 1].real, r.matrix[0, 1].imag, r.matrix[1, 1].real])
+    gen = build_generator(model)
+    h = p["gkls.t_max"] / max(times.size - 1, 1)
+    states = grid_states(lambda k: expm(k * h * gen.matrix), rho.matrix, times.size)
+    sym = states.conj().transpose(0, 2, 1)  # evolve()'s certificates, on every state
+    sym += states
+    min_eig = 0.5 * np.linalg.eigvalsh(sym).min()
+    if not min_eig >= -1e-8:
+        raise ValueError(f"state has negative eigenvalue {min_eig:.3e}")
+    trace_ok = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0).max() <= 1e-10
     out = cfg.output_path / "gkls.csv"
-    _write_csv(out, ["t", "rho_ee", "re_rho_eg", "im_rho_eg", "rho_gg"], rows)
-    choi = cp_choi_check(build_generator(model), 0.01 / max(gdown + gup, om0))
+    _write_csv(out, ["t", "rho_ee", "re_rho_eg", "im_rho_eg", "rho_gg"],
+               zip(times, states[:, 0, 0].real, states[:, 0, 1].real, states[:, 0, 1].imag, states[:, 1, 1].real))
+    choi = cp_choi_check(gen, 0.01 / max(gdown + gup, om0))
     checks = {"trace_preserved": bool(trace_ok), "choi_cp": bool(choi.is_cp)}
     outputs = {"gamma_down": gdown, "gamma_up": gup, "min_choi_eigenvalue": choi.min_choi_eigenvalue}
     if env.beta != math.inf and gdown > 0:

@@ -63,9 +63,7 @@ class CQKernels:
     d2: np.ndarray
 
     def __post_init__(self):
-        d0 = np.atleast_2d(np.asarray(self.d0, dtype=complex))
-        d1 = np.atleast_2d(np.asarray(self.d1, dtype=complex))
-        d2 = np.atleast_2d(np.asarray(self.d2, dtype=complex))
+        d0, d1, d2 = (np.atleast_2d(np.asarray(M, dtype=complex)) for M in (self.d0, self.d1, self.d2))
         for name, M in (("d0", d0), ("d2", d2)):
             if M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be square")
@@ -75,9 +73,8 @@ class CQKernels:
                 f"d1 must be (n_classical, n_lindblad) = {(d2.shape[0], d0.shape[0])}, "
                 f"got {d1.shape}"
             )
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
+        for name, M in (("d0", d0), ("d1", d1), ("d2", d2)):
+            object.__setattr__(self, name, M)
 
 
 @dataclass(frozen=True)
@@ -277,11 +274,7 @@ def cq_evolve_grid(
 def write_hybrid_csv(st: HybridState, path) -> None:
     """Emit z, Tr(block), block entries (re/im) per cell."""
     d = st.dim
-    header = ["z", "tr_block"]
-    for i in range(d):
-        for j in range(d):
-            header += [f"re_b_{i}{j}", f"im_b_{i}{j}"]
-    rows = []
-    for zc, block in zip(st.z_grid, st.blocks):
-        rows.append([zc, np.real(np.trace(block)), *(x for z in block.ravel() for x in (z.real, z.imag))])
-    write_csv(path, header, rows)
+    entries = [f"{part}_b_{i}{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
+    write_csv(path, ["z", "tr_block", *entries],
+              ([zc, np.real(np.trace(block)), *(x for z in block.ravel() for x in (z.real, z.imag))]
+               for zc, block in zip(st.z_grid, st.blocks)))

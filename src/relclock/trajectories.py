@@ -65,7 +65,7 @@ from ._accel import merge_moments, saved_state_moments, step_trajectory_chunk
 from ._csv import write_csv
 from .correlators import EnvironmentSpec, wightman_timelike
 from .gkls import (DensityMatrix, GKLSModel, build_generator, check_uniform_grid, expm,
-                   step_count, unvec, vec)
+                   grid_states, step_count)
 from .kernels import ClockKernel, PositivityError
 
 __all__ = [
@@ -471,24 +471,23 @@ def unravel_linear(
 
 
 def one_step_means(m: GKLSModel, rho0: DensityMatrix, dt: float, grid) -> np.ndarray:
-    """Phi^n rho0 at each time n dt of ``grid``, which starts at 0.
+    """Phi^n rho0 at each time n dt of ``grid``: uniform, from 0, in steps
+    that are a multiple of dt.
 
     Phi(rho) = U rho U^H + dt sum_k Lt_k rho Lt_k^H, with the U and Lt_k
     ``unravel_linear`` steps by, is the one-step map of its ensemble mean:
     Phi^n rho0 is the mean state's exact expectation after n steps.
     """
+    grid = np.asarray(grid, dtype=float)
+    check_uniform_grid(grid, "grid")
+    if grid[0] != 0.0:
+        raise ValueError("grid must start at 0")
+    stride = step_count(grid[1], dt) if grid.size > 1 else 1
     u_step, ls_scaled = _step_operators(m, dt)
     phi = np.kron(u_step.conj(), u_step)
     for L in ls_scaled:
         phi += dt * np.kron(L.conj(), L)
-    steps = np.rint(np.asarray(grid, dtype=float) / dt).astype(int)
-    v = vec(rho0.matrix)
-    means = np.empty((steps.size, m.dim, m.dim), dtype=complex)
-    means[0] = rho0.matrix
-    for i in range(1, steps.size):
-        v = np.linalg.matrix_power(phi, int(steps[i] - steps[i - 1])) @ v
-        means[i] = unvec(v, m.dim)
-    return means
+    return grid_states(lambda k: np.linalg.matrix_power(phi, k * stride), rho0.matrix, grid.size)
 
 
 def _sidak_z(alpha: float, n: int) -> float:
@@ -553,14 +552,11 @@ class EnsembleCheck:
 def ensemble_check(e: TrajectoryEnsemble, m: GKLSModel, rho0: DensityMatrix,
                    dt: float) -> EnsembleCheck:
     """The ``EnsembleCheck`` of an ``unravel_linear`` ensemble stepped by dt,
-    from its moments: the exact reference is rho0 advanced by one propagator
-    exp(h G), h the grid step, once per saved time."""
+    from its moments: the exact reference exp(t G) rho0 at the saved times
+    comes from ``grid_states``, by the powers exp(k h G) of the grid step h."""
     expected = one_step_means(m, rho0, dt, e.grid)
     gen = build_generator(m).matrix
-    step, v = expm(e.grid[1] * gen), vec(rho0.matrix)
-    exact = np.empty_like(expected)
-    for i in range(e.grid.size):
-        exact[i], v = unvec(v, m.dim), step @ v
+    exact = grid_states(lambda k: expm(k * e.grid[1] * gen), rho0.matrix, e.grid.size)
     dev = e.mean_state - expected
     # |dev| of each coordinate, packed as in std_error, then of the trace, in
     # units of its standard error once _ROUNDING is taken off: 0 within
@@ -587,12 +583,7 @@ def ensemble_check(e: TrajectoryEnsemble, m: GKLSModel, rho0: DensityMatrix,
 def write_ensemble_csv(e: TrajectoryEnsemble, path) -> None:
     """Emit t, mean-state entries (re/im), stat_error per grid time."""
     d = e.mean_state.shape[2]
-    header = ["t"]
-    for i in range(d):
-        for j in range(d):
-            header += [f"re_rho_{i}{j}", f"im_rho_{i}{j}"]
-    header.append("stat_error")
-    rows = []
-    for t, mean, err in zip(e.grid, e.mean_state, e.stat_error):
-        rows.append([t, *(x for z in mean.ravel() for x in (z.real, z.imag)), err])
-    write_csv(path, header, rows)
+    entries = [f"{part}_rho_{i}{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
+    write_csv(path, ["t", *entries, "stat_error"],
+              ([t, *(x for z in mean.ravel() for x in (z.real, z.imag)), err]
+               for t, mean, err in zip(e.grid, e.mean_state, e.stat_error)))

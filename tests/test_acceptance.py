@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from relclock.cli import main
 from relclock.correlators import EnvironmentSpec
 from relclock.gkls import (
     DensityMatrix,
@@ -309,3 +310,16 @@ def test_13_cq_tradeoff():
     ok &= elapsed < 10.0
     _report(13, "cq-decoherence-diffusion-tradeoff", ok,
             f"margin={boundary.margin:.1e} ok_min={worst_ok:.1e} bad_min={worst_bad:.1e} t={elapsed:.1f}s")
+
+
+def test_14_gkls_long_time_grid(tmp_path):
+    # one propagator steps the whole time grid, re-anchored every 64 steps
+    # (gkls.grid_states), so 100 000 saved times take no exponential each
+    config = tmp_path / "cfg.ini"
+    config.write_text("[run]\nscenario = gkls\n\n[gkls]\nn_times = 100000\n")
+    t0 = time.perf_counter()
+    rc = main(["gkls", "--config", str(config), "--output", str(tmp_path), "--quiet"])
+    elapsed = time.perf_counter() - t0
+    rows = (tmp_path / "gkls.csv").read_text().count("\n") - 1
+    ok = rc == 0 and rows == 100_000 and elapsed < 10.0
+    _report(14, "gkls-long-time-grid", ok, f"rc={rc} rows={rows} t={elapsed:.2f}s")

@@ -316,6 +316,36 @@ class TestRunScenario:
             assert "[env] g" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_gkls_trace_drift_fails_its_check(self, tmp_path):
+        # at g = 1e6 (rates about 3e11) the states' traces drift past 1e-10
+        # by rounding: trace_preserved reads false and the run exits 2
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = gkls\n\n[env]\ng = 1e6\n")
+        out = tmp_path / "out"
+        assert main(["gkls", "--config", str(config), "--output", str(out), "--quiet"]) == 2
+        checks = json.loads((out / "summary.json").read_text())["checks"]
+        assert checks == {"trace_preserved": False, "choi_cp": True}
+
+    def test_gkls_negative_state_is_a_compute_error(self, tmp_path, capsys, monkeypatch):
+        # every state is held to evolve()'s eigenvalue floor of -1e-8: one
+        # unit-trace state below it, the last, stops the run before its CSV
+        from relclock import gkls
+
+        grid_states = gkls.grid_states
+
+        def dented(power, rho0, n):
+            states = grid_states(power, rho0, n)
+            states[-1] = np.diag([1.0 + 2e-8, -2e-8])
+            return states
+
+        monkeypatch.setattr(gkls, "grid_states", dented)
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = gkls\n")
+        out = tmp_path / "out"
+        assert main(["gkls", "--config", str(config), "--output", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error [gkls] compute: state has negative eigenvalue -2.000e-08\n"
+        assert not (out / "gkls.csv").exists()
+
     def test_markov_limit_thermal_absorption_converges(self, tmp_path):
         # a positive omega has a thermal Markov rate: refused only on a zero rate
         config = tmp_path / "cfg.ini"

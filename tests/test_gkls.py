@@ -15,8 +15,10 @@ from relclock.gkls import (
     evolve,
     expm as pade_expm,
     generator_matrix,
+    grid_states,
     qubit_decay_model,
     step_count,
+    unvec,
     vec,
 )
 from relclock.rates import kappa_markov_kms
@@ -80,7 +82,31 @@ class TestBuildGenerator:
         assert np.trace(rho1.matrix @ rho1.matrix).real == pytest.approx(purity0, abs=1e-12)
 
 
+def _choi_by_units(E, d):
+    """The Choi matrix sum_ij E(|i><j|) kron |i><j| of the column-stacked
+    channel E, built one unit matrix |i><j| at a time."""
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d))
+            unit[i, j] = 1.0
+            choi += np.kron(unvec(E @ vec(unit), d), unit)
+    return choi
+
+
 class TestChoi:
+    def test_matches_choi_built_unit_by_unit(self):
+        # the reshaped Choi matrix holds the same entries as the sum over
+        # unit matrices, so its least eigenvalue is the same to the bit
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            d = int(rng.integers(2, 5))
+            gen = build_generator(random_model(rng, d))
+            dt = float(rng.uniform(0.0, 1.0)) / np.linalg.norm(gen.matrix, 2)
+            choi = _choi_by_units(pade_expm(dt * gen.matrix), d)
+            least = float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T)).min())
+            assert cp_choi_check(gen, dt).min_choi_eigenvalue == least
+
     def test_amplitude_damping_cp(self):
         m = qubit_decay_model(1.0, 1.0)
         verdict = cp_choi_check(build_generator(m), 0.1)
@@ -161,6 +187,30 @@ class TestEvolve:
             m = random_model(rng, d)
             eig = np.linalg.eigvals(build_generator(m).matrix)
             assert eig.real.max() <= 1e-10
+
+
+class TestGridStates:
+    @pytest.mark.parametrize("n", [1, 2, 64, 65, 2000])
+    def test_matches_per_point_expm(self, n):
+        # stepped by exp(h G) and re-anchored every 64 steps, each state is
+        # within 1e-12 of its own exp(k h G) rho0, and the anchors are exact
+        rng = np.random.default_rng(n)
+        for d in (2, 3, 4):
+            G = build_generator(random_model(rng, d)).matrix
+            v = rng.normal(size=d) + 1j * rng.normal(size=d)
+            rho0 = 0.5 * np.eye(d) / d + 0.5 * np.outer(v, v.conj()) / np.linalg.norm(v) ** 2
+            h = 0.01
+
+            def power(k):
+                return pade_expm(k * h * G)
+
+            states = grid_states(power, rho0, n)
+            assert states.shape == (n, d, d)
+            exact = np.array([unvec(expm(k * h * G) @ vec(rho0), d) for k in range(n)])
+            assert np.abs(states - exact).max() <= 1e-12
+            assert np.array_equal(states[0], rho0)
+            for k in range(64, n, 64):
+                assert np.array_equal(states[k], unvec(power(k) @ vec(rho0), d))
 
 
 class TestStepCount:

@@ -47,6 +47,27 @@ def test_every_exported_name_is_used():
     assert sorted(UNUSED_EXPORTS_KEPT.keys() - (exported - used)) == []
 
 
+#: settable values in src/ (see test_settable_value_count); a change that
+#: adds a setting raises this and says why
+SETTABLE_VALUES = 358
+
+
+def test_settable_value_count():
+    # every def parameter other than self/cls (*args and **kwargs included,
+    # lambdas not) plus every field of a dataclass
+    count = 0
+    for path in Path(relclock.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                count += sum(arg.arg not in ("self", "cls") for arg in params)
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(dec) for dec in node.decorator_list):
+                count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    assert count <= SETTABLE_VALUES
+
+
 def test_lazy_names_come_from_their_home_modules():
     for name, module in relclock._HOMES.items():
         home = importlib.import_module(f"relclock.{module}")

@@ -920,9 +920,11 @@ class TestUnravelLinear:
         assert not check.mean_ok and not check.trace_ok
 
     def test_ensemble_check_one_propagator(self, monkeypatch):
-        # the exact reference applies one exp(h G) per grid step h, so 101
-        # saved times take two expm calls (that and the step propagator of
-        # one_step_means), and it matches exp(t G) at each time to rounding
+        # the exact reference applies one exp(h G) per grid step h and
+        # re-anchors by exp(k h G) every 64 steps (gkls.grid_states), so n
+        # saved times take 2 + (n - 1) // 64 expm calls, the step propagator
+        # of one_step_means among them: 3 at 101 saved times; it matches
+        # exp(t G) at each time to rounding
         m = qubit_decay_model(1.0, 1.0)
         rho0 = DensityMatrix.pure([1, 0])
         ens = unravel_linear(m, rho0, 0.5, 1e-3, 64, seed=3, n_out=101)
@@ -934,10 +936,27 @@ class TestUnravelLinear:
 
         monkeypatch.setattr(trajectories, "expm", counted)
         check = ensemble_check(ens, m, rho0, 1e-3)
-        assert len(calls) == 2
+        assert len(calls) == 2 + (101 - 1) // 64 == 3
         exact = np.array([evolve(m, rho0, float(t)).matrix for t in ens.grid])
         deviation = np.linalg.norm(ens.mean_state - exact, axis=(1, 2)).max()
         assert abs(check.max_deviation - deviation) <= 1e-12
+
+    @pytest.mark.parametrize("grid, match", [
+        ([0.0, 0.1, 0.3], "uniform"),
+        ([0.1, 0.2, 0.3], "start at 0"),
+        ([0.0, 0.0015, 0.003], "multiple"),
+    ])
+    def test_one_step_means_refuses_grids_it_would_misread(self, grid, match):
+        # only the step grid[1] and the length are read, so a grid that is
+        # not uniform, does not start at 0 or steps by no multiple of dt raises
+        with pytest.raises(ValueError, match=match):
+            one_step_means(qubit_decay_model(1.0, 1.0), DensityMatrix.pure([1, 0]), 1e-3, grid)
+
+    def test_one_step_means_single_point(self):
+        # a one-point grid has no step to read: it holds rho0 alone
+        rho0 = DensityMatrix.pure([0.6, 0.8])
+        means = one_step_means(qubit_decay_model(1.0, 1.0), rho0, 1e-3, [0.0])
+        assert np.array_equal(means, rho0.matrix[None])
 
     def test_ensemble_check_zero_time_exact(self):
         # t = 0 carries no Monte-Carlo spread: a mean state off by more
