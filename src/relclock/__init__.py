@@ -34,8 +34,7 @@ _HOMES = {
                           "build_slice_generator", "functional_curl_residual"),
         "kernels": ("ClockKernel", "CoherentReadoutKernel", "GaussianKernel",
                     "kernel_spectrum", "positivity_gram_check"),
-        "langevin": ("ModeMoments", "ModeParams", "ccr_defect", "mode_evolve_moments",
-                     "stationary_fdr_check"),
+        "langevin": ("ModeMoments", "ModeParams", "mode_evolve_moments", "stationary_fdr_check"),
         "rates": ("KossakowskiBlock", "RateQuery", "assemble_kossakowski", "kappa_markov_kms",
                   "kappa_markov_vacuum", "kappa_tcl", "kappa_tcl_kms", "kappa_tcl_vacuum",
                   "lamb_shift_coefficient", "odd_kernel_transform"),

@@ -123,7 +123,7 @@ _ENV = {
     "mass_e": ("float", 1.0, "(0, inf)"),
     "g": ("float", 1.0, "[0, inf)"),
     "beta": ("float", math.inf, "(0, inf]"),  # +inf is the vacuum, at zero temperature
-    "rapidity": ("float", 0.0, "(-inf, inf)"),
+    "rapidity": ("float", 0.0, "[-710, 710]"),  # the Lorentz factor cosh(rapidity) stays finite
 }
 #: with g = 0 every rate is 0, and a detailed-balance ratio or a split between
 #: two rate sources has no target
@@ -142,6 +142,8 @@ _MASS_UNITS = {
     "kms.omega": 2.0,
 }
 _SIGMAS = ("list", [2.0, 5.0, 10.0, 20.0], "(0, inf)")
+#: the largest x with a finite exp(x): kms weighs each rate by exp(beta * omega)
+_EXP_MAX = math.log(sys.float_info.max)
 #: the most trajectory-steps, n_traj * t / dt, an unravel config may ask for:
 #: 60-100 s at the 1.0e8-1.7e8 steps a second measured on 2 vCPUs
 _UNRAVEL_STEPS = 1e10
@@ -231,10 +233,11 @@ def parse_config(
     Unknown sections or keys are rejected; missing required keys raise a
     :class:`ConfigError` naming the key.  Every value, given or default, must
     lie in the domain its ``SCHEMA`` entry declares (see :func:`_check`):
-    ``[env] beta`` alone is closed at +inf, and ``[curl] x`` and ``y`` must
-    be distinct sites below ``n_sites``, and an unravel run may take at most
-    ``_UNRAVEL_STEPS`` trajectory-steps.  Library caps (noise grid, curl
-    sites, boost modes) are not declared here and stay library errors.
+    ``[env] beta`` alone is closed at +inf, ``[curl] x`` and ``y`` must be
+    distinct sites below ``n_sites``, kms needs a finite exp(beta * omega),
+    and an unravel run may take at most ``_UNRAVEL_STEPS`` trajectory-steps.
+    Library caps (noise grid, curl sites, boost modes) are not declared here
+    and stay library errors.
     Stochastic scenarios must carry a seed (reproducibility contract);
     ``seed_override`` substitutes for a config-file seed.
     """
@@ -300,6 +303,11 @@ def parse_config(
                 raise ConfigError(f"[curl] {key} must be < n_sites = {n}, got {site}")
         if x == y:
             raise ConfigError(f"[curl] x and y must be distinct sites, got {x} for both")
+    if scenario == "kms":
+        om, beta = params["kms.omega"], params["env.beta"]
+        if beta * abs(om) > _EXP_MAX:
+            raise ConfigError(f"[kms] omega = {om:g} and [env] beta = {beta:g} make beta * |omega| = "
+                              f"{beta * abs(om):.6g}, past {_EXP_MAX:.6g}, where exp(beta * omega) overflows")
     if scenario == "unravel":
         t, dt, n_traj = params["unravel.t"], params["unravel.dt"], params["unravel.n_traj"]
         work = n_traj * t / dt
@@ -432,7 +440,7 @@ def _run_kms(cfg):
 
 
 def _run_gkls(cfg):
-    from .gkls import DensityMatrix, build_generator, cp_choi_check, evolve, expm, grid_states, qubit_decay_model
+    from .gkls import DensityMatrix, build_generator, cp_choi_check, expm, grid_states, qubit_decay_model
     from .rates import kappa_markov
     p = cfg.parameters
     env = _env_from(p)
@@ -458,8 +466,9 @@ def _run_gkls(cfg):
     checks = {"trace_preserved": bool(trace_ok), "choi_cp": bool(choi.is_cp)}
     outputs = {"gamma_down": gdown, "gamma_up": gup, "min_choi_eigenvalue": choi.min_choi_eigenvalue}
     if env.beta != math.inf and gdown > 0:
-        final = evolve(model, rho, 50.0 / max(gdown - gup, 1e-12)).matrix
-        ratio = final[0, 0].real / final[1, 1].real
+        # the steady state spans the generator's kernel: its last right singular vector
+        steady = np.linalg.svd(gen.matrix)[2][-1]  # column-stacked rho, up to a factor
+        ratio = (steady[0] / steady[3]).real
         outputs["steady_ratio"] = ratio
         checks["steady_detailed_balance"] = bool(abs(ratio - math.exp(-env.beta * om0)) <= 1e-9)
     return outputs, checks, [out.name]
@@ -481,11 +490,9 @@ def _run_langevin(cfg):
     params = ModeParams(energy_E=E, gamma=gamma, nbar=nbar)
     taus = np.linspace(0.0, p["langevin.tau_max"], p["langevin.n_times"])
     out = cfg.output_path / "langevin.csv"
-    defects = write_moment_trajectory_csv(
-        out, params, ModeMoments(mean_a=1.0, occupation_n=p["langevin.n0"]), taus)
-    ccr_ok = all(d <= 1e-12 for d in defects)
+    defects = write_moment_trajectory_csv(out, params, ModeMoments(mean_a=1.0, occupation_n=p["langevin.n0"]), taus)
     outputs = {"gamma": gamma, "nbar": nbar}
-    checks = {"ccr_preserved": bool(ccr_ok)}
+    checks = {"ccr_preserved": bool((defects <= 1e-12).all())}
     if env.beta != math.inf and gamma > 0:
         sym, pred, dev = stationary_fdr_check(params, env.beta)
         outputs.update({"symmetrized_occupation": sym, "coth_prediction": pred})

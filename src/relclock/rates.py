@@ -161,33 +161,32 @@ def _kappa_gaussian_vacuum(env: EnvironmentSpec, sigma: float, omega: float) -> 
         return max(_on_shell(env, lambda E: gaussian_ft(sigma, omega + E), lo, hi), 0.0)
 
     # tilted normal: reduce d^3k to (theta, cos) with the angular integral in
-    # closed form; E = m cosh(theta), k.n spans [omega + m cosh(theta -+ eta)]
+    # closed form; E = m cosh(theta), k.n spans A -+ B = omega + m cosh(theta -+
+    # eta), the integrand is g^2 m sinh(theta)/(8 pi sinh(eta)) [erf(s(A + B)) -
+    # erf(s(A - B))], and u = theta - eta keeps A - B exact at any rapidity
     hi_arg = (W - omega) / m
-    if hi_arg < 1.0:
+    if hi_arg <= 1.0:  # otherwise u_max > 0, and u_lo below lies under it
         return 0.0
     u_max = math.acosh(hi_arg)
     lo_arg = (-W - omega) / m
     u_min = math.acosh(lo_arg) if lo_arg > 1.0 else 0.0
-    t_lo = max(0.0, u_min - eta, eta - u_max)
-    t_hi = eta + u_max
-    if t_hi <= t_lo:
-        return 0.0
-    rt2 = math.sqrt(2.0)
+    u_lo = max(-eta, u_min - 2.0 * eta, -u_max)
+    s, sh = sigma / math.sqrt(2.0), math.sinh(eta)
+    ratio_cut = 1e-4 / (sigma * m * sh) / sh  # sinh(theta)/sinh(eta) where sigma B = 1e-4
 
-    def f(theta):
-        E = m * np.cosh(theta)
-        k = m * np.sinh(theta)
-        A = omega + E * math.cosh(eta)
-        B = k * math.sinh(eta)
-        # B > 0: Kronrod nodes are interior, so theta > 0
-        ang = np.where(
-            sigma * B < 1e-8,
-            gaussian_ft(sigma, A),
-            (math.pi / (2.0 * B)) * (_erf(sigma * (A + B) / rt2) - _erf(sigma * (A - B) / rt2)),
-        )
-        return g * g * k * k / (4.0 * math.pi**2) * ang
+    def f(u):
+        # sinh(theta)/sinh(eta), theta = u + eta > 0 as Kronrod nodes are interior
+        ratio = np.exp(u) * np.expm1(-2.0 * (u + eta)) / math.expm1(-2.0 * eta)
+        a_minus = omega + m * np.cosh(u)
+        a_plus = omega + m * np.cosh(np.minimum(u + 2.0 * eta, u_max))  # capped where erf is 1.0
+        small = ratio < ratio_cut  # there the erf difference is its series in h = sB about c = sA
+        B = m * sh * (np.where(small, ratio, 0.0) * sh)
+        c, h = s * (a_minus + B), s * B
+        series = 4.0 / math.sqrt(math.pi) * h * np.exp(-c * c) * (1.0 + h * h * (2.0 * c * c - 1.0) / 3.0)
+        diff = np.where(small, series, _erf(s * a_plus) - _erf(s * a_minus))
+        return g * g * m / (8.0 * math.pi) * ratio * diff
 
-    return max(integrate_adaptive(f, t_lo, t_hi, _QUAD_TOL).value, 0.0)
+    return max(integrate_adaptive(f, u_lo, u_max, _QUAD_TOL).value, 0.0)
 
 
 def _kappa_atomic(env: EnvironmentSpec, kernel: ClockKernel, omega: float) -> float:

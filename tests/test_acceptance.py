@@ -30,7 +30,7 @@ from relclock.integrability import (
     functional_curl_residual,
 )
 from relclock.kernels import GaussianKernel
-from relclock.langevin import ModeMoments, ModeParams, ccr_defect, mode_evolve_moments, stationary_fdr_check
+from relclock.langevin import ModeMoments, ModeParams, mode_evolve_moments, stationary_fdr_check
 from relclock.rates import (
     RateQuery,
     assemble_kossakowski,
@@ -184,13 +184,15 @@ def test_06_kossakowski_positivity_and_choi():
 
 
 def test_07_ccr_preservation():
+    # the defect is |ccr - 1| of the moment flow the langevin CSV writes
     t0 = time.perf_counter()
     rng = np.random.default_rng(707)
     worst = 0.0
     for _ in range(50):
         gamma = rng.uniform(0.05, 3.0)
         tau = rng.uniform(0.0, 10.0) / gamma
-        worst = max(worst, ccr_defect(ModeParams(energy_E=1.0, gamma=gamma), tau))
+        m = mode_evolve_moments(ModeParams(energy_E=1.0, gamma=gamma), ModeMoments(occupation_n=2.0), tau)
+        worst = max(worst, abs(m.ccr - 1.0))
     ok = worst <= 1e-12
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
@@ -323,3 +325,15 @@ def test_14_gkls_long_time_grid(tmp_path):
     rows = (tmp_path / "gkls.csv").read_text().count("\n") - 1
     ok = rc == 0 and rows == 100_000 and elapsed < 10.0
     _report(14, "gkls-long-time-grid", ok, f"rc={rc} rows={rows} t={elapsed:.2f}s")
+
+
+def test_15_langevin_long_time_grid(tmp_path):
+    # one moment flow over the whole grid, its CCR read from the same moments
+    config = tmp_path / "cfg.ini"
+    config.write_text("[run]\nscenario = langevin\n\n[langevin]\nn_times = 100000\n")
+    t0 = time.perf_counter()
+    rc = main(["langevin", "--config", str(config), "--output", str(tmp_path), "--quiet"])
+    elapsed = time.perf_counter() - t0
+    rows = (tmp_path / "langevin.csv").read_text().count("\n") - 1
+    ok = rc == 0 and rows == 100_000 and elapsed < 5.0
+    _report(15, "langevin-long-time-grid", ok, f"rc={rc} rows={rows} t={elapsed:.2f}s")

@@ -13,7 +13,7 @@ import pytest
 
 import relclock
 from relclock.cli import (
-    SCENARIOS, SCHEMA, ConfigError, _json_ready, main, parse_config, run_scenario,
+    SCENARIOS, SCHEMA, ConfigError, _env_from, _json_ready, main, parse_config, run_scenario,
 )
 
 SRC = Path(relclock.__file__).resolve().parents[1]
@@ -244,23 +244,86 @@ class TestRunScenario:
         assert sa == sb
 
     def test_langevin_computes_each_ccr_defect_once(self, tmp_path, monkeypatch):
-        # one quadrature per nonzero tau: the check reads the defects the
-        # CSV writer computed
-        from relclock import langevin
+        # the ccr_defect column is |ccr - 1| of the written moments, from one
+        # moment flow and no quadrature, and ccr_preserved reads that column
+        from relclock import langevin, rates, specfun
 
-        calls = []
-        quad = langevin.integrate_adaptive
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("langevin must not integrate")
 
-        def spy(*args, **kwargs):
-            calls.append(args[1:3])
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(langevin, "integrate_adaptive", spy)
+        assert not hasattr(langevin, "integrate_adaptive")
+        for module in (specfun, rates):  # rates binds its own name at import
+            monkeypatch.setattr(module, "integrate_adaptive", no_quadrature)
+        flows = []
+        flow = langevin.mode_evolve_moments
+        monkeypatch.setattr(langevin, "mode_evolve_moments", lambda *a: flows.append(a) or flow(*a))
         cfg = parse_config("[run]\nscenario = langevin\n")
         cfg.output_path = tmp_path
         assert run_scenario(cfg, quiet=True) == 0
-        assert len(calls) == 20
+        assert len(flows) == 1
+        rows = np.loadtxt(tmp_path / "langevin.csv", delimiter=",", skiprows=1)
+        moments = flow(*flows[0])
+        assert np.array_equal(rows[:, 6], np.abs(moments.ccr - 1.0))
         assert json.loads((tmp_path / "summary.json").read_text())["checks"]["ccr_preserved"]
+
+    def test_langevin_ccr_check_fails_a_wrong_noise_term(self, tmp_path, monkeypatch):
+        # a flow whose noise term has its sign flipped, ccr = ccr0 d^2 - (1 - d^2),
+        # no longer keeps [a, a+] = 1, and the check that reads the CSV says so
+        from dataclasses import replace
+
+        from relclock import langevin
+
+        flow = langevin.mode_evolve_moments
+
+        def flipped(p, m0, tau):
+            d2 = np.exp(-p.gamma * np.asarray(tau))
+            return replace(flow(p, m0, tau), ccr=m0.ccr * d2 - (1.0 - d2))
+
+        monkeypatch.setattr(langevin, "mode_evolve_moments", flipped)
+        cfg = parse_config("[run]\nscenario = langevin\n")
+        cfg.output_path = tmp_path
+        assert run_scenario(cfg, quiet=True) == 2
+        assert not json.loads((tmp_path / "summary.json").read_text())["checks"]["ccr_preserved"]
+        defects = np.loadtxt(tmp_path / "langevin.csv", delimiter=",", skiprows=1)[:, 6]
+        assert defects[0] == 0.0 and defects[1:].min() > 1e-3
+
+    @pytest.mark.parametrize("sections", [
+        "[langevin]\nenergy = 1e6", "[env]\ng = 1e6", "[langevin]\ntau_max = 1e6",
+    ])
+    def test_langevin_extreme_inputs_keep_the_ccr(self, tmp_path, sections):
+        # a quadrature of the noise term misses its boundary layer at these
+        # rates; the moment flow keeps ccr = 1
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = langevin\n\n{sections}\n")
+        out = tmp_path / "out"
+        assert main(["langevin", "--config", str(config), "--output", str(out), "--quiet"]) == 0
+        assert json.loads((out / "summary.json").read_text())["checks"]["ccr_preserved"]
+
+    def test_gkls_steady_state_at_high_temperature(self, tmp_path):
+        # at beta = 1e-6 the two rates nearly cancel: a long-time evolve loses
+        # the unit trace to rounding, the generator's kernel does not
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = gkls\n\n[env]\nbeta = 1e-6\n")
+        out = tmp_path / "out"
+        assert main(["gkls", "--config", str(config), "--output", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["checks"]["steady_detailed_balance"]
+        assert summary["outputs"]["steady_ratio"] == pytest.approx(math.exp(-2e-6), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+    def test_gkls_kernel_steady_state_matches_evolve(self, tmp_path, beta):
+        from relclock.gkls import DensityMatrix, evolve, qubit_decay_model
+        from relclock.rates import kappa_markov
+
+        cfg = parse_config(f"[run]\nscenario = gkls\n\n[env]\nbeta = {beta}\n")
+        cfg.output_path = tmp_path
+        assert run_scenario(cfg, quiet=True) == 0
+        ratio = json.loads((tmp_path / "summary.json").read_text())["outputs"]["steady_ratio"]
+        env = _env_from(cfg.parameters)
+        gdown, gup = kappa_markov(env, -2.0), kappa_markov(env, 2.0)
+        final = evolve(qubit_decay_model(2.0, gdown, gup), DensityMatrix.pure([1.0, 0.0]),
+                       50.0 / (gdown - gup)).matrix
+        assert ratio == pytest.approx(final[0, 0].real / final[1, 1].real, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("text, rc, expected", [
         ("[run]\nscenario = markov_limit\n\n[markov_limit]\nsigmas = 2\n", 2,
@@ -417,6 +480,32 @@ class TestRunScenario:
         assert main([scenario, "--config", str(config), "--output", str(out), "--quiet"]) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sections, value", [
+        ("[env]\nbeta = 1\n[kms]\nomega = 1e6", "1e+06"),
+        ("[env]\nbeta = 1e6", "2e+06"),
+        ("[env]\nbeta = 1\nmass_e = 1e6", "2e+06"),
+    ])
+    def test_kms_exp_overflow_refused(self, tmp_path, capsys, sections, value):
+        # exp(beta * omega) weighs each rate and overflows past log(max float):
+        # refused at parse, naming both keys and the product
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = kms\n\n{sections}\n")
+        out = tmp_path / "out"
+        assert main(["kms", "--config", str(config), "--output", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "[kms] omega" in err and "[env] beta" in err and f"= {value}," in err
+        assert not out.exists()
+
+    def test_kms_exp_bound_is_the_largest_finite_exp(self, tmp_path):
+        # beta * |omega| at the bound runs, and passes; one step past is refused
+        edge = math.log(sys.float_info.max)
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = kms\n[env]\nbeta = 1\n[kms]\nomega = {edge!r}\n")
+        assert main(["kms", "--config", str(config), "--output", str(tmp_path / "out"), "--quiet"]) == 0
+        parse_config(f"[run]\nscenario = kms\n[env]\nbeta = 1\n[kms]\nomega = {-edge!r}\n")
+        with pytest.raises(ConfigError, match=r"\[kms\] omega = .* and \[env\] beta"):
+            parse_config(f"[run]\nscenario = kms\n[env]\nbeta = 1\n[kms]\nomega = {float(np.nextafter(edge, 1e3))!r}\n")
 
     def test_kms_requires_thermal_env(self):
         with pytest.raises(ConfigError, match=r"'beta' in \[env\]"):

@@ -8,7 +8,6 @@ from relclock.correlators import EnvironmentSpec
 from relclock.langevin import (
     ModeMoments,
     ModeParams,
-    ccr_defect,
     mode_evolve_moments,
     stationary_fdr_check,
     write_moment_trajectory_csv,
@@ -67,17 +66,36 @@ class TestMoments:
 
 
 class TestCCRDefect:
+    # the defect is |ccr - 1| of the moments the flow writes, the damped
+    # initial commutator plus the noise term
+    @staticmethod
+    def defect(p, tau):
+        return abs(mode_evolve_moments(p, ModeMoments(), tau).ccr - 1.0)
+
     def test_examples(self):
-        assert ccr_defect(ModeParams(2.0, 1.0), 10.0) <= 1e-12
-        assert ccr_defect(ModeParams(2.0, 1.0), 0.0) == 0.0
-        assert ccr_defect(ModeParams(2.0, 0.0), 5.0) == 0.0
+        assert self.defect(ModeParams(2.0, 1.0), 10.0) <= 1e-12
+        assert self.defect(ModeParams(2.0, 1.0), 0.0) == 0.0
+        assert self.defect(ModeParams(2.0, 0.0), 5.0) == 0.0
 
     def test_many_draws(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             gamma = rng.uniform(0.05, 3.0)
             tau = rng.uniform(0.0, 10.0) / gamma
-            assert ccr_defect(ModeParams(1.0, gamma), tau) <= 1e-12
+            assert self.defect(ModeParams(1.0, gamma), tau) <= 1e-12
+
+    def test_array_of_times_matches_one_call_per_time(self):
+        # bit for bit, so a CSV row is the moments of its own time
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            p = ModeParams(rng.uniform(-4.0, 4.0), rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0))
+            m0 = ModeMoments(mean_a=complex(*rng.normal(size=2)), occupation_n=3.0,
+                             anomalous_m=0.5j, ccr=rng.uniform(0.5, 1.5))
+            taus = np.sort(rng.uniform(0.0, 20.0, 257))
+            grid = mode_evolve_moments(p, m0, taus)
+            for field in ("mean_a", "occupation_n", "anomalous_m", "ccr"):
+                each = [getattr(mode_evolve_moments(p, m0, float(t)), field) for t in taus]
+                assert getattr(grid, field).tobytes() == np.array(each).tobytes()
 
 
 class TestFDR:
@@ -129,3 +147,4 @@ def test_csv_emission(tmp_path):
     assert rows[0] == ["tau", "re_mean", "im_mean", "n", "re_m", "im_m", "ccr_defect"]
     assert len(rows) == 7
     assert float(rows[1][3]) == pytest.approx(3.0)
+    assert all(float(row[6]) <= 1e-15 for row in rows[1:])

@@ -13,6 +13,7 @@ import relclock
 #: exported names that no code in src/ uses, each with the reason it stays
 UNUSED_EXPORTS_KEPT = {
     "build_slice_generator": "the benchmark tracer wraps it by name",
+    "evolve": "the benchmark tracer wraps it by name",
     "odd_kernel_transform": "acceptance certificates state the Lamb-shift closed form with it",
     "assemble_kossakowski": "acceptance certificates build the PSD multi-coupling block with it",
 }
@@ -49,7 +50,7 @@ def test_every_exported_name_is_used():
 
 #: settable values in src/ (see test_settable_value_count); a change that
 #: adds a setting raises this and says why
-SETTABLE_VALUES = 358
+SETTABLE_VALUES = 356
 
 
 def test_settable_value_count():

@@ -86,6 +86,21 @@ class TestTclVacuum:
                 base, rel=1e-8
             )
 
+    @pytest.mark.parametrize("omega", [-4.0, -1.0])
+    def test_boost_invariance_at_every_rapidity(self, omega):
+        # A - B = omega + m cosh(theta - eta) is formed without cancellation,
+        # so the tilted rate keeps the untilted value up to the declared
+        # domain edge |eta| = 710, where cosh(eta) is still a finite float
+        base = kappa_tcl_vacuum(q(omega))
+        for eta in (0.3, 5.0, 15.0, 25.0, 50.0, 710.0, -710.0):
+            tilted = kappa_tcl_vacuum(q(omega, env=replace(VAC, rapidity=eta)))
+            assert tilted == pytest.approx(base, rel=1e-12, abs=0.0)
+        # small rapidities take the series of the erf difference in sigma B,
+        # whose direct form rounds past the quadrature tolerance at 1e-9
+        for eta in (1e-9, 1e-7, 1e-5, 1e-3):
+            tilted = kappa_tcl_vacuum(q(omega, env=replace(VAC, rapidity=eta)))
+            assert tilted == pytest.approx(base, rel=1e-10, abs=0.0)
+
     def test_coherent_kernel_atomic_rate(self):
         # kappa(w) = sum_n weight_n j(Omega_n - w), exact, no quadrature
         ker = CoherentReadoutKernel(R=1.0, omega_C=1.0)
