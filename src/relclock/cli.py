@@ -235,7 +235,9 @@ def parse_config(
     lie in the domain its ``SCHEMA`` entry declares (see :func:`_check`):
     ``[env] beta`` alone is closed at +inf, ``[curl] x`` and ``y`` must be
     distinct sites below ``n_sites``, kms needs a finite exp(beta * omega),
-    and an unravel run may take at most ``_UNRAVEL_STEPS`` trajectory-steps.
+    the Lamb-shift cutoff is at least 10 ``mass_e``, and an unravel run may
+    take at most ``_UNRAVEL_STEPS`` trajectory-steps, with t a multiple of dt
+    (``gkls.step_count``) and n_out - 1 dividing the step count.
     Library caps (noise grid, curl sites, boost modes) are not declared here
     and stay library errors.
     Stochastic scenarios must carry a seed (reproducibility contract);
@@ -308,12 +310,22 @@ def parse_config(
         if beta * abs(om) > _EXP_MAX:
             raise ConfigError(f"[kms] omega = {om:g} and [env] beta = {beta:g} make beta * |omega| = "
                               f"{beta * abs(om):.6g}, past {_EXP_MAX:.6g}, where exp(beta * omega) overflows")
+    if scenario == "lamb_shift" and params["lamb_shift.cutoff"] < 10.0 * params["env.mass_e"]:
+        raise ConfigError(f"[lamb_shift] cutoff must be >= 10 * [env] mass_e = {10.0 * params['env.mass_e']:g} "
+                          f"for the tail fit, got {params['lamb_shift.cutoff']:g}")
     if scenario == "unravel":
-        t, dt, n_traj = params["unravel.t"], params["unravel.dt"], params["unravel.n_traj"]
+        from .gkls import step_count
+        t, dt, n_traj, n_out = (params[f"unravel.{key}"] for key in ("t", "dt", "n_traj", "n_out"))
         work = n_traj * t / dt
         if work > _UNRAVEL_STEPS:
             raise ConfigError(f"[unravel] dt = {dt:g}, t = {t:g} and n_traj = {n_traj} make {work:.3g} "
                               f"trajectory-steps, past the budget of {_UNRAVEL_STEPS:.0e} (1-2 min)")
+        try:
+            n_steps = step_count(t, dt)
+        except ValueError:
+            raise ConfigError(f"[unravel] t = {t:g} must be a positive multiple of dt = {dt:g}") from None
+        if n_steps % (n_out - 1):
+            raise ConfigError(f"[unravel] n_out = {n_out}: n_out - 1 must divide the {n_steps} steps t / dt")
     digest = _sha256(text.encode()).hexdigest()
     return ScenarioConfig(
         scenario=scenario, parameters=params, output_path=output,

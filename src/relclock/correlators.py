@@ -5,8 +5,11 @@ The massive scalar bath enters every rate through the on-shell density
     j(E) = g^2 * sqrt(E^2 - m_E^2) / (4 pi^2),   E >= m_E,
 
 which is the reduction of the invariant momentum measure d^3k/((2pi)^3 2E_k).
-Time-domain correlator values exist only under a clock kernel and an explicit
-energy cutoff; the bare two-point function is a distribution.
+The coupling enters only as the prefactor g^2: every integral runs over the
+unit-coupling density j(E)/g^2 (:func:`_unit_density`), and each public
+value is scaled by g^2 once, so it is exactly covariant in g.  Time-domain
+correlator values exist only under a clock kernel and the energy cutoff
+40 m_E; the bare two-point function is a distribution.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ __all__ = [
     "wightman_timelike",
 ]
 
-#: Default energy cutoff for time-domain correlator values, in units of m_E.
-DEFAULT_CUTOFF_SCALE = 40.0
+#: Energy cutoff of time-domain correlator values, in units of m_E.
+CUTOFF_SCALE = 40.0
 
 #: Most periods of e^{-isE} the spectral transform starts panels on (|s| up
-#: to about 660 / m_E at the default cutoff); this bounds its node arrays to
-#: a few megabytes.
+#: to about 660 / m_E at the cutoff); this bounds its node arrays to a few
+#: megabytes.
 _MAX_PERIODS = 2**12
 
 
@@ -62,6 +65,11 @@ class EnvironmentSpec:
         return self.beta == math.inf
 
 
+def _unit_density(m: float, E: np.ndarray) -> np.ndarray:
+    """j(E) / g^2 = sqrt(E^2 - m^2)/(4 pi^2) on an energy array, 0 below m."""
+    return np.sqrt(np.maximum(E * E - m * m, 0.0)) / (4.0 * math.pi**2)
+
+
 def vacuum_spectral_density(env: EnvironmentSpec, E):
     """On-shell density j(E) = g^2 sqrt(E^2 - m^2)/(4 pi^2) for E >= m, else 0.
 
@@ -70,20 +78,20 @@ def vacuum_spectral_density(env: EnvironmentSpec, E):
     x = np.asarray(E, dtype=float)
     if (x < 0.0).any():
         raise ValueError(f"E must be >= 0, got {E!r}")
-    m = env.mass_E
-    return (env.coupling_g**2 * np.sqrt(np.maximum(x * x - m * m, 0.0)) / (4.0 * math.pi**2))[()]
+    return (env.coupling_g**2 * _unit_density(env.mass_E, x))[()]
 
 
-def _spectral_ft(env: EnvironmentSpec, s: float, cutoff: float) -> complex:
-    """int_m^cutoff j(E) [(1+n_B) e^{-isE} + n_B e^{+isE}] dE.
+def _spectral_ft(env: EnvironmentSpec, s: float) -> complex:
+    """int_m^L j(E)/g^2 [(1+n_B) e^{-isE} + n_B e^{+isE}] dE, L = 40 m.
 
-    Equals int j(E) [(1+2n_B) cos(sE) - i sin(sE)] dE.  The adaptive
+    Equals int j(E)/g^2 [(1+2n_B) cos(sE) - i sin(sE)] dE.  The adaptive
     Gauss-Kronrod rule starts on panels one period 2 pi/|s| wide and runs
     in the rapidity E = m cosh(theta), which removes the square-root edge of
     j at E = m.  Panels and decisions depend on |s| only, so C(-s) is
     exactly conj(C(s)).
     """
     m = env.mass_E
+    cutoff = CUTOFF_SCALE * m
     periods = abs(s) * (cutoff - m) / (2.0 * math.pi)
     if periods > _MAX_PERIODS:
         raise ValueError(
@@ -97,7 +105,7 @@ def _spectral_ft(env: EnvironmentSpec, s: float, cutoff: float) -> complex:
 
     def f(theta):
         E = m * np.cosh(theta)
-        j = vacuum_spectral_density(env, E) * (m * np.sinh(theta))
+        j = _unit_density(m, E) * (m * np.sinh(theta))
         even = j if env.is_vacuum else j * (1.0 + 2.0 * bose_occupation(E, env.beta))
         return even * np.cos(s * E) - 1j * (j * np.sin(s * E))
 
@@ -105,17 +113,13 @@ def _spectral_ft(env: EnvironmentSpec, s: float, cutoff: float) -> complex:
     return complex(value)
 
 
-def wightman_timelike(
-    env: EnvironmentSpec,
-    kernel: ClockKernel,
-    s: float,
-    cutoff: float | None = None,
-) -> complex:
-    """Clock-smeared timelike correlator C(s) = w(s) * FT of j up to a cutoff.
+def wightman_timelike(env: EnvironmentSpec, kernel: ClockKernel, s: float) -> complex:
+    """Clock-smeared timelike correlator C(s) = g^2 w(s) * FT of j/g^2 up to
+    the cutoff 40 m_E.
 
-    The value is cutoff-dependent by construction (default 40 m_E); only
-    smeared, regulated evaluations are meaningful.  Hermiticity
-    C(-s) = conj(C(s)) holds exactly.
+    The value is cutoff-dependent by construction; only smeared, regulated
+    evaluations are meaningful.  Hermiticity C(-s) = conj(C(s)) holds
+    exactly.
     """
     if kernel is None:
         raise ValueError(
@@ -124,8 +128,4 @@ def wightman_timelike(
         )
     if not isinstance(kernel, (GaussianKernel, CoherentReadoutKernel)):
         raise ValueError("wightman_timelike supports gaussian or coherent kernels")
-    if cutoff is None:
-        cutoff = DEFAULT_CUTOFF_SCALE * env.mass_E
-    if cutoff <= env.mass_E:
-        raise ValueError("cutoff must exceed the environment mass")
-    return kernel.evaluate(s) * _spectral_ft(env, s, cutoff)
+    return env.coupling_g**2 * (kernel.evaluate(s) * _spectral_ft(env, s))

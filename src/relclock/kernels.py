@@ -1,10 +1,16 @@
-"""Clock-resolution kernels: evaluation, spectra, and positive-type checks.
+"""Clock-resolution kernels: evaluation, spectral atoms, and positive-type checks.
 
 A clock kernel w(s) encodes the finite resolution of the physical clock used
 to smear bath correlations along the local time direction.  Everything
 downstream (rates, noise covariances, Kossakowski blocks) inherits complete
 positivity from these kernels being of positive type, so this module carries
 the Gram-matrix certificate used to reject bad kernels early.
+
+A kernel's spectrum is its atoms: (frequency, weight) rows of a purely
+atomic spectral measure, which the rates sum exactly.  The Gaussian kernel
+has none; its transform is :func:`relclock.specfun.gaussian_ft`, which the
+rates integrate.  This module imports nothing from ``specfun``, so the
+processes that only use its PSD check (``gkls``, ``hybridcq``) do not load it.
 """
 
 from __future__ import annotations
@@ -12,17 +18,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .specfun import gaussian_ft, integrate_adaptive
 
 __all__ = [
     "ClockKernel",
     "GaussianKernel",
     "CoherentReadoutKernel",
-    "SpectralMeasure",
     "PositiveTypeVerdict",
     "PositivityError",
     "kernel_spectrum",
@@ -69,35 +72,15 @@ class PositiveTypeVerdict:
         return self.positive_type
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
-    """Fourier representation of a kernel: point atoms plus an optional density.
-
-    Weights are nonnegative and the total mass equals 2*pi*w(0) by Fourier
-    inversion.  Atom rows are (frequency, weight).
-    """
-
-    atoms: np.ndarray
-    #: array in, array out, as :func:`relclock.specfun.integrate_adaptive` calls it
-    density: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    density_halfwidth: float = 0.0
-
-    def total_mass(self) -> float:
-        """Atom weights plus the density integrated to 1e-9 over its support."""
-        mass = float(np.sum(self.atoms[:, 1])) if self.atoms.size else 0.0
-        if self.density is not None:
-            L = self.density_halfwidth
-            mass += integrate_adaptive(self.density, -L, L, 1e-9).value
-        return mass
-
-
 class ClockKernel:
     """Base class for even, positive-type clock-resolution kernels."""
 
     def evaluate(self, s: float) -> float:
         raise NotImplementedError
 
-    def spectrum(self) -> SpectralMeasure:
+    def spectrum(self) -> np.ndarray:
+        """Spectral atoms as (frequency, weight) rows, for a kernel whose
+        spectrum is purely atomic; the weights sum to 2 pi w(0)."""
         raise NotImplementedError
 
     @property
@@ -118,15 +101,6 @@ class GaussianKernel(ClockKernel):
 
     def evaluate(self, s: float) -> float:
         return math.exp(-0.5 * (s / self.sigma) ** 2)
-
-    def spectrum(self) -> SpectralMeasure:
-        sig = self.sigma
-        # density support: gaussian_ft falls below any floor past ~13/sigma
-        return SpectralMeasure(
-            atoms=np.empty((0, 2)),
-            density=lambda Omega: gaussian_ft(sig, Omega),
-            density_halfwidth=14.0 / sig,
-        )
 
     @property
     def width(self) -> float:
@@ -151,35 +125,24 @@ class CoherentReadoutKernel(ClockKernel):
             raise ValueError(f"R must be >= 0, got {self.R!r}")
         if not self.omega_C > 0.0:
             raise ValueError(f"omega_C must be > 0, got {self.omega_C!r}")
-        object.__setattr__(self, "_weights", self._poisson_weights(self._auto_truncation()))
-
-    def _auto_truncation(self) -> int:
+        # Poisson weights up to the least order N whose dropped tail is below
+        # SERIES_TAIL, plus the term N + 1 (at R = 0 the one weight 1); the cap
+        # of 10 002 terms ends the loop where exp(-R^2) has underflowed to 0
         lam = self.R * self.R
-        if lam == 0.0:
-            return 0
-        # smallest N with P(Poisson(lam) > N) < SERIES_TAIL
-        term = math.exp(-lam)
-        cdf = term
-        n = 0
-        while 1.0 - cdf >= SERIES_TAIL and n < 10_000:
-            n += 1
-            term *= lam / n
-            cdf += term
-        return n + 1
-
-    def _poisson_weights(self, n_max: int) -> np.ndarray:
-        lam = self.R * self.R
-        w = np.empty(n_max + 1)
-        w[0] = math.exp(-lam)
-        for n in range(1, n_max + 1):
-            w[n] = w[n - 1] * lam / n
-        return w
+        weights = [math.exp(-lam)]
+        cdf = weights[0]
+        while lam > 0.0 and len(weights) < 10_002:
+            weights.append(weights[-1] * lam / len(weights))
+            if 1.0 - cdf < SERIES_TAIL:
+                break
+            cdf += weights[-1]
+        object.__setattr__(self, "_weights", np.array(weights))
 
     def evaluate(self, s: float) -> float:
         n = np.arange(self._weights.size)
         return float(np.dot(self._weights, np.cos(n * self.omega_C * s)))
 
-    def spectrum(self) -> SpectralMeasure:
+    def spectrum(self) -> np.ndarray:
         # atom at 0 carries 2*pi*e^{-R^2}; atoms at +-n*omega_C carry
         # pi*e^{-R^2}(R^2)^n/n! each
         atoms = [(0.0, 2.0 * math.pi * self._weights[0])]
@@ -189,7 +152,7 @@ class CoherentReadoutKernel(ClockKernel):
                 continue
             atoms.append((n * self.omega_C, w))
             atoms.append((-n * self.omega_C, w))
-        return SpectralMeasure(atoms=np.array(atoms))
+        return np.array(atoms)
 
     @property
     def width(self) -> float:
@@ -199,13 +162,12 @@ class CoherentReadoutKernel(ClockKernel):
 
 
 @functools.cache
-def kernel_spectrum(k: ClockKernel) -> SpectralMeasure:
-    """Spectral measure of the kernel (atoms and/or continuous density),
-    built once per kernel, as the frozen kernels hash by value; its atoms
-    are read-only, since every caller shares them."""
-    spec = k.spectrum()
-    spec.atoms.flags.writeable = False
-    return spec
+def kernel_spectrum(k: ClockKernel) -> np.ndarray:
+    """The kernel's (n, 2) array of spectral atoms, built once per kernel, as
+    the frozen kernels hash by value; read-only, since every caller shares it."""
+    atoms = k.spectrum()
+    atoms.flags.writeable = False
+    return atoms
 
 
 def positivity_gram_check(k: ClockKernel, times: Sequence[float]) -> PositiveTypeVerdict:

@@ -11,6 +11,11 @@ omega <= -m and exactly zero above.  A jump operator carrying label omega
 satisfies [H_S, L] = omega L, so lowering operators carry negative labels and
 are the ones damped in vacuum.
 
+:func:`kappa_tcl` is the one finite-resolution rate, with one body per kernel
+kind (a Gaussian's integral, or a sum over the spectral atoms); the vacuum is
+beta = inf, n_B = 0.  Every quadrature, series and atom sum runs at unit
+coupling, and each public value is scaled by g^2 once, exactly.
+
 The vacuum rate integral is boost invariant (the measure d^3k/2E and the
 product k.n both are), so ``env.rapidity`` does not change its value; the
 angular integral is kept explicit because intermediate hypersurface machinery
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlators import EnvironmentSpec, vacuum_spectral_density
+from .correlators import EnvironmentSpec, _unit_density, vacuum_spectral_density
 from .kernels import (
     ClockKernel,
     GaussianKernel,
@@ -51,6 +56,7 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-10
+_UNTILTED = 1e-14  # below this |rapidity| the clock is at rest in the bath
 
 
 @dataclass(frozen=True)
@@ -121,18 +127,19 @@ class LambShiftCoefficient:
     fit_slope: float
 
 
-def _gaussian_window(sigma: float) -> float:
-    """Half-width beyond which the Gaussian spectral factor is below floor."""
-    return math.sqrt(-2.0 * math.log(DAMPING_FLOOR)) / sigma
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    """``math.erf`` over a node array; numpy has no error function."""
-    return np.fromiter(map(math.erf, x), dtype=float, count=x.size)
+def _erf_diff(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """erf(hi) - erf(lo) over node arrays with hi >= lo, from ``math``, as
+    numpy has no error function.  Where lo > 0 it is erfc(lo) - erfc(hi), so
+    the heating side, where both are near 1, keeps its digits."""
+    return np.fromiter(
+        (math.erfc(a) - math.erfc(b) if a > 0.0 else math.erf(b) - math.erf(a)
+         for a, b in zip(lo.tolist(), hi.tolist())),
+        dtype=float, count=lo.size,
+    )
 
 
 def _on_shell(env: EnvironmentSpec, weight, lo: float, hi: float) -> float:
-    """int_lo^hi j(E) weight(E) dE for m <= lo < hi, integrated over the
+    """int_lo^hi j(E)/g^2 weight(E) dE for m <= lo < hi, integrated over the
     rapidity theta of E = m cosh(theta).
 
     The substitution turns the square-root edge of j at E = m into a smooth
@@ -143,26 +150,33 @@ def _on_shell(env: EnvironmentSpec, weight, lo: float, hi: float) -> float:
 
     def f(theta):
         E = m * np.cosh(theta)
-        return vacuum_spectral_density(env, E) * (m * np.sinh(theta)) * weight(E)
+        return _unit_density(m, E) * (m * np.sinh(theta)) * weight(E)
 
     return integrate_adaptive(f, math.acosh(lo / m), math.acosh(hi / m), _QUAD_TOL).value
 
 
-def _kappa_gaussian_vacuum(env: EnvironmentSpec, sigma: float, omega: float) -> float:
-    g, m = env.coupling_g, env.mass_E
-    if g == 0.0:
-        return 0.0
-    W = _gaussian_window(sigma)
+def _kappa_gaussian(env: EnvironmentSpec, sigma: float, omega: float) -> float:
+    """kappa / g^2 of a Gaussian kernel: the emission integral, the absorption
+    integral at finite beta, each where w_hat is above ``DAMPING_FLOOR``, or
+    the angular integral of a tilted vacuum."""
+    m, beta = env.mass_E, env.beta
+    W = math.sqrt(-2.0 * math.log(DAMPING_FLOOR)) / sigma
     eta = abs(env.rapidity)
-    if eta < 1e-14:
+    if eta < _UNTILTED:
+        total = 0.0
         lo, hi = max(m, -omega - W), -omega + W
-        if hi <= lo:
-            return 0.0
-        return max(_on_shell(env, lambda E: gaussian_ft(sigma, omega + E), lo, hi), 0.0)
+        if hi > lo:
+            total += _on_shell(
+                env, lambda E: (1.0 + bose_occupation(E, beta)) * gaussian_ft(sigma, omega + E), lo, hi
+            )
+        lo, hi = max(m, omega - W), omega + W
+        if not env.is_vacuum and hi > lo:
+            total += _on_shell(env, lambda E: bose_occupation(E, beta) * gaussian_ft(sigma, omega - E), lo, hi)
+        return max(total, 0.0)
 
     # tilted normal: reduce d^3k to (theta, cos) with the angular integral in
     # closed form; E = m cosh(theta), k.n spans A -+ B = omega + m cosh(theta -+
-    # eta), the integrand is g^2 m sinh(theta)/(8 pi sinh(eta)) [erf(s(A + B)) -
+    # eta), the integrand is m sinh(theta)/(8 pi sinh(eta)) [erf(s(A + B)) -
     # erf(s(A - B))], and u = theta - eta keeps A - B exact at any rapidity
     hi_arg = (W - omega) / m
     if hi_arg <= 1.0:  # otherwise u_max > 0, and u_lo below lies under it
@@ -183,86 +197,66 @@ def _kappa_gaussian_vacuum(env: EnvironmentSpec, sigma: float, omega: float) -> 
         B = m * sh * (np.where(small, ratio, 0.0) * sh)
         c, h = s * (a_minus + B), s * B
         series = 4.0 / math.sqrt(math.pi) * h * np.exp(-c * c) * (1.0 + h * h * (2.0 * c * c - 1.0) / 3.0)
-        diff = np.where(small, series, _erf(s * a_plus) - _erf(s * a_minus))
-        return g * g * m / (8.0 * math.pi) * ratio * diff
+        diff = np.where(small, series, _erf_diff(s * a_minus, s * a_plus))
+        return m / (8.0 * math.pi) * ratio * diff
 
     return max(integrate_adaptive(f, u_lo, u_max, _QUAD_TOL).value, 0.0)
 
 
 def _kappa_atomic(env: EnvironmentSpec, kernel: ClockKernel, omega: float) -> float:
-    """Rates for kernels with atomic spectra: exact sums of shifted densities.
+    """kappa / g^2 of a kernel with an atomic spectrum: an exact sum.
 
     An atom at frequency f emits at E = f - omega and absorbs at
     E = omega - f wherever E >= m_E.  The terms are added one by one, atom by
     atom and emission first, so the sum does not depend on numpy's summation
     order.
     """
-    spec = kernel_spectrum(kernel)
-    freq, weight = spec.atoms[:, 0], spec.atoms[:, 1]
+    atoms = kernel_spectrum(kernel)
+    freq, weight = atoms[:, 0], atoms[:, 1]
     m = env.mass_E
     E = np.stack((freq - omega, omega - freq), axis=1)
     on_shell = E >= m
     E = np.where(on_shell, E, m)
     occupation = bose_occupation(E, env.beta)
     occupation[:, 0] += 1.0
-    terms = np.where(on_shell, weight[:, None] * occupation * vacuum_spectral_density(env, E), 0.0)
+    terms = np.where(on_shell, weight[:, None] * occupation * _unit_density(m, E), 0.0)
     total = 0.0
     for term in terms.ravel().tolist():
         total += term
     return total
 
 
-def kappa_tcl_vacuum(q: RateQuery) -> float:
-    """Finite-resolution vacuum rate density kappa(omega) >= 0.
-
-    For a Gaussian kernel at zero rapidity this is
-    int_m^inf j(E) w_hat(omega + E) dE; the tilted-normal form integrates the
-    Doppler-shifted spectral argument over angles (and equals the zero
-    rapidity value, see the module docstring).
-    """
-    if not q.env.is_vacuum:
-        raise ValueError("thermal environment: use kappa_tcl_kms")
-    if isinstance(q.kernel, GaussianKernel):
-        return _kappa_gaussian_vacuum(q.env, q.kernel.sigma, q.omega)
-    return _kappa_atomic(q.env, q.kernel, q.omega)
-
-
-def kappa_tcl_kms(q: RateQuery) -> float:
-    """Finite-resolution thermal rate with the clock aligned with the medium.
+def kappa_tcl(q: RateQuery) -> float:
+    """Finite-resolution rate density kappa(omega) >= 0, vacuum or thermal.
 
     kappa(omega) = int j(E) [(1+n_B) w_hat(omega+E) + n_B w_hat(omega-E)] dE.
-    Reduces to the vacuum rate as beta -> inf.  The boosted thermal case
-    needs a Doppler-shifted occupation inside the angular integral and is not
-    implemented.
+    A boosted vacuum keeps the zero rapidity value (module docstring); the
+    boosted thermal case needs a Doppler-shifted occupation inside the
+    angular integral and is not implemented.
     """
     env = q.env
-    if env.is_vacuum:
-        return kappa_tcl_vacuum(q)
-    if abs(env.rapidity) > 1e-14:
+    if not env.is_vacuum and abs(env.rapidity) >= _UNTILTED:
         raise NotImplementedError(
             "boosted thermal rates (rapidity != 0 with finite beta) are unsupported"
         )
-    if not isinstance(q.kernel, GaussianKernel):
-        return _kappa_atomic(env, q.kernel, q.omega)
-    g, m, sigma, omega = env.coupling_g, env.mass_E, q.kernel.sigma, q.omega
-    if g == 0.0:
-        return 0.0
-    W = _gaussian_window(sigma)
-    total = 0.0
-    lo, hi = max(m, -omega - W), -omega + W
-    if hi > lo:
-        total += _on_shell(
-            env, lambda E: (1.0 + bose_occupation(E, env.beta)) * gaussian_ft(sigma, omega + E), lo, hi
-        )
-    lo, hi = max(m, omega - W), omega + W
-    if hi > lo:
-        total += _on_shell(env, lambda E: bose_occupation(E, env.beta) * gaussian_ft(sigma, omega - E), lo, hi)
-    return max(total, 0.0)
+    if isinstance(q.kernel, GaussianKernel):
+        unit = _kappa_gaussian(env, q.kernel.sigma, q.omega)
+    else:
+        unit = _kappa_atomic(env, q.kernel, q.omega)
+    return env.coupling_g**2 * unit
 
 
-def kappa_tcl(q: RateQuery) -> float:
-    """Dispatch to the vacuum or thermal finite-resolution rate."""
-    return kappa_tcl_vacuum(q) if q.env.is_vacuum else kappa_tcl_kms(q)
+def kappa_tcl_vacuum(q: RateQuery) -> float:
+    """:func:`kappa_tcl` of a vacuum environment; a thermal one is refused."""
+    if not q.env.is_vacuum:
+        raise ValueError("thermal environment: use kappa_tcl_kms")
+    return kappa_tcl(q)
+
+
+def kappa_tcl_kms(q: RateQuery) -> float:
+    """:func:`kappa_tcl` with the clock aligned with the medium; it reduces
+    to the vacuum rate as beta -> inf."""
+    return kappa_tcl(q)
 
 
 def kappa_markov_vacuum(env: EnvironmentSpec, omega: float) -> float:
@@ -282,7 +276,8 @@ def kappa_markov_kms(env: EnvironmentSpec, omega: float) -> float:
 
     2 pi j(|w|) (1 + n_B(|w|)) on the emission side (w <= -m),
     2 pi j(|w|) n_B(|w|) on the absorption side (w >= m), zero in the gap.
-    K(w) = exp(-beta w) K(-w) holds exactly for |w| >= m.
+    K(w) = exp(-beta w) K(-w) holds exactly for |w| >= m.  The vacuum is
+    :func:`kappa_markov_vacuum`.
     """
     m = env.mass_E
     if env.is_vacuum:
@@ -297,8 +292,6 @@ def kappa_markov_kms(env: EnvironmentSpec, omega: float) -> float:
 
 def kappa_markov(env: EnvironmentSpec, omega: float) -> float:
     """Ideal-clock rate for the environment's state (vacuum or KMS)."""
-    if env.is_vacuum:
-        return kappa_markov_vacuum(env, omega)
     return kappa_markov_kms(env, omega)
 
 
@@ -314,6 +307,7 @@ def odd_kernel_transform(sigma: float, Omega: float) -> complex:
 
 
 def _lamb_raw(env: EnvironmentSpec, sigma: float, cutoff: float) -> float:
+    """The Lamb-shift coefficient at unit coupling, up to ``cutoff``."""
     rt2 = math.sqrt(2.0)
     val = _on_shell(env, lambda E: dawson(sigma * E / rt2), env.mass_E, cutoff)
     return 2.0 * rt2 * sigma * val
@@ -334,16 +328,16 @@ def lamb_shift_coefficient(
         raise ValueError("lamb_shift_coefficient requires a gaussian kernel")
     if cutoff < 10.0 * env.mass_E:
         raise ValueError("cutoff must be >= 10 * mass_E for a reliable tail fit")
-    sigma = kernel.sigma
+    sigma, g2 = kernel.sigma, env.coupling_g**2
     grid = np.linspace(0.5 * cutoff, cutoff, 9)  # ends exactly at the cutoff
     vals = np.array([_lamb_raw(env, sigma, L) for L in grid])
     raw = float(vals[-1])
     slope, _intercept = np.polyfit(grid, vals, 1)
     return LambShiftCoefficient(
-        raw_value=raw,
+        raw_value=g2 * raw,
         cutoff=cutoff,
-        subtracted_value=raw - slope * cutoff,
-        fit_slope=float(slope),
+        subtracted_value=g2 * (raw - slope * cutoff),
+        fit_slope=g2 * float(slope),
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import relclock
 from relclock.cli import (
-    SCENARIOS, SCHEMA, ConfigError, _env_from, _json_ready, main, parse_config, run_scenario,
+    SCENARIOS, SCHEMA, STOCHASTIC, ConfigError, _env_from, _json_ready, main, parse_config, run_scenario,
 )
 
 SRC = Path(relclock.__file__).resolve().parents[1]
@@ -574,6 +574,34 @@ class TestMain:
             parse_config("[run]\nscenario = unravel\nseed = 1\n\n[unravel]\ndt = 1e-12\n")
         parse_config("[run]\nscenario = unravel\nseed = 1\n\n[unravel]\ndt = 1e-6\n")  # at the budget
 
+    @pytest.mark.parametrize("scenario, refused, named, boundary", [
+        ("lamb_shift", "[lamb_shift]\ncutoff = 9.99", r"\[lamb_shift\] cutoff must be >= 10", "[lamb_shift]\ncutoff = 10"),
+        ("lamb_shift", "[env]\nmass_e = 2\n[lamb_shift]\ncutoff = 19.9", r"\[lamb_shift\] cutoff must be >= 10",
+         "[env]\nmass_e = 2\n[lamb_shift]\ncutoff = 20"),
+        ("unravel", "[unravel]\nt = 0.0015", r"\[unravel\] t = 0.0015 must be a positive multiple of dt",
+         "[unravel]\nt = 0.002\nn_out = 3"),
+        ("unravel", "[unravel]\ndt = 0.3", r"\[unravel\] t = 1 must be a positive multiple of dt",
+         "[unravel]\ndt = 0.5\nn_out = 2"),
+        ("unravel", "[unravel]\nn_out = 4", r"\[unravel\] n_out = 4: n_out - 1 must divide the 1000 steps",
+         "[unravel]\nn_out = 1001"),
+    ])
+    def test_library_exits_refused_at_parse(self, scenario, refused, named, boundary):
+        # a Lamb-shift cutoff below 10 mass_e, an unravel t that is not a
+        # multiple of dt, and an n_out - 1 that does not divide t / dt are
+        # refused by [section] key, not by the library after parse; the
+        # boundary values still parse
+        head = f"[run]\nscenario = {scenario}\nseed = 1\n"
+        with pytest.raises(ConfigError, match=named):
+            parse_config(f"{head}{refused}\n")
+        parse_config(f"{head}{boundary}\n")
+
+    def test_noise_at_tiny_coupling(self, tmp_path):
+        # the noise target is g^2 times its unit-coupling value, so a tiny g
+        # scales the covariance and its rank tolerance alike
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = noise\nseed = 1\n\n[env]\ng = 1e-12\n")
+        assert main(["noise", "--config", str(config), "--output", str(tmp_path / "out"), "--quiet"]) == 0
+
     def test_zero_dt_named(self, tmp_path, capsys):
         config = tmp_path / "cfg.ini"
         config.write_text("[run]\nscenario = unravel\nseed = 1\n\n[unravel]\ndt = 0\n")
@@ -748,8 +776,8 @@ SCENARIO_MODULES = {
     "noise": {"_accel", "correlators", "gkls", "kernels", "specfun", "trajectories"},
     "curl": {"correlators", "gkls", "integrability", "kernels", "rates", "specfun"},
     "boost": {"correlators", "gkls", "integrability", "kernels", "rates", "specfun"},
-    "cq": {"_accel", "gkls", "hybridcq", "kernels", "specfun"},
-    "tradeoff": {"_accel", "gkls", "hybridcq", "kernels", "specfun"},
+    "cq": {"_accel", "gkls", "hybridcq", "kernels"},
+    "tradeoff": {"_accel", "gkls", "hybridcq", "kernels"},
 }
 
 #: a meta-path finder, put first, that makes every import of scipy fail
@@ -952,3 +980,70 @@ class TestWriteCsv:
         assert [str(float(c)) for c in lines[1].split(",")] == [str(v) for v in values]
         assert lines[2] == "3,7,inf,-inf,nan"
         assert lines[3] == "verbatim text,1.0,0.10000000000000001,2.5"
+
+
+#: each scenario at its defaults: the keys a config must set, and seed 1 for
+#: the stochastic two
+DEFAULT_CONFIGS = {
+    scenario: _config_with(scenario) if scenario in STOCHASTIC else _config_with(scenario).replace("seed = 1\n", "")
+    for scenario in SCENARIOS
+}
+
+#: runs every scenario of sys.argv[2:] at its default config in one process
+#: under sys.argv[1], then prints the sha256 of each artifact, and of
+#: summary.json without its wall_time_s line, as JSON
+_BYTES_PROBE = (
+    "import hashlib, json, re, sys\n"
+    "from pathlib import Path\n"
+    "from relclock.cli import main\n"
+    "root, digests = Path(sys.argv[1]), {}\n"
+    "for scenario in sys.argv[2:]:\n"
+    "    out = root / scenario\n"
+    "    assert main([scenario, '--config', str(root / (scenario + '.ini')), '--output', str(out),\n"
+    "                 '--quiet']) == 0, scenario\n"
+    "    for path in sorted(out.iterdir()):\n"
+    "        data = path.read_bytes()\n"
+    "        if path.name == 'summary.json':\n"
+    "            data = re.sub(rb'\\n *\"wall_time_s\": [^\\n]*', b'', data)\n"
+    "        digests[f'{scenario}/{path.name}'] = hashlib.sha256(data).hexdigest()\n"
+    "print(json.dumps(digests))\n"
+)
+
+#: sha256 of every default artifact, written with numpy 2.4.6 on x86-64;
+#: a change that moves one of these bytes says why in CHANGES.md
+DEFAULT_DIGESTS = {
+    "boost/boost.csv": "5573c7436f3d295dd0945812d218655576b9d62efed9d42fbc0859b8ffc8c01c",
+    "boost/summary.json": "f35ffad197257c0e318bde57185362d4df46597fd0d3b79ed1e3a207a0e73016",
+    "cq/cq_final.csv": "5504f0e6295c9270f4ee9e9a4425aa3e091f5158b307631c95ff696077109bcb",
+    "cq/summary.json": "cc9857f075f05c48c6ca0f84ce72d94c20d7f622471e95f827393fd08659b637",
+    "curl/curl.csv": "98a0f0768c8ebab6af48ae44f203d4a8268db3864956883b8aac994a98603ac8",
+    "curl/summary.json": "48eba7b04d0457147331779186762574a05558a8848a0351ab1b0392283a0bf7",
+    "gkls/gkls.csv": "6021c65bcb40f406412876e7cb01f933352496d89f7a6d26fc2ba2520563031a",
+    "gkls/summary.json": "16f15cb8d8e993b57daadca2627929f9ece5b1dd09286f6fe7ed8701020794e5",
+    "kms/kms.csv": "28f7d7b9af7b08591f6b4b4c1f79bc88c500d3ff53d0fad26424810125015ccc",
+    "kms/summary.json": "2a82286c7ed780697897800aff3fedefceb0c981c96719c6b8a854b341b7d7b5",
+    "lamb_shift/lamb_shift.csv": "6bc3080f95279bc075f196c06843fcc6e750c69f89680243d8f8b6a28d69ea07",
+    "lamb_shift/summary.json": "85c438293cb98e5c826ff86629922e599563d423dc7e1493d0ecd9edd37864e0",
+    "langevin/langevin.csv": "ec361217187955ef7af81c0a6dd55fea81d035c8c3d8bec8c24c307ba6abd313",
+    "langevin/summary.json": "2154d2a079ade998ea30588e00e2867f4ea8618ee15d19b5675c588e70cd5944",
+    "markov_limit/markov_limit.csv": "31938311810ff2ccb24725cf1217df674a2630c4e90332f8a28845e6c3177b25",
+    "markov_limit/summary.json": "07a4a3150e00157fdc81442b1f900b92c1d017c2dfbe6cb9e8bf4086ce30e866",
+    "noise/noise_covariance.csv": "69d452be3bb88509e600cbb830958dce372719cc663e28a1f53b1c62f68a9a7e",
+    "noise/summary.json": "1a07e287164fad5583526b8b7b7b5b00726a323c53d1d75583ba1a4075110aca",
+    "rates/rates.csv": "4ad457fdae19b33c6a05f4bf04063983268400dfddb9bb76e43b2bd45ff45f35",
+    "rates/summary.json": "b5d5662d13eedaa896bf6aecc3d77d9d8b2d31e7025a80737d3339195473b92f",
+    "tradeoff/summary.json": "0cbc2897234736674a4b5cd612540f9f124d2c323e88a6a495cc585d5ebbb073",
+    "tradeoff/tradeoff.csv": "6d5057b24b2a05a550ee86b9a738bdf7fe387a11b6ec2a7bbee57a086523909b",
+    "unravel/summary.json": "c0146ba98549662f90bb729283806faa5788ddf1c16f01bec25dc2f8d1f27924",
+    "unravel/unravel.csv": "7f59ac9f301afc4f2e96d29fce06be961d4544a598a1375603e986d27f80d454",
+}
+
+
+class TestByteContract:
+    def test_default_artifacts_keep_their_bytes(self, tmp_path, monkeypatch):
+        for scenario, text in DEFAULT_CONFIGS.items():
+            (tmp_path / f"{scenario}.ini").write_text(text)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the BLAS threads the table was written with
+        done = _fresh_python("-c", _BYTES_PROBE, str(tmp_path), *SCENARIOS)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == DEFAULT_DIGESTS

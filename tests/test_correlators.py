@@ -74,11 +74,12 @@ class TestSpectralDensity:
 
 class TestWightman:
     def test_regulated_coincidence_value(self):
-        # cutoff-dependent by construction; oracle = dense trapezoid of j
+        # cutoff-dependent by construction, at the cutoff 40 m_E; oracle =
+        # dense trapezoid of j up to it
         env = EnvironmentSpec()
-        E = np.linspace(1.0, 20.0, 1_000_001)
+        E = np.linspace(1.0, 40.0, 1_000_001)
         oracle = np.trapezoid(np.sqrt(E**2 - 1) / (4 * math.pi**2), E)
-        val = wightman_timelike(env, GaussianKernel(1.0), 0.0, cutoff=20.0)
+        val = wightman_timelike(env, GaussianKernel(1.0), 0.0)
         assert val.imag == 0.0
         assert val.real == pytest.approx(oracle, rel=1e-7)
 
@@ -142,26 +143,26 @@ class TestSpectralTransform:
     @pytest.mark.parametrize("env", [EnvironmentSpec(), EnvironmentSpec(beta=1.0)], ids=["vacuum", "beta1"])
     def test_against_qawo(self, env):
         for s in np.linspace(0.0, 10.0, 21):
-            got, ref = _spectral_ft(env, float(s), 40.0), _qawo(env, float(s), 40.0)
+            got, ref = _spectral_ft(env, float(s)), _qawo(env, float(s), 40.0)
             assert abs(got.real - ref.real) <= max(1e-12, 1e-10 * abs(ref.real))
             assert abs(got.imag - ref.imag) <= max(1e-12, 1e-10 * abs(ref.imag))
 
     def test_exactly_hermitian(self):
         for env in (EnvironmentSpec(), EnvironmentSpec(beta=2.0)):
             for s in (0.05, 0.7, 1.3, 4.0, 9.5):
-                assert _spectral_ft(env, -s, 40.0) == _spectral_ft(env, s, 40.0).conjugate()
+                assert _spectral_ft(env, -s) == _spectral_ft(env, s).conjugate()
 
     @pytest.mark.parametrize("s", [100.0, 600.0])
     def test_many_periods(self, s):
         # hundreds of starting panels, each split about once
         for env in (EnvironmentSpec(), EnvironmentSpec(beta=1.0)):
-            got, ref = _spectral_ft(env, s, 40.0), _qawo(env, s, 40.0)
+            got, ref = _spectral_ft(env, s), _qawo(env, s, 40.0)
             assert abs(got.real - ref.real) <= max(1e-12, 1e-10 * abs(ref.real))
             assert abs(got.imag - ref.imag) <= max(1e-12, 1e-10 * abs(ref.imag))
 
     def test_period_limit_named(self):
         with pytest.raises(ValueError, match="periods"):
-            _spectral_ft(EnvironmentSpec(), 700.0, 40.0)
+            _spectral_ft(EnvironmentSpec(), 700.0)
 
 
 def test_spectral_density_array_form():

@@ -6,11 +6,13 @@ from scipy import integrate
 
 from conftest import ClosedFormKernel
 from relclock.kernels import (
+    SERIES_TAIL,
     CoherentReadoutKernel,
     GaussianKernel,
     kernel_spectrum,
     positivity_gram_check,
 )
+from relclock.specfun import gaussian_ft
 
 
 class TestEval:
@@ -45,35 +47,43 @@ class TestEval:
 
 class TestSpectrum:
     def test_gaussian_density_at_zero(self):
-        spec = kernel_spectrum(GaussianKernel(1.0))
-        assert spec.density(0.0) == pytest.approx(math.sqrt(2 * math.pi), rel=1e-14)
-        assert spec.atoms.size == 0
+        # a Gaussian kernel has no atoms: its spectrum is the density
+        # gaussian_ft, whose value at 0 is the kernel's time integral
+        with pytest.raises(NotImplementedError):
+            kernel_spectrum(GaussianKernel(1.0))
+        area = integrate.quad(GaussianKernel(1.0).evaluate, -40, 40, epsabs=1e-14)[0]
+        assert gaussian_ft(1.0, 0.0) == pytest.approx(area, rel=1e-14)
+        assert area == pytest.approx(math.sqrt(2 * math.pi), rel=1e-14)
 
     def test_coherent_atom_weight(self):
-        spec = kernel_spectrum(CoherentReadoutKernel(R=1.0, omega_C=1.0))
-        w_plus1 = [w for f, w in spec.atoms if abs(f - 1.0) < 1e-12]
+        atoms = kernel_spectrum(CoherentReadoutKernel(R=1.0, omega_C=1.0))
+        w_plus1 = [w for f, w in atoms if abs(f - 1.0) < 1e-12]
         assert len(w_plus1) == 1
         assert w_plus1[0] == pytest.approx(math.pi * math.exp(-1.0), rel=1e-12)
 
     def test_static_clock_limit(self):
-        spec = kernel_spectrum(CoherentReadoutKernel(R=0.0, omega_C=1.0))
-        assert spec.atoms.shape[0] == 1
-        assert spec.atoms[0, 0] == 0.0
-        assert spec.atoms[0, 1] == pytest.approx(2 * math.pi, rel=1e-12)
+        atoms = kernel_spectrum(CoherentReadoutKernel(R=0.0, omega_C=1.0))
+        assert atoms.shape == (1, 2)
+        assert atoms[0, 0] == 0.0
+        assert atoms[0, 1] == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_total_mass_is_2pi_w0(self):
-        for k in (GaussianKernel(0.7), CoherentReadoutKernel(R=1.5, omega_C=2.0)):
-            assert kernel_spectrum(k).total_mass() == pytest.approx(
-                2 * math.pi * k.evaluate(0.0), abs=1e-6
-            )
+        # Fourier inversion at s = 0: the atoms of a coherent kernel, and the
+        # density of a Gaussian one, carry 2 pi w(0)
+        for k in (CoherentReadoutKernel(R=1.5, omega_C=2.0), CoherentReadoutKernel(R=3.0, omega_C=0.7)):
+            assert kernel_spectrum(k)[:, 1].sum() == pytest.approx(2 * math.pi * k.evaluate(0.0), rel=1e-12)
+        k = GaussianKernel(0.7)
+        mass = integrate.quad(lambda O: gaussian_ft(k.sigma, O), -14.0 / k.sigma, 14.0 / k.sigma)[0]
+        assert mass == pytest.approx(2 * math.pi * k.evaluate(0.0), abs=1e-6)
 
     def test_nonnegative_weights(self):
-        spec = kernel_spectrum(CoherentReadoutKernel(R=2.0, omega_C=1.0))
-        assert np.all(spec.atoms[:, 1] >= 0.0)
+        atoms = kernel_spectrum(CoherentReadoutKernel(R=2.0, omega_C=1.0))
+        assert np.all(atoms[:, 1] >= 0.0)
 
     def test_parseval_against_time_domain(self):
-        # <w, g> in time equals <w_hat, g_hat> / (2 pi) for a Gaussian probe
-        s0, g0 = 0.8, 1.0  # probe exp(-s^2/(2 s0^2))
+        # <w, g> in time equals <w_hat, g_hat> / (2 pi) for a Gaussian probe:
+        # w_hat is gaussian_ft for the Gaussian kernel, the atoms otherwise
+        s0 = 0.8  # probe exp(-s^2/(2 s0^2))
         ghat = lambda O: math.sqrt(2 * math.pi) * s0 * math.exp(-0.5 * (s0 * O) ** 2)
         for k in (GaussianKernel(1.0), CoherentReadoutKernel(R=1.0, omega_C=1.3)):
             time_side = integrate.quad(
@@ -82,14 +92,36 @@ class TestSpectrum:
                 40,
                 limit=400,
             )[0]
-            spec = kernel_spectrum(k)
-            freq_side = sum(w * ghat(f) for f, w in spec.atoms)
-            if spec.density is not None:
-                L = spec.density_halfwidth
-                freq_side += integrate.quad(
-                    lambda O: spec.density(O) * ghat(O), -L, L, limit=400
-                )[0]
+            if isinstance(k, GaussianKernel):
+                L = 14.0 / k.sigma
+                freq_side = integrate.quad(lambda O: gaussian_ft(k.sigma, O) * ghat(O), -L, L, limit=400)[0]
+            else:
+                freq_side = sum(w * ghat(f) for f, w in kernel_spectrum(k))
             assert freq_side / (2 * math.pi) == pytest.approx(time_side, abs=1e-6)
+
+
+class TestCoherentWeights:
+    @pytest.mark.parametrize("R", [0.0, 0.5, 3.0, 10.0])
+    def test_one_pass_matches_two_passes(self, R):
+        # the weights equal those of the least order N whose dropped Poisson
+        # tail is below SERIES_TAIL, found by a first pass, plus the term
+        # N + 1, built by a second pass
+        lam = R * R
+        n = 0
+        if lam:
+            term = cdf = math.exp(-lam)
+            while 1.0 - cdf >= SERIES_TAIL:
+                n += 1
+                term *= lam / n
+                cdf += term
+            n += 1
+        expected = np.empty(n + 1)
+        expected[0] = math.exp(-lam)
+        for k in range(1, n + 1):
+            expected[k] = expected[k - 1] * lam / k
+        got = CoherentReadoutKernel(R=R, omega_C=1.0)._weights
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 class TestCoherentGaussianLimit:

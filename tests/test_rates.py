@@ -86,18 +86,23 @@ class TestTclVacuum:
                 base, rel=1e-8
             )
 
-    @pytest.mark.parametrize("omega", [-4.0, -1.0])
+    @pytest.mark.parametrize("omega", [-4.0, -1.0, 0.0])
     def test_boost_invariance_at_every_rapidity(self, omega):
         # A - B = omega + m cosh(theta - eta) is formed without cancellation,
-        # so the tilted rate keeps the untilted value up to the declared
-        # domain edge |eta| = 710, where cosh(eta) is still a finite float
+        # and on the heating side the erf difference is formed from erfc, so
+        # the tilted rate keeps the untilted value up to the declared domain
+        # edge |eta| = 710, where cosh(eta) is still a finite float; omega > 0
+        # at sigma = 5 is left out, where kappa is about 1e-15 and the
+        # untilted reference itself is only good to 1e-10 absolute
+        for sigma in (1.0, 5.0):
+            base = kappa_tcl_vacuum(q(omega, sigma=sigma))
+            for eta in (1e-13, 1e-9, 1e-6, 1e-4, 1e-3, 0.3, 3.0, 5.0, 15.0, 25.0, 50.0, 700.0, 710.0, -710.0):
+                tilted = kappa_tcl_vacuum(q(omega, sigma=sigma, env=replace(VAC, rapidity=eta)))
+                assert tilted == pytest.approx(base, rel=1e-12, abs=0.0)
         base = kappa_tcl_vacuum(q(omega))
-        for eta in (0.3, 5.0, 15.0, 25.0, 50.0, 710.0, -710.0):
-            tilted = kappa_tcl_vacuum(q(omega, env=replace(VAC, rapidity=eta)))
-            assert tilted == pytest.approx(base, rel=1e-12, abs=0.0)
         # small rapidities take the series of the erf difference in sigma B,
         # whose direct form rounds past the quadrature tolerance at 1e-9
-        for eta in (1e-9, 1e-7, 1e-5, 1e-3):
+        for eta in (1e-7, 1e-5):
             tilted = kappa_tcl_vacuum(q(omega, env=replace(VAC, rapidity=eta)))
             assert tilted == pytest.approx(base, rel=1e-10, abs=0.0)
 
@@ -105,13 +110,64 @@ class TestTclVacuum:
         # kappa(w) = sum_n weight_n j(Omega_n - w), exact, no quadrature
         ker = CoherentReadoutKernel(R=1.0, omega_C=1.0)
         query = RateQuery(omega=-3.0, kernel=ker, env=VAC)
-        spec = ker.spectrum()
         expected = sum(
             w * vacuum_spectral_density(VAC, f + 3.0)
-            for f, w in spec.atoms
+            for f, w in ker.spectrum()
             if f + 3.0 >= 1.0
         )
         assert kappa_tcl_vacuum(query) == pytest.approx(expected, rel=1e-12)
+
+
+class TestCouplingPrefactor:
+    """g enters every rate, correlator and noise target as the exact prefactor
+    g^2: the quadratures, series and atom sums run at unit coupling."""
+
+    COUPLINGS = (1e-8, 1e-4, 1e-2, 0.3, 1e3)
+
+    @staticmethod
+    def _covariant(value_at):
+        unit = value_at(1.0)
+        for g in TestCouplingPrefactor.COUPLINGS:
+            assert value_at(g) == pytest.approx(g * g * unit, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("kernel, env", [
+        (GaussianKernel(5.0), VAC),
+        (GaussianKernel(5.0), replace(VAC, rapidity=0.5)),
+        (GaussianKernel(1.0), EnvironmentSpec(beta=1.0)),
+        (CoherentReadoutKernel(R=2.0, omega_C=1.0), EnvironmentSpec(beta=0.7)),
+    ], ids=["gaussian", "tilted", "thermal", "coherent"])
+    def test_kappa_tcl(self, kernel, env):
+        for om in (-4.0, -1.0, 0.0, 2.0):
+            self._covariant(lambda g: kappa_tcl(RateQuery(om, kernel, replace(env, coupling_g=g))))
+
+    def test_kappa_markov(self):
+        from relclock.rates import kappa_markov
+
+        for env in (VAC, EnvironmentSpec(beta=1.0)):
+            for om in (-4.0, -1.5, 2.0):
+                self._covariant(lambda g: kappa_markov(replace(env, coupling_g=g), om))
+
+    def test_lamb_shift_coefficient(self):
+        for field in ("raw_value", "subtracted_value", "fit_slope"):
+            self._covariant(lambda g: getattr(lamb_shift_coefficient(
+                replace(VAC, coupling_g=g), GaussianKernel(1.0), 40.0), field))
+
+    def test_wightman_timelike(self):
+        from relclock.correlators import wightman_timelike
+
+        for env in (VAC, EnvironmentSpec(beta=2.0)):
+            for s in (0.0, 0.7, -2.5):
+                self._covariant(lambda g: wightman_timelike(
+                    replace(env, coupling_g=g), GaussianKernel(1.0), s))
+
+    def test_noise_lag_target(self):
+        from relclock.trajectories import sample_colored_noise
+
+        grid = np.linspace(0.0, 4.0, 8)
+        unit = sample_colored_noise(VAC, GaussianKernel(1.0), grid, 1, 0).target_covariance[0]
+        for g in self.COUPLINGS:
+            field = sample_colored_noise(replace(VAC, coupling_g=g), GaussianKernel(1.0), grid, 1, 0)
+            assert np.array_equal(field.target_covariance[0], g * g * unit)
 
 
 class TestTclKms:
@@ -341,7 +397,7 @@ class TestKernelCertificate:
             for om in np.linspace(-6.0, 6.0, 400):
                 kappa_tcl(RateQuery(omega=float(om), kernel=kernel, env=env))
         assert calls == [kernel]
-        assert not kernels.kernel_spectrum(kernel).atoms.flags.writeable
+        assert not kernels.kernel_spectrum(kernel).flags.writeable
 
     def test_failure_raises_on_every_query(self, gram_calls):
         bad = ClosedFormKernel(lambda s: 1 - s**2, 0.25)
@@ -356,11 +412,11 @@ class TestAtomicSum:
         # the vectorized terms are added in the order of the former loop, so
         # the rate is bit-identical to it
         ker = CoherentReadoutKernel(R=3.0, omega_C=1.0)
-        spec = ker.spectrum()
+        atoms = ker.spectrum()
         for env in (VAC, EnvironmentSpec(beta=0.7)):
             for om in np.linspace(-6.0, 6.0, 25):
                 total = 0.0
-                for f, w in spec.atoms:
+                for f, w in atoms:
                     E = f - om
                     if E >= 1.0:
                         n = 0.0 if env.is_vacuum else bose_occupation(E, env.beta)
@@ -449,9 +505,20 @@ class TestQuadratureOracle:
                     assert abs(got - ref) <= max(1e-10, 1e-10 * abs(ref))
 
     def test_math_erf_matches_scipy(self):
+        # erf(hi) - erf(lo) against scipy, to the rounding of its two erf
+        # values.  On the heating side (lo > 0) it is an erfc difference, held
+        # to 1e-14 of erfc(lo) (math.erfc and scipy's differ by up to 4e-15
+        # relative there); an erf difference would round 1 - 1 and miss
+        # erfc(6) = 2e-17 entirely
         from scipy import special
 
-        from relclock.rates import _erf
+        from relclock.rates import _erf_diff
 
         x = np.linspace(-6.0, 6.0, 20_001)
-        assert np.all(np.abs(_erf(x) - special.erf(x)) <= 4e-16 * np.maximum(np.abs(special.erf(x)), 1e-300))
+        for shift in (0.0, 1e-6, 0.5, 3.0):
+            lo, hi = x, x + shift
+            heating = lo > 0.0
+            ref = np.where(heating, special.erfc(lo) - special.erfc(hi), special.erf(hi) - special.erf(lo))
+            bound = np.where(heating, 1e-14 * special.erfc(lo),
+                             4.5e-16 * (np.abs(special.erf(lo)) + np.abs(special.erf(hi))))
+            assert np.all(np.abs(_erf_diff(lo, hi) - ref) <= bound)
