@@ -8,14 +8,14 @@ and hybrid classical-quantum clock dynamics.
 
 Importing ``relclock`` or ``relclock.cli`` loads numpy and no physics
 module: each name below is imported from its home module on first use, so a
-CLI process loads only the modules its scenario runs.  Neither import loads
+CLI process loads only the modules its scenario runs.  No scenario loads
 OpenSSL: ``cli`` hashes configs with CPython's built-in SHA-256, not
-``hashlib``; the ``unravel`` and ``noise`` scenarios load it through
-``numpy.random``.  No relclock module imports scipy.  Quadrature and special
-functions are numpy (:mod:`relclock.specfun`), Gibbs states come from
-``eigh``, and the matrix
-exponential is Padé scaling and squaring (``gkls.expm``).  scipy is a
-test-only dependency, the oracle these routines are checked against.
+``hashlib``, and ``trajectories`` makes its Philox streams itself, without
+numpy's ``random`` package.  No relclock module imports scipy.  Quadrature
+and special functions are numpy (:mod:`relclock.specfun`), Gibbs states come
+from ``eigh``, and the matrix exponential is Padé scaling and squaring
+(``gkls.expm``).  scipy is a test-only dependency, the oracle these routines
+are checked against.
 """
 
 import importlib

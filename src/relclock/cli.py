@@ -9,9 +9,10 @@ Exit status: 0 on success, 2 when a declared invariant check fails, 1 on
 errors, which stderr names by scenario and stage (parse, compute or write);
 ``--traceback`` prints the traceback too.
 
-Importing this module loads no OpenSSL: the config hash comes from CPython's
-built-in SHA-256, not ``hashlib``, whose libcrypto is about 3.5 MB resident.
-``unravel`` and ``noise`` still load it, through ``numpy.random``.
+No scenario loads OpenSSL: the config hash comes from CPython's built-in
+SHA-256, not ``hashlib``, whose libcrypto is about 3.5 MB resident, and
+``unravel`` and ``noise`` draw from the package's own Philox streams
+(``trajectories``), not numpy's ``random`` package, which imports ``hashlib``.
 
 Each ``SCHEMA`` key declares its domain: the accepted words of a string, or
 an interval such as ``(0, inf)`` that every number of a value (a list's or a
@@ -235,13 +236,15 @@ def parse_config(
     lie in the domain its ``SCHEMA`` entry declares (see :func:`_check`):
     ``[env] beta`` alone is closed at +inf, ``[curl] x`` and ``y`` must be
     distinct sites below ``n_sites``, kms needs a finite exp(beta * omega),
-    the Lamb-shift cutoff is at least 10 ``mass_e``, and an unravel run may
-    take at most ``_UNRAVEL_STEPS`` trajectory-steps, with t a multiple of dt
+    a langevin mode at finite beta a positive energy, the Lamb-shift cutoff
+    is at least 10 ``mass_e``, and an unravel run may take at most
+    ``_UNRAVEL_STEPS`` trajectory-steps, with t a multiple of dt
     (``gkls.step_count``) and n_out - 1 dividing the step count.
     Library caps (noise grid, curl sites, boost modes) are not declared here
     and stay library errors.
     Stochastic scenarios must carry a seed (reproducibility contract);
-    ``seed_override`` substitutes for a config-file seed.
+    ``seed_override`` substitutes for a config-file seed, and either must lie
+    in [0, 2^64 - 1].
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -258,14 +261,17 @@ def parse_config(
         raise ConfigError(f"config declares scenario {declared!r}, command asked for {scenario!r}")
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    seed = None
-    if "seed" in run:
-        try:
-            seed = int(run.pop("seed"))
-        except ValueError:
-            raise ConfigError("[run] seed: expected an integer")
+    seeds = [run.pop("seed")] if "seed" in run else []
     if seed_override is not None:
-        seed = seed_override
+        seeds.append(seed_override)
+    seed = None
+    for raw in seeds:  # the config's, then the override: each keys the Philox streams
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigError(f"[run] seed: expected an integer, got {raw!r}") from None
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"[run] seed must be in [0, 2^64 - 1] (a 64-bit Philox key), got {seed}")
     output = Path(run.pop("output", "."))
     if run:
         raise ConfigError(f"unknown key in [run]: {sorted(run)[0]!r}")
@@ -310,6 +316,9 @@ def parse_config(
         if beta * abs(om) > _EXP_MAX:
             raise ConfigError(f"[kms] omega = {om:g} and [env] beta = {beta:g} make beta * |omega| = "
                               f"{beta * abs(om):.6g}, past {_EXP_MAX:.6g}, where exp(beta * omega) overflows")
+    if scenario == "langevin" and params["env.beta"] != math.inf and params["langevin.energy"] <= 0.0:
+        raise ConfigError(f"[langevin] energy must be > 0 at a finite [env] beta = {params['env.beta']:g}, "
+                          f"got {params['langevin.energy']:g}: the mode's thermal occupation needs E > 0")
     if scenario == "lamb_shift" and params["lamb_shift.cutoff"] < 10.0 * params["env.mass_e"]:
         raise ConfigError(f"[lamb_shift] cutoff must be >= 10 * [env] mass_e = {10.0 * params['env.mass_e']:g} "
                           f"for the tail fit, got {params['lamb_shift.cutoff']:g}")

@@ -18,24 +18,23 @@ are uniform phases sqrt(dt) * {1, i, -1, -i}, two random bits each: the
 simplified weak Euler scheme with discrete increments (Kloeden & Platen
 1992, ch. 14).
 
-Reproducibility: every draw comes from a counter-based Philox stream keyed
-by (seed, index), so a fixed seed gives bit-identical results regardless of
-how the work is scheduled or chunked (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11).  A keyed stream is a pure function of
-its key and counter, so one generator is re-keyed (``_rekey``) to any key
-and any group of four words without drawing the words before it.  The
-streams are keyed by column, not by trajectory:
+Reproducibility: every draw comes from a counter-based Philox4x64-10 stream
+keyed by (seed, index), so a fixed seed gives bit-identical results regardless
+of how the work is scheduled or chunked (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11).  The streams are made here, in uint64
+numpy (``_philox``), word for word those of numpy's ``Philox`` bit generator;
+a keyed stream is a pure function of its key and counter, so one call
+(``_keyed_words``) reads any run of words of many keys at once without making
+the words before them.  The streams are keyed by column, not by trajectory:
 
 - Increment (r, s, k) of the unraveling is the 2-bit field f = s * n_jump +
   k of trajectory r's raw 64-bit words, bits 2 (f mod 32) and 2 (f mod 32) +
   1 of its word j = f // 32, and that word is word r of the stream keyed
-  (seed, j).  A chunk of trajectories reads each word j of all its rows in
-  one call.
-- Noise realization r is row r - bR of block b = r // R of the sampler
-  (R realizations a block, below), and block b is one draw of normals from
-  the stream keyed (seed, b).  Ziggurat normals take a varying number of
-  words each, so they cannot be addressed by counter; a row depends on the
-  rows before it in its block, never on the number of realizations.
+  (seed, j).  A chunk of trajectories reads a window of ``_WORDS`` word
+  columns of all its rows in one call.
+- Complex normal a of noise realization r is the Box-Muller transform of
+  words 2r and 2r + 1 of the stream keyed (seed, a) (``_draw_blocks``), so it
+  depends on (seed, r, a) alone, never on the number of realizations.
 
 Memory: ``unravel_linear`` steps at most ``_CHUNK`` trajectories at a time,
 through blocks of at most ``_BLOCK_FIELDS`` one-byte two-bit fields (or of
@@ -50,7 +49,11 @@ draws only the k <= n eigen-directions of the target covariance that stand
 above its rank tolerance, R = ``_SAMPLE_BYTES`` // (16 k) realizations at a
 time, and keeps only their k x k sum of outer products, so its working
 memory is O(R * k + n * k + n^2) on an n-point grid: no O(n_real * n) buffer
-exists unless a caller reads ``NoiseField.samples``.
+exists unless a caller reads ``NoiseField.samples``.  Either reads its words
+in calls of about 8200 four-word counter blocks (``_WORDS`` columns of a
+chunk's rows, or 2R words of k columns), 256 kB of words, and one such call
+peaks below 1 MB with the temporaries of its Philox rounds.  Nothing here
+imports numpy's ``random`` package, which would bring OpenSSL with it.
 """
 
 from __future__ import annotations
@@ -96,42 +99,75 @@ _ROUNDING = 1e-12
 _FALSE_ALARM = 1e-3
 
 
-def _generator() -> np.random.Generator:
-    """A Philox generator for ``_rekey`` to key and position.
+#: the Philox4x64-10 round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
-    ``Philox(key=...)`` would first seed a SeedSequence from OS entropy that
-    the key then discards; seeding with 0 and re-keying gives the same draws
-    for less.  Built on first use, so that importing the package does not
-    import ``numpy.random``.
+
+def _mulhilo(a: np.ndarray, m: int):
+    """(hi, lo): the high and low 64-bit words of the 128-bit products a * m.
+
+    The high word is built from the four 32 x 32-bit products of the
+    halves, carrying the middle sums, none of which overflows 64 bits
+    (Warren, "Hacker's Delight", 8-2); the low word is the wrapping uint64
+    product.
     """
-    return np.random.Generator(np.random.Philox(0))
+    m_hi, m_lo = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    a_hi, a_lo = a >> _SHIFT32, a & _LOW32
+    mid = a_hi * m_lo
+    mid += (a_lo * m_lo) >> _SHIFT32
+    cross = a_lo * m_hi
+    cross += mid & _LOW32
+    hi = a_hi * m_hi
+    hi += mid >> _SHIFT32
+    hi += cross >> _SHIFT32
+    return hi, a * np.uint64(m)
 
 
-def _rekey(gen: np.random.Generator, seed: int, index: int, counter: int = 0) -> None:
-    """Position ``gen`` at word 4 * ``counter`` of the Philox stream keyed
-    (seed, index): that key and counter, empty buffer.
+def _philox(counter, seed: int, index) -> np.ndarray:
+    """The four words Philox4x64-10 makes from the counter (counter, 0, 0,
+    0) and the key (seed, index), on a last axis of length 4.
 
-    Philox makes the four words 4c .. 4c + 3 of a stream from counter c + 1
-    alone, so any word can be reached without drawing the ones before it.
-    Re-keying is about eight times cheaper than building a new Philox.
+    ``counter`` and ``index`` are uint64 arrays, broadcast against each
+    other, and ``seed`` is one integer in [0, 2^64).  Ten rounds of two 64 x
+    64 -> 128-bit products (``_mulhilo``), the key bumped by the Weyl
+    increments between rounds, mod 2^64: the same words as numpy's
+    ``Philox.random_raw``.
     """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (counter, 0, 0, 0), "key": (seed, index)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    c0, index = np.broadcast_arrays(np.asarray(counter, dtype=np.uint64),
+                                    np.asarray(index, dtype=np.uint64))
+    c1 = c2 = c3 = np.zeros(c0.shape, dtype=np.uint64)
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_WEYL[0]) % 2**64)
+        k1 = index + np.uint64(r * _PHILOX_WEYL[1] % 2**64)
+        hi0, lo0 = _mulhilo(c0, _PHILOX_MULTIPLIERS[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_MULTIPLIERS[1])
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1)
 
 
-def _keyed_words(gen: np.random.Generator, seed: int, index: int, first: int, n: int) -> np.ndarray:
-    """Raw words first .. first + n - 1 of the Philox stream keyed (seed,
-    index): one read from counter first // 4, less its first (first mod 4)
-    words."""
-    _rekey(gen, seed, index, first // 4)
-    skip = first % 4
-    return gen.bit_generator.random_raw(skip + n)[skip:]
+def _keyed_words(seed: int, columns, first: int, n: int) -> np.ndarray:
+    """The (len(columns), n) raw words first .. first + n - 1 of the Philox
+    streams keyed (seed, j), one row per j in ``columns``.
+
+    Words 4c .. 4c + 3 of a stream come from counter c + 1 alone, so a read
+    starts at any word without making the ones before it: one ``_philox``
+    call over the counters first // 4 + 1 onwards, less the first (first
+    mod 4) words.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64 - 1], got {seed}")
+    block = first // 4
+    counters = np.arange(block + 1, (first + n + 3) // 4 + 1, dtype=np.uint64)
+    keys = np.asarray(columns, dtype=np.uint64)[:, None]
+    words = _philox(counters, seed, keys).reshape(len(keys), -1)
+    return words[:, first - 4 * block:first - 4 * block + n]
 
 
 def _phase_table(dt: float) -> np.ndarray:
@@ -163,27 +199,30 @@ def _draw_blocks(seed: int, k: int, n_real: int):
     """Yield ``(start, stop, xi)`` for each fixed block of R = ``_SAMPLE_BYTES``
     // (16 k) realizations (at least one); yield nothing when k is 0.
 
-    Block b = start / R is one draw of the stream keyed (seed, b): its
-    first 2k (stop - start) normals, in row order, are the real and
-    imaginary parts of rows 0 .. stop - start - 1 of the (R, k) array
-    ``xi``, scaled by 1/sqrt(2) so E[xi xi*] = 1.  Ziggurat normals cannot
-    be addressed by counter, so a block, not a realization, owns a stream;
-    row r - start still depends on (seed, r, k) only, as a shorter last
-    block draws a prefix of the same stream.  Its rows past ``n_real`` are
-    zero.  One buffer is refilled for every block.
+    Row r - start of the (R, k) array ``xi`` holds the complex normals of
+    realization r: xi[r, a] = sqrt(-ln u1) e^{2 pi i u2}, where u1 and u2
+    come from words 2r and 2r + 1 of the stream keyed (seed, a) by u = ((w >>
+    11) + 1) 2^-53 in (0, 1] (Box & Muller 1958).  -ln u1 is Exp(1) and the
+    phase uniform, so E xi = 0, E |xi|^2 = 1 and E xi^2 = 0.  Each block
+    reads its words in one ``_keyed_words`` call and transforms all R rows,
+    then zeroes the rows past ``n_real``: xi[r, a] depends on (seed, r, a)
+    only, bit for bit, wherever the last block ends.  One buffer is refilled
+    for every block.
     """
     if k == 0:
         return
     rows = max(1, _SAMPLE_BYTES // (16 * k))
     xi = np.empty((rows, k), dtype=complex)
-    gen = _generator()
-    for block, start in enumerate(range(0, n_real, rows)):
-        stop = min(start + rows, n_real)
-        _rekey(gen, seed, block)
-        gen.standard_normal(out=xi[: stop - start].view(np.float64))
-        xi[stop - start:] = 0.0
-        xi /= math.sqrt(2.0)
-        yield start, stop, xi
+    parts = xi.view(np.float64).reshape(rows, k, 2)
+    for start in range(0, n_real, rows):
+        words = _keyed_words(seed, range(k), 2 * start, 2 * rows)
+        u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        radius = np.sqrt(-np.log(u[:, 0::2]))
+        angle = (2.0 * math.pi) * u[:, 1::2]
+        np.multiply(radius.T, np.cos(angle).T, out=parts[..., 0])
+        np.multiply(radius.T, np.sin(angle).T, out=parts[..., 1])
+        xi[n_real - start:] = 0.0
+        yield start, min(start + rows, n_real), xi
 
 
 @dataclass(frozen=True)
@@ -194,10 +233,9 @@ class NoiseField:
     ``root`` is n x k: the eigenvectors of ``target_covariance`` whose
     eigenvalues exceed ``_RANK_TOL`` times its largest diagonal entry, each
     scaled by the square root of its eigenvalue.  Realization r is z_r =
-    ``root`` @ xi_r, with the k complex normals xi_r row r - bR of the draw
-    block b = r // R, R = ``_SAMPLE_BYTES`` // (16 k), drawn from the stream
-    keyed (``seed``, b); E[z_j z_k*] converges to ``target_covariance[j, k]``
-    up to the dropped eigenvalues.  ``covariance`` is (1/N) sum_r z_r z_r^H,
+    ``root`` @ xi_r, with xi_r[a] the complex normal made from words 2r and
+    2r + 1 of the stream keyed (``seed``, a) (``_draw_blocks``); E[z_j z_k*]
+    converges to ``target_covariance[j, k]`` up to the dropped eigenvalues.  ``covariance`` is (1/N) sum_r z_r z_r^H,
     built while the draws were made.  ``clipped_mass`` is the sum of |lambda|
     over every dropped eigenvalue, positive or negative: the trace norm of
     ``target_covariance - root @ root^H``.  ``_lag_summary`` reduces both
@@ -264,14 +302,14 @@ def sample_colored_noise(
     |lambda|), and the k eigenvalues above tol give the n x k ``root``.  The
     clock kernel smooths the correlator, so k is far below n on fine grids
     (39 of 256 points for a unit Gaussian over a span of 4); a grid of full
-    numerical rank keeps all n.  Realization r is ``root @ xi`` with the k
-    complex normals xi in row r - bR of draw block b = r // R.  With
-    ``coupling_g`` = 0 the covariance vanishes, k = 0 and nothing is drawn.
+    numerical rank keeps all n.  Realization r is ``root @ xi_r``, xi_r[a]
+    the Box-Muller normal of words 2r and 2r + 1 of the stream keyed (seed,
+    a): |xi_r[a]|^2 is Exp(1), so E xi_r xi_r^H is the identity unscaled.  With ``coupling_g`` = 0 the
+    covariance vanishes, k = 0 and nothing is drawn.
 
     The sample covariance is streamed: the draws come in fixed blocks of
-    R = ``_SAMPLE_BYTES`` // (16 k) rows (at least one), block b being one
-    call that draws the normals of its rows in order from the stream keyed
-    (seed, b), and the k x k S =
+    R = ``_SAMPLE_BYTES`` // (16 k) rows (at least one), each one read of
+    2R words from each of the k streams (``_draw_blocks``), and the k x k S =
     sum_r xi_r xi_r^H grows by ``xi.T @ conj(xi)`` per block, so the stored
     ``root @ (S / n_real) @ root^H`` equals (1/N) sum_r z_r z_r^H without
     any realization being formed.  ``NoiseField.samples`` regenerates them
@@ -378,17 +416,17 @@ def unravel_linear(
     Moments are kept at ``n_out`` >= 2 evenly spaced grid times including
     both endpoints, so (n_out - 1) must divide the step count.
 
-    Each chunk draws its increments' words one column and window at a time
-    (module docstring), and the stepper (``_accel``) takes their unpacked
-    two-bit fields one block at a time; blocks end only at save points or a
-    multiple of four steps after one, so the blocking never changes a
-    trajectory's bits.  A block's saved states are reduced at once to the
-    moments of fixed dyadic blocks of trajectories (``saved_state_moments``),
-    which binary carries and a last fold merge across chunks
-    (``merge_moments``): no buffer grows with n_traj * n_steps or n_traj *
-    n_out, and no bit depends on the chunking.  The mean projector has
-    exactly the expectation Phi^n rho0 it would have with Gaussian
-    increments (``_phase_table``).
+    Each chunk reads its increments' words one window of ``_WORDS`` columns
+    at a time (module docstring), and the stepper (``_accel``) takes their
+    unpacked two-bit fields one block at a time; blocks end only at save
+    points or a multiple of four steps after one, so the blocking never
+    changes a trajectory's bits.  A block's saved states are reduced at once
+    to the moments of fixed dyadic blocks of trajectories
+    (``saved_state_moments``), which binary carries and a last fold merge
+    across chunks (``merge_moments``): no buffer grows with n_traj * n_steps
+    or n_traj * n_out, and no bit depends on the chunking.  The mean
+    projector has exactly the expectation Phi^n rho0 it would have with
+    Gaussian increments (``_phase_table``).
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be at least 1, got {n_traj}")
@@ -421,7 +459,6 @@ def unravel_linear(
     saved = np.empty((span // stride + 1, d, chunk), dtype=complex)
     stack = []  # nodes of trajectories 0 .. start - 1, one per canonical dyadic block
     final = np.empty((n_traj, 1, d), dtype=complex)
-    gen = _generator()
     for start in range(0, n_traj, chunk):
         rows = min(chunk, n_traj - start)
         psi = np.tile(psi0, (rows, 1))
@@ -437,8 +474,8 @@ def unravel_linear(
                 if f % window == 0:
                     # word j of trajectory r is word r of the stream keyed (seed, j)
                     first = f // 32
-                    for col, j in enumerate(range(first, min(first + _WORDS, n_words))):
-                        words[:rows, col] = _keyed_words(gen, seed, j, start, rows)
+                    columns = range(first, min(first + _WORDS, n_words))
+                    words[:rows, :len(columns)] = _keyed_words(seed, columns, start, rows).T
                 piece = min(f1, f - f % window + window) - f
                 _unpack(packed[:rows], f % window, buf[:, f - f0 : f - f0 + piece])
                 f += piece

@@ -117,6 +117,16 @@ class TestParseConfig:
         # parse; a value just past each finite bound, nan, and an infinity
         # the domain does not contain are refused by [section] key
         parse_config(_config_with(scenario))
+        # [run] seed keys the Philox streams, so it is one 64-bit word,
+        # whether the config or --seed gives it
+        for seed in (0, 2**64 - 1):
+            assert parse_config(_config_with(scenario).replace("seed = 1", f"seed = {seed}")).seed == seed
+            assert parse_config(_config_with(scenario), seed_override=seed).seed == seed
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match=re.escape("[run] seed")):
+                parse_config(_config_with(scenario).replace("seed = 1", f"seed = {seed}"))
+            with pytest.raises(ConfigError, match=re.escape("[run] seed")):
+                parse_config(_config_with(scenario), seed_override=seed)
         for sec, keys in SCHEMA[scenario].items():
             for key, (typ, _, domain) in keys.items():
                 named = re.escape(f"[{sec}] {key}")
@@ -298,6 +308,22 @@ class TestRunScenario:
         out = tmp_path / "out"
         assert main(["langevin", "--config", str(config), "--output", str(out), "--quiet"]) == 0
         assert json.loads((out / "summary.json").read_text())["checks"]["ccr_preserved"]
+
+    @pytest.mark.parametrize("energy", ["-2", "0", "-1e-300"])
+    def test_langevin_thermal_mode_needs_positive_energy(self, tmp_path, capsys, energy):
+        # at finite beta the mode's thermal occupation n_B(E) needs E > 0:
+        # refused at parse by key, not by the library in compute, and no
+        # occupation is clamped to 0; the vacuum keeps running such a mode
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = langevin\n\n[env]\nbeta = 1\n[langevin]\nenergy = {energy}\n")
+        out = tmp_path / "out"
+        assert main(["langevin", "--config", str(config), "--output", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "parse: [langevin] energy must be > 0" in err and "[env] beta = 1" in err
+        assert not out.exists()
+        config.write_text(f"[run]\nscenario = langevin\n\n[langevin]\nenergy = {energy}\n")
+        assert main(["langevin", "--config", str(config), "--output", str(out), "--quiet"]) == 0
+        assert json.loads((out / "summary.json").read_text())["outputs"] == {"gamma": 0.0, "nbar": 0.0}
 
     def test_gkls_steady_state_at_high_temperature(self, tmp_path):
         # at beta = 1e-6 the two rates nearly cancel: a long-time evolve loses
@@ -731,6 +757,19 @@ class TestMain:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 3
 
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed", str(2**64)], []],
+                             ids=["flag_minus_one", "flag_two_to_64", "config_minus_one"])
+    def test_seed_out_of_domain_named(self, tmp_path, capsys, flag):
+        # refused at parse by [run] seed, from --seed or the config, not in
+        # compute by the uint64 key
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = noise\nseed = {1 if flag else -1}\n\n"
+                          "[noise]\nn_real = 5\ngrid_points = 8\n")
+        out = tmp_path / "out"
+        assert main(["noise", "--config", str(config), *flag, "--output", str(out), "--quiet"]) == 1
+        assert "error [noise] parse: [run] seed must be in [0, 2^64 - 1]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 #: every scenario on a config that runs in well under a second
 SMALL_CONFIGS = {
@@ -820,19 +859,15 @@ class TestFreshProcess:
 
     @pytest.mark.parametrize("scenario, text", SMALL_CONFIGS.items(), ids=list(SMALL_CONFIGS))
     def test_scenario_loads_openssl_only_with_numpy_random(self, tmp_path, scenario, text):
-        # the config hash needs no OpenSSL, so only the stochastic scenarios
-        # load it
+        # no scenario, the stochastic ones included, loads OpenSSL's binding
+        # or numpy.random (which would bring it, through secrets and hmac):
+        # the config hash is CPython's built-in SHA-256, and unravel and
+        # noise make their own Philox streams
         config = tmp_path / "cfg.ini"
         config.write_text(text)
         done = _fresh_python("-c", OPENSSL_PROBE, scenario, str(config), str(tmp_path / "out"))
         assert done.returncode == 0, done.stderr
-        openssl, numpy_random = json.loads(done.stdout.strip().splitlines()[-1])
-        if scenario in ("unravel", "noise"):
-            # numpy.random imports secrets, hmac and so _hashlib, which
-            # relclock does not control: OpenSSL comes with it and only with it
-            assert numpy_random or not openssl
-        else:
-            assert not openssl
+        assert json.loads(done.stdout.strip().splitlines()[-1]) == [False, False]
 
     @pytest.mark.parametrize("text", SMALL_CONFIGS.values(), ids=list(SMALL_CONFIGS))
     def test_config_hash_is_sha256(self, text):
@@ -1028,8 +1063,8 @@ DEFAULT_DIGESTS = {
     "langevin/summary.json": "2154d2a079ade998ea30588e00e2867f4ea8618ee15d19b5675c588e70cd5944",
     "markov_limit/markov_limit.csv": "31938311810ff2ccb24725cf1217df674a2630c4e90332f8a28845e6c3177b25",
     "markov_limit/summary.json": "07a4a3150e00157fdc81442b1f900b92c1d017c2dfbe6cb9e8bf4086ce30e866",
-    "noise/noise_covariance.csv": "69d452be3bb88509e600cbb830958dce372719cc663e28a1f53b1c62f68a9a7e",
-    "noise/summary.json": "1a07e287164fad5583526b8b7b7b5b00726a323c53d1d75583ba1a4075110aca",
+    "noise/noise_covariance.csv": "6ca98c406e29a9b5648347de08c20a3b048f816c9cfd9c99d1ed7267cd1014d2",
+    "noise/summary.json": "69897d1183873245bdd1a44d2ca4d5d87c69a109bfd6aa79063dc1e5aeb6cf18",
     "rates/rates.csv": "4ad457fdae19b33c6a05f4bf04063983268400dfddb9bb76e43b2bd45ff45f35",
     "rates/summary.json": "b5d5662d13eedaa896bf6aecc3d77d9d8b2d31e7025a80737d3339195473b92f",
     "tradeoff/summary.json": "0cbc2897234736674a4b5cd612540f9f124d2c323e88a6a495cc585d5ebbb073",

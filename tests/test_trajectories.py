@@ -13,9 +13,7 @@ from relclock.correlators import EnvironmentSpec
 from relclock.gkls import DensityMatrix, GKLSModel, evolve, expm, qubit_decay_model
 from relclock.kernels import CoherentReadoutKernel, GaussianKernel
 from relclock.trajectories import (
-    _generator,
     _keyed_words,
-    _rekey,
     _sidak_z,
     ensemble_check,
     one_step_means,
@@ -28,8 +26,12 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SM = np.array([[0, 0], [1, 0]], dtype=complex)
 
 
-def _philox(seed, r):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, r], dtype=np.uint64)))
+def _numpy_words(seed, index, first, n):
+    """Raw words first .. first + n - 1 of numpy's Philox keyed (seed,
+    index), a test-only oracle: set to counter first // 4, its next words
+    are 4 (first // 4) onwards."""
+    bits = np.random.Philox(counter=first // 4, key=np.array([seed, index], dtype=np.uint64))
+    return bits.random_raw(first % 4 + n)[first % 4:]
 
 
 def _philox4x64(key, counter):
@@ -76,11 +78,23 @@ def _cache_correlator(monkeypatch):
     monkeypatch.setattr(trajectories, "wightman_timelike", cached)
 
 
+def _reference_normals(seed, k, n_rows):
+    """The (n_rows, k) complex normals, written out: xi[r, a] is the
+    Box-Muller transform sqrt(-ln u1) e^{2 pi i u2} of words 2r and 2r + 1
+    of the stream keyed (seed, a) from the written-out rounds, u = ((w >>
+    11) + 1) 2^-53."""
+    words = np.array([_philox_words(seed, a, 0, 2 * n_rows) for a in range(k)]).reshape(k, n_rows, 2)
+    u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    radius, angle = np.sqrt(-np.log(u[..., 0])), 2.0 * math.pi * u[..., 1]
+    xi = np.empty((n_rows, k), dtype=complex)
+    xi.real, xi.imag = (radius * np.cos(angle)).T, (radius * np.sin(angle)).T
+    return xi
+
+
 def _reference_noise(evaluate, grid, root, n_real, seed):
     """The per-pair dict covariance and the block sampler, written out:
-    zero-padded blocks of R rows, block b one fresh Philox keyed (seed, b)
-    drawing k = root.shape[1] complex normals for each of its rows, one GEMM
-    per block."""
+    the written-out normals (``_reference_normals``) in zero-padded blocks
+    of R rows, one GEMM per block."""
     t = np.asarray(grid, dtype=float)
     n = t.size
     diffs = t[:, None] - t[None, :]
@@ -96,27 +110,16 @@ def _reference_noise(evaluate, grid, root, n_real, seed):
     R = max(1, trajectories._SAMPLE_BYTES // (16 * k))
     n_blocks = -(-n_real // R)
     xi = np.zeros((n_blocks * R, k), dtype=complex)
-    for b in range(n_blocks):
-        rows = min(R, n_real - b * R)
-        g = _philox(seed, b).standard_normal((rows, k, 2))
-        xi[b * R:b * R + rows] = g[..., 0] + 1j * g[..., 1]
-    samples = np.concatenate([(block / math.sqrt(2.0)) @ root.T
-                              for block in np.split(xi, n_blocks)])
+    xi[:n_real] = _reference_normals(seed, k, n_real)
+    samples = np.concatenate([block @ root.T for block in np.split(xi, n_blocks)])
     return 0.5 * (M + M.conj().T), samples[:n_real]
 
 
 def _matvec_noise(root, n_real, seed):
-    """The per-realization sampler: realization r takes the next k complex
-    normals of its block's stream, one draw and one matvec per realization."""
-    k = root.shape[1]
-    R = max(1, trajectories._SAMPLE_BYTES // (16 * k))
-    samples = np.empty((n_real, root.shape[0]), dtype=complex)
-    for r in range(n_real):
-        if r % R == 0:
-            gen = _philox(seed, r // R)
-        g = gen.standard_normal((k, 2))
-        samples[r] = root @ ((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0))
-    return samples
+    """The per-realization sampler: realization r is root times its own k
+    written-out normals, one matvec per realization."""
+    xi = _reference_normals(seed, root.shape[1], n_real)
+    return np.array([root @ row for row in xi])
 
 
 def _philox_fields(seed, r, n_fields):
@@ -252,10 +255,10 @@ class TestColoredNoise:
 
     def test_coupling_off_draws_nothing(self, monkeypatch):
         # every eigenvalue is 0, so the root has rank 0 and no stream is keyed
-        def refuse(gen, seed, index):
+        def refuse(*args):
             raise AssertionError("a stream was drawn for a rank-0 root")
 
-        monkeypatch.setattr(trajectories, "_rekey", refuse)
+        monkeypatch.setattr(trajectories, "_keyed_words", refuse)
         env = EnvironmentSpec(coupling_g=0.0)
         field = sample_colored_noise(env, GaussianKernel(1.0), np.linspace(0, 2, 8), 50, seed=5)
         assert field.root.shape == (8, 0)
@@ -453,57 +456,90 @@ class TestColoredNoise:
 
     @pytest.mark.parametrize("seed, r", [(0, 0), (3, 5), (3, 2**40), (2**63 + 7, 1), (41, 2**64 - 1)])
     def test_stream_matches_keyed_philox(self, seed, r):
-        gen, fresh = _generator(), _philox(seed, r)
-        _rekey(gen, seed, r)
-        assert np.array_equal(gen.standard_normal(64), fresh.standard_normal(64))
-        assert np.array_equal(gen.integers(0, 2**31, size=5, dtype=np.uint32),
-                              fresh.integers(0, 2**31, size=5, dtype=np.uint32))
-        assert np.array_equal(gen.random(9), fresh.random(9))
+        # the stream keyed (seed, r), keys up to 2^64 - 1: numpy's Philox
+        # words and the written-out rounds, word for word
+        got = _keyed_words(seed, [r], 0, 64)
+        assert got.shape == (1, 64) and got.dtype == np.uint64
+        assert np.array_equal(got[0], _numpy_words(seed, r, 0, 64))
+        assert np.array_equal(got[0], _philox_words(seed, r, 0, 64))
 
     def test_rekey_matches_fresh_stream(self):
-        gen = _generator()
-        for r in (5, 0, 2**40, 5):
-            # leave the generator mid-buffer, with a cached 32-bit half
-            gen.standard_normal(7)
-            gen.integers(0, 2**31, size=3, dtype=np.uint32)
-            _rekey(gen, 3, r)
-            fresh = _philox(3, r)
-            assert np.array_equal(gen.standard_normal(64), fresh.standard_normal(64))
-            assert np.array_equal(gen.integers(0, 2**31, size=5, dtype=np.uint32),
-                                  fresh.integers(0, 2**31, size=5, dtype=np.uint32))
-            assert np.array_equal(gen.random(9), fresh.random(9))
+        # one read keys each of its columns afresh: row i of a read of the
+        # keys below, a key repeated and one past 2^63, is the fresh stream
+        # of that key alone
+        keys = [5, 0, 2**40, 5, 2**64 - 1]
+        got = _keyed_words(3, keys, 1021, 40)
+        assert got.shape == (len(keys), 40)
+        for row, key in zip(got, keys):
+            assert np.array_equal(row, _numpy_words(3, key, 1021, 40))
+            assert np.array_equal(row, _keyed_words(3, [key], 1021, 40)[0])
 
     @pytest.mark.parametrize("first, n", [(0, 5), (1, 3), (6, 9), (7, 1), (1021, 40),
                                           (2**40 + 1, 7), (2**40 + 2, 2), (2**40 + 3, 10)])
     def test_keyed_words_positioned_by_counter(self, first, n):
-        # a read that starts at any word, r0 mod 4 in {0, 1, 2, 3}, past
-        # 2^40, and crosses counter blocks: numpy's own stream read from
-        # word 0 where that fits in memory, the written-out rounds past 2^40
-        gen = _generator()
-        gen.standard_normal(3)  # a generator left mid-buffer
-        got = _keyed_words(gen, 2**40 + 3, 9, first, n)
-        expected = _philox_words(2**40 + 3, 9, first, n)
-        assert got.dtype == np.uint64 and np.array_equal(got, expected)
-        if first < 2**20:
-            whole = np.random.Philox(key=np.array([2**40 + 3, 9], dtype=np.uint64))
-            assert np.array_equal(got, whole.random_raw(first + n)[first:])
+        # a read that starts at any word, first mod 4 in {0, 1, 2, 3}, past
+        # 2^40, and crosses counter blocks, for a key of 2^64 - 1 too:
+        # numpy's words from that counter and the written-out rounds
+        keys = (9, 2**64 - 1)
+        got = _keyed_words(2**40 + 3, keys, first, n)
+        assert got.shape == (2, n) and got.dtype == np.uint64
+        for row, key in zip(got, keys):
+            assert np.array_equal(row, _numpy_words(2**40 + 3, key, first, n))
+            assert np.array_equal(row, _philox_words(2**40 + 3, key, first, n))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_a_word_refused(self, seed):
+        # a seed is one key word: nothing outside [0, 2^64) wraps onto a key
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64 - 1\]"):
+            _keyed_words(seed, [0], 0, 4)
 
     @pytest.mark.parametrize("n_points, n_real", [(8, 1), (32, 5000)])
     def test_rekeys_once_per_block(self, monkeypatch, n_points, n_real):
-        # one stream per block of R realizations, not one per realization
+        # one read of words 2 start .. 2 stop - 1 of all k streams per block
+        # of R realizations, the whole block even where it passes n_real
         _cache_correlator(monkeypatch)
         calls = []
-        rekey = trajectories._rekey
+        keyed = trajectories._keyed_words
 
-        def spy(gen, seed, *position):
-            calls.append(position)
-            rekey(gen, seed, *position)
+        def spy(seed, columns, first, n):
+            calls.append((list(columns), first, n))
+            return keyed(seed, columns, first, n)
 
-        monkeypatch.setattr(trajectories, "_rekey", spy)
+        monkeypatch.setattr(trajectories, "_keyed_words", spy)
         field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0),
                                      np.linspace(0.0, 4.0, n_points), n_real, seed=3)
-        R = max(1, trajectories._SAMPLE_BYTES // (16 * field.root.shape[1]))
-        assert calls == [(b,) for b in range(-(-n_real // R))]
+        k = field.root.shape[1]
+        R = max(1, trajectories._SAMPLE_BYTES // (16 * k))
+        assert calls == [(list(range(k)), 2 * start, 2 * R) for start in range(0, n_real, R)]
+
+    def test_normal_law(self, monkeypatch):
+        # the complex normals in units of their own Monte-Carlo error: the
+        # means of Re xi, Im xi, |xi|^2 - 1, Re xi^2 and Im xi^2 each within a
+        # Sidak z at a family-wise false-alarm rate of 1e-3, and |xi|^2
+        # Exp(1) by a Kolmogorov-Smirnov test at 1e-3.  Variance off by
+        # sqrt(2), or a phase that reuses u1 as u2, must fail
+        def normals():
+            return np.concatenate([xi[:stop - start].flatten()  # a copy: the buffer is refilled
+                                   for start, stop, xi in trajectories._draw_blocks(61, 3, 20_000)])
+
+        def law_holds(xi):
+            stats = (xi.real, xi.imag, np.abs(xi) ** 2 - 1.0, (xi**2).real, (xi**2).imag)
+            z = max(abs(v.mean()) / (v.std(ddof=1) / math.sqrt(v.size)) for v in stats)
+            ks = scipy.stats.kstest(np.abs(xi) ** 2, "expon").pvalue
+            return z <= _sidak_z(1e-3, len(stats)) and ks >= 1e-3
+
+        xi = normals()
+        assert xi.size == 60_000 and law_holds(xi)
+        assert not law_holds(2.0**0.25 * xi)
+        keyed = trajectories._keyed_words
+
+        def reuse_u1(seed, columns, first, n):
+            words = keyed(seed, columns, first, n)
+            words[:, 1::2] = words[:, 0::2]
+            return words
+
+        monkeypatch.setattr(trajectories, "_keyed_words", reuse_u1)
+        assert not law_holds(normals())
 
 
 class TestUnravelLinear:
@@ -546,22 +582,23 @@ class TestUnravelLinear:
         assert not np.any(seven.std_error)
 
     def test_rekeys_once_per_word_column_per_chunk(self, monkeypatch):
-        # 3000 trajectories x 1000 steps of one jump: each of the three
-        # chunks keys the stream of each of its 32 word columns once, at the
-        # counter of its first row; no stream is keyed per trajectory
+        # 3000 trajectories x 2000 steps of one jump take 63 word columns:
+        # each of the three chunks keys the streams of its first window of 32
+        # columns and then of the other 31 in one read each, at the counter
+        # of its first row; no stream is keyed per trajectory
         calls = []
-        rekey = trajectories._rekey
+        keyed = trajectories._keyed_words
 
-        def spy(gen, seed, *position):
-            calls.append(position)
-            rekey(gen, seed, *position)
+        def spy(seed, columns, first, n):
+            calls.append((columns, first, n))
+            return keyed(seed, columns, first, n)
 
-        monkeypatch.setattr(trajectories, "_rekey", spy)
-        unravel_linear(qubit_decay_model(1.0, 1.0), DensityMatrix.pure([1, 0]), 1.0, 1e-3, 3000,
+        monkeypatch.setattr(trajectories, "_keyed_words", spy)
+        unravel_linear(qubit_decay_model(1.0, 1.0), DensityMatrix.pure([1, 0]), 2.0, 1e-3, 3000,
                        seed=5)
         chunk = trajectories._CHUNK
-        assert len(calls) == -(-3000 // chunk) * -(-1000 // 32)
-        assert calls == [(j, start // 4) for start in range(0, 3000, chunk) for j in range(32)]
+        assert calls == [(range(j, min(j + 32, 63)), start, min(chunk, 3000 - start))
+                         for start in range(0, 3000, chunk) for j in (0, 32)]
 
     def test_single_trajectory_norm_drifts(self):
         m = qubit_decay_model(1.0, 1.0)
