@@ -541,25 +541,20 @@ def _run_unravel(cfg):
 
 
 def _run_noise(cfg):
-    from .trajectories import _lag_summary, sample_colored_noise
+    from .trajectories import _frobenius_check, _lag_summary, sample_colored_noise
     p = cfg.parameters
     env, kernel = _env_from(p), _kernel_from(p)
     grid = np.linspace(0.0, p["noise.t_span"], p["noise.grid_points"])
     field = sample_colored_noise(env, kernel, grid, p["noise.n_real"], cfg.seed)
-    sample = field.covariance
     lag_t, c, c_hat, std_error = _lag_summary(field)
     out = cfg.output_path / "noise_covariance.csv"
     _write_csv(out, ["lag_t", "re_target", "im_target", "re_sample", "im_sample", "std_error"],
                zip(lag_t, c.real, c.imag, c_hat.real, c_hat.imag, std_error))
-    scale = np.linalg.norm(field.target_covariance)
-    if scale > 0.0:
-        err = float(np.linalg.norm(sample - field.target_covariance) / scale)
-    else:  # a zero target is met exactly or not at all
-        err = 0.0 if not sample.any() else math.inf
+    err, bound = _frobenius_check(field)
     return (
-        {"frobenius_rel_error": err, "clipped_mass": field.clipped_mass,
+        {"frobenius_rel_error": err, "frobenius_rel_bound": bound, "clipped_mass": field.clipped_mass,
          "root_rank": field.root.shape[1]},
-        {"covariance_within_5pct": bool(err <= 0.05)},
+        {"covariance_within_errors": bool(err <= bound)},
         [out.name],
     )
 

@@ -285,6 +285,34 @@ def _lag_summary(field: NoiseField):
     return field.grid - field.grid[0], target, sample, std_error
 
 
+def _frobenius_check(field: NoiseField):
+    """``(error, bound)``: the relative Frobenius error ||C_hat - C||_F /
+    ||C||_F of the sample covariance, and the bound a correct sampler
+    exceeds with probability at most alpha = ``_FALSE_ALARM`` in one run.
+
+    For N circular draws of the root's k directions, X = N ||C_hat - R
+    R^H||_F^2 has mean p_1^2 and variance s^2 = 2 p_2^2 + (4 p_1^2 p_2 +
+    2 p_4) / N (complex-Wishart fourth moments), p_m = tr (R^H R)^m the
+    power sums of the kept spectrum.  As N grows X tends to sum_i a_i g_i^2,
+    weights lambda_a^2 and lambda_a lambda_b on standard normals, and
+    Laurent & Massart (2000, Ann. Stat. 28, Lemma 1) give P(X >= p_1^2 + 2
+    p_2 sqrt(x) + 2 max_i a_i x) <= e^-x.  The bound takes x = ln(1 /
+    alpha), s sqrt(2x) for 2 p_2 sqrt(x), and sqrt(p_4) >= lambda_max^2 for
+    max_i a_i.  A zero target is met exactly or not at all: error 0 when the
+    sample is exactly 0, inf otherwise, against a bound of 0.
+    """
+    scale = np.linalg.norm(field.target_covariance)
+    if scale == 0.0:
+        return (0.0 if not field.covariance.any() else math.inf), 0.0
+    gram = field.root.conj().T @ field.root
+    p1, p2, p4 = np.trace(gram).real, np.vdot(gram, gram).real, np.linalg.norm(gram @ gram) ** 2
+    x, n = -math.log(_FALSE_ALARM), field.n_real
+    s = math.sqrt(2.0 * p2**2 + (4.0 * p1**2 * p2 + 2.0 * p4) / n)
+    bound = p1**2 + s * math.sqrt(2.0 * x) + 2.0 * math.sqrt(p4) * x
+    err = np.linalg.norm(field.covariance - field.target_covariance) / scale
+    return float(err), math.sqrt(bound / n) / scale
+
+
 def sample_colored_noise(
     env: EnvironmentSpec, kernel: ClockKernel, grid, n_real: int, seed: int
 ) -> NoiseField:

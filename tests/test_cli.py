@@ -1064,7 +1064,7 @@ DEFAULT_DIGESTS = {
     "markov_limit/markov_limit.csv": "31938311810ff2ccb24725cf1217df674a2630c4e90332f8a28845e6c3177b25",
     "markov_limit/summary.json": "07a4a3150e00157fdc81442b1f900b92c1d017c2dfbe6cb9e8bf4086ce30e866",
     "noise/noise_covariance.csv": "6ca98c406e29a9b5648347de08c20a3b048f816c9cfd9c99d1ed7267cd1014d2",
-    "noise/summary.json": "69897d1183873245bdd1a44d2ca4d5d87c69a109bfd6aa79063dc1e5aeb6cf18",
+    "noise/summary.json": "bf7fc040ab625df01beaedce4a02549e39875334b1fe91183cb77136f437e6c2",
     "rates/rates.csv": "4ad457fdae19b33c6a05f4bf04063983268400dfddb9bb76e43b2bd45ff45f35",
     "rates/summary.json": "b5d5662d13eedaa896bf6aecc3d77d9d8b2d31e7025a80737d3339195473b92f",
     "tradeoff/summary.json": "0cbc2897234736674a4b5cd612540f9f124d2c323e88a6a495cc585d5ebbb073",

@@ -399,10 +399,37 @@ class TestColoredNoise:
             field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, n_real, seed)
             C = field.target_covariance
             ratios.append(n_real * np.linalg.norm(field.covariance - C) ** 2 / np.trace(C).real ** 2)
+            err, bound = trajectories._frobenius_check(field)
+            assert err <= bound, seed  # a single-run false alarm at rate 1e-3
         assert field.root.shape[1] < grid.size
         se = np.std(ratios, ddof=1) / math.sqrt(len(ratios))
         bound = scipy.stats.t.isf(0.5e-3, len(ratios) - 1)
         assert abs(np.mean(ratios) - 1.0) <= bound * se
+
+    @pytest.mark.parametrize("n_points", [32, 256])
+    def test_frobenius_check_has_power(self, monkeypatch, n_points):
+        # at the noise defaults' effective rank p_1^2 / p_2 of about 20 the
+        # bound on X = N ||C_hat - C||_F^2 sits near 1.4 p_1^2: a correct run
+        # stays below it, while a variance off by sqrt(2) and a stream reused
+        # for two realizations (X near 2 p_1^2) each fail in a single run
+        _cache_correlator(monkeypatch)
+        args = (EnvironmentSpec(), GaussianKernel(5.0), np.linspace(0.0, 4.0, n_points), 5000)
+        field = sample_colored_noise(*args, seed=47)
+        err, bound = trajectories._frobenius_check(field)
+        assert err <= bound
+        scaled = dataclasses.replace(field, covariance=math.sqrt(2.0) * field.covariance)
+        err, bound = trajectories._frobenius_check(scaled)
+        assert err > bound
+        keyed = trajectories._keyed_words
+
+        def reused(seed, columns, first, n):  # realization 2m + 1 draws the words of 2m
+            words = keyed(seed, columns, first, n)
+            words[:, 2::4], words[:, 3::4] = words[:, 0::4], words[:, 1::4]
+            return words
+
+        monkeypatch.setattr(trajectories, "_keyed_words", reused)
+        err, bound = trajectories._frobenius_check(sample_colored_noise(*args, seed=47))
+        assert err > bound
 
     @pytest.mark.parametrize("n_points", [1, 8, 32])
     def test_lag_summary_columns(self, monkeypatch, n_points):
