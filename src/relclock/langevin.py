@@ -14,6 +14,7 @@ trajectory CSV certifies the CCR on the moments it writes: |ccr - 1|.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,14 @@ __all__ = [
     "stationary_fdr_check",
     "write_moment_trajectory_csv",
 ]
+
+#: c eps, c = 4: nbar = k+ / (k- - k+) from the thermal rates at +-E rounds
+#: to within (3 cond + 2) eps / 2 <= 2.5 cond eps of its Bose value, relative,
+#: cond = k- / (k- - k+) = nbar + 1 the condition number of the difference
+#: (k- carries two roundings, k+ one, the quotient one); the fdr deviation
+#: adds the roundings of the coth prediction and of the flow, 1.5 cond eps.
+#: Measured for beta in [1e-12, 316] and E in [1, 1000]: at most 1.6 and 1.2.
+ROUNDING = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -100,9 +109,10 @@ def mode_evolve_moments(p: ModeParams, m0: ModeMoments, tau) -> ModeMoments:
 def stationary_fdr_check(p: ModeParams, beta: float):
     """Fluctuation-dissipation check: <{a, a+}>/2 against coth(beta E/2)/2.
 
-    Requires ``p.nbar`` consistent with the thermal occupation at ``beta``;
-    evolves the moments deep into the stationary regime (Gamma tau = 40) and
-    compares the symmetrized occupation with the coth prediction.
+    Requires ``p.nbar`` within ``ROUNDING`` (nbar + 1) nbar of the thermal
+    occupation at ``beta``; evolves the moments deep into the stationary
+    regime (Gamma tau = 40) and compares the symmetrized occupation with the
+    coth prediction, which a caller holds to ``ROUNDING`` (nbar + 1) times it.
     """
     if beta == math.inf:
         if p.nbar != 0.0:
@@ -110,7 +120,7 @@ def stationary_fdr_check(p: ModeParams, beta: float):
         expected = 0.0
     else:
         expected = bose_occupation(p.energy_E, beta)
-        if abs(p.nbar - expected) > 1e-9 * max(expected, 1.0):
+        if abs(p.nbar - expected) > ROUNDING * (expected + 1.0) * expected:
             raise ValueError(
                 f"nbar={p.nbar!r} inconsistent with bose_occupation={expected!r}"
             )

@@ -44,16 +44,11 @@ byte code per four fields and tables of at most 256 d x d matrices, and no
 complex noise array is formed.  A block saves at most ``_BLOCK_FIELDS`` // 8
 complex state components and is reduced at once to per-time moments, so the
 working memory is O(chunk * block) plus O(n_out d^2 log n_traj) moments,
-whatever the number of steps and saves.  ``sample_colored_noise``
-draws only the k <= n eigen-directions of the target covariance that stand
-above its rank tolerance, R = ``_SAMPLE_BYTES`` // (16 k) realizations at a
-time, and keeps only their k x k sum of outer products, so its working
-memory is O(R * k + n * k + n^2) on an n-point grid: no O(n_real * n) buffer
-exists unless a caller reads ``NoiseField.samples``.  Either reads its words
-in calls of about 8200 four-word counter blocks (``_WORDS`` columns of a
-chunk's rows, or 2R words of k columns), 256 kB of words, and one such call
-peaks below 1 MB with the temporaries of its Philox rounds.  Nothing here
-imports numpy's ``random`` package, which would bring OpenSSL with it.
+whatever the number of steps and saves.  ``sample_colored_noise`` draws R =
+``_SAMPLE_BYTES`` // (16 k) realizations at a time and keeps factors, O(R k +
+n k) on an n-point grid.  Either reads words in calls of about 8200 counter
+blocks, below 1 MB with their Philox temporaries.  Nothing here imports
+numpy's ``random`` package, which would bring OpenSSL with it.
 """
 
 from __future__ import annotations
@@ -90,9 +85,11 @@ _BLOCK_FIELDS = 2**18
 _WORDS = 32
 #: bytes of the block of normal draws the colored-noise sampler multiplies at once
 _SAMPLE_BYTES = 256 * 2**10
-#: eigenvalues of the noise covariance within this many times its largest
-#: diagonal entry of zero are dropped from the root; one below minus that raises
+#: the noise root stops once the residual trace is at most this times the
+#: covariance's diagonal; a residual eigenvalue below minus that raises
 _RANK_TOL = 1e-8
+_MAX_POINTS = 4096  # noise grid points
+_MAX_RANK = 256  # directions of the noise root, as many as the 256-point eigh root could keep
 #: deviations of a mean within this are rounding, not Monte-Carlo error
 _ROUNDING = 1e-12
 #: family-wise false-alarm rate of each ``ensemble_check`` test
@@ -196,18 +193,13 @@ def _unpack(packed: np.ndarray, first: int, out: np.ndarray) -> None:
 
 
 def _draw_blocks(seed: int, k: int, n_real: int):
-    """Yield ``(start, stop, xi)`` for each fixed block of R = ``_SAMPLE_BYTES``
-    // (16 k) realizations (at least one); yield nothing when k is 0.
-
-    Row r - start of the (R, k) array ``xi`` holds the complex normals of
-    realization r: xi[r, a] = sqrt(-ln u1) e^{2 pi i u2}, where u1 and u2
-    come from words 2r and 2r + 1 of the stream keyed (seed, a) by u = ((w >>
-    11) + 1) 2^-53 in (0, 1] (Box & Muller 1958).  -ln u1 is Exp(1) and the
-    phase uniform, so E xi = 0, E |xi|^2 = 1 and E xi^2 = 0.  Each block
-    reads its words in one ``_keyed_words`` call and transforms all R rows,
-    then zeroes the rows past ``n_real``: xi[r, a] depends on (seed, r, a)
-    only, bit for bit, wherever the last block ends.  One buffer is refilled
-    for every block.
+    """Yield ``(start, stop, xi)`` per block of R = ``_SAMPLE_BYTES`` // (16 k)
+    realizations (at least one; none when k is 0): row r - start of the
+    buffer ``xi`` holds xi[r, a] = sqrt(-ln u1) e^{2 pi i u2}, E |xi|^2 = 1,
+    u1 and u2 from words 2r and 2r + 1 of the stream keyed (seed, a) by u =
+    ((w >> 11) + 1) 2^-53 (Box & Muller 1958).  A block reads its words in
+    one ``_keyed_words`` call and zeroes rows past ``n_real`` after the
+    transform, so xi[r, a] depends on (seed, r, a) alone.
     """
     if k == 0:
         return
@@ -227,90 +219,123 @@ def _draw_blocks(seed: int, k: int, n_real: int):
 
 @dataclass(frozen=True)
 class NoiseField:
-    """A complex Gaussian field with a prescribed covariance, and the sample
-    covariance of ``n_real`` of its realizations.
-
-    ``root`` is n x k: the eigenvectors of ``target_covariance`` whose
-    eigenvalues exceed ``_RANK_TOL`` times its largest diagonal entry, each
-    scaled by the square root of its eigenvalue.  Realization r is z_r =
-    ``root`` @ xi_r, with xi_r[a] the complex normal made from words 2r and
-    2r + 1 of the stream keyed (``seed``, a) (``_draw_blocks``); E[z_j z_k*]
-    converges to ``target_covariance[j, k]`` up to the dropped eigenvalues.  ``covariance`` is (1/N) sum_r z_r z_r^H,
-    built while the draws were made.  ``clipped_mass`` is the sum of |lambda|
-    over every dropped eigenvalue, positive or negative: the trace norm of
-    ``target_covariance - root @ root^H``.  ``_lag_summary`` reduces both
-    matrices to their n lags, with the standard error of each sample lag.
+    """A complex Gaussian field of Hermitian Toeplitz covariance M, first row
+    ``target``, and the sample covariance of ``n_real`` realizations, held
+    as factors: M's n x k root R (``_pivoted_root``), with ``clipped_mass``
+    the trace of M - R R^H, and W = (1/N) sum_r xi_r xi_r^H, ``draws``, of
+    the normals of realization r = R xi_r (``_draw_blocks``): R W R^H.
     """
 
     grid: np.ndarray
-    target_covariance: np.ndarray
+    target: np.ndarray
     clipped_mass: float
     root: np.ndarray
     seed: int
     n_real: int
-    covariance: np.ndarray
+    draws: np.ndarray
 
     @property
     def samples(self) -> np.ndarray:
-        """The (n_real, n) realizations, ``samples[r, j]`` being realization r
-        at grid point j, regenerated from their keyed streams on every read.
-
-        Each block of draws is multiplied by ``root.T`` in one GEMM, so the
-        bits of realization r depend on (seed, r, grid) only, never on
-        ``n_real``.
-        """
+        """The (n_real, n) realizations, regenerated on every read."""
         z = np.zeros((self.n_real, self.grid.size), dtype=complex)
         for start, stop, xi in _draw_blocks(self.seed, self.root.shape[1], self.n_real):
             z[start:stop] = (xi @ self.root.T)[: stop - start]
         return z
 
 
+def _pivoted_root(row: np.ndarray):
+    """``(R, clipped_mass)`` of the Hermitian Toeplitz M with first row ``row``.
+
+    Pivoted Cholesky (Harbrecht, Peters & Schneider 2012, Appl. Numer. Math.
+    62) appends (M[:, p] - R R[p]^H) / sqrt(E_pp), p the largest diagonal
+    entry of E = M - R R^H (diag(M) - sum |R|^2 per row, 0 on the pivots),
+    until tr E, ``clipped_mass`` (unclamped), is at most tol = ``_RANK_TOL``
+    M_00 (past ``_MAX_RANK`` columns it raises ValueError): stopping on the
+    largest entry leaves ||E||_2 up to n tol.  E <= M, so lambda_min(E) >=
+    -tol certifies M: 64 Lanczos steps on E x = M x - R (R^H x), M x by a
+    2n-point circulant FFT (Chan & Ng 1996, SIAM Review 38), give Ritz
+    values above lambda_min(E) that reach it first, and one below -tol (a
+    negative LDL^T pivot of T + tol) raises PositivityError.
+    """
+    from numpy import fft  # 0.3-0.5 MB resident: only the noise scenario loads it
+
+    n, c0, tol = row.size, row[0].real, _RANK_TOL * max(row[0].real, 1e-300)
+    cols, pivots, power, resid = [], [], np.zeros(n), np.full(n, c0)
+    while resid.sum() > tol:
+        if len(cols) == _MAX_RANK:
+            raise ValueError(f"noise root needs more than {_MAX_RANK} directions: "
+                             "use a shorter t_span or fewer points")
+        p = int(np.argmax(resid))
+        col = np.concatenate((row[p::-1], row[1:n - p].conj()))
+        for c in cols:  # a fixed order: no bit depends on BLAS threads
+            col -= c[p].conjugate() * c
+        cols.append(col / math.sqrt(resid[p]))
+        pivots.append(p)
+        power += cols[-1].real ** 2 + cols[-1].imag ** 2
+        resid = c0 - power
+        resid[pivots] = 0.0
+    R = np.array(cols, dtype=complex).reshape(len(cols), n).T
+    spectrum = fft.fft(np.concatenate((row.conj(), [0.0], row[:0:-1])))
+    q = np.cos(np.arange(n, dtype=float) ** 2)  # quasi-random, neither even nor odd
+    q, q_last, b, pivot = q / np.linalg.norm(q), 0.0, 0.0, math.inf
+    for _ in range(min(n, 64)):
+        w = fft.ifft(spectrum * fft.fft(q, 2 * n))[:n] - R @ (R.conj().T @ q) - b * q_last
+        a = np.vdot(q, w).real
+        pivot = a + tol - b * b / pivot
+        if pivot < 0.0:
+            raise PositivityError(f"noise covariance has an eigenvalue below -{tol:.3e}: not positive type")
+        w -= a * q
+        b = np.linalg.norm(w)
+        if b == 0.0:
+            break
+        q_last, q = q, w / b
+    return R, float(resid.sum())
+
+
 def _lag_summary(field: NoiseField):
-    """``(lag_t, target, sample, std_error)`` per lag l = 0 .. n - 1 of the
-    uniform grid: t_l - t_0, the Toeplitz target's first row c_l = M[0, l],
-    the mean of the l-th superdiagonal of ``field.covariance`` (the
-    stationary estimator over its m = n - l pairs), and that mean's
-    root-mean-square error.  For N circular Gaussian realizations Isserlis
-    gives Cov(C_hat[a, a + l], C_hat[b, b + l]) = |M_ab|^2 / N, so
-    std_error_l^2 = sum_{a, b < m} |M_ab|^2 / (N m^2) = (m |c_0|^2 +
-    2 sum_{0 < d < m} (m - d) |c_d|^2) / (N m^2), a sum of non-negative
-    terms, taken for every m at once by one convolution.
+    """``(lag_t, target, sample, std_error, error, bound)`` from the factors.
+
+    Per lag l < n: t_l - t_0, c_l = M[0, l], the mean of the l-th
+    superdiagonal of C_hat = R W R^H over its m = n - l entries (R A R^H
+    sums there to FFT(P)[l] / 2n, P = sum_ab conj(A_ab F_a) F_b with F_a the
+    2n-point FFT of R's column a, in a fixed order), and its standard error:
+    Cov(C_hat[a, a + l], C_hat[b, b + l]) = |M_ab|^2 / N (Isserlis), so
+    std_error_l^2 = (m c_0^2 + 2 sum_{0<d<m} (m - d) |c_d|^2) / N m^2.
+
+    ``error`` is ||C_hat - M||_F / ||M||_F.  With D = R (W - I) R^H, G = R^H
+    R and E = M - R R^H, its square is tr ((W - I) G)^2 - 2 (tr DM - tr (W -
+    I) G^2) + ||E||_F^2, tr DM from D's lag sums and ||E||_F <= tr E (E is
+    PSD; equal for a root short of one direction).  A correct sampler exceeds
+    ``bound`` with probability at most alpha = ``_FALSE_ALARM``: X = N
+    ||D||_F^2 has mean p_1^2, variance s^2 = 2 p_2^2 + (4 p_1^2 p_2 + 2 p_4)
+    / N (complex Wishart), p_m = tr G^m, and tends to a sum of weighted
+    squared normals, for which P(X >= p_1^2 + 2 p_2 sqrt(x) + 2 lambda_max^2
+    x) <= e^-x (Laurent & Massart 2000, Ann. Stat. 28); here x = -ln alpha,
+    with s sqrt(2x) and sqrt(p_4) >= lambda_max^2.  A zero target has error
+    0 with a zero root, else inf, and bound 0.
     """
-    n = field.grid.size
-    target = field.target_covariance[0]
-    sample = np.array([np.diagonal(field.covariance, lag).mean() for lag in range(n)])
-    power, m = np.abs(target) ** 2, np.arange(1.0, n + 1.0)
+    from numpy import fft
+
+    (n, k), c, N = field.root.shape, field.target, field.n_real
+    F = fft.fft(field.root.T, 2 * n, axis=1)
+    kept = fft.fft((F.real**2 + F.imag**2).sum(axis=0))[:n] / (2 * n)
+    diff = fft.fft(np.einsum("aw,ab,bw->w", F.conj(), field.draws.T - np.eye(k), F).real)[:n] / (2 * n)
+    power, m = c.real**2 + c.imag**2, np.arange(1.0, n + 1.0)
     weighted = np.convolve(power, m)[:n]  # sum_{d < m} (m - d) |c_d|^2
-    std_error = np.sqrt((2.0 * weighted - m * power[0]) / (field.n_real * m**2))[::-1]
-    return field.grid - field.grid[0], target, sample, std_error
-
-
-def _frobenius_check(field: NoiseField):
-    """``(error, bound)``: the relative Frobenius error ||C_hat - C||_F /
-    ||C||_F of the sample covariance, and the bound a correct sampler
-    exceeds with probability at most alpha = ``_FALSE_ALARM`` in one run.
-
-    For N circular draws of the root's k directions, X = N ||C_hat - R
-    R^H||_F^2 has mean p_1^2 and variance s^2 = 2 p_2^2 + (4 p_1^2 p_2 +
-    2 p_4) / N (complex-Wishart fourth moments), p_m = tr (R^H R)^m the
-    power sums of the kept spectrum.  As N grows X tends to sum_i a_i g_i^2,
-    weights lambda_a^2 and lambda_a lambda_b on standard normals, and
-    Laurent & Massart (2000, Ann. Stat. 28, Lemma 1) give P(X >= p_1^2 + 2
-    p_2 sqrt(x) + 2 max_i a_i x) <= e^-x.  The bound takes x = ln(1 /
-    alpha), s sqrt(2x) for 2 p_2 sqrt(x), and sqrt(p_4) >= lambda_max^2 for
-    max_i a_i.  A zero target is met exactly or not at all: error 0 when the
-    sample is exactly 0, inf otherwise, against a bound of 0.
-    """
-    scale = np.linalg.norm(field.target_covariance)
+    std_error = np.sqrt((2.0 * weighted - m * power[0]) / (N * m**2))[::-1]
+    w = np.where(m > 1.0, 2.0, 1.0)  # a lag and its mirror
+    scale = math.sqrt(np.dot(w * m[::-1], power))
+    columns = (field.grid - field.grid[0], c, (kept + diff) / m[::-1], std_error)
     if scale == 0.0:
-        return (0.0 if not field.covariance.any() else math.inf), 0.0
-    gram = field.root.conj().T @ field.root
-    p1, p2, p4 = np.trace(gram).real, np.vdot(gram, gram).real, np.linalg.norm(gram @ gram) ** 2
-    x, n = -math.log(_FALSE_ALARM), field.n_real
-    s = math.sqrt(2.0 * p2**2 + (4.0 * p1**2 * p2 + 2.0 * p4) / n)
+        return (*columns, 0.0 if not field.root.any() else math.inf, 0.0)
+    G = field.root.conj().T @ field.root
+    A = (field.draws - np.eye(k)) @ G
+    err2 = (np.sum(A * A.T).real - 2.0 * (np.dot(w, (diff * c.conj()).real) - np.trace(A @ G).real)
+            + (n * c[0].real - np.trace(G).real) ** 2)
+    p1, p2, p4 = np.trace(G).real, np.vdot(G, G).real, np.linalg.norm(G @ G) ** 2
+    x, s = -math.log(_FALSE_ALARM), math.sqrt(2.0 * p2**2 + (4.0 * p1**2 * p2 + 2.0 * p4) / N)
     bound = p1**2 + s * math.sqrt(2.0 * x) + 2.0 * math.sqrt(p4) * x
-    err = np.linalg.norm(field.covariance - field.target_covariance) / scale
-    return float(err), math.sqrt(bound / n) / scale
+    return (*columns, math.sqrt(err2) / scale, math.sqrt(bound / N) / scale)
 
 
 def sample_colored_noise(
@@ -318,63 +343,30 @@ def sample_colored_noise(
 ) -> NoiseField:
     """Draw Gaussian noise with covariance C(t_j - t_k) from the smeared bath.
 
-    C is ``wightman_timelike`` at its default energy cutoff, 40 m_E.
-    ``grid`` must be uniform: one point, or distinct evenly spaced points
-    (``gkls.check_uniform_grid``).  The target covariance is then Hermitian
-    Toeplitz, so C is evaluated once per lag, at t_0 - t_k rounded to 12
-    decimals, and C(-s) = conj(C(s)) fills the other triangle.
-    Factorization is the Hermitian eigen-square-root of rank k: with tol =
-    ``_RANK_TOL`` times the largest diagonal entry, an eigenvalue below -tol
-    signals a kernel that is not positive type and raises, every eigenvalue
-    with |lambda| <= tol is dropped (``clipped_mass`` is their sum of
-    |lambda|), and the k eigenvalues above tol give the n x k ``root``.  The
-    clock kernel smooths the correlator, so k is far below n on fine grids
-    (39 of 256 points for a unit Gaussian over a span of 4); a grid of full
-    numerical rank keeps all n.  Realization r is ``root @ xi_r``, xi_r[a]
-    the Box-Muller normal of words 2r and 2r + 1 of the stream keyed (seed,
-    a): |xi_r[a]|^2 is Exp(1), so E xi_r xi_r^H is the identity unscaled.  With ``coupling_g`` = 0 the
-    covariance vanishes, k = 0 and nothing is drawn.
-
-    The sample covariance is streamed: the draws come in fixed blocks of
-    R = ``_SAMPLE_BYTES`` // (16 k) rows (at least one), each one read of
-    2R words from each of the k streams (``_draw_blocks``), and the k x k S =
-    sum_r xi_r xi_r^H grows by ``xi.T @ conj(xi)`` per block, so the stored
-    ``root @ (S / n_real) @ root^H`` equals (1/N) sum_r z_r z_r^H without
-    any realization being formed.  ``NoiseField.samples`` regenerates them
-    on demand; realization r still depends on (seed, r, grid) only.  The
-    ``noise`` scenario writes the field as ``_lag_summary`` rows: per lag,
-    the target, the sample's stationary mean and its standard error.
+    C is ``wightman_timelike`` at its default energy cutoff, 40 m_E, on a
+    uniform ``grid`` (``gkls.check_uniform_grid``) of at most ``_MAX_POINTS``
+    points, so the target M is Hermitian Toeplitz: C is evaluated once per
+    lag, at t_0 - t_l rounded to 12 decimals, and that row is kept.  The
+    clock kernel smooths C, so M's root (``_pivoted_root``) has k << n
+    columns (40 of 256 points for a unit Gaussian over a span of 4), and k =
+    0 at ``coupling_g`` = 0.  Realization r is root @ xi_r (``_draw_blocks``),
+    and S = sum_r xi_r xi_r^H grows by ``xi.T @ conj(xi)`` per block: the
+    field keeps S / N, and no realization is formed.
     """
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0 or not np.all(np.isfinite(t)):
         raise ValueError("noise grid must be a non-empty 1-D array of finite times")
-    if t.size > 256:
-        raise ValueError("noise grid larger than 256 points")
+    if t.size > _MAX_POINTS:
+        raise ValueError(f"noise grid of {t.size} points is past the cap of {_MAX_POINTS}")
     check_uniform_grid(t, "noise grid")
     if n_real < 1:
         raise ValueError("need at least one realization")
-    n = t.size
-    row = np.array([wightman_timelike(env, kernel, round(t[0] - tk, 12)) for tk in t],
-                   dtype=complex)
-    # M[j, k] is row[k - j] on and above the diagonal, conj(row[j - k]) below,
-    # so M is Hermitian exactly: C(0) is real
-    full = np.concatenate((row[:0:-1].conj(), row))
-    M = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(full, n)[::-1])
-    eigvals, V = np.linalg.eigh(M)
-    tol = _RANK_TOL * max(np.real(np.diag(M)).max(), 1e-300)
-    if eigvals.min() < -tol:
-        raise PositivityError(
-            f"noise covariance has negative eigenvalue {eigvals.min():.3e}; "
-            "the kernel is not positive type at this cutoff"
-        )
-    keep = eigvals > tol
-    clipped = float(np.abs(eigvals[~keep]).sum())
-    root = V[:, keep] * np.sqrt(eigvals[keep])
-    k = root.shape[1]
-    S = np.zeros((k, k), dtype=complex)
-    for _, _, xi in _draw_blocks(seed, k, n_real):
+    row = np.array([wightman_timelike(env, kernel, round(t[0] - tk, 12)) for tk in t], dtype=complex)
+    root, clipped = _pivoted_root(row)
+    S = np.zeros((root.shape[1],) * 2, dtype=complex)
+    for _, _, xi in _draw_blocks(seed, root.shape[1], n_real):
         S += xi.T @ xi.conj()
-    return NoiseField(t, M, clipped, root, seed, n_real, root @ (S / n_real) @ root.conj().T)
+    return NoiseField(t, row, clipped, root, seed, n_real, S / n_real)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import hashlib
 import json
 import math
@@ -621,6 +622,53 @@ class TestMain:
             parse_config(f"{head}{refused}\n")
         parse_config(f"{head}{boundary}\n")
 
+    def test_noise_at_the_grid_cap(self, tmp_path, capsys):
+        # 4096 points run in a fresh process in about 2.4 s and 46 MB on 2
+        # vCPUs (the 256-point eigh root took 38 MB); 4097 are one clear error
+        config = tmp_path / "cfg.ini"
+        config.write_text("[run]\nscenario = noise\nseed = 1\n\n[noise]\ngrid_points = 4096\n")
+        # VmHWM is this process image's own peak: ru_maxrss would count the
+        # test process it was forked from
+        probe = ("import sys, time\nfrom relclock.cli import main\nt0 = time.perf_counter()\n"
+                 "rc = main(['noise', '--config', sys.argv[1], '--output', sys.argv[2], '--quiet'])\n"
+                 "hwm = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')]\n"
+                 "print(rc, time.perf_counter() - t0, *hwm)\n")
+        done = _fresh_python("-c", probe, str(config), str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        rc, elapsed, rss_kb = done.stdout.split()
+        assert rc == "0" and float(elapsed) < 30.0 and int(rss_kb) < 64 * 1024
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["checks"] == {"covariance_within_errors": True}
+        config.write_text("[run]\nscenario = noise\nseed = 1\n\n[noise]\ngrid_points = 4097\n")
+        assert main(["noise", "--config", str(config), "--output", str(tmp_path / "cap"), "--quiet"]) == 1
+        assert capsys.readouterr().err == ("error [noise] compute: noise grid of 4097 points "
+                                           "is past the cap of 4096\n")
+
+    def test_langevin_at_high_temperature(self, tmp_path, monkeypatch):
+        # at beta = 1e-12 nbar = k+ / (k- - k+) cancels with condition number
+        # nbar + 1 = 5e11, and the restated bounds hold it (it exited 1 at
+        # 1e-9); at beta = 1 a flow that relaxes to nbar + 1, the emission
+        # weight 1 + n_B taken with the wrong sign of its 1, fails the fdr check
+        from relclock import langevin
+
+        cfg = parse_config("[run]\nscenario = langevin\n\n[env]\nbeta = 1e-12\n")
+        cfg.output_path = tmp_path
+        assert run_scenario(cfg, quiet=True) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"] == {"ccr_preserved": True, "fdr": True}
+        assert summary["outputs"]["nbar"] == pytest.approx(5e11, rel=1e-5)
+        flow = langevin.mode_evolve_moments
+
+        def wrong_sign(p, m0, tau):
+            m = flow(p, m0, tau)
+            return dataclasses.replace(m, occupation_n=m.occupation_n + 1.0)
+
+        monkeypatch.setattr(langevin, "mode_evolve_moments", wrong_sign)
+        cfg = parse_config("[run]\nscenario = langevin\n\n[env]\nbeta = 1\n")
+        cfg.output_path = tmp_path
+        assert run_scenario(cfg, quiet=True) == 2
+        assert not json.loads((tmp_path / "summary.json").read_text())["checks"]["fdr"]
+
     def test_noise_at_tiny_coupling(self, tmp_path):
         # the noise target is g^2 times its unit-coupling value, so a tiny g
         # scales the covariance and its rank tolerance alike
@@ -1063,8 +1111,8 @@ DEFAULT_DIGESTS = {
     "langevin/summary.json": "2154d2a079ade998ea30588e00e2867f4ea8618ee15d19b5675c588e70cd5944",
     "markov_limit/markov_limit.csv": "31938311810ff2ccb24725cf1217df674a2630c4e90332f8a28845e6c3177b25",
     "markov_limit/summary.json": "07a4a3150e00157fdc81442b1f900b92c1d017c2dfbe6cb9e8bf4086ce30e866",
-    "noise/noise_covariance.csv": "6ca98c406e29a9b5648347de08c20a3b048f816c9cfd9c99d1ed7267cd1014d2",
-    "noise/summary.json": "bf7fc040ab625df01beaedce4a02549e39875334b1fe91183cb77136f437e6c2",
+    "noise/noise_covariance.csv": "87856837a8ff53327a0df46ea357d71dd3dae479cff26b56982a7e837847dc08",
+    "noise/summary.json": "66c087a26e516bdfbe09810902abb6b032bfbb44940477bae8ae2cee47d04dea",
     "rates/rates.csv": "4ad457fdae19b33c6a05f4bf04063983268400dfddb9bb76e43b2bd45ff45f35",
     "rates/summary.json": "b5d5662d13eedaa896bf6aecc3d77d9d8b2d31e7025a80737d3339195473b92f",
     "tradeoff/summary.json": "0cbc2897234736674a4b5cd612540f9f124d2c323e88a6a495cc585d5ebbb073",
@@ -1082,3 +1130,18 @@ class TestByteContract:
         done = _fresh_python("-c", _BYTES_PROBE, str(tmp_path), *SCENARIOS)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == DEFAULT_DIGESTS
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path, monkeypatch):
+        # noise at 256 points and unravel at its defaults write the same bytes
+        # at one and at two BLAS threads: every sum that reaches an artifact
+        # runs in a fixed order (the dense eigh root did not, and moved the
+        # 256-point noise bytes with the thread count)
+        (tmp_path / "noise.ini").write_text(_config_with("noise", "noise", "grid_points", "256"))
+        (tmp_path / "unravel.ini").write_text(DEFAULT_CONFIGS["unravel"])
+        digests = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            done = _fresh_python("-c", _BYTES_PROBE, str(tmp_path), "noise", "unravel")
+            assert done.returncode == 0, done.stderr
+            digests.append(json.loads(done.stdout))
+        assert len(digests[0]) == 4 and digests[0] == digests[1]

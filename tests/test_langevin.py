@@ -6,6 +6,7 @@ import pytest
 
 from relclock.correlators import EnvironmentSpec
 from relclock.langevin import (
+    ROUNDING,
     ModeMoments,
     ModeParams,
     mode_evolve_moments,
@@ -117,6 +118,23 @@ class TestFDR:
         sym, pred, dev = stationary_fdr_check(ModeParams(1.0, 1.0, 0.0), math.inf)
         assert pred == 0.5
         assert dev <= 1e-9
+
+    @pytest.mark.parametrize("beta", [1.0, 1e-6, 1e-12])
+    def test_nbar_bound_in_units_of_its_cancellation(self, beta):
+        # nbar from the thermal rates passes at every temperature, where the
+        # old 1e-9 failed at 1e-12; nbar = k+ / (k- + k+), a wrong sign in
+        # the difference, is refused; at beta = 1 the bounds are no looser
+        # than the 1e-9 they replace
+        env = EnvironmentSpec(beta=beta)
+        kp, km = kappa_markov_kms(env, +2.0), kappa_markov_kms(env, -2.0)
+        sym, pred, dev = stationary_fdr_check(ModeParams(2.0, kp + km, kp / (km - kp)), beta)
+        n = bose_occupation(2.0, beta)
+        assert dev <= ROUNDING * (n + 1.0) * pred
+        with pytest.raises(ValueError, match="inconsistent"):
+            stationary_fdr_check(ModeParams(2.0, kp + km, kp / (km + kp)), beta)
+        if beta == 1.0:
+            assert ROUNDING * (n + 1.0) * n <= 1e-9 * max(n, 1.0)
+            assert ROUNDING * (n + 1.0) * pred <= 1e-9
 
     def test_inconsistent_nbar_rejected(self):
         with pytest.raises(ValueError):

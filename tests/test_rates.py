@@ -164,10 +164,10 @@ class TestCouplingPrefactor:
         from relclock.trajectories import sample_colored_noise
 
         grid = np.linspace(0.0, 4.0, 8)
-        unit = sample_colored_noise(VAC, GaussianKernel(1.0), grid, 1, 0).target_covariance[0]
+        unit = sample_colored_noise(VAC, GaussianKernel(1.0), grid, 1, 0).target
         for g in self.COUPLINGS:
             field = sample_colored_noise(replace(VAC, coupling_g=g), GaussianKernel(1.0), grid, 1, 0)
-            assert np.array_equal(field.target_covariance[0], g * g * unit)
+            assert np.array_equal(field.target, g * g * unit)
 
 
 class TestTclKms:

@@ -11,7 +11,7 @@ import scipy.stats
 from relclock import _accel, trajectories
 from relclock.correlators import EnvironmentSpec
 from relclock.gkls import DensityMatrix, GKLSModel, evolve, expm, qubit_decay_model
-from relclock.kernels import CoherentReadoutKernel, GaussianKernel
+from relclock.kernels import CoherentReadoutKernel, GaussianKernel, PositivityError
 from relclock.trajectories import (
     _keyed_words,
     _sidak_z,
@@ -56,13 +56,30 @@ def _philox_words(seed, index, first, n):
     return np.array(words[first % 4:first % 4 + n], dtype=np.uint64)
 
 
-def _rank_root(M):
-    """The n x k eigen-root of M from its k eigenvalues above 1e-8 times its
-    largest diagonal entry, with every eigenvalue at or below that."""
-    eigvals, V = np.linalg.eigh(M)
-    tol = 1e-8 * np.real(np.diag(M)).max()
-    keep = eigvals > tol
-    return V[:, keep] * np.sqrt(eigvals[keep]), eigvals, tol
+def _dense(field):
+    """The field's n x n target M and sample covariance R W R^H, formed
+    densely from its factors: a test-only oracle."""
+    M = scipy.linalg.toeplitz(field.target.conj(), field.target)
+    return M, field.root @ field.draws @ field.root.conj().T
+
+
+def _eigen_rank(M):
+    """M's eigenvalues, its tolerance 1e-8 M_00 and the count of eigenvalues
+    above it: a dense ``eigh`` oracle."""
+    eigvals = np.linalg.eigvalsh(M)
+    tol = 1e-8 * M[0, 0].real
+    return eigvals, tol, int(np.count_nonzero(eigvals > tol))
+
+
+def _dense_pivoted_root(M):
+    """Pivoted Cholesky written out on the dense residual: pivot on its
+    largest diagonal entry until its trace is at most 1e-8 M_00."""
+    E, cols = M.copy(), []
+    while np.trace(E).real > 1e-8 * M[0, 0].real:
+        p = int(np.argmax(np.diag(E).real))
+        cols.append(E[:, p] / math.sqrt(E[p, p].real))
+        E = E - np.outer(cols[-1], cols[-1].conj())
+    return np.array(cols).reshape(len(cols), len(M)).T
 
 
 def _cache_correlator(monkeypatch):
@@ -92,9 +109,9 @@ def _reference_normals(seed, k, n_rows):
 
 
 def _reference_noise(evaluate, grid, root, n_real, seed):
-    """The per-pair dict covariance and the block sampler, written out:
-    the written-out normals (``_reference_normals``) in zero-padded blocks
-    of R rows, one GEMM per block."""
+    """The per-pair dict covariance and the block sampler for a given root,
+    written out: the written-out normals (``_reference_normals``) in
+    zero-padded blocks of R rows, one GEMM per block."""
     t = np.asarray(grid, dtype=float)
     n = t.size
     diffs = t[:, None] - t[None, :]
@@ -226,7 +243,7 @@ class TestColoredNoise:
     def test_target_covariance_psd_and_hermitian(self):
         env = EnvironmentSpec()
         field = sample_colored_noise(env, GaussianKernel(1.0), np.linspace(0, 4, 16), 100, seed=1)
-        M = field.target_covariance
+        M = _dense(field)[0]
         assert np.abs(M - M.conj().T).max() <= 1e-12 * np.abs(M).max()
         assert np.linalg.eigvalsh(M).min() >= -1e-8 * np.real(np.diag(M)).max()
 
@@ -236,17 +253,19 @@ class TestColoredNoise:
         (EnvironmentSpec(beta=1.0), GaussianKernel(1.0)),
     ], ids=["gaussian", "coherent", "thermal"])
     def test_target_covariance_exactly_hermitian(self, env, kernel):
-        # the Toeplitz target is Hermitian bit for bit (signed zeros aside)
-        # with no symmetrizing pass, as C(0) is real
-        M = sample_colored_noise(env, kernel, np.linspace(0, 4, 16), 100, seed=1).target_covariance
-        assert M.flags.c_contiguous and np.array_equal(M, M.conj().T)
+        # the target is kept as its first row, with a real C(0), so the
+        # Toeplitz matrix it stands for is Hermitian bit for bit
+        row = sample_colored_noise(env, kernel, np.linspace(0, 4, 16), 100, seed=1).target
+        assert row.shape == (16,) and row[0].imag == 0.0
+        M = scipy.linalg.toeplitz(row.conj(), row)
+        assert np.array_equal(M, M.conj().T)
         assert np.linalg.eigvalsh(M).min() >= -1e-8 * np.real(np.diag(M)).max()
 
     def test_sample_covariance_converges(self):
         env = EnvironmentSpec()
         field = sample_colored_noise(env, GaussianKernel(1.0), np.linspace(0, 4, 24), 20_000, seed=3)
-        err = np.linalg.norm(field.covariance - field.target_covariance)
-        assert err / np.linalg.norm(field.target_covariance) <= 0.05
+        M, sample = _dense(field)
+        assert np.linalg.norm(sample - M) / np.linalg.norm(M) <= 0.05
 
     def test_coupling_off_gives_zero(self):
         env = EnvironmentSpec(coupling_g=0.0)
@@ -254,23 +273,24 @@ class TestColoredNoise:
         assert np.all(field.samples == 0.0)
 
     def test_coupling_off_draws_nothing(self, monkeypatch):
-        # every eigenvalue is 0, so the root has rank 0 and no stream is keyed
+        # a zero target has rank 0, so no stream is keyed
         def refuse(*args):
             raise AssertionError("a stream was drawn for a rank-0 root")
 
         monkeypatch.setattr(trajectories, "_keyed_words", refuse)
         env = EnvironmentSpec(coupling_g=0.0)
         field = sample_colored_noise(env, GaussianKernel(1.0), np.linspace(0, 2, 8), 50, seed=5)
-        assert field.root.shape == (8, 0)
+        assert field.root.shape == (8, 0) and field.draws.shape == (0, 0)
         assert field.clipped_mass == 0.0
-        assert np.array_equal(field.covariance, np.zeros((8, 8)))
+        summary = trajectories._lag_summary(field)
+        assert np.array_equal(summary[2], np.zeros(8)) and summary[4:] == (0.0, 0.0)
         assert np.array_equal(field.samples, np.zeros((50, 8)))
 
     def test_single_point_variance(self):
         env = EnvironmentSpec()
         n = 4000
         field = sample_colored_noise(env, GaussianKernel(1.0), [0.0], n, seed=9)
-        c0 = field.target_covariance[0, 0].real
+        c0 = field.target[0].real
         var = np.mean(np.abs(field.samples) ** 2)
         assert abs(var - c0) <= 3.0 / math.sqrt(n) * c0
 
@@ -281,8 +301,12 @@ class TestColoredNoise:
         assert np.array_equal(a.samples, b.samples)
 
     def test_grid_size_limit(self):
-        with pytest.raises(ValueError):
-            sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), np.zeros(300), 2, seed=1)
+        # one clear error past the cap, before any correlator is evaluated
+        with pytest.raises(ValueError, match="noise grid of 4097 points is past the cap of 4096"):
+            sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), np.linspace(0, 4, 4097), 2, seed=1)
+        # and past the 256 directions that no grid of the old 256-point cap could need
+        with pytest.raises(ValueError, match="noise root needs more than 256 directions"):
+            sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), np.linspace(0, 40, 300), 1, seed=1)
 
     @pytest.mark.parametrize("grid", [[], [0.0, math.nan], [0.0, math.inf, 2.0],
                                       [0.0, 1.0, 3.0], [1.0, 1.0], [[0.0, 1.0]]],
@@ -294,7 +318,9 @@ class TestColoredNoise:
     @pytest.mark.parametrize("n_points", [1, 8, 32, 64, 256])
     def test_matches_reference_construction(self, monkeypatch, n_points):
         # one evaluation per lag, at the rounded keys the pairwise dict loop
-        # evaluates, and bit-identical samples
+        # evaluates; the written-out pivoted Cholesky's R R^H to rounding (its
+        # last columns, over sqrt(E_pp) ~ 1e-4, differ by 1e-11 relative), and
+        # samples bit-identical to the block sampler's on the field's root
         calls, values = [], {}
         original = trajectories.wightman_timelike
 
@@ -311,15 +337,17 @@ class TestColoredNoise:
         field = sample_colored_noise(env, kernel, grid, n_real, seed=17)
         ours = list(calls)
         calls.clear()
-        root = _rank_root(field.target_covariance)[0]
-        M, samples = _reference_noise(lambda s: recording(env, kernel, s), grid, root, n_real, 17)
+        M, samples = _reference_noise(lambda s: recording(env, kernel, s), grid, field.root, n_real, 17)
         assert ours == calls
         assert len(ours) == n_points
-        assert np.array_equal(field.target_covariance, M)
-        assert np.array_equal(field.root, root)
+        assert np.array_equal(_dense(field)[0], M)
+        root = _dense_pivoted_root(M)
+        assert root.shape == field.root.shape
+        gram = field.root @ field.root.conj().T
+        assert np.abs(gram - root @ root.conj().T).max() <= 1e-13 * M[0, 0].real
         assert np.array_equal(field.samples, samples)
         # the block product rounds differently from one matvec per realization
-        matvec = _matvec_noise(root, n_real, 17)
+        matvec = _matvec_noise(field.root, n_real, 17)
         assert np.abs(field.samples - matvec).max() <= 1e-13 * np.abs(matvec).max()
 
     @pytest.mark.parametrize("n_points", [1, 8, 32, 256])
@@ -340,51 +368,95 @@ class TestColoredNoise:
             assert np.array_equal(samples, longest[:c])
 
     @pytest.mark.parametrize("n_real, n_points", [
-        (20_000, 256),  # the noise cap: rank 39, full blocks of 420 draws
+        (20_000, 256),  # rank 40: full blocks of 409 draws
         (1001, 32),     # short last blocks
         (5, 8),
         (7, 1),
     ])
     def test_sample_covariance_matches_samples(self, n_real, n_points):
-        # streamed from the draws: Hermitian, and the one-shot product z^H z / N
-        # of the regenerated realizations to 1e-13 relative
+        # streamed from the draws: W Hermitian, and R W R^H the one-shot
+        # product z^H z / N of the regenerated realizations to 1e-13 relative
         grid = [0.0] if n_points == 1 else np.linspace(0.0, 4.0, n_points)
         field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, n_real, seed=23)
-        got = field.covariance
+        assert np.abs(field.draws - field.draws.conj().T).max() <= 1e-13 * np.abs(field.draws).max()
+        got = _dense(field)[1]
         z = field.samples
         ref = (z.conj().T @ z).T / n_real
         scale = np.abs(ref).max()
         assert np.abs(got - got.conj().T).max() <= 1e-13 * scale
         assert np.abs(got - ref).max() <= 1e-13 * scale
 
-    def test_sample_covariance_memory(self):
-        # no (n_real, n) buffer: 20 000 x 256 realizations would take 78 MiB;
-        # the full-rank root and its 64-row blocks peaked at 8 MiB, the rank-39
-        # root at 4.5 MiB
-        grid = np.linspace(0.0, 4.0, 256)
+    @staticmethod
+    def _sampler_peak(n_points):
+        grid = np.linspace(0.0, 4.0, n_points)
         tracemalloc.start()
         try:
             sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, 20_000, seed=29)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+
+    def test_sample_covariance_memory(self):
+        # no (n_real, n) buffer and no n x n array: 20 000 x 256 realizations
+        # would take 78 MiB; the eigen-root and its three n x n matrices
+        # peaked at 4.5 MiB, the pivoted root and its factors at 2.2 MiB
+        assert self._sampler_peak(256) < 3 * 2**20
+
+    def test_sample_covariance_memory_at_the_cap(self):
+        # at 4096 points one n x n complex matrix would take 256 MiB; the
+        # root's k = 42 columns take 2.6 MiB, and the sampler peaks at 8.5 MiB
+        assert self._sampler_peak(4096) < 12 * 2**20
 
     @pytest.mark.parametrize("n_points, rank", [(1, 1), (8, 8), (32, 32), (64, 38), (256, 39)])
     def test_root_rank_and_clipped_mass(self, n_points, rank):
-        # the root keeps exactly the eigenvalues above the tolerance, so it is
-        # within the tolerance of the target in the 2-norm, and the clipped mass
-        # is the |lambda| of all the others: +0.0 when none is dropped
+        # against a dense eigh oracle: the pivoted root stops once the residual
+        # trace is within the tolerance, so it keeps at most one column past the
+        # eigen-rank, it is within the tolerance of the target in the 2-norm,
+        # and the clipped mass is the residual's trace: +0.0 at full rank,
+        # where every row is a pivot
         grid = [0.0] if n_points == 1 else np.linspace(0.0, 4.0, n_points)
         field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, 1, seed=37)
-        M = field.target_covariance
-        _, eigvals, tol = _rank_root(M)
-        assert field.root.shape == (n_points, rank)
-        assert rank == np.count_nonzero(eigvals > tol)
-        assert np.linalg.norm(field.root @ field.root.conj().T - M, 2) <= tol
-        dropped = np.abs(eigvals[eigvals <= tol]).sum()
-        assert field.clipped_mass == pytest.approx(dropped, rel=1e-12, abs=0.0)
-        assert math.copysign(1.0, field.clipped_mass) == 1.0
+        M = _dense(field)[0]
+        _, tol, eigen_rank = _eigen_rank(M)
+        k = field.root.shape[1]
+        assert eigen_rank == rank and rank <= k <= rank + 1
+        residual = M - field.root @ field.root.conj().T
+        assert np.linalg.norm(residual, 2) <= tol
+        assert field.clipped_mass == pytest.approx(np.trace(residual).real, rel=0.0, abs=1e-12 * M[0, 0].real)
+        if k == n_points:
+            assert field.clipped_mass == 0.0 and math.copysign(1.0, field.clipped_mass) == 1.0
+
+    def test_root_stopped_on_largest_diagonal_fails(self):
+        # stopping once the residual's largest diagonal entry, not its trace,
+        # is within the tolerance keeps fewer of the same greedy columns and
+        # leaves the residual past the tolerance in the 2-norm
+        field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), np.linspace(0.0, 4.0, 256), 1, 37)
+        M, R = _dense(field)[0], field.root
+        _, tol, _ = _eigen_rank(M)
+        diag = M[0, 0].real - np.cumsum(np.abs(R) ** 2, axis=1)  # residual diagonal after j + 1 columns
+        stop = 1 + int(np.argmax(diag.max(axis=0) <= tol))
+        assert stop < R.shape[1]
+        assert np.linalg.norm(M - R[:, :stop] @ R[:, :stop].conj().T, 2) > 2.0 * tol
+
+    @pytest.mark.parametrize("scale, raises", [(-10.0, True), (-0.1, False)])
+    def test_negative_eigenvalue_raises(self, scale, raises):
+        # a circulant, so Hermitian Toeplitz, target with eigenvalues exp(-(m / 4)^2)
+        # and one at scale * tol: the Lanczos bound on the residual finds
+        # -10 tol, and lets -0.1 tol pass
+        n = 128
+        freq = np.minimum(np.arange(n), n - np.arange(n))
+        mu = np.exp(-((freq / 4.0) ** 2))
+        mu[n // 2] = scale * 1e-8 * mu.mean()
+        column = np.fft.ifft(mu)
+        row = column[(-np.arange(n)) % n]
+        M = scipy.linalg.toeplitz(row.conj(), row)
+        assert np.linalg.eigvalsh(M).min() == pytest.approx(scale * 1e-8 * row[0].real, rel=1e-6)
+        if raises:
+            with pytest.raises(PositivityError, match="not positive type"):
+                trajectories._pivoted_root(row)
+        else:
+            root, _ = trajectories._pivoted_root(row)
+            assert np.linalg.norm(M - root @ root.conj().T, 2) <= 1e-8 * row[0].real
 
     def test_sample_covariance_error_law(self, monkeypatch):
         # circular draws give E ||C_hat - C||_F^2 = sum_jk C_jj C_kk / N =
@@ -397,9 +469,9 @@ class TestColoredNoise:
         ratios = []
         for seed in seeds:
             field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, n_real, seed)
-            C = field.target_covariance
-            ratios.append(n_real * np.linalg.norm(field.covariance - C) ** 2 / np.trace(C).real ** 2)
-            err, bound = trajectories._frobenius_check(field)
+            C, sample = _dense(field)
+            ratios.append(n_real * np.linalg.norm(sample - C) ** 2 / np.trace(C).real ** 2)
+            err, bound = trajectories._lag_summary(field)[4:]
             assert err <= bound, seed  # a single-run false alarm at rate 1e-3
         assert field.root.shape[1] < grid.size
         se = np.std(ratios, ddof=1) / math.sqrt(len(ratios))
@@ -410,40 +482,51 @@ class TestColoredNoise:
     def test_frobenius_check_has_power(self, monkeypatch, n_points):
         # at the noise defaults' effective rank p_1^2 / p_2 of about 20 the
         # bound on X = N ||C_hat - C||_F^2 sits near 1.4 p_1^2: a correct run
-        # stays below it, while a variance off by sqrt(2) and a stream reused
-        # for two realizations (X near 2 p_1^2) each fail in a single run
+        # stays below it, while a variance off by sqrt(2), a root that drops
+        # its leading direction and a stream reused for two realizations (X
+        # near 2 p_1^2) each fail in a single run.  Dropping the last
+        # direction, whose mass is below the rank tolerance, is a bias of
+        # 1e-8 that no Monte-Carlo check sees; the 2-norm root tests do
         _cache_correlator(monkeypatch)
         args = (EnvironmentSpec(), GaussianKernel(5.0), np.linspace(0.0, 4.0, n_points), 5000)
         field = sample_colored_noise(*args, seed=47)
-        err, bound = trajectories._frobenius_check(field)
+        err, bound = trajectories._lag_summary(field)[4:]
         assert err <= bound
-        scaled = dataclasses.replace(field, covariance=math.sqrt(2.0) * field.covariance)
-        err, bound = trajectories._frobenius_check(scaled)
+        scaled = dataclasses.replace(field, draws=math.sqrt(2.0) * field.draws)
+        err, bound = trajectories._lag_summary(scaled)[4:]
+        assert err > bound
+        dropped = dataclasses.replace(field, root=field.root[:, 1:], draws=field.draws[1:, 1:])
+        err, bound = trajectories._lag_summary(dropped)[4:]
         assert err > bound
         keyed = trajectories._keyed_words
 
         def reused(seed, columns, first, n):  # realization 2m + 1 draws the words of 2m
             words = keyed(seed, columns, first, n)
-            words[:, 2::4], words[:, 3::4] = words[:, 0::4], words[:, 1::4]
+            end = n - n % 4
+            words[:, 2:end:4], words[:, 3:end:4] = words[:, 0:end:4], words[:, 1:end:4]
             return words
 
         monkeypatch.setattr(trajectories, "_keyed_words", reused)
-        err, bound = trajectories._frobenius_check(sample_colored_noise(*args, seed=47))
+        err, bound = trajectories._lag_summary(sample_colored_noise(*args, seed=47))[4:]
         assert err > bound
 
-    @pytest.mark.parametrize("n_points", [1, 8, 32])
-    def test_lag_summary_columns(self, monkeypatch, n_points):
+    @pytest.mark.parametrize("n_points, n_real", [(1, 300), (8, 300), (32, 300), (256, 20_000)],
+                             ids=["1", "8", "32", "256"])
+    def test_lag_summary_columns(self, monkeypatch, n_points, n_real):
         # one row per lag: the target's first row, and the plain mean of each
-        # superdiagonal of the sample covariance, to the bit
+        # superdiagonal of the sample covariance; the means and the Frobenius
+        # error, taken from the factors, match the dense forms to 1e-13
         _cache_correlator(monkeypatch)
         grid = [0.5] if n_points == 1 else np.linspace(0.5, 4.5, n_points)
-        field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, 300, seed=41)
-        lag_t, target, sample, std_error = trajectories._lag_summary(field)
+        field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, n_real, seed=41)
+        lag_t, target, sample, std_error, err, _ = trajectories._lag_summary(field)
         assert lag_t.shape == target.shape == sample.shape == std_error.shape == (n_points,)
         assert np.array_equal(lag_t, np.asarray(grid) - grid[0])
-        assert np.array_equal(target, field.target_covariance[0])
-        for lag in range(n_points):
-            assert sample[lag] == np.diagonal(field.covariance, lag).mean()
+        assert np.array_equal(target, field.target)
+        M, dense = _dense(field)
+        means = np.array([np.diagonal(dense, lag).mean() for lag in range(n_points)])
+        assert np.abs(sample - means).max() <= 1e-13 * np.abs(means).max()
+        assert err == pytest.approx(np.linalg.norm(dense - M) / np.linalg.norm(M), rel=1e-13, abs=0.0)
 
     def test_lag_std_error_brute_force(self, monkeypatch):
         # the convolution gives sum_{a, b < m} |M_ab|^2 / (N m^2), m = n - lag
@@ -451,7 +534,7 @@ class TestColoredNoise:
         n, n_real = 12, 700
         field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0),
                                      np.linspace(0.0, 3.0, n), n_real, seed=43)
-        power = np.abs(field.target_covariance) ** 2
+        power = np.abs(_dense(field)[0]) ** 2
         brute = [math.sqrt(power[: n - lag, : n - lag].sum() / (n_real * (n - lag) ** 2))
                  for lag in range(n)]
         std_error = trajectories._lag_summary(field)[3]
@@ -470,7 +553,7 @@ class TestColoredNoise:
         ratios = []
         for seed in seeds:
             field = sample_colored_noise(EnvironmentSpec(), GaussianKernel(1.0), grid, n_real, seed)
-            _, target, sample, std_error = trajectories._lag_summary(field)
+            _, target, sample, std_error, _, _ = trajectories._lag_summary(field)
             ratios.append(np.mean(np.abs(sample - target) ** 2 / std_error**2))
         bound = scipy.stats.t.isf(0.5e-3, len(seeds) - 1)
 
