@@ -277,12 +277,12 @@ def _pivoted_root(row: np.ndarray):
     R = np.array(cols, dtype=complex).reshape(len(cols), n).T
     spectrum = fft.fft(np.concatenate((row.conj(), [0.0], row[:0:-1])))
     q = np.cos(np.arange(n, dtype=float) ** 2)  # quasi-random, neither even nor odd
-    q, q_last, b, pivot = q / np.linalg.norm(q), 0.0, 0.0, math.inf
+    q, q_last, b, d = q / np.linalg.norm(q), 0.0, 0.0, math.inf
     for _ in range(min(n, 64)):
         w = fft.ifft(spectrum * fft.fft(q, 2 * n))[:n] - R @ (R.conj().T @ q) - b * q_last
         a = np.vdot(q, w).real
-        pivot = a + tol - b * b / pivot
-        if pivot < 0.0:
+        d = a + tol - b * b / d  # the LDL^T pivots of T + tol
+        if d < 0.0:
             raise PositivityError(f"noise covariance has an eigenvalue below -{tol:.3e}: not positive type")
         w -= a * q
         b = np.linalg.norm(w)
