@@ -12,10 +12,9 @@ CLI process loads only the modules its scenario runs.  No scenario loads
 OpenSSL: ``cli`` hashes configs with CPython's built-in SHA-256, not
 ``hashlib``, and ``trajectories`` makes its Philox streams itself, without
 numpy's ``random`` package.  No relclock module imports scipy.  Quadrature
-and special functions are numpy (:mod:`relclock.specfun`), Gibbs states come
-from ``eigh``, and the matrix exponential is Padé scaling and squaring
-(``gkls.expm``).  scipy is a test-only dependency, the oracle these routines
-are checked against.
+and special functions are numpy (:mod:`relclock.specfun`), and the matrix
+exponential is Padé scaling and squaring (``gkls.expm``).  scipy is a
+test-only dependency, the oracle these routines are checked against.
 """
 
 import importlib

@@ -17,9 +17,9 @@ an interval such as ``(0, inf)`` that every number of a value (a list's or a
 matrix's too) must lie in.  nan lies in none, and an infinity only in an
 interval closed at it: ``[env] beta``, ``(0, inf]`` where +inf is the vacuum,
 alone.  A value outside raises one :class:`ConfigError` naming ``[section]
-key``, the domain and the value.  Library caps (4096 noise points, 6 curl
-sites, 64 boost modes in multiples of 4) are not repeated there: they stay
-library errors.
+key``, the domain and the value.  Library caps (4096 noise points, 64 boost
+modes in multiples of 4) are not repeated there: they stay library errors.
+``curl`` has no site cap, as its operators live on the two sites {x, y}.
 """
 
 from __future__ import annotations

@@ -66,32 +66,11 @@ class DensityMatrix:
             raise ValueError(f"state has negative eigenvalue {min_eig:.3e}")
         self.matrix = 0.5 * (M + M.conj().T)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def pure(cls, psi) -> "DensityMatrix":
         v = np.asarray(psi, dtype=complex)
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def gibbs(cls, hamiltonian, beta: float) -> "DensityMatrix":
-        """exp(-beta H) / Z from the spectrum of the Hermitian H.
-
-        Weights are taken relative to the ground energy, so no exponent is
-        positive and none can overflow.
-        """
-        eigvals, eigvecs = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
-        if beta == math.inf:
-            return cls.pure(eigvecs[:, 0])
-        w = np.exp(-beta * (eigvals - eigvals[0]))
-        return cls((eigvecs * (w / w.sum())) @ eigvecs.conj().T)
-
-    @classmethod
-    def maximally_mixed(cls, d: int) -> "DensityMatrix":
-        return cls(np.eye(d) / d)
 
 
 @dataclass(frozen=True)
@@ -116,9 +95,6 @@ class Superoperator:
     @property
     def dim(self) -> int:
         return int(round(math.sqrt(self.matrix.shape[0])))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(rho), self.dim)
 
 
 @dataclass(frozen=True)

@@ -183,10 +183,6 @@ class HybridState:
         mu = self.z_mean()
         return float(np.sum((self.z_grid - mu) ** 2 * self.z_density()))
 
-    def quantum_marginal(self) -> np.ndarray:
-        M = self.blocks.sum(axis=0)
-        return 0.5 * (M + M.conj().T)
-
     @classmethod
     def gaussian_packet(
         cls, z_grid, center: float, width: float, qubit_state

@@ -100,16 +100,6 @@ class SliceLattice:
             raise ValueError("non-timelike discrete normal")
         return math.atanh(v)
 
-    def normal_stencil(self, site: int) -> tuple:
-        """Sites whose height enters this site's discrete normal."""
-        if self.n_sites == 1:
-            return ()
-        if site == 0:
-            return (0, 1)
-        if site == self.n_sites - 1:
-            return (self.n_sites - 2, self.n_sites - 1)
-        return (site - 1, site + 1)
-
 
 @dataclass(frozen=True)
 class CurlResidual:

@@ -55,7 +55,6 @@ __all__ = [
     "assemble_kossakowski",
 ]
 
-_QUAD_TOL = 1e-10
 _UNTILTED = 1e-14  # below this |rapidity| the clock is at rest in the bath
 
 
@@ -104,12 +103,6 @@ class KossakowskiBlock:
     matrix: np.ndarray
     psd_margin: float
 
-    @classmethod
-    def build(cls, labels, matrix) -> "KossakowskiBlock":
-        matrix = np.asarray(matrix, dtype=complex)
-        margin = psd_margin(matrix, "Kossakowski block")
-        return cls(labels=tuple(labels), matrix=matrix, psd_margin=margin)
-
 
 @dataclass(frozen=True)
 class LambShiftCoefficient:
@@ -152,7 +145,7 @@ def _on_shell(env: EnvironmentSpec, weight, lo: float, hi: float) -> float:
         E = m * np.cosh(theta)
         return _unit_density(m, E) * (m * np.sinh(theta)) * weight(E)
 
-    return integrate_adaptive(f, math.acosh(lo / m), math.acosh(hi / m), _QUAD_TOL).value
+    return integrate_adaptive(f, math.acosh(lo / m), math.acosh(hi / m)).value
 
 
 def _kappa_gaussian(env: EnvironmentSpec, sigma: float, omega: float) -> float:
@@ -200,7 +193,7 @@ def _kappa_gaussian(env: EnvironmentSpec, sigma: float, omega: float) -> float:
         diff = np.where(small, series, _erf_diff(s * a_minus, s * a_plus))
         return m / (8.0 * math.pi) * ratio * diff
 
-    return max(integrate_adaptive(f, u_lo, u_max, _QUAD_TOL).value, 0.0)
+    return max(integrate_adaptive(f, u_lo, u_max).value, 0.0)
 
 
 def _kappa_atomic(env: EnvironmentSpec, kernel: ClockKernel, omega: float) -> float:
@@ -370,4 +363,5 @@ def assemble_kossakowski(queries, cross_phases) -> KossakowskiBlock:
     matrix = np.zeros((dim, dim), dtype=complex)
     for i, blk in enumerate(blocks):
         matrix[i * n : (i + 1) * n, i * n : (i + 1) * n] = blk
-    return KossakowskiBlock.build(labels, matrix)
+    return KossakowskiBlock(labels=tuple(labels), matrix=matrix,
+                            psd_margin=psd_margin(matrix, "Kossakowski block"))

@@ -3,12 +3,12 @@
 Everything here runs on numpy alone.  The special functions take a float or
 an array and return the same shape; :func:`integrate_adaptive` is an
 adaptive 7-point Gauss / 15-point Kronrod rule (Piessens et al., *QUADPACK*,
-Springer 1983) that evaluates every panel of one refinement round in a single
-integrand call.
+Springer 1983) over a finite range, at the one tolerance ``QUAD_TOL``, that
+evaluates every panel of one refinement round in a single integrand call.
 
 Integrand contract: an integrand passed to :func:`integrate_adaptive` takes a
-1-D array of nodes and returns an array of the same shape, real or complex.
-It is never called with a scalar.
+1-D array of nodes and returns a real array of the same shape.  It is never
+called with a scalar.
 
 Units are hbar = c = 1 throughout the package; the environment mass is the
 natural energy unit unless a caller rescales its inputs.
@@ -38,6 +38,9 @@ DAMPING_FLOOR = 1e-18
 #: Panel splits a quadrature may make, beyond two per starting panel,
 #: before giving up.
 MAX_SUBDIVISIONS = 200
+
+#: Relative and absolute tolerance of every :func:`integrate_adaptive` pass.
+QUAD_TOL = 1e-10
 
 # integrate_adaptive starts on this many equal panels: one batched call on
 # four panels costs about as much as on one, and it saves most of the
@@ -220,31 +223,16 @@ def _gauss_kronrod(f, edges, epsabs: float, epsrel: float):
         err = np.concatenate((err[keep], new_err))
 
 
-def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float = 1e-10
-) -> QuadratureResult:
-    """Adaptive quadrature of ``f`` over (a, b); ``b`` may be ``inf``.
+def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> QuadratureResult:
+    """Adaptive quadrature of ``f`` over the finite range (a, b).
 
     ``f`` follows the module's integrand contract: a 1-D node array in, an
-    array of the same shape out.  Semi-infinite ranges are mapped to the unit
-    interval with E = a + t/(1 - t) before the adaptive pass, which starts on
-    four equal panels.  ``tol`` is used as both the relative and the absolute
-    tolerance: the pass stops once the error estimate is at most
-    max(tol, tol * |value|).  Non-convergence raises :class:`AccuracyError`
-    carrying the best estimate.
+    array of the same shape out.  The adaptive pass starts on four equal
+    panels and stops once the error estimate is at most
+    max(``QUAD_TOL``, ``QUAD_TOL`` * |value|).  Non-convergence raises
+    :class:`AccuracyError` carrying the best estimate.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
-    if b == math.inf:
-        def g(t):
-            # Kronrod nodes are interior, so t < 1 at every node
-            r = 1.0 / (1.0 - t)
-            return f(a + t * r) * r * r
-
-        lo, hi = 0.0, 1.0
-    else:
-        if not (np.isfinite(a) and np.isfinite(b)):
-            raise ValueError("only finite or [a, inf) ranges are supported")
-        g, lo, hi = f, a, b
-    value, abserr, neval = _gauss_kronrod(g, np.linspace(lo, hi, _START_PANELS + 1), tol, tol)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integrate_adaptive needs finite limits, got ({a!r}, {b!r})")
+    value, abserr, neval = _gauss_kronrod(f, np.linspace(a, b, _START_PANELS + 1), QUAD_TOL, QUAD_TOL)
     return QuadratureResult(value=float(value), error_estimate=abserr, evaluations=neval)

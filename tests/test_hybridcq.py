@@ -100,7 +100,7 @@ class TestGridEvolver:
         z = np.linspace(-8, 8, 64)
         st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
         out, _ = cq_evolve_grid(k, dephasing_model(), st, 1.0)
-        sx = np.real(np.trace(out.quantum_marginal() @ SX))
+        sx = np.real(np.trace(out.blocks.sum(0) @ SX))
         assert sx == pytest.approx(0.9 * math.exp(-2 * 2.0 * 1.0), rel=0.05)
 
     def test_trace_conserved_random_kernels(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from relclock.correlators import EnvironmentSpec
-from relclock.gkls import build_generator, qubit_decay_model
+from relclock.gkls import build_generator, qubit_decay_model, unvec, vec
 from relclock.integrability import (
     MomentumGridModel,
     SliceLattice,
@@ -28,12 +28,6 @@ class TestLattice:
         lat = SliceLattice.tilted(5, 1.0, 0.3)
         for i in range(1, 4):
             assert lat.discrete_rapidity(i) == pytest.approx(0.3, rel=1e-12)
-
-    def test_stencils(self):
-        lat = SliceLattice(n_sites=4, heights=(0, 0, 0, 0), spacing=1.0)
-        assert lat.normal_stencil(0) == (0, 1)
-        assert lat.normal_stencil(1) == (0, 2)
-        assert lat.normal_stencil(3) == (2, 3)
 
     def test_size_limit(self):
         # only the full-chain generator is 4^n x 4^n; the lattice itself is not capped
@@ -74,7 +68,7 @@ class TestSliceGenerator:
         psi = np.kron(np.kron(g, e), g)
         rho = np.outer(psi, psi).astype(complex)
         idx = int(np.argmax(psi))
-        drho = gen.apply(rho)
+        drho = unvec(gen.matrix @ vec(rho), 8)
         gamma_down = -drho[idx, idx].real
         nu = 3.0 * math.cosh(0.3)
         E = np.linspace(1.0, nu + 8.0 / 2.0, 400_001)
@@ -85,7 +79,7 @@ class TestSliceGenerator:
         flat = build_slice_generator(
             SliceLattice(3, (0, 0, 0), 1.0, rate_mode="normal_sampled", site_energy=3.0),
             1, ENV, KER2)
-        flat_gamma = -flat.apply(rho)[idx, idx].real
+        flat_gamma = -unvec(flat.matrix @ vec(rho), 8)[idx, idx].real
         assert abs(gamma_down - flat_gamma) > 1e-3
 
 
@@ -192,7 +186,9 @@ class TestCurlDenseOracle:
         # rates need the full lattice even though the operators live on {1, 2}
         lat = SliceLattice(n_sites=4, heights=(0.0, 0.3, -0.2, 0.5), spacing=1.0,
                            rate_mode="normal_sampled")
-        assert set(lat.normal_stencil(1) + lat.normal_stencil(2)) - {1, 2}
+        h = lat.heights
+        assert lat.discrete_rapidity(1) == math.atanh((h[2] - h[0]) / 2.0)
+        assert lat.discrete_rapidity(2) == math.atanh((h[3] - h[1]) / 2.0)
         sub = SliceLattice(n_sites=2, heights=lat.heights[1:3], spacing=1.0,
                            rate_mode="normal_sampled")
         for x, y in ((1, 2), (2, 1)):

@@ -9,7 +9,6 @@ from conftest import ClosedFormKernel
 from relclock.correlators import EnvironmentSpec, vacuum_spectral_density
 from relclock.kernels import CoherentReadoutKernel, GaussianKernel, PositivityError
 from relclock.rates import (
-    KossakowskiBlock,
     RateQuery,
     assemble_kossakowski,
     kappa_markov_kms,
@@ -305,9 +304,13 @@ class TestKossakowski:
         with pytest.raises(ValueError):
             assemble_kossakowski([q1, q2], np.eye(1))
 
-    def test_block_builder_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            KossakowskiBlock.build([(0, -1.0)], np.array([[1j]]))
+    def test_block_builder_rejects_non_hermitian(self, monkeypatch):
+        # a complex rate makes the assembled block non-Hermitian
+        from relclock import rates
+
+        monkeypatch.setattr(rates, "kappa_tcl", lambda q: 1j)
+        with pytest.raises(ValueError, match="Kossakowski block must be Hermitian"):
+            assemble_kossakowski([q(-2.0)], np.eye(1))
 
 
 class TestProperties:
@@ -437,8 +440,8 @@ class TestQuadratureOracle:
         seen = []
         real = rates.integrate_adaptive
 
-        def recording(f, a, b, tol):
-            res = real(f, a, b, tol)
+        def recording(f, a, b):
+            res = real(f, a, b)
             seen.append((f, a, b, res))
             return res
 

@@ -105,31 +105,28 @@ class TestGaussianFT:
 
     def test_parseval_mass(self):
         # int w_hat dOmega = 2 pi w(0) = 2 pi
-        val = integrate_adaptive(lambda O: gaussian_ft(1.0, O), -20.0, 20.0, 1e-10)
+        val = integrate_adaptive(lambda O: gaussian_ft(1.0, O), -20.0, 20.0)
         assert val.value == pytest.approx(2 * math.pi, abs=1e-8)
 
 
 class TestIntegrateAdaptive:
     def test_exponential(self):
-        res = integrate_adaptive(lambda x: np.exp(-x), 0.0, math.inf, 1e-12)
-        assert res.value == pytest.approx(1.0, abs=1e-10)
+        res = integrate_adaptive(lambda x: np.exp(-x), 0.0, 40.0)
+        assert res.value == pytest.approx(-math.expm1(-40.0), abs=1e-10)
         assert res.error_estimate >= 0.0
         assert res.evaluations >= 1
 
     def test_polynomial(self):
-        res = integrate_adaptive(lambda x: x * x, 0.0, 1.0, 1e-12)
+        res = integrate_adaptive(lambda x: x * x, 0.0, 1.0)
         assert res.value == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_against_trapezoid_oracle(self):
-        # int_1^inf sqrt(E^2-1) exp(-(E-2)^2/2) dE; oracle: dense trapezoid
-        # on [1, 15] (integrand < 1e-38 beyond)
+        # int_1^15 sqrt(E^2-1) exp(-(E-2)^2/2) dE (integrand < 1e-38 beyond);
+        # oracle: dense trapezoid
         E = np.linspace(1.0, 15.0, 2_000_001)
         oracle = np.trapezoid(np.sqrt(E**2 - 1) * np.exp(-0.5 * (E - 2) ** 2), E)
         res = integrate_adaptive(
-            lambda x: np.sqrt(np.maximum(x * x - 1, 0.0)) * np.exp(-0.5 * (x - 2) ** 2),
-            1.0,
-            math.inf,
-            1e-12,
+            lambda x: np.sqrt(np.maximum(x * x - 1, 0.0)) * np.exp(-0.5 * (x - 2) ** 2), 1.0, 15.0
         )
         assert res.value == pytest.approx(oracle, rel=1e-8)
 
@@ -142,7 +139,7 @@ class TestIntegrateAdaptive:
     def test_nonconvergence_carries_estimate(self):
         with pytest.raises(AccuracyError) as exc:
             # highly oscillatory integrand defeats the subdivision budget
-            integrate_adaptive(lambda x: np.cos(1e6 * x * x), 0.0, 10.0, 1e-13)
+            integrate_adaptive(lambda x: np.cos(1e6 * x * x), 0.0, 10.0)
         assert exc.value.best_estimate is not None
 
 
@@ -197,23 +194,23 @@ class TestQuadratureContract:
             shapes.append(np.shape(x))
             return np.exp(-x)
 
-        res = integrate_adaptive(f, 0.0, 3.0, 1e-10)
+        res = integrate_adaptive(f, 0.0, 3.0)
         assert shapes and all(len(sh) == 1 and sh[0] % 15 == 0 for sh in shapes)
         assert res.evaluations == sum(sh[0] for sh in shapes)
 
     def test_reversed_limits(self):
-        res = integrate_adaptive(lambda x: np.exp(-x), 2.0, 0.0, 1e-12)
+        res = integrate_adaptive(lambda x: np.exp(-x), 2.0, 0.0)
         assert res.value == pytest.approx(-(1.0 - math.exp(-2.0)), rel=1e-12)
         assert res.value == pytest.approx(integrate.quad(lambda x: math.exp(-x), 2.0, 0.0)[0], rel=1e-12)
 
     def test_empty_range(self):
-        res = integrate_adaptive(lambda x: np.exp(-x), 1.5, 1.5, 1e-10)
+        res = integrate_adaptive(lambda x: np.exp(-x), 1.5, 1.5)
         assert res.value == 0.0 and res.error_estimate == 0.0
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
-    def test_bad_tolerance(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            integrate_adaptive(lambda x: x, 0.0, 1.0, tol)
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+    def test_non_finite_limits_refused(self, a, b):
+        with pytest.raises(ValueError, match="needs finite limits"):
+            integrate_adaptive(np.exp, a, b)
 
     def test_nonconvergence_is_bounded(self):
         calls = []
@@ -223,8 +220,8 @@ class TestQuadratureContract:
             return np.cos(1e6 * x * x)
 
         with pytest.raises(AccuracyError) as exc:
-            integrate_adaptive(f, 0.0, 10.0, 1e-13)
-        assert math.isfinite(exc.value.best_estimate) and exc.value.error_estimate > 1e-13
+            integrate_adaptive(f, 0.0, 10.0)
+        assert math.isfinite(exc.value.best_estimate) and exc.value.error_estimate > 1e-10
         # never more than the 4 starting panels and 2 * 4 + 200 splits
         assert sum(calls) <= 15 * (4 + 2 * (8 + 200))
 
@@ -235,10 +232,10 @@ class TestQuadratureContract:
             (lambda x: np.cos(30.0 * x) * np.exp(-x), 0.0, 4.0),
             (lambda x: np.sqrt(x), 0.0, 1.0),
             (lambda x: np.log(x), 0.0, 1.0),
-            (lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf),
+            (lambda x: 1.0 / (1.0 + x * x), 0.0, 1e3),
         ]
         for f, a, b in cases:
-            res = integrate_adaptive(f, a, b, 1e-10)
+            res = integrate_adaptive(f, a, b)
             ref = integrate.quad(lambda x: float(f(np.array([x]))[0]), a, b,
                                  epsabs=1e-13, epsrel=1e-13, limit=500)[0]
             assert abs(res.value - ref) <= max(1e-10, 1e-10 * abs(ref))

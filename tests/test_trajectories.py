@@ -911,7 +911,7 @@ class TestUnravelLinear:
 
     def test_preconditions(self):
         m = qubit_decay_model(1.0, 1.0)
-        mixed = DensityMatrix.maximally_mixed(2)
+        mixed = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
             unravel_linear(m, mixed, 1.0, 1e-3, 10, seed=1)
         with pytest.raises(ValueError):
