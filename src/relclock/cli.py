@@ -235,14 +235,17 @@ def parse_config(
     ``[env] beta`` alone is closed at +inf, ``[curl] x`` and ``y`` must be
     distinct sites below ``n_sites``, kms needs a finite exp(beta * omega),
     a langevin mode at finite beta a positive energy, the Lamb-shift cutoff
-    is at least 10 ``mass_e``, and an unravel run may take at most
-    ``_UNRAVEL_STEPS`` trajectory-steps, with t a multiple of dt
-    (``gkls.step_count``) and n_out - 1 dividing the step count.
+    is at least 10 ``mass_e``, the tradeoff ``d0`` and ``d2`` are square
+    with ``d1`` as many rows as ``d2`` and columns as ``d0``, and an unravel
+    run may take at most ``_UNRAVEL_STEPS`` trajectory-steps, with t a
+    multiple of dt (``gkls.step_count``) and n_out - 1 dividing the step
+    count.
     Stochastic scenarios must carry a seed (reproducibility contract);
     ``seed_override`` substitutes for a config-file seed, and either must lie
     in [0, 2^64 - 1].
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # ";" separates matrix rows, so only "#" starts a comment after a value
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -318,6 +321,14 @@ def parse_config(
     if scenario == "lamb_shift" and params["lamb_shift.cutoff"] < 10.0 * params["env.mass_e"]:
         raise ConfigError(f"[lamb_shift] cutoff must be >= 10 * [env] mass_e = {10.0 * params['env.mass_e']:g} "
                           f"for the tail fit, got {params['lamb_shift.cutoff']:g}")
+    if scenario == "tradeoff":
+        d0, d1, d2 = (params[f"tradeoff.{key}"] for key in ("d0", "d1", "d2"))
+        for key, M in (("d0", d0), ("d2", d2)):
+            if M.shape[0] != M.shape[1]:
+                raise ConfigError(f"[tradeoff] {key} must be square, got {M.shape[0]} x {M.shape[1]}")
+        if d1.shape != (d2.shape[0], d0.shape[0]):
+            raise ConfigError(f"[tradeoff] d1 must be {d2.shape[0]} x {d0.shape[0]} (rows as d2, columns "
+                              f"as d0), got {d1.shape[0]} x {d1.shape[1]}")
     if scenario == "unravel":
         from .gkls import step_count
         t, dt, n_traj, n_out = (params[f"unravel.{key}"] for key in ("t", "dt", "n_traj", "n_out"))

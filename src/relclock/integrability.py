@@ -35,7 +35,7 @@ import numpy as np
 from .correlators import EnvironmentSpec
 from .gkls import GKLSModel, Superoperator, build_generator
 from .kernels import ClockKernel
-from .rates import RateQuery, kappa_markov_vacuum, kappa_tcl
+from .rates import RateQuery, assemble_kossakowski, kappa_markov_vacuum
 
 __all__ = [
     "SliceLattice",
@@ -130,15 +130,15 @@ def _site_generator(
     else:
         nu = omega0
     env0 = replace(env, rapidity=0.0)
-    gamma_down = kappa_tcl(RateQuery(omega=-nu, kernel=kernel, env=env0))
-    gamma_up = kappa_tcl(RateQuery(omega=+nu, kernel=kernel, env=env0))
+    block = assemble_kossakowski(
+        [RateQuery(omega=w, kernel=kernel, env=env0) for w in (-nu, +nu)], [[1.0]])
     H = 0.5 * omega0 * _embed(_SZ, site, sites)
     sm = _embed(_SM, site, sites)
     model = GKLSModel(
         dim=2 ** len(sites),
         hamiltonian=H,
         jump_operators=[(sm, -omega0), (sm.conj().T, omega0)],
-        kossakowski=np.diag([gamma_down, gamma_up]).astype(complex),
+        kossakowski=block.matrix,
     )
     return build_generator(model)
 

@@ -301,9 +301,7 @@ def odd_kernel_transform(sigma: float, Omega: float) -> complex:
 
 def _lamb_raw(env: EnvironmentSpec, sigma: float, cutoff: float) -> float:
     """The Lamb-shift coefficient at unit coupling, up to ``cutoff``."""
-    rt2 = math.sqrt(2.0)
-    val = _on_shell(env, lambda E: dawson(sigma * E / rt2), env.mass_E, cutoff)
-    return 2.0 * rt2 * sigma * val
+    return _on_shell(env, lambda E: -odd_kernel_transform(sigma, E).imag, env.mass_E, cutoff)
 
 
 def lamb_shift_coefficient(

@@ -160,6 +160,30 @@ class TestParseConfig:
                         refused(raw(past))
                 refused("nan")
 
+    def test_semicolon_separates_matrix_rows(self):
+        # ";" is the row separator, so only "#" starts a comment after a
+        # value; a ";" comment on a line of its own still reads as one
+        cfg = parse_config("[run]\nscenario = tradeoff\n; full-line note\n[tradeoff]\n"
+                           "d0 = 2 0 ; 0 3  # note\nd1 = 1 1\nd2 = 1\n")
+        assert cfg.parameters["tradeoff.d0"].tolist() == [[2.0, 0.0], [0.0, 3.0]]
+        assert cfg.parameters["tradeoff.d1"].tolist() == [[1.0, 1.0]]
+
+    @pytest.mark.parametrize("d0, d1, d2, named", [
+        ("1 2", "1 1", "1", "[tradeoff] d0 must be square, got 1 x 2"),
+        ("1", "1; 1", "1 0", "[tradeoff] d2 must be square, got 1 x 2"),
+        ("1 0; 0 1", "1", "1", "[tradeoff] d1 must be 1 x 2 (rows as d2, columns as d0), got 1 x 1"),
+        ("1", "1; 1", "1", "[tradeoff] d1 must be 1 x 1 (rows as d2, columns as d0), got 2 x 1"),
+    ])
+    def test_tradeoff_shapes_refused_at_parse(self, tmp_path, capsys, d0, d1, d2, named):
+        # a mis-shaped matrix is refused by key before any output is made,
+        # not in CQKernels at the compute stage
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = tradeoff\n[tradeoff]\nd0 = {d0}\nd1 = {d1}\nd2 = {d2}\n")
+        out = tmp_path / "out"
+        assert main(["tradeoff", "--config", str(config), "--output", str(out), "--quiet"]) == 1
+        assert f"error [tradeoff] parse: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_hash_stable(self):
         a = parse_config(MINIMAL_RATES)
         b = parse_config(MINIMAL_RATES)
@@ -1105,8 +1129,8 @@ DEFAULT_DIGESTS = {
     "gkls/summary.json": "16f15cb8d8e993b57daadca2627929f9ece5b1dd09286f6fe7ed8701020794e5",
     "kms/kms.csv": "28f7d7b9af7b08591f6b4b4c1f79bc88c500d3ff53d0fad26424810125015ccc",
     "kms/summary.json": "2a82286c7ed780697897800aff3fedefceb0c981c96719c6b8a854b341b7d7b5",
-    "lamb_shift/lamb_shift.csv": "6bc3080f95279bc075f196c06843fcc6e750c69f89680243d8f8b6a28d69ea07",
-    "lamb_shift/summary.json": "85c438293cb98e5c826ff86629922e599563d423dc7e1493d0ecd9edd37864e0",
+    "lamb_shift/lamb_shift.csv": "16ec30fced74769578f9786099538e1fefb0561b390c2b1ea85aea8c5444b720",
+    "lamb_shift/summary.json": "7f8b7eaa5c9a3f061a31338b1c85cbe3e6ec766df44a3c34c432ff0028488d85",
     "langevin/langevin.csv": "ec361217187955ef7af81c0a6dd55fea81d035c8c3d8bec8c24c307ba6abd313",
     "langevin/summary.json": "2154d2a079ade998ea30588e00e2867f4ea8618ee15d19b5675c588e70cd5944",
     "markov_limit/markov_limit.csv": "31938311810ff2ccb24725cf1217df674a2630c4e90332f8a28845e6c3177b25",
