@@ -12,6 +12,13 @@ errors, which stderr names by scenario and stage (parse, compute or write);
 No scenario loads OpenSSL (about 3.5 MB resident): configs are hashed by
 CPython's built-in SHA-256, and the package makes its own Philox streams.
 
+A scenario's ``SCHEMA`` entry declares exactly the keys its computation
+reads, and any other key is refused as unknown.  So only ``rates`` and
+``markov_limit`` take ``[env] rapidity`` (the two whose rate integral takes
+the tilt), ``lamb_shift`` and ``boost`` take no ``[env] beta`` (both compute
+vacuum values), and ``lamb_shift``'s ``[kernel]`` is ``sigma`` alone (its
+coefficient is Gaussian-only).
+
 Each ``SCHEMA`` key declares its domain: the accepted words of a string, or
 an interval such as ``(0, inf)`` that every number of a value (a list's or a
 matrix's too) must lie in.  nan lies in none, and an infinity only in an
@@ -117,19 +124,24 @@ def _check(sec, key, value, domain):
 
 
 # (type, default, domain) per key; a default of None is set in units of
-# [env] mass_e (_MASS_UNITS), so [env] comes first in each scenario's entry
-_ENV = {
+# [env] mass_e (_MASS_UNITS), so [env] comes first in each scenario's entry;
+# each scenario declares only the keys it reads (module docstring)
+_VACUUM = {
     "mass_e": ("float", 1.0, "(0, inf)"),
     "g": ("float", 1.0, "[0, inf)"),
-    "beta": ("float", math.inf, "(0, inf]"),  # +inf is the vacuum, at zero temperature
+}
+_ENV = {**_VACUUM, "beta": ("float", math.inf, "(0, inf]")}  # +inf is the vacuum, at zero temperature
+_ENV_TILTED = {
+    **_ENV,
     "rapidity": ("float", 0.0, "[-710, 710]"),  # the Lorentz factor cosh(rapidity) stays finite
 }
 #: with g = 0 every rate is 0, and a detailed-balance ratio or a split between
 #: two rate sources has no target
-_ENV_COUPLED = {**_ENV, "g": ("float", 1.0, "(0, inf)")}
+_COUPLED = ("float", 1.0, "(0, inf)")
+_SIGMA = ("float", None, "(0, inf)")
 _KERNEL = {
     "kind": ("str", "gaussian", ("gaussian", "coherent")),
-    "sigma": ("float", None, "(0, inf)"),
+    "sigma": _SIGMA,
     # read by the coherent kernel alone, whose own guard names R and omega_C
     "r": ("float", 1.0, "(-inf, inf)"),
     "omega_c": ("float", 1.0, "(-inf, inf)"),
@@ -148,19 +160,19 @@ _EXP_MAX = math.log(sys.float_info.max)
 _UNRAVEL_STEPS = 1e10
 
 SCHEMA = {
-    "rates": {"env": _ENV, "kernel": _KERNEL, "rates": {
+    "rates": {"env": _ENV_TILTED, "kernel": _KERNEL, "rates": {
         "omega_min": ("float", REQUIRED, "(-inf, inf)"),
         "omega_max": ("float", REQUIRED, "(-inf, inf)"),
         "omega_points": ("int", REQUIRED, "[1, inf)"),
     }},
-    "markov_limit": {"env": _ENV, "markov_limit": {
+    "markov_limit": {"env": _ENV_TILTED, "markov_limit": {
         "omega": ("float", None, "(-inf, inf)"),
         "sigmas": _SIGMAS,
     }},
-    "lamb_shift": {"env": _ENV, "kernel": _KERNEL, "lamb_shift": {
+    "lamb_shift": {"env": _VACUUM, "kernel": {"sigma": _SIGMA}, "lamb_shift": {
         "cutoff": ("float", None, "(0, inf)"),
     }},
-    "kms": {"env": {**_ENV_COUPLED, "beta": ("float", REQUIRED, "(0, inf)")}, "kms": {
+    "kms": {"env": {**_VACUUM, "g": _COUPLED, "beta": ("float", REQUIRED, "(0, inf)")}, "kms": {
         "omega": ("float", None, "(-inf, inf)"),
         "sigmas": _SIGMAS,
     }},
@@ -198,7 +210,7 @@ SCHEMA = {
         "rate_mode": ("str", "normal_sampled", ("normal_sampled", "normal_independent")),
         "sigmas": ("list", [2.0], "(0, inf)"),
     }},
-    "boost": {"env": _ENV_COUPLED, "boost": {
+    "boost": {"env": {**_VACUUM, "g": _COUPLED}, "boost": {
         "grid_size": ("int", 64, "[8, inf)"),  # the coarsest refinement grid, n/4, needs 2 modes
         "theta_max": ("float", 3.0, "(0, inf)"),
         "system_mass": ("float", 3.0, "(0, inf)"),
@@ -229,17 +241,19 @@ def parse_config(
 ) -> ScenarioConfig:
     """Validate a key = value config document and fill declared defaults.
 
-    Unknown sections or keys are rejected; missing required keys raise a
-    :class:`ConfigError` naming the key.  Every value, given or default, must
-    lie in the domain its ``SCHEMA`` entry declares (see :func:`_check`):
-    ``[env] beta`` alone is closed at +inf, ``[curl] x`` and ``y`` must be
-    distinct sites below ``n_sites``, kms needs a finite exp(beta * omega),
-    a langevin mode at finite beta a positive energy, the Lamb-shift cutoff
-    is at least 10 ``mass_e``, the tradeoff ``d0`` and ``d2`` are square
-    with ``d1`` as many rows as ``d2`` and columns as ``d0``, and an unravel
-    run may take at most ``_UNRAVEL_STEPS`` trajectory-steps, with t a
-    multiple of dt (``gkls.step_count``) and n_out - 1 dividing the step
-    count.
+    A scenario accepts only the keys its computation reads (module
+    docstring): unknown sections or keys are rejected; missing required keys
+    raise a :class:`ConfigError` naming the key.  Every value, given or
+    default, must lie in the domain its ``SCHEMA`` entry declares (see
+    :func:`_check`): ``[env] beta`` alone is closed at +inf, a tilted rate
+    (|``[env] rapidity``| >= ``rates._UNTILTED``) needs the vacuum, ``[curl]
+    x`` and ``y`` must be distinct sites below ``n_sites``, kms needs a
+    finite exp(beta * omega), a langevin mode at finite beta a positive
+    energy, the Lamb-shift cutoff is at least 10 ``mass_e``, the tradeoff
+    ``d0`` and ``d2`` are square with ``d1`` as many rows as ``d2`` and
+    columns as ``d0``, and an unravel run may take at most
+    ``_UNRAVEL_STEPS`` trajectory-steps, with t a multiple of dt
+    (``gkls.step_count``) and n_out - 1 dividing the step count.
     Stochastic scenarios must carry a seed (reproducibility contract);
     ``seed_override`` substitutes for a config-file seed, and either must lie
     in [0, 2^64 - 1].
@@ -310,6 +324,12 @@ def parse_config(
                 raise ConfigError(f"[curl] {key} must be < n_sites = {n}, got {site}")
         if x == y:
             raise ConfigError(f"[curl] x and y must be distinct sites, got {x} for both")
+    if params.get("env.rapidity") and params["env.beta"] != math.inf:
+        from .rates import _UNTILTED
+        eta, beta = params["env.rapidity"], params["env.beta"]
+        if abs(eta) >= _UNTILTED:
+            raise ConfigError(f"[env] rapidity = {eta:g} at a finite [env] beta = {beta:g}: boosted thermal "
+                              f"rates are outside the model, so |rapidity| must be < {_UNTILTED:g} or beta inf")
     if scenario == "kms":
         om, beta = params["kms.omega"], params["env.beta"]
         if beta * abs(om) > _EXP_MAX:
@@ -349,19 +369,21 @@ def parse_config(
     )
 
 
+#: the EnvironmentSpec field of each [env] key
+_ENV_FIELDS = {"mass_e": "mass_E", "g": "coupling_g", "beta": "beta", "rapidity": "rapidity"}
+
+
 def _env_from(params):
+    """The environment of the [env] keys the scenario declares; an undeclared
+    one keeps EnvironmentSpec's default (the vacuum, at rest in the bath)."""
     from .correlators import EnvironmentSpec
-    return EnvironmentSpec(
-        mass_E=params["env.mass_e"],
-        coupling_g=params["env.g"],
-        beta=params["env.beta"],
-        rapidity=params["env.rapidity"],
-    )
+    return EnvironmentSpec(**{field: params[f"env.{key}"] for key, field in _ENV_FIELDS.items()
+                              if f"env.{key}" in params})
 
 
 def _kernel_from(params):
     from .kernels import CoherentReadoutKernel, GaussianKernel
-    if params["kernel.kind"] == "coherent":
+    if params.get("kernel.kind") == "coherent":
         return CoherentReadoutKernel(R=params["kernel.r"], omega_C=params["kernel.omega_c"])
     return GaussianKernel(sigma=params["kernel.sigma"])
 
@@ -619,18 +641,17 @@ def _run_boost(cfg):
 
 
 def _run_cq(cfg):
-    from .hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, tradeoff_check, write_hybrid_csv
+    from .hybridcq import CQKernels, HybridState, cq_evolve_grid, tradeoff_check, write_hybrid_csv
     p = cfg.parameters
     kern = CQKernels(d0=p["cq.d0"], d1=p["cq.d1"], d2=p["cq.d2"])
     verdict = tradeoff_check(kern)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    model = CQModel(2, np.zeros((2, 2), dtype=complex), [sz])
     z = np.linspace(p["cq.z_min"], p["cq.z_max"], p["cq.cells"])
     c = p["cq.coherence"]
     st = HybridState.gaussian_packet(z, p["cq.packet_center"], p["cq.packet_width"],
                                      np.array([[0.5, c], [c, 0.5]], dtype=complex))
     tr0 = st.total_trace()
-    st, min_eig = cq_evolve_grid(kern, model, st, p["cq.t"])
+    st, min_eig = cq_evolve_grid(kern, np.zeros((2, 2), dtype=complex), [sz], st, p["cq.t"])
     out = cfg.output_path / "cq_final.csv"
     write_hybrid_csv(st, out)
     trace_drift = abs(st.total_trace() - tr0)

@@ -3,7 +3,8 @@
 The hybrid state is an operator-valued density over a classical clock value
 z, stored as one Hermitian block per finite-volume cell.  A step couples
 
-  * a quantum GKLS sector with Lindblad strengths ``d0``,
+  * a quantum GKLS sector with Lindblad strengths ``d0``, the same
+    Hamiltonian and Lindblad operators in every cell,
   * a classical drift whose flux is the Hermitian sandwich
     {B, Y} with B = sum_mu d1[mu] (L_mu + L_mu^+)/2 (backaction), and
   * classical diffusion d2 * d^2/dz^2 (sample-path variance 2 d2 t).
@@ -18,9 +19,10 @@ a small extra diffusion, which errs on the positive-definite side.
 
 :func:`cq_evolve_grid` picks its own step dt_max: the least of the cap
 ``_DT_CAP``, the diffusion limit 0.2 dz^2 / d2 and the generator limit
-0.1 / (max over cells ||G||_2 + max|V| / dz).  It cuts t into ``_CHECKS`` equal
-parts of ceil(t / _CHECKS / dt_max) steps each, and returns the least block
-eigenvalue at the start and after each part with the final state.
+0.1 / (||G||_2 + max|V| / dz) of the quantum generator G.  It cuts t into
+``_CHECKS`` equal parts of ceil(t / _CHECKS / dt_max) steps each, and returns
+the least block eigenvalue at the start and after each part with the final
+state.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .kernels import psd_margin
 __all__ = [
     "CQKernels",
     "HybridState",
-    "CQModel",
     "TradeoffVerdict",
     "tradeoff_check",
     "cq_evolve_grid",
@@ -107,27 +108,6 @@ def tradeoff_check(k: CQKernels) -> TradeoffVerdict:
         return TradeoffVerdict(status="range_violation", margin=margin, range_ok=False)
     status = "satisfied" if margin >= -1e-12 else "violated"
     return TradeoffVerdict(status=status, margin=margin, range_ok=True)
-
-
-class CQModel:
-    """Quantum sector of the hybrid dynamics: H(z) and Lindblad operators L(z).
-
-    ``hamiltonian`` and ``lindblads`` may be constants or callables of z.
-    """
-
-    def __init__(self, dim: int, hamiltonian, lindblads):
-        self.dim = int(dim)
-        self._ham = hamiltonian
-        self._lind = lindblads
-        self.z_dependent = callable(hamiltonian) or callable(lindblads)
-
-    def hamiltonian(self, z: float) -> np.ndarray:
-        H = self._ham(z) if callable(self._ham) else self._ham
-        return np.asarray(H, dtype=complex)
-
-    def lindblads(self, z: float) -> list[np.ndarray]:
-        ls = self._lind(z) if callable(self._lind) else self._lind
-        return [np.asarray(L, dtype=complex) for L in ls]
 
 
 class HybridState:
@@ -201,17 +181,16 @@ class HybridState:
 
 
 def cq_evolve_grid(
-    k: CQKernels, model: CQModel, st: HybridState, t: float
+    k: CQKernels, H, lindblads, st: HybridState, t: float
 ) -> tuple[HybridState, float]:
     """Strang-split hybrid evolution: classical half, quantum full, classical half.
 
-    The classical substep is an explicit Scharfetter-Gummel finite-volume
+    The quantum sector is the Hamiltonian ``H`` and the Lindblad operators
+    ``lindblads``, one per row of ``k.d0``, the same in every cell.  The
+    classical substep is an explicit Scharfetter-Gummel finite-volume
     drift-diffusion step in the drift operator's eigenbasis; the quantum
-    substep applies per-cell GKLS propagators (exact matrix exponentials).
-    Requires z-independent Lindblad operators whenever the backaction drift
-    is switched on, since the entrywise flux decoupling needs one common
-    eigenbasis along the grid.  Step rule and positivity record: see the
-    module docstring.
+    substep applies the one GKLS propagator (an exact matrix exponential) to
+    every cell.  Step rule and positivity record: see the module docstring.
     """
     if k.d2.shape != (1, 1):
         raise ValueError("grid evolution supports one classical direction")
@@ -222,43 +201,30 @@ def cq_evolve_grid(
     z = st.z_grid
     d = st.dim
 
+    lindblads = [np.asarray(L, dtype=complex) for L in lindblads]
     B = np.zeros((d, d), dtype=complex)  # backaction drift operator
-    if np.abs(k.d1).max() > 0.0:
-        if callable(model._lind):
-            raise NotImplementedError(
-                "backaction drift with z-dependent Lindblad operators is not supported"
-            )
-        for mu, L in enumerate(model.lindblads(0.0)):
-            B += 0.5 * k.d1[0, mu] * (L + L.conj().T)
-        B = 0.5 * (B + B.conj().T)
-    lam, Q = np.linalg.eigh(B)
+    for mu, L in enumerate(lindblads):
+        B += 0.5 * k.d1[0, mu] * (L + L.conj().T)
+    lam, Q = np.linalg.eigh(0.5 * (B + B.conj().T))
     V = np.real(lam[:, None] + lam[None, :])  # entrywise drift velocities
 
-    # per-cell quantum generators in the drift eigenbasis
-    def rotate(M):
-        return Q.conj().T @ M @ Q
-
-    gens = np.array([
-        generator_matrix(rotate(model.hamiltonian(float(zc))),
-                         [rotate(L) for L in model.lindblads(float(zc))], k.d0)
-        for zc in (z if model.z_dependent else [0.0])
-    ])
-    gen_norm = max(np.linalg.norm(G, 2) for G in gens)
-
-    rate = gen_norm + np.abs(V).max() / dz
+    # the quantum generator in the drift eigenbasis
+    G = generator_matrix(Q.conj().T @ np.asarray(H, dtype=complex) @ Q,
+                         [Q.conj().T @ L @ Q for L in lindblads], k.d0)
+    rate = np.linalg.norm(G, 2) + np.abs(V).max() / dz
     dt_max = min(_DT_CAP, 0.2 * dz * dz / max(D, 1e-30), 0.1 / max(rate, 1e-30))
     per_check = math.ceil(t / _CHECKS / dt_max)
     dt = t / _CHECKS / per_check
 
-    props = np.array([expm(dt * G) for G in gens])
+    prop_t = expm(dt * G).T
     blocks = st.blocks
     min_eig = st.min_block_eigenvalue()
     for _ in range(_CHECKS):
         blocks = np.einsum("ai,cij,bj->cab", Q.conj(), blocks, Q)  # rotate in
         for _ in range(per_check):
             blocks = fv_drift_diffusion_step(blocks, V, D, dz, 0.5 * dt)
-            vb = blocks.transpose(0, 2, 1).reshape(z.size, d * d)  # vec per cell (column stacking)
-            vb = np.einsum("cij,cj->ci", props, vb) if model.z_dependent else vb @ props[0].T
+            # vec per cell (column stacking), times the propagator
+            vb = blocks.transpose(0, 2, 1).reshape(z.size, d * d) @ prop_t
             blocks = vb.reshape(z.size, d, d).transpose(0, 2, 1)
             blocks = fv_drift_diffusion_step(blocks, V, D, dz, 0.5 * dt)
         blocks = np.einsum("ia,cab,jb->cij", Q, blocks, Q.conj())  # rotate out

@@ -17,9 +17,7 @@ beta = inf, n_B = 0.  Every quadrature, series and atom sum runs at unit
 coupling, and each public value is scaled by g^2 once, exactly.
 
 The vacuum rate integral is boost invariant (the measure d^3k/2E and the
-product k.n both are), so ``env.rapidity`` does not change its value; the
-angular integral is kept explicit because intermediate hypersurface machinery
-samples it along tilted normals.
+product k.n both are), so ``env.rapidity`` does not change its value.
 """
 
 from __future__ import annotations
@@ -115,7 +113,6 @@ class LambShiftCoefficient:
     """
 
     raw_value: float
-    cutoff: float
     subtracted_value: float
     fit_slope: float
 
@@ -326,7 +323,6 @@ def lamb_shift_coefficient(
     slope, _intercept = np.polyfit(grid, vals, 1)
     return LambShiftCoefficient(
         raw_value=g2 * raw,
-        cutoff=cutoff,
         subtracted_value=g2 * (raw - slope * cutoff),
         fit_slope=g2 * float(slope),
     )

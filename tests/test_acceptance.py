@@ -22,7 +22,7 @@ from relclock.gkls import (
     cp_choi_check,
     qubit_decay_model,
 )
-from relclock.hybridcq import CQKernels, CQModel, HybridState, cq_evolve_grid, tradeoff_check
+from relclock.hybridcq import CQKernels, HybridState, cq_evolve_grid, tradeoff_check
 from relclock.integrability import (
     MomentumGridModel,
     SliceLattice,
@@ -294,13 +294,12 @@ def test_13_cq_tradeoff():
     boundary = tradeoff_check(CQKernels(2.0, 2.0, 1.0))
     ok = boundary.status == "satisfied" and abs(boundary.margin) <= 1e-12
 
-    model = CQModel(2, np.zeros((2, 2), dtype=complex), [SZ])
     z = np.linspace(-8.0, 8.0, 64)
     rho = np.array([[0.5, 0.45], [0.45, 0.5]], dtype=complex)
 
     def run(kern):
         st = HybridState.gaussian_packet(z, 0.0, 0.5, rho)
-        out, worst = cq_evolve_grid(kern, model, st, 1.0)
+        out, worst = cq_evolve_grid(kern, np.zeros((2, 2), dtype=complex), [SZ], st, 1.0)
         return worst, abs(out.total_trace() - st.total_trace())
 
     worst_ok, drift_ok = run(CQKernels(2.0, 2.0, 1.0))

@@ -103,11 +103,16 @@ class TestParseConfig:
     def test_kernel_section_only_where_read(self, scenario):
         # [kernel] is accepted only by the scenarios that build their kernel
         # from it; markov_limit, kms and curl take sigmas from their own
-        # sections, and the rest use no clock kernel
+        # sections, and the rest use no clock kernel; lamb_shift's kernel is
+        # Gaussian, so its [kernel] has no kind
         text = SMALL_CONFIGS[scenario].replace("[kernel]\nsigma = 5.0\n", "")
         text += "\n[kernel]\nkind = coherent\nsigma = 0.3\n"
-        if scenario in ("rates", "lamb_shift", "noise"):
+        if scenario in ("rates", "noise"):
             assert parse_config(text).parameters["kernel.sigma"] == 0.3
+        elif scenario == "lamb_shift":
+            with pytest.raises(ConfigError, match=r"unknown key 'kind' in \[kernel\]"):
+                parse_config(text)
+            assert parse_config(text.replace("kind = coherent\n", "")).parameters["kernel.sigma"] == 0.3
         else:
             with pytest.raises(ConfigError, match=r"unknown section \[kernel\]"):
                 parse_config(text)
@@ -646,6 +651,24 @@ class TestMain:
             parse_config(f"{head}{refused}\n")
         parse_config(f"{head}{boundary}\n")
 
+    @pytest.mark.parametrize("scenario, head", [
+        ("rates", "[rates]\nomega_min = -4\nomega_max = 1\nomega_points = 3\n"),
+        ("markov_limit", ""),
+    ])
+    def test_boosted_thermal_refused_at_parse(self, tmp_path, capsys, scenario, head):
+        # a tilted clock in a thermal bath is outside the model: refused by
+        # both keys before any output is made, not by kappa_tcl in compute;
+        # a rapidity below rates._UNTILTED, or the vacuum, still parses
+        config = tmp_path / "cfg.ini"
+        config.write_text(f"[run]\nscenario = {scenario}\n{head}[env]\nbeta = 1\nrapidity = -1e-14\n")
+        out = tmp_path / "out"
+        assert main([scenario, "--config", str(config), "--output", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{scenario}] parse: [env] rapidity = -1e-14 at a finite [env] beta = 1:")
+        assert not out.exists()
+        for env in ("beta = 1\nrapidity = 9.9e-15", "rapidity = 710"):
+            parse_config(f"[run]\nscenario = {scenario}\n{head}[env]\n{env}\n")
+
     def test_noise_at_the_grid_cap(self, tmp_path, capsys):
         # 4096 points run in a fresh process in about 2.4 s and 46 MB on 2
         # vCPUs (the 256-point eigh root took 38 MB); 4097 are one clear error
@@ -1169,3 +1192,99 @@ class TestByteContract:
             assert done.returncode == 0, done.stderr
             digests.append(json.loads(done.stdout))
         assert len(digests[0]) == 4 and digests[0] == digests[1]
+
+
+#: each scenario on a config small enough to run in process in a few ms
+READ_BASE = {
+    "rates": {"rates": {"omega_min": "-4", "omega_max": "1", "omega_points": "3"}},
+    "lamb_shift": {},
+    "markov_limit": {"markov_limit": {"sigmas": "2 5"}},
+    "kms": {"env": {"beta": "1"}, "kms": {"sigmas": "2 5"}},
+    "gkls": {},
+    "langevin": {},
+    "unravel": {"unravel": {"n_traj": "50", "t": "0.1", "dt": "0.01", "n_out": "3"}},
+    "noise": {"noise": {"grid_points": "4", "n_real": "20"}},
+    "curl": {},
+    "boost": {"boost": {"grid_size": "16"}},
+    "cq": {"cq": {"cells": "8", "t": "0.2"}},
+    "tradeoff": {"tradeoff": {"d0": "1", "d1": "1", "d2": "1"}},
+}
+#: a second value of each key, inside its domain and the cross-key rules
+#: on READ_BASE, and different from the base value
+SECOND_VALUES = {
+    "env": {"mass_e": "2", "g": "2", "beta": "2", "rapidity": "1"},
+    "kernel": {"kind": "coherent", "sigma": "3", "r": "3", "omega_c": "2"},
+    "rates": {"omega_min": "-3", "omega_max": "2", "omega_points": "4"},
+    "markov_limit": {"omega": "-2", "sigmas": "3 6"},
+    "lamb_shift": {"cutoff": "30"},
+    "kms": {"omega": "1", "sigmas": "3 6"},
+    "gkls": {"omega0": "1", "t_max": "2", "n_times": "5"},
+    "langevin": {"energy": "1", "tau_max": "5", "n_times": "5", "n0": "1"},
+    "unravel": {"omega0": "2", "gamma": "0.5", "t": "0.2", "dt": "0.005", "n_traj": "60", "n_out": "6"},
+    "noise": {"t_span": "2", "grid_points": "5", "n_real": "30"},
+    "curl": {"n_sites": "3", "tilt": "0.5", "spacing": "2", "site_energy": "2", "x": "0", "y": "3",
+             "rate_mode": "normal_independent", "sigmas": "3"},
+    "boost": {"grid_size": "32", "theta_max": "2", "system_mass": "2", "d_rapidity": "0.01"},
+    "cq": {"d0": "3", "d1": "1", "d2": "2", "z_min": "-6", "z_max": "6", "cells": "10", "t": "0.1",
+           "packet_center": "0.5", "packet_width": "0.8", "coherence": "0.3"},
+    "tradeoff": {"d0": "2", "d1": "0.5", "d2": "3"},
+}
+#: keys read only under another setting: the coherent kernel's own two
+READ_UNDER = {("kernel", "r"): ("kind", "coherent"), ("kernel", "omega_c"): ("kind", "coherent")}
+#: keys that no computation of the scenario reads, so it refuses them
+UNREAD_KEYS = [
+    *((scenario, "env", "rapidity") for scenario in ("lamb_shift", "kms", "gkls", "langevin", "noise",
+                                                      "curl", "boost")),
+    ("lamb_shift", "env", "beta"), ("boost", "env", "beta"),
+    ("lamb_shift", "kernel", "kind"), ("lamb_shift", "kernel", "r"), ("lamb_shift", "kernel", "omega_c"),
+]
+
+
+def _csv_bytes(scenario, sections, out):
+    """The CSV bytes of an in-process run of ``scenario`` on ``sections``, or
+    None if it raised."""
+    text = f"[run]\nscenario = {scenario}\nseed = 1\n"
+    for sec, keys in sections.items():
+        text += f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    try:
+        cfg = parse_config(text)
+        cfg.output_path = out
+        run_scenario(cfg, quiet=True)
+    except Exception:  # noqa: BLE001 - a value that only fails is not read to effect
+        return None
+    return [path.read_bytes() for path in sorted(out.glob("*.csv"))]
+
+
+def test_every_key_is_read(tmp_path):
+    # every key a scenario declares changes its CSV bytes at a second value
+    # (each config runs in a few ms), and a key that no computation of the
+    # scenario reads is refused at parse, not ignored or left to fail in
+    # compute
+    unread = []
+    try:
+        for scenario in SCENARIOS:
+            for sec, keys in SCHEMA[scenario].items():
+                for key in keys:
+                    base = {name: dict(values) for name, values in READ_BASE[scenario].items()}
+                    if (sec, key) in READ_UNDER:
+                        under, word = READ_UNDER[sec, key]
+                        base.setdefault(sec, {})[under] = word
+                    changed = {name: dict(values) for name, values in base.items()}
+                    changed.setdefault(sec, {})[key] = SECOND_VALUES[sec][key]
+                    assert changed[sec][key] != base.get(sec, {}).get(key)
+                    name = f"{scenario} [{sec}] {key}"
+                    before = _csv_bytes(scenario, base, tmp_path / f"{name} base")
+                    after = _csv_bytes(scenario, changed, tmp_path / name)
+                    if before is None or after is None or after == before:
+                        unread.append(name)
+    finally:
+        # the coherent kernels certified here would leave a later in-process
+        # run (test_every_function_is_reached) no certificate to compute
+        from relclock.kernels import kernel_spectrum
+        from relclock.rates import _certify_kernel
+        _certify_kernel.cache_clear()
+        kernel_spectrum.cache_clear()
+    assert not unread, f"read to no effect: {', '.join(unread)}"
+    for scenario, sec, key in UNREAD_KEYS:
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key {key!r} in [{sec}]")):
+            parse_config(f"[run]\nscenario = {scenario}\nseed = 1\n[{sec}]\n{key} = 1\n")

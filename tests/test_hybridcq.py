@@ -7,7 +7,6 @@ from relclock import hybridcq
 from relclock.gkls import generator_matrix
 from relclock.hybridcq import (
     CQKernels,
-    CQModel,
     HybridState,
     cq_evolve_grid,
     tradeoff_check,
@@ -21,10 +20,6 @@ H0 = np.zeros((2, 2), dtype=complex)
 # slightly mixed |+>-like state: 10% coherence headroom keeps the boundary
 # case strictly inside the positive cone
 PLUS_MIXED = np.array([[0.5, 0.45], [0.45, 0.5]], dtype=complex)
-
-
-def dephasing_model():
-    return CQModel(2, H0, [SZ])
 
 
 def spy_steps(monkeypatch):
@@ -81,17 +76,16 @@ class TestGridEvolver:
         z = np.linspace(-10, 10, 128)
         st = HybridState.gaussian_packet(z, 0.0, 0.4, np.eye(2, dtype=complex) / 2)
         v0 = st.z_variance()
-        out, _ = cq_evolve_grid(k, dephasing_model(), st, 1.0)
+        out, _ = cq_evolve_grid(k, H0, [SZ], st, 1.0)
         assert out.z_variance() - v0 == pytest.approx(2.0, rel=0.02)
 
     def test_zero_kernels_unitary(self):
         k = CQKernels(0.0, 0.0, 0.0)
         H = 0.7 * SX
-        model = CQModel(2, H, [SZ])
         z = np.linspace(-4, 4, 32)
         st = HybridState.gaussian_packet(z, 0.0, 0.5, np.array([[1.0, 0], [0, 0.0]], dtype=complex))
         ev0 = np.sort(np.linalg.eigvalsh(st.blocks), axis=None)
-        out, _ = cq_evolve_grid(k, model, st, 1.0)
+        out, _ = cq_evolve_grid(k, H, [SZ], st, 1.0)
         ev1 = np.sort(np.linalg.eigvalsh(out.blocks), axis=None)
         assert np.abs(ev0 - ev1).max() <= 1e-10
 
@@ -99,7 +93,7 @@ class TestGridEvolver:
         k = CQKernels(2.0, 2.0, 1.0)
         z = np.linspace(-8, 8, 64)
         st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
-        out, _ = cq_evolve_grid(k, dephasing_model(), st, 1.0)
+        out, _ = cq_evolve_grid(k, H0, [SZ], st, 1.0)
         sx = np.real(np.trace(out.blocks.sum(0) @ SX))
         assert sx == pytest.approx(0.9 * math.exp(-2 * 2.0 * 1.0), rel=0.05)
 
@@ -112,15 +106,15 @@ class TestGridEvolver:
             d1 = rng.uniform(0.0, math.sqrt(2 * d0 * d2))  # satisfied region
             k = CQKernels(d0, d1, d2)
             st = HybridState.gaussian_packet(z, rng.uniform(-1, 1), 0.6, PLUS_MIXED)
-            out, _ = cq_evolve_grid(k, dephasing_model(), st, 0.5)
+            out, _ = cq_evolve_grid(k, H0, [SZ], st, 0.5)
             assert abs(out.total_trace() - 1.0) <= 1e-8
 
     def test_positivity_sentinel(self):
         z = np.linspace(-8, 8, 64)
         st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
-        _, worst_ok = cq_evolve_grid(CQKernels(2.0, 2.0, 1.0), dephasing_model(), st, 1.0)
+        _, worst_ok = cq_evolve_grid(CQKernels(2.0, 2.0, 1.0), H0, [SZ], st, 1.0)
         assert worst_ok >= -1e-6
-        _, worst_bad = cq_evolve_grid(CQKernels(1.0, 2.0, 1.0), dephasing_model(), st, 1.0)
+        _, worst_bad = cq_evolve_grid(CQKernels(1.0, 2.0, 1.0), H0, [SZ], st, 1.0)
         assert worst_bad <= -1e-4
 
     def test_step_halving_convergence(self, monkeypatch):
@@ -132,7 +126,7 @@ class TestGridEvolver:
         for cap in (2e-3, 1e-3, 5e-4):
             monkeypatch.setattr(hybridcq, "_DT_CAP", cap)
             steps = spy_steps(monkeypatch)
-            runs.append(cq_evolve_grid(k, dephasing_model(), st, 0.4)[0])
+            runs.append(cq_evolve_grid(k, H0, [SZ], st, 0.4)[0])
             assert set(steps) == {cap}
         coarse, fine, finer = runs
         d1 = np.abs(coarse.blocks - fine.blocks).max()
@@ -161,7 +155,7 @@ class TestGridEvolver:
         }
         assert min(bounds, key=bounds.get) == binding
         steps = spy_steps(monkeypatch)
-        out, _ = cq_evolve_grid(k, dephasing_model(), st, 0.2)
+        out, _ = cq_evolve_grid(k, H0, [SZ], st, 0.2)
         bound = bounds[binding]
         assert len(set(steps)) == 1
         assert 0.5 * bound < steps[0] <= bound * (1.0 + 1e-12)
@@ -173,16 +167,7 @@ class TestGridEvolver:
         st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
         for t in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="t must be > 0"):
-                cq_evolve_grid(CQKernels(1.0, 0.0, 1.0), dephasing_model(), st, t)
-
-    def test_z_dependent_hamiltonian(self):
-        # conditional phase rotation: no drift, rates constant
-        model = CQModel(2, lambda z: 0.5 * z * SZ, [SZ])
-        k = CQKernels(0.5, 0.0, 0.2)
-        z = np.linspace(-4, 4, 48)
-        st = HybridState.gaussian_packet(z, 0.0, 0.5, PLUS_MIXED)
-        out, _ = cq_evolve_grid(k, model, st, 0.4)
-        assert abs(out.total_trace() - 1.0) <= 1e-8
+                cq_evolve_grid(CQKernels(1.0, 0.0, 1.0), H0, [SZ], st, t)
 
     def test_branch_splitting_variance(self):
         # at the saturated trade-off the packet splits into the two sigma_z
@@ -191,7 +176,7 @@ class TestGridEvolver:
         d1, d2, t, w, p = 2.0, 1.0, 1.0, 0.5, PLUS_MIXED[0, 0].real
         z = np.linspace(-8, 8, 64)
         st = HybridState.gaussian_packet(z, 0.0, w, PLUS_MIXED)
-        out, _ = cq_evolve_grid(CQKernels(2.0, d1, d2), dephasing_model(), st, t)
+        out, _ = cq_evolve_grid(CQKernels(2.0, d1, d2), H0, [SZ], st, t)
         expected = w**2 + 2 * d2 * t + 4 * p * (1 - p) * (2 * d1 * t) ** 2
         assert expected == 18.25
         assert out.z_variance() == pytest.approx(expected, rel=0.01)
