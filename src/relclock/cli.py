@@ -53,11 +53,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-SCENARIOS = (
-    "rates", "lamb_shift", "markov_limit", "kms", "gkls", "langevin",
-    "unravel", "noise", "curl", "boost", "cq", "tradeoff",
-)
-
 STOCHASTIC = {"unravel", "noise"}
 
 
@@ -142,9 +137,8 @@ _SIGMA = ("float", None, "(0, inf)")
 _KERNEL = {
     "kind": ("str", "gaussian", ("gaussian", "coherent")),
     "sigma": _SIGMA,
-    # read by the coherent kernel alone, whose own guard names R and omega_C
-    "r": ("float", 1.0, "(-inf, inf)"),
-    "omega_c": ("float", 1.0, "(-inf, inf)"),
+    "r": ("float", 1.0, "[0, inf)"),
+    "omega_c": ("float", 1.0, "(0, inf)"),
 }
 _MASS_UNITS = {
     "kernel.sigma": 5.0,  # a time: 5 / mass_e
@@ -165,12 +159,12 @@ SCHEMA = {
         "omega_max": ("float", REQUIRED, "(-inf, inf)"),
         "omega_points": ("int", REQUIRED, "[1, inf)"),
     }},
+    "lamb_shift": {"env": _VACUUM, "kernel": {"sigma": _SIGMA}, "lamb_shift": {
+        "cutoff": ("float", None, "(0, inf)"),
+    }},
     "markov_limit": {"env": _ENV_TILTED, "markov_limit": {
         "omega": ("float", None, "(-inf, inf)"),
         "sigmas": _SIGMAS,
-    }},
-    "lamb_shift": {"env": _VACUUM, "kernel": {"sigma": _SIGMA}, "lamb_shift": {
-        "cutoff": ("float", None, "(0, inf)"),
     }},
     "kms": {"env": {**_VACUUM, "g": _COUPLED, "beta": ("float", REQUIRED, "(0, inf)")}, "kms": {
         "omega": ("float", None, "(-inf, inf)"),
@@ -234,6 +228,8 @@ SCHEMA = {
         "d2": ("matrix", REQUIRED, "(-inf, inf)"),
     }},
 }
+
+SCENARIOS = tuple(SCHEMA)
 
 
 def parse_config(

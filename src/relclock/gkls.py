@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import psd_margin
+from .kernels import is_hermitian, psd_margin
 
 __all__ = [
     "DensityMatrix",
@@ -42,10 +42,6 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
-def _hermitian_defect(M):
-    return np.abs(M - M.conj().T).max()
-
-
 class DensityMatrix:
     """Hermitian, unit-trace, (numerically) positive state."""
 
@@ -55,8 +51,7 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if not np.isfinite(M).all():
             raise ValueError("density matrix has a non-finite entry")
-        scale = max(np.abs(M).max(), 1.0)
-        if _hermitian_defect(M) > 1e-12 * scale:
+        if not is_hermitian(M):
             raise ValueError("density matrix must be Hermitian")
         tr = np.real(np.trace(M))
         if abs(tr - 1.0) > trace_tol:
@@ -143,8 +138,7 @@ class GKLSModel:
         H = self.hamiltonian
         if H.shape != (d, d):
             raise ValueError("hamiltonian shape mismatch")
-        scale = max(np.abs(H).max(), 1.0)
-        if _hermitian_defect(H) > 1e-12 * scale:
+        if not is_hermitian(H):
             raise ValueError("hamiltonian must be Hermitian")
         n = len(self.jump_operators)
         K = self.kossakowski
@@ -195,31 +189,23 @@ def generator_matrix(H, ops, K) -> np.ndarray:
     return M
 
 
-#: [m/m] Padé coefficients b_0..b_m of exp (Higham 2005, eqs. 2.5 and 2.7)
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
-#: largest 1-norm at which the [m/m] approximant is exact to double
+#: [13/13] Padé coefficients b_0..b_13 of exp (Higham 2005, eq. 2.7)
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+            16380.0, 182.0, 1.0)
+#: largest 1-norm at which the [13/13] approximant is exact to double
 #: precision in backward error (Higham 2005, Table 2.3)
-_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
 _THETA_13 = 5.371920351148152e0
 
 
 def expm(A) -> np.ndarray:
-    """Matrix exponential by Padé scaling and squaring (Higham 2005).
+    """Matrix exponential by [13/13] Padé scaling and squaring (Higham 2005).
 
-    The 1-norm picks the lowest of the orders 3, 5, 7, 9 whose theta_m bounds
-    it; above theta_9, A is scaled by 2^-s into the order-13 range and the
-    approximant squared s times.  Non-finite entries raise.
+    A is scaled by 2^-s, the least power of two that brings its 1-norm to
+    theta_13 or below, and the approximant is squared s times; a matrix of
+    small norm takes s = 0.  The zero matrix gives the identity exactly.
+    Non-finite entries raise.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -229,22 +215,14 @@ def expm(A) -> np.ndarray:
         raise ValueError("expm input has a non-finite entry")
     norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
     ident = np.eye(A.shape[0], dtype=A.dtype)
-    A2 = A @ A
-    for m, theta in _THETA:
-        if norm <= theta:
-            b = _PADE[m]
-            powers = [ident, A2]
-            for _ in range(m // 2 - 1):
-                powers.append(powers[-1] @ A2)
-            U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
-            V = sum(b[2 * k] * P for k, P in enumerate(powers))
-            return np.linalg.solve(V - U, V + U)
+    if norm == 0.0:
+        return ident
     s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    A2 = A @ A / 4.0**s
     A = A / 2.0**s
-    A2 = A2 / 4.0**s
     A4 = A2 @ A2
     A6 = A2 @ A4
-    b = _PADE[13]
+    b = _PADE_13
     U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)

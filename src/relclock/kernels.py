@@ -44,16 +44,22 @@ class PositivityError(ValueError):
     """A kernel, spectrum, or covariance failed its positivity certificate."""
 
 
+def is_hermitian(M: np.ndarray) -> bool:
+    """False when some entry of the non-empty ``M`` differs from its
+    conjugate transpose by more than 1e-12 * max(|M|_max, 1)."""
+    return not np.abs(M - M.conj().T).max() > 1e-12 * max(np.abs(M).max(), 1.0)
+
+
 def psd_margin(M: np.ndarray, name: str) -> float:
     """Minimum eigenvalue of the Hermitian matrix ``M``.
 
-    Raises ValueError unless M is Hermitian to 1e-12 * max(|M|, 1), and
-    PositivityError when the margin is below -1e-10 * max(tr M, 1).  An empty
-    block is trivially PSD, with margin +inf.
+    Raises ValueError unless ``is_hermitian(M)``, and PositivityError when
+    the margin is below -1e-10 * max(tr M, 1).  An empty block is trivially
+    PSD, with margin +inf.
     """
     if M.size == 0:
         return math.inf
-    if np.abs(M - M.conj().T).max() > 1e-12 * max(np.abs(M).max(), 1.0):
+    if not is_hermitian(M):
         raise ValueError(f"{name} must be Hermitian")
     margin = float(np.linalg.eigvalsh(M).min())
     if margin < -1e-10 * max(float(np.real(np.trace(M))), 1.0):

@@ -640,12 +640,17 @@ class TestMain:
          "[unravel]\ndt = 0.5\nn_out = 2"),
         ("unravel", "[unravel]\nn_out = 4", r"\[unravel\] n_out = 4: n_out - 1 must divide the 1000 steps",
          "[unravel]\nn_out = 1001"),
+        ("noise", "[kernel]\nkind = coherent\nr = -1", r"\[kernel\] r must be >= 0",
+         "[kernel]\nkind = coherent\nr = 0"),
+        ("noise", "[kernel]\nkind = coherent\nomega_c = 0", r"\[kernel\] omega_c must be > 0",
+         "[kernel]\nkind = coherent\nomega_c = 1e-12"),
     ])
     def test_library_exits_refused_at_parse(self, scenario, refused, named, boundary):
         # a Lamb-shift cutoff below 10 mass_e, an unravel t that is not a
-        # multiple of dt, and an n_out - 1 that does not divide t / dt are
-        # refused by [section] key, not by the library after parse; the
-        # boundary values still parse
+        # multiple of dt, an n_out - 1 that does not divide t / dt, and a
+        # coherent kernel's negative r or non-positive omega_c are refused
+        # by [section] key, not by the library after parse; the boundary
+        # values still parse
         head = f"[run]\nscenario = {scenario}\nseed = 1\n"
         with pytest.raises(ConfigError, match=named):
             parse_config(f"{head}{refused}\n")
@@ -1144,12 +1149,12 @@ _BYTES_PROBE = (
 DEFAULT_DIGESTS = {
     "boost/boost.csv": "5573c7436f3d295dd0945812d218655576b9d62efed9d42fbc0859b8ffc8c01c",
     "boost/summary.json": "f35ffad197257c0e318bde57185362d4df46597fd0d3b79ed1e3a207a0e73016",
-    "cq/cq_final.csv": "5504f0e6295c9270f4ee9e9a4425aa3e091f5158b307631c95ff696077109bcb",
-    "cq/summary.json": "cc9857f075f05c48c6ca0f84ce72d94c20d7f622471e95f827393fd08659b637",
+    "cq/cq_final.csv": "fdec6a3ebfb0352e7352c3e2220adc6e19ed64f58059c4c080bb2a91dac1ab43",
+    "cq/summary.json": "ffcfe66c8c4a0dcfeb8b753cde6f275707b6576e0d499abe871e8903a81dcaee",
     "curl/curl.csv": "98a0f0768c8ebab6af48ae44f203d4a8268db3864956883b8aac994a98603ac8",
     "curl/summary.json": "48eba7b04d0457147331779186762574a05558a8848a0351ab1b0392283a0bf7",
-    "gkls/gkls.csv": "6021c65bcb40f406412876e7cb01f933352496d89f7a6d26fc2ba2520563031a",
-    "gkls/summary.json": "16f15cb8d8e993b57daadca2627929f9ece5b1dd09286f6fe7ed8701020794e5",
+    "gkls/gkls.csv": "fc86ba1e9d343eebcebea1813a543e1d891dc8d1249fe0e10c4584aef21a06d2",
+    "gkls/summary.json": "bb1fe486f365440508b713c8943e06d01f5a31db134669c317fbf73690539c47",
     "kms/kms.csv": "28f7d7b9af7b08591f6b4b4c1f79bc88c500d3ff53d0fad26424810125015ccc",
     "kms/summary.json": "2a82286c7ed780697897800aff3fedefceb0c981c96719c6b8a854b341b7d7b5",
     "lamb_shift/lamb_shift.csv": "16ec30fced74769578f9786099538e1fefb0561b390c2b1ea85aea8c5444b720",
@@ -1164,8 +1169,8 @@ DEFAULT_DIGESTS = {
     "rates/summary.json": "b5d5662d13eedaa896bf6aecc3d77d9d8b2d31e7025a80737d3339195473b92f",
     "tradeoff/summary.json": "0cbc2897234736674a4b5cd612540f9f124d2c323e88a6a495cc585d5ebbb073",
     "tradeoff/tradeoff.csv": "6d5057b24b2a05a550ee86b9a738bdf7fe387a11b6ec2a7bbee57a086523909b",
-    "unravel/summary.json": "c0146ba98549662f90bb729283806faa5788ddf1c16f01bec25dc2f8d1f27924",
-    "unravel/unravel.csv": "7f59ac9f301afc4f2e96d29fce06be961d4544a598a1375603e986d27f80d454",
+    "unravel/summary.json": "fb053fcd3dbd36bc2e502455cefbadb91e27f6d89b824136d908891b008e03c8",
+    "unravel/unravel.csv": "e0b1515ba31bac7330e8aa217a69e3fcfb2123b7f1a96aa9af17e0c657cab298",
 }
 
 
@@ -1261,29 +1266,21 @@ def test_every_key_is_read(tmp_path):
     # scenario reads is refused at parse, not ignored or left to fail in
     # compute
     unread = []
-    try:
-        for scenario in SCENARIOS:
-            for sec, keys in SCHEMA[scenario].items():
-                for key in keys:
-                    base = {name: dict(values) for name, values in READ_BASE[scenario].items()}
-                    if (sec, key) in READ_UNDER:
-                        under, word = READ_UNDER[sec, key]
-                        base.setdefault(sec, {})[under] = word
-                    changed = {name: dict(values) for name, values in base.items()}
-                    changed.setdefault(sec, {})[key] = SECOND_VALUES[sec][key]
-                    assert changed[sec][key] != base.get(sec, {}).get(key)
-                    name = f"{scenario} [{sec}] {key}"
-                    before = _csv_bytes(scenario, base, tmp_path / f"{name} base")
-                    after = _csv_bytes(scenario, changed, tmp_path / name)
-                    if before is None or after is None or after == before:
-                        unread.append(name)
-    finally:
-        # the coherent kernels certified here would leave a later in-process
-        # run (test_every_function_is_reached) no certificate to compute
-        from relclock.kernels import kernel_spectrum
-        from relclock.rates import _certify_kernel
-        _certify_kernel.cache_clear()
-        kernel_spectrum.cache_clear()
+    for scenario in SCENARIOS:
+        for sec, keys in SCHEMA[scenario].items():
+            for key in keys:
+                base = {name: dict(values) for name, values in READ_BASE[scenario].items()}
+                if (sec, key) in READ_UNDER:
+                    under, word = READ_UNDER[sec, key]
+                    base.setdefault(sec, {})[under] = word
+                changed = {name: dict(values) for name, values in base.items()}
+                changed.setdefault(sec, {})[key] = SECOND_VALUES[sec][key]
+                assert changed[sec][key] != base.get(sec, {}).get(key)
+                name = f"{scenario} [{sec}] {key}"
+                before = _csv_bytes(scenario, base, tmp_path / f"{name} base")
+                after = _csv_bytes(scenario, changed, tmp_path / name)
+                if before is None or after is None or after == before:
+                    unread.append(name)
     assert not unread, f"read to no effect: {', '.join(unread)}"
     for scenario, sec, key in UNREAD_KEYS:
         with pytest.raises(ConfigError, match=re.escape(f"unknown key {key!r} in [{sec}]")):

@@ -279,7 +279,8 @@ def _norm1(X):
 
 
 class TestExpm:
-    #: the Padé thresholds theta_3 .. theta_13 of Higham (2005), Table 2.3
+    #: the thresholds theta_3 .. theta_13 of Higham (2005), Table 2.3, at
+    #: which an expm that picks its Padé order by the 1-norm switches order
     THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
               2.097847961257068, 5.371920351148152)
 
@@ -301,6 +302,22 @@ class TestExpm:
                 # around theta_13 (order 13, one squaring above it) the two
                 # algorithms part by the conditioning of a random non-normal A
                 assert err <= (1e-14 if side * theta <= 2.1 else 1e-12), (theta, side, err)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("norm", [1e-12, 1e-6, 1e-3])
+    def test_matches_scipy_at_small_norms(self, n, is_complex, norm):
+        # far below theta_3, where the [13/13] approximant runs unscaled: the
+        # unravel step exp(-i dt H_eff) at dt = 1e-3 has a 1-norm near 1e-3
+        rng = np.random.default_rng(7 * n + int(is_complex))
+        A = rng.normal(size=(n, n))
+        if is_complex:
+            A = A + 1j * rng.normal(size=(n, n))
+        A *= norm / _norm1(A)
+        E = expm(A)
+        got = pade_expm(A)
+        assert got.dtype == E.dtype
+        assert _norm1(got - E) <= 1e-14 * _norm1(E)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 9, 16])
     @pytest.mark.parametrize("norm", [6.0, 30.0, 200.0, 1e3])

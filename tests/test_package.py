@@ -8,6 +8,8 @@ from pathlib import Path
 
 import relclock
 from relclock.cli import main
+from relclock.kernels import kernel_spectrum
+from relclock.rates import _certify_kernel
 
 #: functions of src/ that no run of test_every_function_is_reached calls and
 #: that relbench/tracer.py wraps or reads by name; they go when the tracer
@@ -116,7 +118,11 @@ REACH_RUNS = [
 def test_every_function_is_reached(tmp_path):
     # every def in src/ is called by some CLI run of REACH_RUNS, in process
     # under a profile hook, or kept on UNREACHED_KEPT; a function whose only
-    # caller is itself unreached counts as unreached
+    # caller is itself unreached counts as unreached; the kernel caches are
+    # cleared first, as a kernel an earlier test certified would skip its
+    # certificate here
+    _certify_kernel.cache_clear()
+    kernel_spectrum.cache_clear()
     called = set()
 
     def hook(frame, event, arg):
